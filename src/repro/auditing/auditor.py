@@ -339,12 +339,11 @@ def _world_reports(
 
     A mechanism that overrides :meth:`LocalRandomizer.randomize_batch`
     draws all of a world's reports in one vectorized call instead of
-    ``trials`` Python round-trips.  For mechanisms whose batch draw
-    consumes the stream per-value in trial order (binary RR: one
-    uniform per report), the batched world is bit-identical to the
-    per-trial loop; others are statistically equivalent (same law,
-    different draw granularity).  The base-class default is itself the
-    per-report loop, so falling through it changes nothing.
+    ``trials`` Python round-trips.  Batch draws are stream-exact (see
+    :meth:`LocalRandomizer.randomize_batch`), so the batched world is
+    bit-identical to the per-trial loop; k-ary RR, the one documented
+    exception, matches it in law only.  The base-class default is
+    itself the per-report loop, so falling through it changes nothing.
     """
     return list(randomizer.randomize_batch([value] * trials, generator))
 

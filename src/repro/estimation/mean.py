@@ -21,7 +21,7 @@ network shuffling, and the server averages the debiased reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -70,12 +70,22 @@ def make_dummy_factory(
 
     Matches the paper: "we generate dummy sample by setting
     z ~ N(5, 1)^d" (then normalized and perturbed like a real report).
+    ``factory.batch(generator, count)`` returns ``count`` dummies, bit
+    for bit ``count`` sequential ``factory(generator)`` calls.
     """
-    def factory(generator: np.random.Generator) -> np.ndarray:
+    def draw_vector(generator: np.random.Generator) -> np.ndarray:
         z = generator.normal(dummy_mean, 1.0, size=randomizer.dimension)
-        z = z / np.linalg.norm(z)
-        return randomizer.randomize_batch(z[None, :], generator)[0]
+        # The 1-D norm (a dot product), not an axis=1 reduction: the two
+        # can differ in the last bit.
+        return z / np.linalg.norm(z)
 
+    def factory(generator: np.random.Generator) -> np.ndarray:
+        return randomizer.randomize_batch(draw_vector(generator)[None, :], generator)[0]
+
+    def batch(generator: np.random.Generator, count: int) -> List[np.ndarray]:
+        return list(randomizer.randomize_drawn(draw_vector, count, generator))
+
+    factory.batch = batch
     return factory
 
 

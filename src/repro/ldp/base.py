@@ -49,8 +49,17 @@ class LocalRandomizer(abc.ABC):
     def randomize_batch(self, values: Any, rng: RngLike = None) -> Any:
         """Randomize a batch of values.
 
-        The default loops over :meth:`_randomize`; vectorizable
-        subclasses override this for speed.
+        **Exactness contract:** the result is bit for bit
+        ``[randomize(v, rng) for v in values]`` and leaves the generator
+        in the same state, so a caller may switch between the two forms
+        without moving any seeded stream.  It rejects exactly the inputs
+        :meth:`randomize` rejects.  The default loops over
+        :meth:`_randomize`; vectorizable subclasses override this for
+        speed and return an array whose first axis indexes ``values``.
+        :class:`~repro.ldp.randomized_response.KaryRandomizedResponse` is
+        the one documented exception: its batch draws every keep-coin
+        before any substitute symbol, so it matches the loop in law but
+        not in stream.
         """
         generator = ensure_rng(rng)
         return [self._randomize(value, generator) for value in values]

@@ -19,7 +19,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.ldp.base import DebiasingRandomizer
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_symbol_array
 
 
 class UnaryEncoding(DebiasingRandomizer):
@@ -61,11 +61,10 @@ class UnaryEncoding(DebiasingRandomizer):
         return ones.astype(np.int8)
 
     def randomize_batch(self, values, rng: RngLike = None) -> np.ndarray:
-        """Vectorized batch randomization; returns ``(n, k)`` bit matrix."""
+        """Vectorized batch randomization; returns ``(n, k)`` bit matrix
+        (loop-exact: ``k`` uniforms per value, in order)."""
         generator = ensure_rng(rng)
-        symbols = np.asarray(values, dtype=np.int64)
-        if symbols.size and (symbols.min() < 0 or symbols.max() >= self._num_symbols):
-            raise ValidationError("symbols out of range for unary encoding")
+        symbols = check_symbol_array(values, self._num_symbols, "unary encoding")
         one_hot = np.zeros((symbols.size, self._num_symbols), dtype=np.int8)
         one_hot[np.arange(symbols.size), symbols] = 1
         uniforms = generator.random(one_hot.shape)

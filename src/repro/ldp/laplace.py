@@ -43,10 +43,12 @@ class LaplaceMechanism(DebiasingRandomizer):
         return float(value) + float(rng.laplace(0.0, self._scale))
 
     def randomize_batch(self, values, rng: RngLike = None) -> np.ndarray:
-        """Vectorized batch randomization."""
+        """Vectorized batch randomization (loop-exact: one draw per value,
+        in order)."""
         generator = ensure_rng(rng)
         array = np.asarray(values, dtype=np.float64)
-        if array.size and (array.min() < self._lower or array.max() > self._upper):
+        # Elementwise, so a NaN is refused as the per-value check refuses it.
+        if not np.all((array >= self._lower) & (array <= self._upper)):
             raise ValidationError(
                 f"values must lie in [{self._lower}, {self._upper}]"
             )

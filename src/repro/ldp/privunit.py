@@ -24,6 +24,7 @@ uniform ``V`` on the sphere: ``(T + 1)/2 ~ Beta((d-1)/2, (d-1)/2)``.
 from __future__ import annotations
 
 import math
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
@@ -35,6 +36,10 @@ from repro.utils.validation import check_positive_int
 
 #: Numerical floor/ceiling for probabilities fed into Beta inversions.
 _PROB_EPS = 1e-14
+
+#: Rows per vectorized block: the working set beyond the reports stays
+#: O(block * d) however many vectors a batch holds.
+_BLOCK_ROWS = 512
 
 
 def cap_mass(gamma: float, dimension: int) -> float:
@@ -103,6 +108,11 @@ class PrivUnit(DebiasingRandomizer):
         # (1 - q) / q = e^{eps_cap}  =>  q = sigmoid(-eps_cap)
         self._cap_mass = max(1.0 / (1.0 + math.exp(eps_cap)), _PROB_EPS)
         self._gamma = cap_threshold(self._cap_mass, self._dimension)
+        a = (self._dimension - 1) / 2.0
+        # F(gamma) for the Beta inverse-CDF draw of <V, u>.
+        self._threshold_quantile = float(
+            special.betainc(a, a, (self._gamma + 1.0) / 2.0)
+        )
         self._scale = self._expectation_scale()
 
     # ------------------------------------------------------------------
@@ -140,25 +150,6 @@ class PrivUnit(DebiasingRandomizer):
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def _sample_dot(self, in_cap: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Sample ``T = <V, u>`` conditioned on cap membership.
-
-        Inverse-CDF through the Beta representation: if ``F`` is the CDF
-        of ``(T+1)/2 ~ Beta(a, a)`` and ``F(g)`` the threshold quantile,
-        cap draws take ``F^{-1}(U(F(g), 1))`` and complement draws
-        ``F^{-1}(U(0, F(g)))``.
-        """
-        a = (self._dimension - 1) / 2.0
-        threshold_quantile = float(special.betainc(a, a, (self._gamma + 1.0) / 2.0))
-        uniforms = rng.random(in_cap.shape)
-        quantiles = np.where(
-            in_cap,
-            threshold_quantile + uniforms * (1.0 - threshold_quantile),
-            uniforms * threshold_quantile,
-        )
-        quantiles = np.clip(quantiles, _PROB_EPS, 1.0 - _PROB_EPS)
-        return 2.0 * special.betaincinv(a, a, quantiles) - 1.0
-
     def _randomize(self, value: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.randomize_batch(np.asarray(value)[None, :], rng)[0]
 
@@ -166,10 +157,18 @@ class PrivUnit(DebiasingRandomizer):
         """Randomize an ``(n, d)`` batch of unit vectors.
 
         Returns the *debiased* reports ``V / m`` (shape ``(n, d)``), so
-        averaging reports estimates the mean of the inputs.
+        averaging reports estimates the mean of the inputs.  Loop-exact:
+        each row draws its cap coin, its Beta uniform and its ``d``
+        normals in that order, as :meth:`randomize` does, and only the
+        arithmetic is vectorized.
         """
         generator = ensure_rng(rng)
-        vectors = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        vectors = np.asarray(values, dtype=np.float64)
+        # An empty batch is zero rows, not one row of dimension zero.
+        vectors = (
+            vectors.reshape(0, self._dimension) if not vectors.size
+            else np.atleast_2d(vectors)
+        )
         if vectors.shape[1] != self._dimension:
             raise ValidationError(
                 f"vectors must have dimension {self._dimension}, "
@@ -178,14 +177,74 @@ class PrivUnit(DebiasingRandomizer):
         norms = np.linalg.norm(vectors, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValidationError("PrivUnit inputs must be unit vectors")
+        return self._randomize_rows(generator, vectors.shape[0], vectors=vectors)
 
-        count = vectors.shape[0]
-        in_cap = generator.random(count) < self._cap_probability
-        dots = self._sample_dot(in_cap, generator)
+    def randomize_drawn(
+        self,
+        draw_vector: Callable[[np.random.Generator], np.ndarray],
+        count: int,
+        rng: RngLike = None,
+    ) -> np.ndarray:
+        """Randomize ``count`` unit vectors that are themselves random.
+
+        Row ``i`` calls ``draw_vector(generator)`` and then draws its
+        PrivUnit randomness, so the result is bit for bit ``count``
+        calls of ``randomize(draw_vector(generator), generator)``.
+        """
+        generator = ensure_rng(rng)
+        return self._randomize_rows(generator, count, draw_vector=draw_vector)
+
+    def _randomize_rows(
+        self,
+        generator: np.random.Generator,
+        count: int,
+        *,
+        vectors: Optional[np.ndarray] = None,
+        draw_vector: Optional[Callable[[np.random.Generator], np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Per-row draws in stream order, vectorized math per row block."""
+        dimension = self._dimension
+        reports = np.empty((count, dimension))
+        for start in range(0, count, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, count - start)
+            if draw_vector is None:
+                block = vectors[start:start + rows]
+            else:
+                block = np.empty((rows, dimension))
+            uniforms = np.empty((rows, 2))
+            raw = np.empty((rows, dimension))
+            for row in range(rows):
+                if draw_vector is not None:
+                    block[row] = draw_vector(generator)
+                generator.random(out=uniforms[row])
+                raw[row] = generator.normal(size=dimension)
+            reports[start:start + rows] = self._perturb(block, uniforms, raw)
+        return reports
+
+    def _perturb(
+        self, vectors: np.ndarray, uniforms: np.ndarray, raw: np.ndarray
+    ) -> np.ndarray:
+        """Debiased reports from pre-drawn randomness (``raw`` is consumed).
+
+        ``uniforms[:, 0]`` is the cap coin.  ``T = <V, u>`` is sampled by
+        inverse CDF from ``uniforms[:, 1]`` through the Beta
+        representation: if ``F`` is the CDF of ``(T+1)/2 ~ Beta(a, a)``
+        and ``F(g)`` the threshold quantile, cap draws take
+        ``F^{-1}(U(F(g), 1))`` and complement draws ``F^{-1}(U(0, F(g)))``.
+        """
+        a = (self._dimension - 1) / 2.0
+        in_cap = uniforms[:, 0] < self._cap_probability
+        threshold = self._threshold_quantile
+        quantiles = np.where(
+            in_cap,
+            threshold + uniforms[:, 1] * (1.0 - threshold),
+            uniforms[:, 1] * threshold,
+        )
+        quantiles = np.clip(quantiles, _PROB_EPS, 1.0 - _PROB_EPS)
+        dots = 2.0 * special.betaincinv(a, a, quantiles) - 1.0
 
         # Decompose V = t*u + sqrt(1-t^2)*w with w uniform on the sphere
         # orthogonal to u.
-        raw = generator.normal(size=(count, self._dimension))
         raw -= (np.sum(raw * vectors, axis=1, keepdims=True)) * vectors
         raw_norms = np.linalg.norm(raw, axis=1, keepdims=True)
         raw_norms[raw_norms == 0.0] = 1.0

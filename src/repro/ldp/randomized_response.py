@@ -18,7 +18,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.ldp.base import DebiasingRandomizer
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_symbol_array
 
 
 class BinaryRandomizedResponse(DebiasingRandomizer):
@@ -45,11 +45,18 @@ class BinaryRandomizedResponse(DebiasingRandomizer):
         return 1 - bit
 
     def randomize_batch(self, values, rng: RngLike = None) -> np.ndarray:
-        """Vectorized batch randomization of a bit array."""
+        """Vectorized batch randomization of a bit array (loop-exact:
+        one uniform per value, in order)."""
         generator = ensure_rng(rng)
-        bits = np.asarray(values, dtype=np.int64)
-        if bits.size and (bits.min() < 0 or bits.max() > 1):
-            raise ValidationError("binary RR inputs must be 0/1")
+        array = np.asarray(values)
+        # Same acceptance as _check_bit: values equal to 0 or 1, so 0.5
+        # is refused rather than truncated.
+        if array.size and (
+            array.dtype.kind not in "biuf"
+            or not np.all((array == 0) | (array == 1))
+        ):
+            raise ValidationError("binary RR inputs must be 0 or 1")
+        bits = array.astype(np.int64)
         flips = generator.random(bits.shape) >= self._truth_probability
         return np.where(flips, 1 - bits, bits)
 
@@ -99,11 +106,14 @@ class KaryRandomizedResponse(DebiasingRandomizer):
         return other if other < symbol else other + 1
 
     def randomize_batch(self, values, rng: RngLike = None) -> np.ndarray:
-        """Vectorized batch randomization of a symbol array."""
+        """Vectorized batch randomization of a symbol array.
+
+        Draws every keep-coin, then every substitute: the same law as
+        the per-value loop, but not its stream (the loop draws a
+        substitute only after a failed coin).
+        """
         generator = ensure_rng(rng)
-        symbols = np.asarray(values, dtype=np.int64)
-        if symbols.size and (symbols.min() < 0 or symbols.max() >= self._num_symbols):
-            raise ValidationError("symbols out of range for k-ary RR")
+        symbols = check_symbol_array(values, self._num_symbols, "k-ary RR")
         keep = generator.random(symbols.shape) < self._truth_probability
         others = generator.integers(0, self._num_symbols - 1, size=symbols.shape)
         others = np.where(others < symbols, others, others + 1)

@@ -18,7 +18,7 @@ from repro.graphs.graph import Graph
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel, IndependentDropout
 from repro.netsim.network import RoundBasedNetwork
-from repro.protocols.reports import ProtocolResult, Report
+from repro.protocols.reports import ProtocolResult, Report, payload_list
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
@@ -70,14 +70,12 @@ def _randomize_inputs(
         raise ValidationError(
             f"need one value per user: got {len(values)} values, n={num_users}"
         )
-    if randomizer is None:
-        return [
-            Report(origin=user, payload=value)
-            for user, value in enumerate(values)
-        ]
+    if randomizer is not None:
+        # One stream-exact batch call: the same draws, in the same
+        # order, as randomizing user by user.
+        values = payload_list(randomizer.randomize_batch(values, rng))
     return [
-        Report(origin=user, payload=randomizer.randomize(value, rng))
-        for user, value in enumerate(values)
+        Report(origin=user, payload=value) for user, value in enumerate(values)
     ]
 
 

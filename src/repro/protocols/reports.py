@@ -11,6 +11,18 @@ from repro.netsim.adversary import AdversaryView
 from repro.netsim.metrics import MeterBoard, VectorMeterBoard
 
 
+def payload_list(batch: Any) -> List[Any]:
+    """Per-value payloads of a ``randomize_batch`` result.
+
+    Typed as :meth:`LocalRandomizer.randomize` returns them: a 1-D array
+    becomes Python scalars, a deeper array its list of rows, and any
+    other sequence (the base-class loop's list) is kept as is.
+    """
+    if isinstance(batch, np.ndarray):
+        return batch.tolist() if batch.ndim == 1 else list(batch)
+    return list(batch)
+
+
 @dataclass(frozen=True)
 class Report:
     """A randomized report traveling through the network.

@@ -21,7 +21,7 @@ from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel
 from repro.netsim.network import RoundBasedNetwork
 from repro.protocols.all_protocol import _randomize_inputs, resolve_backend
-from repro.protocols.reports import ProtocolResult, Report
+from repro.protocols.reports import ProtocolResult, Report, payload_list
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
@@ -29,17 +29,27 @@ from repro.utils.validation import check_non_negative_int
 DUMMY_ORIGIN = -1
 
 
-def _make_dummy(
+def _draw_dummies(
     randomizer: Optional[LocalRandomizer],
     dummy_factory: Optional[Callable[[np.random.Generator], Any]],
+    count: int,
     rng: np.random.Generator,
-) -> Report:
-    """Line 10 of Algorithm 2: ``J_j <- A_ldp(0)`` (or a custom factory)."""
+) -> List[Any]:
+    """Line 10 of Algorithm 2: ``count`` dummy payloads ``A_ldp(0)``.
+
+    A custom factory replaces ``A_ldp(0)``.  A factory with an exact
+    ``batch(rng, count)`` (the registry's) and the default both draw
+    every dummy in one call; a bare callable is called once per dummy.
+    Either way the stream is that of ``count`` sequential calls.
+    """
     if dummy_factory is not None:
-        return Report(origin=DUMMY_ORIGIN, payload=dummy_factory(rng))
+        batch = getattr(dummy_factory, "batch", None)
+        if batch is not None:
+            return list(batch(rng, count))
+        return [dummy_factory(rng) for _ in range(count)]
     if randomizer is not None:
-        return Report(origin=DUMMY_ORIGIN, payload=randomizer.randomize(0, rng))
-    return Report(origin=DUMMY_ORIGIN, payload=None)
+        return payload_list(randomizer.randomize_batch([0] * count, rng))
+    return [None] * count
 
 
 def run_single_protocol(
@@ -58,10 +68,11 @@ def run_single_protocol(
 
     ``dummy_factory(rng)`` overrides the default dummy payload
     ``A_ldp(0)`` — the Figure 9 experiment uses a normalized
-    ``N(5, 1)^d`` draw per the paper.
+    ``N(5, 1)^d`` draw per the paper.  A factory may carry an exact
+    ``batch(rng, count)`` to draw all its dummies in one call.
 
     The final selection consumes the RNG as *one batched draw* over the
-    non-empty holders (in user order), then one draw per dummy in user
+    non-empty holders (in user order), then the dummies' draws in user
     order — identical across engines for a fixed seed.
 
     Returns
@@ -93,16 +104,15 @@ def run_single_protocol(
     picks = np.empty(graph.num_nodes, dtype=np.int64)
     picks[nonempty] = generator.integers(0, allocation[nonempty])
 
-    server_reports: List[Report] = []
+    dummy_count = graph.num_nodes - nonempty.size
+    dummies = iter(
+        _draw_dummies(randomizer, dummy_factory, dummy_count, generator)
+    )
+    server_reports = [
+        held[picks[user]] if held else Report(DUMMY_ORIGIN, next(dummies))
+        for user, held in enumerate(held_by_user)
+    ]
     delivered_by = np.arange(graph.num_nodes, dtype=np.int64)
-    dummy_count = 0
-    for user in range(graph.num_nodes):
-        held = held_by_user[user]
-        if not held:
-            server_reports.append(_make_dummy(randomizer, dummy_factory, generator))
-            dummy_count += 1
-        else:
-            server_reports.append(held[picks[user]])
     return ProtocolResult(
         protocol="single",
         num_users=graph.num_nodes,

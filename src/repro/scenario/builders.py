@@ -47,6 +47,7 @@ from repro.ldp import (
     UnaryEncoding,
 )
 from repro.netsim.faults import AdversarialDropout, IndependentDropout, NoFaults
+from repro.protocols.reports import payload_list
 from repro.scenario.registry import Registry
 from repro.utils.validation import check_positive_int
 
@@ -505,9 +506,11 @@ def _normal(
 # ----------------------------------------------------------------------
 #: Builders have signature ``builder(mechanism, **params) -> factory``
 #: where ``mechanism`` is the scenario's built ``A_ldp`` (or ``None``)
-#: and ``factory(rng)`` yields one dummy payload.  The factory draws
-#: from the protocol generator exactly where the default ``A_ldp(0)``
-#: dummy would, so swapping factories never shifts other draws.
+#: and ``factory(rng)`` yields one dummy payload; ``factory.batch(rng,
+#: count)`` yields ``count`` of them in one call, bit for bit ``count``
+#: sequential calls.  The factory draws from the protocol generator
+#: exactly where the default ``A_ldp(0)`` dummy would, so swapping
+#: factories never shifts other draws.
 DUMMIES = Registry("dummy factory")
 
 
@@ -523,6 +526,10 @@ def _mechanism_zero(mechanism, *, value: Any = 0):
     def factory(rng: np.random.Generator):
         return mechanism.randomize(value, rng)
 
+    def batch(rng: np.random.Generator, count: int) -> List[Any]:
+        return payload_list(mechanism.randomize_batch([value] * count, rng))
+
+    factory.batch = batch
     return factory
 
 

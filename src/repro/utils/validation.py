@@ -90,3 +90,23 @@ def check_probability_vector(
     if abs(total - 1.0) > max(atol, atol * vector.size):
         raise ValidationError(f"{name} must sum to 1, got {total}")
     return vector
+
+
+def check_symbol_array(values, num_symbols: int, name: str) -> np.ndarray:
+    """Return ``values`` as an int64 array of symbols in ``[0, num_symbols)``.
+
+    The batch twin of the per-value symbol check: an array of floats is
+    refused rather than truncated (``2.7`` must not become symbol 2).
+    """
+    array = np.asarray(values)
+    if not array.size:
+        return array.astype(np.int64)
+    if array.dtype.kind not in "biu":
+        raise ValidationError(
+            f"{name} symbols must be integers, got dtype {array.dtype}"
+        )
+    if array.min() < 0 or array.max() >= num_symbols:
+        raise ValidationError(
+            f"{name} symbols must lie in [0, {num_symbols})"
+        )
+    return array.astype(np.int64, copy=False)

@@ -526,9 +526,21 @@ class TestBatchedLocalAudit:
         assert result.epsilon_lower_bound > 0.5
 
     def test_laplace_batch_audit_still_measures_eps(self):
-        """Laplace overrides randomize_batch (different draw granularity
-        than the loop — statistically equivalent, and much faster)."""
+        """Laplace's vectorized batch draws one Laplace variate per
+        report in trial order, so the batched audit reproduces the
+        looped audit bit for bit and still measures its epsilon."""
+        randomizer = LaplaceMechanism(1.0, 0.0, 1.0)
         result = audit_local_randomizer(
-            LaplaceMechanism(1.0, 0.0, 1.0), 0.0, 1.0, trials=4000, rng=0
+            randomizer, 0.0, 1.0, trials=4000, rng=0
         )
+        generator = np.random.default_rng(0)
+        stats_d = np.array([
+            float(randomizer.randomize(0.0, generator)) for _ in range(4000)
+        ])
+        stats_d_prime = np.array([
+            float(randomizer.randomize(1.0, generator)) for _ in range(4000)
+        ])
+        eps, threshold = epsilon_lower_bound(stats_d, stats_d_prime, 0.0)
+        assert result.epsilon_lower_bound == eps
+        assert result.best_threshold == threshold
         assert 0.2 < result.epsilon_lower_bound <= 1.2
