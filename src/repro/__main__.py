@@ -22,9 +22,9 @@ Commands
     result digest (``--json`` emits machine-readable JSON).  ``-`` reads
     the scenario from stdin.  ``--engine
     fast|vectorized|faithful|compiled`` overrides the scenario's
-    simulation engine (``compiled`` = fused kernels, numba-JIT when the
-    ``repro[compiled]`` extra is installed; ``--require-jit`` makes a
-    missing JIT a hard error instead of a NumPy fallback).  Time-varying topologies ride the same
+    simulation engine (``fast`` and ``compiled`` are aliases of
+    ``vectorized``; ``--require-jit`` makes a process without working
+    numba kernels a hard error).  Time-varying topologies ride the same
     commands via the ``schedule`` graph spec (sub-specs plus a
     round-robin/epoch selector, or ``base`` + ``phases`` churn); such
     scenarios must set ``rounds`` explicitly and are accounted via the
@@ -53,7 +53,7 @@ Commands
     ``--point-timeout S`` kills and retries hung points; a sweep with
     failed points exits nonzero after printing them.  ``--engine`` /
     ``--require-jit`` work as on ``run`` (the ``engine`` field is also
-    a sweepable axis: ``--axis engine=vectorized,compiled``).
+    a sweepable axis: ``--axis engine=vectorized,faithful``).
 ``results <query|diff|gc|campaigns> --store DB ...``
     Query the campaign store: ``query`` aggregates a metric over any
     recorded axis straight from SQL (``--x``/``--y``/``--group-by``/
@@ -72,7 +72,7 @@ Commands
     ``--max-queue`` turns on 429 back-pressure; ``--job-timeout``
     fails jobs that outlive their wall-clock budget with a 504;
     ``--engine`` pins the exchange backend every submitted job runs on
-    (``GET /stats`` reports the resolved compiled kernels).
+    (``GET /stats`` reports which kernels the array engine runs).
 
 All surfaces share one error taxonomy (:mod:`repro.exceptions`): the
 message a failed command prints here is byte-identical to the
@@ -223,11 +223,11 @@ def _take_engine(arguments: list[str], usage: str) -> tuple[list[str], str | Non
     """Extract ``--engine NAME`` (and ``--require-jit``).
 
     ``--engine`` overrides the scenario's simulation engine from the
-    command line — the knob that selects the ``compiled`` backend on an
-    archived scenario without editing it.  ``--require-jit`` makes a
-    ``compiled`` request loud when numba cannot JIT (process policy,
-    like ``--profile-budget``): without it the backend silently uses
-    its pure-NumPy fallback kernels.
+    command line — the knob that switches an archived scenario between
+    backends without editing it.  ``--require-jit`` makes the array
+    engine fail loudly when numba cannot JIT its kernels (process
+    policy, like ``--profile-budget``): without it the engine silently
+    runs its NumPy round.
     """
     if "--require-jit" in arguments:
         from repro.netsim.kernels import set_require_jit

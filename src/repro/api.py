@@ -27,11 +27,11 @@ Cache telemetry
     ``/stats`` reports; :func:`clear_graph_cache` to reset between
     tests.
 Exchange backends
-    :func:`backend_info` — which kernels the ``compiled`` engine
-    resolves to in this process (numba JIT vs NumPy fallback);
+    :func:`backend_info` — which kernels the array engine runs in
+    this process (numba JIT vs NumPy);
     :func:`set_require_jit` to make a missing JIT raise
     :class:`BackendUnavailableError` (HTTP 501) instead of silently
-    falling back.
+    running the NumPy round.
 Schedule accounting
     :class:`ProfilePolicy` plus :func:`get_profile_policy` /
     :func:`set_profile_policy` / :func:`profile_policy` — the

@@ -742,29 +742,6 @@ def should_memoize(graph: GraphLike) -> bool:
     return graph.num_nodes <= KERNEL_MAX_NODES
 
 
-#: Deprecated private spellings -> public replacements (kept one
-#: release so external reach-ins fail soft, with a pointer).
-_DEPRECATED_NAMES = {
-    "_resolve_method": "resolve_method",
-    "_KERNEL_MAX_NODES": "KERNEL_MAX_NODES",
-}
-
-
-def __getattr__(name: str):
-    public = _DEPRECATED_NAMES.get(name)
-    if public is not None:
-        import warnings
-
-        warnings.warn(
-            f"repro.auditing.auditor.{name} is deprecated; use the "
-            f"public {public} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return globals()[public]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def audit_network_shuffle(
     graph: GraphLike,
     epsilon0: float,

@@ -155,14 +155,15 @@ class SimulationError(ReproError):
 class BackendUnavailableError(SimulationError):
     """A requested exchange backend cannot run in this environment.
 
-    Raised when the ``compiled`` backend is asked to JIT but numba
-    cannot (the ``repro[compiled]`` extra is missing while a caller
-    required JIT, or numba is installed but fails to compile the
-    kernels).  Without a JIT requirement the compiled backend falls
-    back to its pure-NumPy kernels silently — this error is the *loud*
-    path for deployments that asked for compiled speed and would
-    otherwise get a silent 10x regression.  Mapped to HTTP 501: the
-    request is well-formed, this deployment just cannot serve it.
+    Raised when the array exchange engine cannot run numba kernels
+    that this process requires (:func:`repro.api.set_require_jit`, the
+    CLI's ``--require-jit``) — the ``repro[compiled]`` extra is
+    missing — or when numba is installed but fails to compile the
+    kernels.  Without a JIT requirement a numba-less install runs the
+    engine's NumPy round silently — this error is the *loud* path for
+    deployments that asked for compiled speed and would otherwise get a
+    silent 10x regression.  Mapped to HTTP 501: the request is
+    well-formed, this deployment just cannot serve it.
     """
 
 

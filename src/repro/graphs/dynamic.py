@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import SimulationError, ValidationError
 from repro.graphs.graph import Graph
-from repro.graphs.walks import _HopContext, _hop_tokens, lazy_transition_matrix
+from repro.graphs.walks import lazy_transition_matrix
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_probability, check_probability_vector
 
@@ -475,6 +475,81 @@ def collision_profile_blocked(
     return collisions, dropped
 
 
+class _HopContext:
+    """Per-graph arrays the vectorized hop needs, computed once.
+
+    This is the single home of the hop's graph-side setup — the token
+    walk memoizes one per distinct topology (a static walk is a
+    one-graph schedule) — so the degree/CSR contract lives in one place.
+    ``uniform_degree`` is the scalar degree of a regular graph (the
+    paper's main scenario: same uniform draws, one fewer million-element
+    gather per round, bit-identical to the general path) or ``None``.
+    """
+
+    __slots__ = ("degrees", "uniform_degree", "has_isolated", "indptr", "indices")
+
+    def __init__(self, graph: Graph):
+        self.degrees = graph.degrees()
+        self.uniform_degree = (
+            int(self.degrees[0])
+            if self.degrees.size and self.degrees.min() == self.degrees.max()
+            else None
+        )
+        self.has_isolated = bool(self.degrees.size) and self.degrees.min() == 0
+        self.indptr = graph.indptr
+        self.indices = graph.indices
+
+
+def _hop_tokens(
+    holders: np.ndarray,
+    context: _HopContext,
+    laziness: float,
+    generator: np.random.Generator,
+) -> np.ndarray:
+    """One walk hop on a prebuilt :class:`_HopContext`.
+
+    A *moving* token on an isolated node raises ``SimulationError`` —
+    the lazy-walk fault-model semantics of the exchange engine: a token
+    that stays put this round (laziness) tolerates temporary isolation.
+    The draw order (hop uniforms, then the laziness mask) is the
+    established stream contract; the guard consumes no randomness.
+    """
+    degrees = context.degrees
+    node_degrees = (
+        context.uniform_degree if context.uniform_degree else degrees[holders]
+    )
+    offsets = (generator.random(holders.size) * node_degrees).astype(np.int64)
+    # Same boundary clamp as the exchange engine: floor(u * degree)
+    # can only reach degree on a contract-violating draw (u == 1.0
+    # from a stubbed/custom generator); bit-identical otherwise.
+    np.minimum(offsets, node_degrees - 1, out=offsets)
+    if context.has_isolated:
+        # Gather only where a neighbor exists (the draws above are
+        # still one per token, keeping the stream contract); whether a
+        # stranded token is an *error* depends on whether it moves.
+        stranded = degrees[holders] == 0
+        destinations = holders.copy()
+        valid = ~stranded
+        destinations[valid] = context.indices[
+            context.indptr[holders[valid]] + offsets[valid]
+        ]
+    else:
+        stranded = None
+        destinations = context.indices[context.indptr[holders] + offsets]
+    if laziness > 0.0:
+        moving = generator.random(holders.size) >= laziness
+        if stranded is not None and np.any(moving & stranded):
+            raise SimulationError(
+                "a moving token's node is isolated in the current topology"
+            )
+        return np.where(moving, destinations, holders)
+    if stranded is not None and np.any(stranded):
+        raise SimulationError(
+            "a moving token's node is isolated in the current topology"
+        )
+    return destinations
+
+
 def simulate_tokens_on_schedule(
     schedule: DynamicGraphSchedule,
     start_nodes: np.ndarray,
@@ -485,11 +560,11 @@ def simulate_tokens_on_schedule(
 ) -> np.ndarray:
     """Monte-Carlo token walks across a dynamic schedule.
 
-    Per-graph degree/CSR lookups (:class:`~repro.graphs.walks._HopContext`)
-    are memoized per *distinct topology* so a cycling schedule pays one
-    degree scan per graph, not per round, and the hop itself is the same
-    kernel as the static walk — identical draws to a static run on a
-    schedule-of-one.  A *moving* token stranded on a node the current
+    The one token walker: :func:`repro.graphs.walks.simulate_token_walks`
+    runs it on a one-graph schedule.  Per-graph degree/CSR lookups
+    (:class:`_HopContext`) are memoized per *distinct topology* so a
+    cycling schedule pays one degree scan per graph, not per round.  A
+    *moving* token stranded on a node the current
     topology isolates raises
     :class:`~repro.exceptions.SimulationError` — the exchange engine's
     lazy-walk semantics: a token that stays put this round tolerates

@@ -23,10 +23,10 @@ from typing import List
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import SimulationError, ValidationError
+from repro.exceptions import ValidationError
 from repro.graphs.graph import Graph
 from repro.graphs.spectral import stationary_distribution, transition_matrix
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import check_probability, check_probability_vector
 
 
@@ -187,98 +187,22 @@ def simulate_token_walks(
 
     Notes
     -----
-    Fully vectorized: each round draws one uniform neighbor index per
-    token using the CSR offsets, so a million token-steps cost a few
-    NumPy gathers.
+    The static walk is the schedule walk
+    (:func:`repro.graphs.dynamic.simulate_tokens_on_schedule`) on a
+    one-graph schedule: the same validation, draws and errors.  Fully
+    vectorized — each round draws one uniform neighbor index per token
+    using the CSR offsets, so a million token-steps cost a few NumPy
+    gathers.
     """
-    if steps < 0:
-        raise ValidationError(f"steps must be non-negative, got {steps}")
-    check_probability(laziness, "laziness")
-    holders = np.asarray(start_nodes, dtype=np.int64).copy()
-    if holders.size and (holders.min() < 0 or holders.max() >= graph.num_nodes):
-        raise ValidationError("start_nodes out of range")
-    context = _HopContext(graph)
-    if context.has_isolated and np.any(context.degrees[holders] == 0):
-        raise ValidationError("some tokens start on isolated nodes")
-    generator = ensure_rng(rng)
-    for _ in range(steps):
-        holders = _hop_tokens(holders, context, laziness, generator)
-    return holders
-
-
-class _HopContext:
-    """Per-graph arrays the vectorized hop needs, computed once.
-
-    This is the single home of the hop's graph-side setup — the static
-    walk builds one per call, the schedule walk memoizes one per
-    distinct topology — so the degree/CSR contract lives in one place.
-    ``uniform_degree`` is the scalar degree of a regular graph (the
-    paper's main scenario: same uniform draws, one fewer million-element
-    gather per round, bit-identical to the general path) or ``None``.
-    """
-
-    __slots__ = ("degrees", "uniform_degree", "has_isolated", "indptr", "indices")
-
-    def __init__(self, graph: Graph):
-        self.degrees = graph.degrees()
-        self.uniform_degree = (
-            int(self.degrees[0])
-            if self.degrees.size and self.degrees.min() == self.degrees.max()
-            else None
-        )
-        self.has_isolated = bool(self.degrees.size) and self.degrees.min() == 0
-        self.indptr = graph.indptr
-        self.indices = graph.indices
-
-
-def _hop_tokens(
-    holders: np.ndarray,
-    context: _HopContext,
-    laziness: float,
-    generator: np.random.Generator,
-) -> np.ndarray:
-    """One walk hop on a prebuilt :class:`_HopContext`.
-
-    A *moving* token on an isolated node raises ``SimulationError`` —
-    the lazy-walk fault-model semantics of the exchange engine: a token
-    that stays put this round (laziness) tolerates temporary isolation.
-    The draw order (hop uniforms, then the laziness mask) is the
-    established stream contract; the guard consumes no randomness.
-    """
-    degrees = context.degrees
-    node_degrees = (
-        context.uniform_degree if context.uniform_degree else degrees[holders]
+    from repro.graphs.dynamic import (
+        DynamicGraphSchedule,
+        simulate_tokens_on_schedule,
     )
-    offsets = (generator.random(holders.size) * node_degrees).astype(np.int64)
-    # Same boundary clamp as the exchange engine: floor(u * degree)
-    # can only reach degree on a contract-violating draw (u == 1.0
-    # from a stubbed/custom generator); bit-identical otherwise.
-    np.minimum(offsets, node_degrees - 1, out=offsets)
-    if context.has_isolated:
-        # Gather only where a neighbor exists (the draws above are
-        # still one per token, keeping the stream contract); whether a
-        # stranded token is an *error* depends on whether it moves.
-        stranded = degrees[holders] == 0
-        destinations = holders.copy()
-        valid = ~stranded
-        destinations[valid] = context.indices[
-            context.indptr[holders[valid]] + offsets[valid]
-        ]
-    else:
-        stranded = None
-        destinations = context.indices[context.indptr[holders] + offsets]
-    if laziness > 0.0:
-        moving = generator.random(holders.size) >= laziness
-        if stranded is not None and np.any(moving & stranded):
-            raise SimulationError(
-                "a moving token's node is isolated in the current topology"
-            )
-        return np.where(moving, destinations, holders)
-    if stranded is not None and np.any(stranded):
-        raise SimulationError(
-            "a moving token's node is isolated in the current topology"
-        )
-    return destinations
+
+    return simulate_tokens_on_schedule(
+        DynamicGraphSchedule([graph]), start_nodes, steps,
+        laziness=laziness, rng=rng,
+    )
 
 
 def simulate_trial_walks(
@@ -292,10 +216,11 @@ def simulate_trial_walks(
 ) -> np.ndarray:
     """Simulate ``trials`` independent repetitions of a token-walk batch.
 
-    All ``trials x num_tokens`` walks run as one flat
-    :func:`simulate_token_walks` call — the trial axis is tiled into the
-    token axis, so a 2000-trial audit on a 1000-node graph costs the
-    same NumPy gathers as a single 2-million-token simulation.
+    All ``trials x num_tokens`` walks run as one flat token walk — the
+    trial axis is tiled into the token axis, so a 2000-trial audit on a
+    1000-node graph costs the same NumPy gathers as a single
+    2-million-token simulation (see
+    :func:`repro.graphs.dynamic.simulate_trial_walks_on_schedule`).
 
     Returns
     -------
@@ -303,12 +228,15 @@ def simulate_trial_walks(
         Shape ``(trials, num_tokens)`` — row ``r`` holds the final
         holders of trial ``r``'s tokens.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be positive, got {trials}")
-    starts = np.asarray(start_nodes, dtype=np.int64)
-    tiled = np.tile(starts, trials)
-    finals = simulate_token_walks(graph, tiled, steps, laziness=laziness, rng=rng)
-    return finals.reshape(trials, starts.size)
+    from repro.graphs.dynamic import (
+        DynamicGraphSchedule,
+        simulate_trial_walks_on_schedule,
+    )
+
+    return simulate_trial_walks_on_schedule(
+        DynamicGraphSchedule([graph]), start_nodes, steps, trials,
+        laziness=laziness, rng=rng,
+    )
 
 
 def empirical_position_distribution(

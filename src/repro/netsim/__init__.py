@@ -13,7 +13,10 @@ RNG contract (seeded runs agree bit for bit):
   keeps every in-flight report in flat NumPy arrays and advances a round
   with a few gathers plus ``np.bincount`` metering; this is what the
   protocol simulators pick by default and it scales to millions of
-  tokens.
+  tokens.  With numba installed (the ``repro[compiled]`` extra) the same
+  engine runs fused JIT kernels (:mod:`repro.netsim.kernels`); which
+  kernels ran never changes a result and is reported only by
+  :func:`repro.netsim.kernels.backend_info`.
 * ``backend="faithful"`` — per-message over
   :class:`~repro.netsim.node.Node` objects; keeps message identity for
   adversary/audit scenarios and cross-validates the fast path.

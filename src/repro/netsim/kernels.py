@@ -1,44 +1,38 @@
-"""Compiled exchange backend: fused single-pass round kernels.
+"""Fused exchange-round kernels for the array engine, JIT-compiled by numba.
 
 :class:`~repro.netsim.engine.VectorizedExchange` advances a round as a
 chain of separate NumPy passes — fault mask, mover split, degree gather,
 hop draw, destination gather, two bincounts, three meter updates, and a
 stable argsort — each streaming the full token array through memory,
-with a Python-level trip between every round.  This module collapses the
-per-round work into **one pass** over the token array: mover selection,
-clamped hop offset, CSR destination gather, and all five meter
-accumulations (sends / receipts / current / peak / held) happen in a
-single fused loop, and the stable argsort that maintains the faithful
-inbox-iteration order is replaced by an O(tokens + nodes) counting sort
-that realizes the identical permutation.
-
-Two interchangeable implementations back the kernels:
-
-* **numba** — the fused loops JIT-compiled to machine code (install the
-  ``repro[compiled]`` extra).  A multi-round driver stays out of the
-  Python interpreter between rounds entirely.
-* **numpy** — a pure-NumPy fallback using the same pre-allocated
-  buffers, so ``backend="compiled"`` exists (and stays bit-identical)
-  on every install.  Without numba it performs like the vectorized
-  engine, not worse.
+with a Python-level trip between every round.  When numba is installed
+(the ``repro[compiled]`` extra) the engine instead runs the loops below,
+JIT-compiled to machine code: mover selection, clamped hop offset, CSR
+destination gather, and all five meter accumulations (sends / receipts /
+current / peak / held) in **one pass** over the token array, with the
+stable argsort replaced by an O(tokens + nodes) counting sort that
+realizes the identical permutation.  A multi-round driver keeps
+fault-free static-graph campaigns out of the interpreter between rounds
+entirely.  Without numba the engine runs its NumPy round; which of the
+two a process runs is an install-time detail, reported by
+:func:`backend_info` (and ``GET /stats``).
 
 RNG contract (exact, not statistical)
 -------------------------------------
-The compiled backend consumes the *same* random stream in the *same*
-order as both existing backends: the fault model's draw first, then one
-uniform double per moving token in faithful iteration order.  Uniforms
-are pre-drawn per round (``Generator.random(k)`` produces the identical
-stream to ``k`` scalar calls) and, on the fused multi-round fast path,
-for several rounds at once (``random(a)`` then ``random(b)`` is the
-identical stream to ``random(a + b)``) — so seeded runs reproduce the
-faithful and vectorized backends bit for bit, including schedule swaps,
-fault masks, and drain→reseed (see ``tests/netsim/test_engine.py``).
+The kernels consume the *same* random stream in the *same* order as the
+engine's NumPy round and the faithful backend: the fault model's draw
+first, then one uniform double per moving token in faithful iteration
+order.  Uniforms are pre-drawn per round (``Generator.random(k)``
+produces the identical stream to ``k`` scalar calls) and, on the fused
+multi-round path, for several rounds at once (``random(a)`` then
+``random(b)`` is the identical stream to ``random(a + b)``) — so seeded
+runs agree bit for bit whichever kernels ran (see
+``tests/netsim/test_engine.py``).
 
 Failure semantics
 -----------------
-With numba missing the backend silently uses the NumPy kernels; callers
-that *require* JIT speed (``require_jit=True`` or
-:func:`set_require_jit`) get a loud
+With numba missing the engine silently uses its NumPy round; a process
+that *requires* JIT speed (:func:`set_require_jit`, the CLI's
+``--require-jit``) gets a loud
 :class:`~repro.exceptions.BackendUnavailableError` instead of a silent
 10x regression.  numba installed-but-broken always raises: a deployment
 that shipped the extra asked for compiled speed.
@@ -47,16 +41,11 @@ that shipped the extra asked for compiled speed.
 from __future__ import annotations
 
 from importlib import util as _importlib_util
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import BackendUnavailableError, SimulationError
-from repro.graphs.dynamic import DynamicGraphSchedule
-from repro.graphs.graph import Graph
-from repro.netsim.engine import VectorizedExchange
-from repro.netsim.faults import DropoutModel, NoFaults
-from repro.utils.rng import RngLike
+from repro.exceptions import BackendUnavailableError
 
 #: Whether the optional numba dependency is importable at all.
 NUMBA_AVAILABLE = _importlib_util.find_spec("numba") is not None
@@ -194,95 +183,24 @@ def _rounds_loop(order, positions, uniforms, degrees, indptr, indices,
 
 
 # ----------------------------------------------------------------------
-# Pure-NumPy fallback kernels (same signatures, same buffers)
-# ----------------------------------------------------------------------
-def _round_numpy(order, positions, offline, uniforms, degrees, indptr,
-                 indices, sends, receipts, kept, messages_sent,
-                 messages_received, current_items, peak_items, stay_buf,
-                 move_buf, new_order, cursors):
-    """NumPy realization of :func:`_round_loop` (same buffers, fewer
-    allocations than the vectorized engine's ``run_round``)."""
-    num_nodes = degrees.shape[0]
-    holders = positions[order]
-    moving = ~offline[holders]
-    movers = order[moving]
-    stayers = order[~moving]
-    sources = holders[moving]
-    source_degrees = degrees[sources]
-    if movers.size and source_degrees.min() == 0:
-        return -1
-    hops = (uniforms[: movers.size] * source_degrees).astype(np.int64)
-    np.minimum(hops, source_degrees - 1, out=hops)
-    destinations = indices[indptr[sources] + hops]
-    positions[movers] = destinations
-    sends[:] = np.bincount(sources, minlength=num_nodes)
-    receipts[:] = np.bincount(destinations, minlength=num_nodes)
-    kept[:] = np.bincount(
-        positions[stayers], minlength=num_nodes
-    ) if stayers.size else 0
-    messages_sent += sends
-    messages_received += receipts
-    np.add(current_items, receipts, out=current_items, where=offline)
-    np.copyto(current_items, receipts, where=~offline)
-    np.maximum(peak_items, current_items, out=peak_items)
-    split = stayers.size
-    new_order[:split] = stayers
-    new_order[split:] = movers
-    # Stable sort on int64 keys uses radix internally — O(total) passes,
-    # realizing the identical permutation to the counting sort.
-    new_order[:] = new_order[np.argsort(positions[new_order], kind="stable")]
-    return int(movers.size)
-
-
-def _rounds_numpy(order, positions, uniforms, degrees, indptr, indices,
-                  sends, receipts, messages_sent, messages_received,
-                  current_items, peak_items, alt_order, cursors, rounds):
-    """NumPy realization of :func:`_rounds_loop` (NoFaults, static)."""
-    num_nodes = degrees.shape[0]
-    total = order.shape[0]
-    source_order = order
-    target_order = alt_order
-    offset = 0
-    for _ in range(rounds):
-        holders = positions[source_order]
-        block = uniforms[offset: offset + total]
-        offset += total
-        source_degrees = degrees[holders]
-        hops = (block * source_degrees).astype(np.int64)
-        np.minimum(hops, source_degrees - 1, out=hops)
-        destinations = indices[indptr[holders] + hops]
-        positions[source_order] = destinations
-        sends[:] = np.bincount(holders, minlength=num_nodes)
-        receipts[:] = np.bincount(destinations, minlength=num_nodes)
-        messages_sent += sends
-        messages_received += receipts
-        current_items[:] = receipts
-        np.maximum(peak_items, current_items, out=peak_items)
-        # All tokens move: arrivals in send order == source_order, so a
-        # stable sort by destination is the full order maintenance.
-        target_order[:] = source_order[
-            np.argsort(destinations, kind="stable")
-        ]
-        source_order, target_order = target_order, source_order
-    return 0
-
-
-# ----------------------------------------------------------------------
 # Implementation resolution (numba JIT with warm-up, else NumPy)
 # ----------------------------------------------------------------------
-_KERNELS: Dict[str, Dict[str, Callable]] = {
-    "numpy": {"round": _round_numpy, "rounds": _rounds_numpy},
+#: Once-per-process resolution: ``implementation`` is ``"numba"``,
+#: ``"numpy"`` or ``"broken"``; ``kernels`` holds the JIT-compiled
+#: ``(round, rounds)`` pair when it is ``"numba"``.
+_RESOLVED: Dict[str, object] = {
+    "implementation": None, "error": None, "kernels": None,
 }
-_RESOLVED: Dict[str, object] = {"implementation": None, "error": None}
 _REQUIRE_JIT = False
 
 
 def set_require_jit(flag: bool) -> bool:
     """Set the process-wide JIT requirement; returns the previous value.
 
-    With the requirement on, constructing a compiled engine without a
-    working numba JIT raises :class:`BackendUnavailableError` instead of
-    silently using the NumPy fallback (the CLI's ``--require-jit``).
+    With the requirement on, this process must run numba kernels:
+    constructing an array engine without a working numba JIT raises
+    :class:`BackendUnavailableError` instead of silently running the
+    NumPy round (the CLI's ``--require-jit``).
     """
     global _REQUIRE_JIT
     previous = _REQUIRE_JIT
@@ -323,17 +241,17 @@ def _warm_up(round_kernel: Callable, rounds_kernel: Callable) -> None:
         raise RuntimeError(f"multi-round kernel warm-up returned {status}")
 
 
-def _load_numba_kernels() -> Dict[str, Callable]:
+def _load_numba_kernels() -> Tuple[Callable, Callable]:
     import numba
 
     round_kernel = numba.njit(cache=True, nogil=True)(_round_loop)
     rounds_kernel = numba.njit(cache=True, nogil=True)(_rounds_loop)
     _warm_up(round_kernel, rounds_kernel)
-    return {"round": round_kernel, "rounds": rounds_kernel}
+    return round_kernel, rounds_kernel
 
 
 def resolve_implementation(require_jit: Optional[bool] = None) -> str:
-    """Resolve (once per process) which kernels back ``compiled``.
+    """Resolve (once per process) which kernels the array engine runs.
 
     Returns ``"numba"`` or ``"numpy"``.  Raises
     :class:`BackendUnavailableError` when numba is installed but cannot
@@ -345,10 +263,9 @@ def resolve_implementation(require_jit: Optional[bool] = None) -> str:
     if implementation is None:
         if NUMBA_AVAILABLE:
             try:
-                _KERNELS["numba"] = _load_numba_kernels()
+                _RESOLVED["kernels"] = _load_numba_kernels()
                 implementation = "numba"
             except Exception as error:
-                _RESOLVED["implementation"] = "broken"
                 _RESOLVED["error"] = error
                 implementation = "broken"
         else:
@@ -361,16 +278,25 @@ def resolve_implementation(require_jit: Optional[bool] = None) -> str:
         )
     if required and implementation != "numba":
         raise BackendUnavailableError(
-            "the compiled backend was asked to JIT but numba is not "
+            "this process requires JIT exchange kernels but numba is not "
             "installed; install the repro[compiled] extra or drop the "
-            "JIT requirement to use the pure-NumPy fallback kernels"
+            "JIT requirement to run the NumPy round"
         )
     return implementation
 
 
+def jit_kernels() -> Optional[Tuple[Callable, Callable]]:
+    """The ``(round, rounds)`` kernels the array engine runs, or ``None``
+    for its NumPy round.  Resolves (and raises) like
+    :func:`resolve_implementation` under the process-wide flag."""
+    if resolve_implementation() == "numba":
+        return _RESOLVED["kernels"]
+    return None
+
+
 def backend_info() -> Dict[str, object]:
     """Introspection payload for ``/stats`` and the CLI: which kernels
-    the ``compiled`` backend would use in this process."""
+    the array engine runs in this process."""
     try:
         implementation = resolve_implementation(require_jit=False)
     except BackendUnavailableError:
@@ -380,180 +306,3 @@ def backend_info() -> Dict[str, object]:
         "compiled_kernels": implementation,
         "require_jit": _REQUIRE_JIT,
     }
-
-
-def backend_label(engine: str) -> str:
-    """The resolved backend name a run summary records for ``engine``.
-
-    ``compiled`` runs report which kernels actually executed
-    (``compiled-numba`` vs ``compiled-numpy``) so archived results stay
-    interpretable when the same scenario ran on different installs.
-    """
-    if engine in ("fast", "vectorized"):
-        return "vectorized"
-    if engine == "faithful":
-        return "faithful"
-    if engine == "compiled":
-        try:
-            return f"compiled-{resolve_implementation(require_jit=False)}"
-        except BackendUnavailableError:
-            return "compiled-broken"
-    return str(engine)
-
-
-# ----------------------------------------------------------------------
-# The compiled engine
-# ----------------------------------------------------------------------
-class _RoundBuffers:
-    """Pre-allocated per-round scratch, reused across rounds.
-
-    The vectorized engine allocates ~8 fresh arrays per round; these
-    live for the campaign and are rebuilt only when the token count
-    changes (seed, drain→reseed)."""
-
-    __slots__ = ("num_tokens", "sends", "receipts", "kept", "cursors",
-                 "stay", "move", "alt_order")
-
-    def __init__(self, num_nodes: int, num_tokens: int):
-        self.num_tokens = num_tokens
-        self.sends = np.zeros(num_nodes, dtype=np.int64)
-        self.receipts = np.zeros(num_nodes, dtype=np.int64)
-        self.kept = np.zeros(num_nodes, dtype=np.int64)
-        self.cursors = np.zeros(num_nodes, dtype=np.int64)
-        self.stay = np.empty(num_tokens, dtype=np.int64)
-        self.move = np.empty(num_tokens, dtype=np.int64)
-        self.alt_order = np.empty(num_tokens, dtype=np.int64)
-
-
-class CompiledExchange(VectorizedExchange):
-    """Fused-kernel realization of the synchronous exchange rounds.
-
-    Drop-in subclass of :class:`VectorizedExchange` with identical
-    semantics and RNG stream; only the per-round execution strategy
-    differs (see the module docstring).  ``require_jit`` overrides the
-    process-wide :func:`set_require_jit` flag for this engine.
-    """
-
-    def __init__(
-        self,
-        graph: Union[Graph, DynamicGraphSchedule],
-        *,
-        faults: Optional[DropoutModel] = None,
-        rng: RngLike = None,
-        record_trajectories: bool = False,
-        require_jit: Optional[bool] = None,
-    ):
-        super().__init__(graph, faults=faults, rng=rng,
-                         record_trajectories=record_trajectories)
-        self.implementation = resolve_implementation(require_jit)
-        kernels = _KERNELS[self.implementation]
-        self._round_kernel = kernels["round"]
-        self._rounds_kernel = kernels["rounds"]
-        self._buffers: Optional[_RoundBuffers] = None
-
-    def _ensure_buffers(self) -> _RoundBuffers:
-        buffers = self._buffers
-        if buffers is None or buffers.num_tokens != self.num_tokens:
-            buffers = _RoundBuffers(self.num_users, self.num_tokens)
-            self._buffers = buffers
-        return buffers
-
-    def run_round(self) -> None:
-        """One synchronous exchange round, fused into one kernel call."""
-        self._sync_schedule()
-        offline = self.faults.offline_mask(
-            self.num_users, self.round_index, self.rng
-        )
-        if self._drained:
-            # Matches the base engine: the no-op round still consumes
-            # the fault draw and advances the clock.
-            self.round_index += 1
-            return
-        meters = self.meters
-        held = meters.current_items  # == bincount(token_position)
-        if bool(np.any((self._degrees == 0) & (held > 0) & ~offline)):
-            raise SimulationError(
-                f"round {self.round_index}: a held token's node is "
-                "isolated in the current topology"
-            )
-        mover_count = self.num_tokens - int(held[offline].sum())
-        uniforms = self.rng.random(mover_count)
-        buffers = self._ensure_buffers()
-        status = self._round_kernel(
-            self._order, self.token_position, offline, uniforms,
-            self._degrees, self._indptr, self._indices,
-            buffers.sends, buffers.receipts, buffers.kept,
-            meters.messages_sent, meters.messages_received,
-            meters.current_items, meters.peak_items,
-            buffers.stay, buffers.move, buffers.alt_order, buffers.cursors,
-        )
-        if status < 0:
-            raise SimulationError(
-                f"round {self.round_index}: a held token's node is "
-                "isolated in the current topology"
-            )
-        self._order, buffers.alt_order = buffers.alt_order, self._order
-        self.round_index += 1
-        if self._paths is not None:
-            self._paths.append(self.token_position.copy())
-
-    def run(self, rounds: int) -> None:
-        """Run ``rounds`` rounds; fuses them into single kernel calls on
-        the fault-free static-graph fast path."""
-        if rounds < 0:
-            raise SimulationError(f"rounds must be non-negative, got {rounds}")
-        remaining = int(rounds)
-        if remaining == 0:
-            return
-        fusable = (
-            self.schedule is None
-            and type(self.faults) is NoFaults
-            and self._paths is None
-        )
-        if not fusable:
-            for _ in range(remaining):
-                self.run_round()
-            return
-        if self._drained or self.num_tokens == 0:
-            # NoFaults draws nothing and no token moves: the rounds only
-            # advance the clock (bit-identical to looping run_round).
-            self.round_index += remaining
-            return
-        if bool(np.any(self._degrees == 0)):
-            # Rare: isolated nodes present — defer to the per-round path
-            # so the faithful error timing (and stream position at the
-            # raise) is reproduced exactly.
-            for _ in range(remaining):
-                self.run_round()
-            return
-        meters = self.meters
-        buffers = self._ensure_buffers()
-        total = self.num_tokens
-        block_rounds = max(1, _UNIFORM_BLOCK // total)
-        done = 0
-        while done < remaining:
-            chunk = min(block_rounds, remaining - done)
-            uniforms = self.rng.random(total * chunk)
-            status = self._rounds_kernel(
-                self._order, self.token_position, uniforms,
-                self._degrees, self._indptr, self._indices,
-                buffers.sends, buffers.receipts,
-                meters.messages_sent, meters.messages_received,
-                meters.current_items, meters.peak_items,
-                buffers.alt_order, buffers.cursors, chunk,
-            )
-            if status < 0:
-                raise SimulationError(
-                    f"round {self.round_index + done}: a held token's "
-                    "node is isolated in the current topology"
-                )
-            if chunk % 2:
-                self._order, buffers.alt_order = (
-                    buffers.alt_order, self._order
-                )
-            done += chunk
-        self.round_index += remaining
-
-    def run_compiled(self, rounds: int) -> None:
-        """Alias of :meth:`run` — the fused multi-round driver."""
-        self.run(rounds)

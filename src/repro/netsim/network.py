@@ -9,14 +9,12 @@ start of the next round.  Two interchangeable backends realize this:
   simulation, which adversary/audit scenarios need, but costs
   O(n · items) interpreter work per round.
 * ``backend="vectorized"`` — the flat-array engine of
-  :mod:`repro.netsim.engine`: all tokens hop in a few NumPy kernels per
-  round, meters aggregated with ``np.bincount``.
-* ``backend="compiled"`` — the fused-kernel engine of
-  :mod:`repro.netsim.kernels`: one single-pass kernel per round (numba
-  JIT when installed, pre-allocated pure-NumPy kernels otherwise) and a
-  multi-round driver that stays out of the interpreter between rounds.
+  :mod:`repro.netsim.engine`: all tokens hop in a few array passes per
+  round, meters aggregated per node.  With numba installed it runs the
+  fused JIT kernels of :mod:`repro.netsim.kernels`, otherwise NumPy —
+  an install-time detail that never changes a result.
 
-All backends share an exact RNG contract — a seeded run produces
+Both backends share an exact RNG contract — a seeded run produces
 identical per-round held counts, meters, and server deliveries on
 either — so the faithful path doubles as a cross-validation oracle for
 the fast one (see ``tests/netsim/test_engine.py``).
@@ -33,7 +31,6 @@ from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
 from repro.netsim.engine import VectorizedExchange
 from repro.netsim.faults import DropoutModel, NoFaults
-from repro.netsim.kernels import CompiledExchange
 from repro.netsim.message import SERVER_ID
 from repro.netsim.metrics import MeterBoard, VectorMeterBoard
 from repro.netsim.node import Node
@@ -41,7 +38,7 @@ from repro.netsim.server import Server
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Valid values for ``RoundBasedNetwork(backend=...)``.
-BACKENDS = ("faithful", "vectorized", "compiled")
+BACKENDS = ("faithful", "vectorized")
 
 
 class RoundBasedNetwork:
@@ -63,9 +60,8 @@ class RoundBasedNetwork:
         Seed or generator.
     backend:
         ``"faithful"`` (per-message ``Node`` objects, default for direct
-        construction), ``"vectorized"`` (flat-array engine — what the
-        protocol simulators pick by default), or ``"compiled"``
-        (fused kernels, numba-JIT when available).
+        construction) or ``"vectorized"`` (flat-array engine — what the
+        protocol simulators pick by default).
     """
 
     def __init__(
@@ -106,11 +102,7 @@ class RoundBasedNetwork:
             }
             self.server = Server(self.meters.meter(SERVER_ID))
         else:
-            engine_cls = (
-                CompiledExchange if backend == "compiled"
-                else VectorizedExchange
-            )
-            self._engine = engine_cls(
+            self._engine = VectorizedExchange(
                 graph if self.schedule is None else self.schedule,
                 faults=self.faults,
                 rng=self.rng,
@@ -246,8 +238,8 @@ class RoundBasedNetwork:
         """Run ``rounds`` exchange rounds.
 
         Engine-backed networks delegate the whole span to the engine so
-        the compiled backend can fuse multi-round execution into single
-        kernel calls; results are identical to looping
+        JIT kernels can fuse multi-round execution into single kernel
+        calls; results are identical to looping
         :meth:`run_exchange_round`.
         """
         if rounds < 0:

@@ -22,9 +22,19 @@ from repro.protocols.reports import ProtocolResult, Report, payload_list
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
+#: Network backend each ``engine=`` spelling runs on.  ``fast`` and
+#: ``compiled`` are aliases of ``vectorized``, kept for one release so
+#: stored scenarios (and their hashes) stay valid.
+ENGINE_BACKENDS = {
+    "fast": "vectorized",
+    "vectorized": "vectorized",
+    "faithful": "faithful",
+    "compiled": "vectorized",
+}
+
 #: Valid ``engine=`` choices for the protocol runners (and the Scenario
 #: spec layer, which imports this so the two never drift).
-ENGINES = ("fast", "vectorized", "faithful", "compiled")
+ENGINES = tuple(ENGINE_BACKENDS)
 
 
 def resolve_backend(
@@ -34,18 +44,14 @@ def resolve_backend(
 ) -> tuple[str, Optional[DropoutModel]]:
     """Map a protocol ``engine`` choice to a network backend + faults.
 
-    ``"fast"`` (and its explicit alias ``"vectorized"``) select the
-    flat-array engine; ``"faithful"`` selects the per-message path;
-    ``"compiled"`` selects the fused-kernel engine (numba JIT when the
-    ``repro[compiled]`` extra is installed, pure-NumPy otherwise).
-    ``laziness`` is sugar for ``IndependentDropout`` on any backend
-    (the paper's lazy-walk fault model); passing both is ambiguous.
+    ``"fast"``, ``"vectorized"`` and ``"compiled"`` select the flat-array
+    engine (numba kernels when installed); ``"faithful"`` selects the
+    per-message path.  ``laziness`` is sugar for ``IndependentDropout``
+    on any backend (the paper's lazy-walk fault model); passing both is
+    ambiguous.
     """
-    if engine in ("fast", "vectorized"):
-        backend = "vectorized"
-    elif engine in ("faithful", "compiled"):
-        backend = engine
-    else:
+    backend = ENGINE_BACKENDS.get(engine)
+    if backend is None:
         raise ValidationError(
             f"unknown engine {engine!r}; use one of {ENGINES}"
         )

@@ -256,9 +256,9 @@ class Scenario:
         Exchange rounds ``t``; ``None`` selects the graph's mixing time
         ``alpha^{-1} log n`` (the paper's operating point).
     engine:
-        ``"fast"``/``"vectorized"`` (flat-array engine) or ``"faithful"``
-        (per-message simulator).  Seeded runs are bit-identical across
-        engines.
+        ``"fast"``/``"vectorized"`` (flat-array engine; ``"compiled"``
+        is a deprecated alias) or ``"faithful"`` (per-message
+        simulator).  Seeded runs are bit-identical across engines.
     faults / laziness:
         Dropout model reference, or the lazy-walk shorthand probability.
         Mutually exclusive.

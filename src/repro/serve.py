@@ -236,6 +236,8 @@ class ReproService:
             next_job_number = 1 + self._restore_jobs()
         self._job_ids = itertools.count(next_job_number)
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Open client connections: handler task -> its stream writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     def _restore_jobs(self) -> int:
         """Replay persisted job outcomes; returns the highest job number.
@@ -275,6 +277,23 @@ class ReproService:
             raise RuntimeError("service is not started")
         return self._server.sockets[0].getsockname()[1]
 
+    async def stop(self) -> None:
+        """Stop listening and close every open client connection.
+
+        Idle keep-alive handlers see EOF and return normally instead of
+        being cancelled at event-loop teardown, which would log one
+        ``CancelledError`` traceback per open connection.
+        """
+        if self._server is None:
+            return
+        self._server.close()
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=5)
+        await self._server.wait_closed()
+
     def close(self) -> None:
         """Stop accepting jobs and release the worker pool."""
         self._executor.shutdown(wait=True, cancel_futures=True)
@@ -285,6 +304,8 @@ class ReproService:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 request = await self._read_request(reader)
@@ -326,6 +347,7 @@ class ReproService:
         ):
             pass
         finally:
+            self._connections.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -512,7 +534,7 @@ class ReproService:
         scenario = self._scenario_of(body)
         if self._engine is not None:
             # Deployment override: this host decides which exchange
-            # backend executes its jobs (e.g. compiled on a numba host).
+            # backend executes its jobs (e.g. vectorized vs faithful).
             scenario = scenario.updated(engine=self._engine)
         options: Dict[str, Any] = {}
         if kind == "audit":
@@ -758,7 +780,7 @@ async def serve(
         profile_budget=profile_budget,
         engine=engine,
     )
-    server = await service.start(host, port)
+    await service.start(host, port)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -790,8 +812,7 @@ async def serve(
     try:
         await stop.wait()
     finally:
-        server.close()
-        await server.wait_closed()
+        await service.stop()
         service.close()
         echo("repro serve: stopped", flush=True)
 
@@ -843,15 +864,14 @@ class ServerHandle:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self.service = ReproService(**service_kwargs)
-        server = await self.service.start(host, port)
+        await self.service.start(host, port)
         self.host = host
         self.port = self.service.port
         self._ready.set()
         try:
             await self._stop.wait()
         finally:
-            server.close()
-            await server.wait_closed()
+            await self.service.stop()
             self.service.close()
 
     @property
@@ -874,7 +894,12 @@ class ServerHandle:
 def main(arguments: list) -> None:
     """``python -m repro serve [--host H] [--port P] [--workers N]
     [--spill-dir DIR] [--store DB] [--max-queue N] [--job-timeout S]
-    [--profile-budget BYTES] [--engine NAME] [--require-jit]``."""
+    [--profile-budget BYTES] [--engine NAME] [--require-jit]``.
+
+    ``--engine`` takes ``vectorized`` or ``faithful`` (``fast`` and
+    ``compiled`` are aliases of ``vectorized``); ``--require-jit`` makes
+    the process refuse to run the array engine without numba kernels.
+    """
     usage = (
         "usage: python -m repro serve [--host HOST] [--port PORT] "
         "[--workers N] [--spill-dir DIR] [--store DB] [--max-queue N] "

@@ -2,7 +2,7 @@
 
 These were ``_resolve_method`` and ``_KERNEL_MAX_NODES`` — private
 heuristics the scenario layer reached into.  Now they are documented
-exports, with deprecation shims on the old spellings.
+exports; the old spellings are gone.
 """
 
 from __future__ import annotations
@@ -65,25 +65,12 @@ class TestShouldMemoize:
 
 
 class TestDeprecatedSpellings:
-    def test_private_resolve_method_warns_and_aliases(self):
-        from repro.auditing import auditor
-
-        with pytest.warns(DeprecationWarning, match="resolve_method"):
-            old = auditor._resolve_method
-        assert old is resolve_method
-
-    def test_private_kernel_cap_warns_and_aliases(self):
-        from repro.auditing import auditor
-
-        with pytest.warns(DeprecationWarning, match="KERNEL_MAX_NODES"):
-            old = auditor._KERNEL_MAX_NODES
-        assert old == KERNEL_MAX_NODES
-
     def test_unknown_attribute_still_raises(self):
         from repro.auditing import auditor
 
-        with pytest.raises(AttributeError):
-            auditor._no_such_name
+        for name in ("_no_such_name", "_resolve_method", "_KERNEL_MAX_NODES"):
+            with pytest.raises(AttributeError):
+                getattr(auditor, name)
 
     def test_scenario_auditing_imports_no_private_names(self):
         # The acceptance criterion: the scenario layer uses only the

@@ -1,14 +1,15 @@
 """Backend equivalence: the three-way exchange oracle.
 
-The vectorized and compiled engines both promise an *exact* RNG
-contract with the faithful simulator — a seeded run must produce
+The array engine promises an *exact* RNG contract with the faithful
+simulator, whichever kernels it runs — a seeded run must produce
 identical per-round held counts, meters, and server deliveries on all
-three backends (``faithful`` ≡ ``vectorized`` ≡ ``compiled``) — plus
-statistical agreement with the exact distribution evolution of
-:mod:`repro.graphs.walks`.  The compiled backend is additionally
-exercised through its fused multi-round path (``run(rounds)`` on a
-static graph under ``NoFaults``), which must be bit-identical to its
-own per-round loop.
+three variants (``faithful`` ≡ ``vectorized``, the engine on its NumPy
+round ≡ ``compiled``, the engine on the JIT kernel loops run
+interpreted) — plus statistical agreement with the exact distribution
+evolution of :mod:`repro.graphs.walks`.  The JIT variant is
+additionally exercised through its fused multi-round path
+(``run(rounds)`` on a static graph under ``NoFaults``), which must be
+bit-identical to the per-round loop.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.graphs.walks import position_distribution, simulate_token_walks
 from repro.netsim.engine import VectorizedExchange
-from repro.netsim.kernels import CompiledExchange
 from repro.netsim.faults import (
     AdversarialDropout,
     IndependentDropout,
@@ -37,19 +37,45 @@ from repro.protocols.all_protocol import run_all_protocol
 from repro.protocols.single_protocol import run_single_protocol
 
 
-ALL_BACKENDS = ("faithful", "vectorized", "compiled")
+#: The three-way oracle: the faithful simulator, then the array engine
+#: on its NumPy round and on the JIT kernel loops run interpreted.
+VARIANTS = ("faithful", "vectorized", "compiled")
+
+#: ``use_kernels`` mode behind each array-engine variant.
+KERNEL_MODES = {"vectorized": "numpy", "compiled": "loops"}
 
 
-def _paired_networks(graph, faults_factory, seed):
-    """Identically seeded networks, one per exchange backend."""
-    nets = []
-    for backend in ALL_BACKENDS:
-        network = RoundBasedNetwork(
-            graph, faults=faults_factory(), rng=seed, backend=backend
-        )
-        network.seed_items({i: [("r", i)] for i in range(graph.num_nodes)})
-        nets.append(network)
-    return nets
+@pytest.fixture
+def network_on(use_kernels):
+    """``network_on(variant, graph, **kwargs)`` builds a network on one
+    oracle variant."""
+
+    def build(variant, graph, **kwargs):
+        if variant == "faithful":
+            return RoundBasedNetwork(graph, backend="faithful", **kwargs)
+        use_kernels(KERNEL_MODES[variant])
+        return RoundBasedNetwork(graph, backend="vectorized", **kwargs)
+
+    return build
+
+
+@pytest.fixture
+def paired_networks(network_on):
+    """Identically seeded networks, one per oracle variant."""
+
+    def build(graph, faults_factory, seed):
+        nets = []
+        for variant in VARIANTS:
+            network = network_on(
+                variant, graph, faults=faults_factory(), rng=seed
+            )
+            network.seed_items(
+                {i: [("r", i)] for i in range(graph.num_nodes)}
+            )
+            nets.append(network)
+        return nets
+
+    return build
 
 
 FAULT_FACTORIES = [
@@ -63,9 +89,9 @@ class TestSeededEquivalence:
     @pytest.mark.parametrize("faults_factory", FAULT_FACTORIES)
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_identical_held_counts_every_round(
-        self, small_regular, faults_factory, seed
+        self, small_regular, faults_factory, seed, paired_networks
     ):
-        faithful, vectorized, compiled = _paired_networks(
+        faithful, vectorized, compiled = paired_networks(
             small_regular, faults_factory, seed
         )
         for _ in range(10):
@@ -77,11 +103,13 @@ class TestSeededEquivalence:
                 )
 
     @pytest.mark.parametrize("faults_factory", FAULT_FACTORIES)
-    def test_identical_meters(self, small_regular, faults_factory):
-        faithful, vectorized, compiled = _paired_networks(
+    def test_identical_meters(
+        self, small_regular, faults_factory, paired_networks
+    ):
+        faithful, vectorized, compiled = paired_networks(
             small_regular, faults_factory, 11
         )
-        # run_exchange(8) lets the compiled backend take its fused
+        # run_exchange(8) lets the JIT loops take their fused
         # multi-round path when the fault model permits.
         faithful.run_exchange(8)
         for other in (vectorized, compiled):
@@ -102,8 +130,8 @@ class TestSeededEquivalence:
                 == other.meters.total_messages_sent()
             )
 
-    def test_identical_server_delivery(self, small_regular):
-        nets = _paired_networks(small_regular, NoFaults, 3)
+    def test_identical_server_delivery(self, small_regular, paired_networks):
+        nets = paired_networks(small_regular, NoFaults, 3)
         for net in nets:
             net.run_exchange(6)
             net.deliver_to_server()
@@ -113,8 +141,8 @@ class TestSeededEquivalence:
             assert faithful.server.delivered_by == other.server.delivered_by
             assert faithful.server.reports == other.server.reports
 
-    def test_identical_drain_held(self, small_regular):
-        faithful, vectorized, compiled = _paired_networks(
+    def test_identical_drain_held(self, small_regular, paired_networks):
+        faithful, vectorized, compiled = paired_networks(
             small_regular, NoFaults, 5
         )
         for net in (faithful, vectorized, compiled):
@@ -123,10 +151,15 @@ class TestSeededEquivalence:
         assert reference == vectorized.drain_held()
         assert reference == compiled.drain_held()
 
-    def test_all_protocol_identical_across_engines(self, small_regular):
+    def test_all_protocol_identical_across_engines(
+        self, small_regular, use_kernels
+    ):
+        use_kernels("numpy")
         fast = run_all_protocol(small_regular, 7, rng=9)
-        for engine in ("faithful", "compiled"):
-            other = run_all_protocol(small_regular, 7, engine=engine, rng=9)
+        faithful = run_all_protocol(small_regular, 7, engine="faithful", rng=9)
+        use_kernels("loops")
+        loops = run_all_protocol(small_regular, 7, rng=9)
+        for other in (faithful, loops):
             np.testing.assert_array_equal(fast.allocation, other.allocation)
             np.testing.assert_array_equal(
                 fast.delivered_by, other.delivered_by
@@ -135,12 +168,17 @@ class TestSeededEquivalence:
                 r.origin for r in other.server_reports
             ]
 
-    def test_single_protocol_identical_across_engines(self, small_regular):
+    def test_single_protocol_identical_across_engines(
+        self, small_regular, use_kernels
+    ):
+        use_kernels("numpy")
         fast = run_single_protocol(small_regular, 7, rng=9)
-        for engine in ("faithful", "compiled"):
-            other = run_single_protocol(
-                small_regular, 7, engine=engine, rng=9
-            )
+        faithful = run_single_protocol(
+            small_regular, 7, engine="faithful", rng=9
+        )
+        use_kernels("loops")
+        loops = run_single_protocol(small_regular, 7, rng=9)
+        for other in (faithful, loops):
             np.testing.assert_array_equal(fast.allocation, other.allocation)
             assert fast.dummy_count == other.dummy_count
             assert [r.origin for r in fast.server_reports] == [
@@ -156,14 +194,14 @@ class TestSeededEquivalence:
 
 
 class TestDistributionMatch:
-    """Both backends must match the exact walk-engine marginals."""
+    """Every variant must match the exact walk-engine marginals."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_marginal_matches_evolve_distribution(self, backend):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_marginal_matches_evolve_distribution(self, variant, network_on):
         graph = random_regular_graph(4, 30, rng=1)
         steps, start, samples = 4, 0, 4000
         exact = position_distribution(graph, start, steps)
-        network = RoundBasedNetwork(graph, rng=77, backend=backend)
+        network = network_on(variant, graph, rng=77)
         network.seed_items({start: list(range(samples))})
         network.run_exchange(steps)
         empirical = network.held_counts() / samples
@@ -234,24 +272,24 @@ class TestVectorizedEngineApi:
         assert engine.held_counts().sum() == origins.size
         np.testing.assert_array_equal(engine.token_origin, origins)
 
-    def test_double_delivery_is_idempotent(self, k4):
-        """A second final delivery must deliver nothing (all backends)."""
-        for backend in ALL_BACKENDS:
-            network = RoundBasedNetwork(k4, rng=0, backend=backend)
+    def test_double_delivery_is_idempotent(self, k4, network_on):
+        """A second final delivery must deliver nothing (all variants)."""
+        for variant in VARIANTS:
+            network = network_on(variant, k4, rng=0)
             network.seed_items({i: [f"p{i}"] for i in range(4)})
             network.run_exchange(2)
             network.deliver_to_server()
             network.deliver_to_server()
-            assert len(network.server) == 4, backend
+            assert len(network.server) == 4, variant
 
-    def test_post_delivery_rounds_are_noops_on_all_backends(self):
+    def test_post_delivery_rounds_are_noops_on_all_backends(self, network_on):
         """Rounds after final delivery move nothing, meter nothing, and
-        keep the backends in lockstep (including fault-model draws)."""
+        keep the variants in lockstep (including fault-model draws)."""
         graph = cycle_graph(6)
         nets = {}
-        for backend in ALL_BACKENDS:
-            net = RoundBasedNetwork(
-                graph, faults=IndependentDropout(0.3), rng=0, backend=backend
+        for variant in VARIANTS:
+            net = network_on(
+                variant, graph, faults=IndependentDropout(0.3), rng=0
             )
             net.seed_items({i: [i] for i in range(6)})
             net.run_exchange(3)
@@ -259,10 +297,10 @@ class TestVectorizedEngineApi:
             net.run_exchange_round()
             net.seed_items({i: [("n", i)] for i in range(6)})
             net.run_exchange(2)
-            nets[backend] = net
+            nets[variant] = net
         faithful = nets["faithful"]
-        for backend in ("vectorized", "compiled"):
-            other = nets[backend]
+        for variant in ("vectorized", "compiled"):
+            other = nets[variant]
             np.testing.assert_array_equal(
                 faithful.held_counts(), other.held_counts()
             )
@@ -308,10 +346,12 @@ class TestVectorizedEngineApi:
         with pytest.raises(SimulationError):
             engine.seed_tokens(np.arange(2))
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_mid_run_seed_items_rejected_on_both_backends(self, k4, backend):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_mid_run_seed_items_rejected_on_both_backends(
+        self, k4, variant, network_on
+    ):
         """The network enforces the seeding rule identically per backend."""
-        network = RoundBasedNetwork(k4, rng=0, backend=backend)
+        network = network_on(variant, k4, rng=0)
         network.seed_items({0: ["a"]})
         network.seed_items({1: ["b"]})  # pre-run: allowed
         network.run_exchange(1)
@@ -336,6 +376,11 @@ class TestVectorizedEngineApi:
     def test_unknown_backend_rejected(self, k4):
         with pytest.raises(ValidationError):
             RoundBasedNetwork(k4, backend="quantum")
+
+    def test_compiled_backend_rejected(self, k4):
+        """``compiled`` is an engine alias, not a network backend."""
+        with pytest.raises(ValidationError):
+            RoundBasedNetwork(k4, backend="compiled")
 
     def test_vector_meter_board_queries(self, k4):
         network = RoundBasedNetwork(k4, rng=0, backend="vectorized")
@@ -370,9 +415,11 @@ class TestDynamicScheduleEquivalence:
 
     @pytest.mark.parametrize("faults_factory", FAULT_FACTORIES)
     @pytest.mark.parametrize("seed", [0, 11])
-    def test_identical_held_counts_across_swaps(self, faults_factory, seed):
+    def test_identical_held_counts_across_swaps(
+        self, faults_factory, seed, paired_networks
+    ):
         schedule = _three_phase_schedule()
-        faithful, vectorized, compiled = _paired_networks(
+        faithful, vectorized, compiled = paired_networks(
             schedule, faults_factory, seed
         )
         for _ in range(9):
@@ -383,9 +430,9 @@ class TestDynamicScheduleEquivalence:
                     faithful.held_counts(), other.held_counts()
                 )
 
-    def test_identical_meters_and_delivery_across_swaps(self):
+    def test_identical_meters_and_delivery_across_swaps(self, paired_networks):
         schedule = _three_phase_schedule()
-        nets = _paired_networks(schedule, NoFaults, 5)
+        nets = paired_networks(schedule, NoFaults, 5)
         for net in nets:
             net.run_exchange(7)
             net.deliver_to_server()
@@ -400,30 +447,30 @@ class TestDynamicScheduleEquivalence:
             assert faithful.server.delivered_by == other.server.delivered_by
             assert faithful.server.reports == other.server.reports
 
-    def test_drain_then_reseed_across_swap_boundary(self):
+    def test_drain_then_reseed_across_swap_boundary(self, network_on):
         """A second campaign seeded mid-schedule must stay in lockstep:
         the reseed validates against (and the next round walks) the
-        topology in force at that round, on every backend."""
+        topology in force at that round, on every variant."""
         schedule = _three_phase_schedule()
         nets = {}
-        for backend in ALL_BACKENDS:
-            net = RoundBasedNetwork(
-                schedule, faults=IndependentDropout(0.2), rng=3, backend=backend
+        for variant in VARIANTS:
+            net = network_on(
+                variant, schedule, faults=IndependentDropout(0.2), rng=3
             )
             net.seed_items({i: [("first", i)] for i in range(50)})
             net.run_exchange(2)          # stops on the swap boundary
             net.deliver_to_server()
             net.seed_items({i: [("second", i)] for i in range(50)})
             net.run_exchange(4)          # crosses two more swaps
-            nets[backend] = net
+            nets[variant] = net
         faithful = nets["faithful"]
-        for backend in ("vectorized", "compiled"):
+        for variant in ("vectorized", "compiled"):
             np.testing.assert_array_equal(
-                faithful.held_counts(), nets[backend].held_counts()
+                faithful.held_counts(), nets[variant].held_counts()
             )
         reference = faithful.drain_held()
-        for backend in ("vectorized", "compiled"):
-            assert reference == nets[backend].drain_held()
+        for variant in ("vectorized", "compiled"):
+            assert reference == nets[variant].drain_held()
 
     def test_schedule_of_one_matches_static_graph(self, small_regular):
         """A single-graph schedule is bit-identical to the static run —
@@ -479,15 +526,15 @@ class TestDynamicScheduleEquivalence:
                     network.nodes[0].neighbors, replacement.neighbors(0)
                 )
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_isolated_node_under_swap_raises(self, backend):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_isolated_node_under_swap_raises(self, variant, network_on):
         """An item stranded on a node the new topology isolates must
-        fail loudly — with the same exception type on both backends —
+        fail loudly — with the same exception type on every variant —
         not hop through a garbage CSR offset."""
         path = Graph(3, [(0, 1), (1, 2)])
         isolating = Graph(3, [(0, 2)])  # node 1 isolated
         schedule = DynamicGraphSchedule([path, isolating])
-        network = RoundBasedNetwork(schedule, rng=0, backend=backend)
+        network = network_on(variant, schedule, rng=0)
         network.seed_items({0: ["item"]})
         network.run_exchange_round()  # node 0's only neighbor is 1
         np.testing.assert_array_equal(network.held_counts(), [0, 1, 0])
@@ -533,26 +580,28 @@ class TestOffsetBoundaryClamp:
     without the clamp — the regression the fix guards.
     """
 
-    @pytest.mark.parametrize(
-        "engine_cls", [VectorizedExchange, CompiledExchange]
-    )
+    @pytest.mark.parametrize("variant", ["vectorized", "compiled"])
     @pytest.mark.parametrize("value", [1.0 - 2.0**-53, 1.0])
     def test_vectorized_boundary_draw_hits_last_neighbor(
-        self, engine_cls, value
+        self, variant, value, engine_on
     ):
         graph = cycle_graph(7)
         last = graph.num_nodes - 1  # pre-fix, u=1.0 indexes past indices
-        engine = engine_cls(graph, rng=_PinnedRng(value))
+        engine = engine_on(
+            KERNEL_MODES[variant], graph, rng=_PinnedRng(value)
+        )
         engine.seed_tokens(np.array([last]))
         engine.run_round()
         assert int(engine.token_position[0]) == int(graph.neighbors(last)[-1])
 
     @pytest.mark.parametrize("value", [1.0 - 2.0**-53, 1.0])
-    def test_compiled_fused_boundary_draw_hits_last_neighbor(self, value):
+    def test_compiled_fused_boundary_draw_hits_last_neighbor(
+        self, value, engine_on
+    ):
         """The fused multi-round kernel applies the same clamp."""
         graph = cycle_graph(7)
         last = graph.num_nodes - 1
-        engine = CompiledExchange(graph, rng=_PinnedRng(value))
+        engine = engine_on("loops", graph, rng=_PinnedRng(value))
         engine.seed_tokens(np.array([last]))
         engine.run(3)  # static + NoFaults: takes the fused path
         walked = last

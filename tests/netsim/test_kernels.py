@@ -1,12 +1,13 @@
-"""The compiled backend's kernel module, exercised without numba.
+"""The array engine's JIT kernels, exercised without numba.
 
 The numba-facing loops (``_round_loop`` / ``_rounds_loop``) are plain
 Python functions, so the JIT code *path* is testable on installs without
-the ``repro[compiled]`` extra: wire the interpreted loops into a
-:class:`CompiledExchange` and demand bit-equality with the vectorized
-oracle.  Implementation resolution (numpy fallback, ``require_jit``,
-broken-numba) is driven by monkeypatching the module's resolution state,
-so every branch runs regardless of whether numba is installed.
+the ``repro[compiled]`` extra: resolve the interpreted loops into a
+:class:`VectorizedExchange` and demand bit-equality with the same engine
+on its NumPy round.  Implementation resolution (numpy, ``require_jit``,
+broken-numba) is driven by monkeypatching the module's resolution state
+(the ``use_kernels`` fixture), so every branch runs regardless of
+whether numba is installed.
 """
 
 from __future__ import annotations
@@ -30,20 +31,8 @@ from repro.netsim.faults import (
     IndependentDropout,
     NoFaults,
 )
-from repro.netsim.kernels import (
-    CompiledExchange,
-    backend_info,
-    backend_label,
-    set_require_jit,
-)
-
-
-def _interpreted_engine(graph, seed, faults=None):
-    """A compiled engine running the numba loops as plain Python."""
-    engine = CompiledExchange(graph, faults=faults, rng=seed)
-    engine._round_kernel = kernels._round_loop
-    engine._rounds_kernel = kernels._rounds_loop
-    return engine
+from repro.netsim.kernels import backend_info, set_require_jit
+from repro.scenario.summary import run_summary_payload
 
 
 def _assert_engines_identical(a, b):
@@ -74,10 +63,10 @@ class TestInterpretedLoopKernels:
     """The numba code path, run interpreted, against the oracle."""
 
     @pytest.mark.parametrize("faults_factory", FAULT_FACTORIES)
-    def test_round_loop_matches_vectorized(self, faults_factory):
+    def test_round_loop_matches_vectorized(self, faults_factory, engine_on):
         graph = random_regular_graph(4, 30, rng=0)
-        oracle = VectorizedExchange(graph, faults=faults_factory(), rng=42)
-        loop = _interpreted_engine(graph, 42, faults=faults_factory())
+        oracle = engine_on("numpy", graph, faults=faults_factory(), rng=42)
+        loop = engine_on("loops", graph, faults=faults_factory(), rng=42)
         for engine in (oracle, loop):
             engine.seed_tokens(np.arange(30))
         for _ in range(8):
@@ -85,26 +74,24 @@ class TestInterpretedLoopKernels:
             loop.run_round()
         _assert_engines_identical(oracle, loop)
 
-    def test_rounds_loop_matches_vectorized(self):
+    def test_rounds_loop_matches_vectorized(self, engine_on):
         graph = random_regular_graph(4, 30, rng=1)
-        oracle = VectorizedExchange(graph, rng=9)
-        loop = _interpreted_engine(graph, 9)
+        oracle = engine_on("numpy", graph, rng=9)
+        loop = engine_on("loops", graph, rng=9)
         for engine in (oracle, loop):
             engine.seed_tokens(np.repeat(np.arange(30), 2))
             engine.run(9)  # loop takes the fused NoFaults fast path
         _assert_engines_identical(oracle, loop)
 
-    def test_round_loop_matches_across_schedule_swaps(self):
+    def test_round_loop_matches_across_schedule_swaps(self, engine_on):
         schedule = DynamicGraphSchedule([
             random_regular_graph(4, 24, rng=0),
             cycle_graph(24),
             complete_graph(24),
         ])
-        oracle = VectorizedExchange(
-            schedule, faults=IndependentDropout(0.2), rng=5
-        )
-        loop = _interpreted_engine(
-            schedule, 5, faults=IndependentDropout(0.2)
+        oracle, loop = (
+            engine_on(mode, schedule, faults=IndependentDropout(0.2), rng=5)
+            for mode in ("numpy", "loops")
         )
         for engine in (oracle, loop):
             engine.seed_tokens(np.arange(24))
@@ -116,10 +103,12 @@ class TestInterpretedLoopKernels:
 
 
 class TestCompiledEngine:
-    def test_fused_run_matches_per_round_loop(self):
+    """The engine's JIT-kernel path: fused driver, buffers, fallbacks."""
+
+    def test_fused_run_matches_per_round_loop(self, engine_on):
         graph = random_regular_graph(6, 40, rng=2)
-        fused = CompiledExchange(graph, rng=77)
-        stepped = CompiledExchange(graph, rng=77)
+        fused = engine_on("loops", graph, rng=77)
+        stepped = engine_on("loops", graph, rng=77)
         for engine in (fused, stepped):
             engine.seed_tokens(np.arange(40))
         fused.run(9)  # odd round count exercises the order swap
@@ -128,11 +117,11 @@ class TestCompiledEngine:
         _assert_engines_identical(fused, stepped)
         assert fused.round_index == stepped.round_index == 9
 
-    def test_fused_run_chunks_uniform_blocks(self, monkeypatch):
+    def test_fused_run_chunks_uniform_blocks(self, monkeypatch, engine_on):
         """Chunked pre-draws consume the identical stream."""
         graph = cycle_graph(10)
-        whole = CompiledExchange(graph, rng=3)
-        chunked = CompiledExchange(graph, rng=3)
+        whole = engine_on("loops", graph, rng=3)
+        chunked = engine_on("loops", graph, rng=3)
         for engine in (whole, chunked):
             engine.seed_tokens(np.arange(10))
         whole.run(8)
@@ -141,18 +130,18 @@ class TestCompiledEngine:
         chunked.run(8)
         _assert_engines_identical(whole, chunked)
 
-    def test_buffers_reused_across_rounds(self):
+    def test_buffers_reused_across_rounds(self, engine_on):
         graph = cycle_graph(12)
-        engine = CompiledExchange(graph, rng=0)
+        engine = engine_on("loops", graph, rng=0)
         engine.seed_tokens(np.arange(12))
         engine.run_round()
         buffers = engine._buffers
         engine.run(5)
         assert engine._buffers is buffers
 
-    def test_buffers_rebuilt_on_token_count_change(self):
+    def test_buffers_rebuilt_on_token_count_change(self, engine_on):
         graph = cycle_graph(12)
-        engine = CompiledExchange(graph, rng=0)
+        engine = engine_on("loops", graph, rng=0)
         engine.seed_tokens(np.arange(12))
         engine.run(2)
         first = engine._buffers
@@ -162,9 +151,9 @@ class TestCompiledEngine:
         assert engine._buffers is not first
         assert engine._buffers.alt_order.shape == (5,)
 
-    def test_drained_fused_run_only_advances_clock(self):
+    def test_drained_fused_run_only_advances_clock(self, engine_on):
         graph = cycle_graph(8)
-        engine = CompiledExchange(graph, rng=0)
+        engine = engine_on("loops", graph, rng=0)
         engine.seed_tokens(np.arange(8))
         engine.run(2)
         engine.drain()
@@ -172,10 +161,12 @@ class TestCompiledEngine:
         assert engine.round_index == 7
         assert engine.held_counts().sum() == 0
 
-    def test_trajectories_recorded_per_round(self):
+    def test_trajectories_recorded_per_round(self, engine_on):
         graph = cycle_graph(9)
-        plain = CompiledExchange(graph, rng=4)
-        recording = CompiledExchange(graph, rng=4, record_trajectories=True)
+        plain = engine_on("loops", graph, rng=4)
+        recording = engine_on(
+            "loops", graph, rng=4, record_trajectories=True
+        )
         for engine in (plain, recording):
             engine.seed_tokens(np.arange(9))
             engine.run(5)  # recording engine must not take the fused path
@@ -183,12 +174,12 @@ class TestCompiledEngine:
         assert paths.shape == (9, 6)
         np.testing.assert_array_equal(paths[:, -1], plain.token_position)
 
-    def test_isolated_holder_raises_from_run(self):
+    def test_isolated_holder_raises_from_run(self, engine_on):
         graph_with_isolate = DynamicGraphSchedule([
             Graph(3, [(0, 1), (1, 2)]),
             Graph(3, [(0, 2)]),  # node 1 isolated
         ])
-        engine = CompiledExchange(graph_with_isolate, rng=0)
+        engine = engine_on("loops", graph_with_isolate, rng=0)
         engine.seed_tokens(np.array([0]))
         engine.run_round()
         np.testing.assert_array_equal(engine.held_counts(), [0, 1, 0])
@@ -213,18 +204,16 @@ class TestImplementationResolution:
         try:
             assert kernels.require_jit_enabled()
             with pytest.raises(BackendUnavailableError):
-                CompiledExchange(cycle_graph(4), rng=0)
+                VectorizedExchange(cycle_graph(4), rng=0)
         finally:
             set_require_jit(previous)
 
-    def test_engine_require_jit_overrides_process_flag(self, monkeypatch):
-        monkeypatch.setitem(kernels._RESOLVED, "implementation", "numpy")
-        previous = set_require_jit(True)
-        try:
-            engine = CompiledExchange(cycle_graph(4), rng=0, require_jit=False)
-            assert engine.implementation == "numpy"
-        finally:
-            set_require_jit(previous)
+    def test_engine_runs_the_resolved_kernels(self, use_kernels):
+        use_kernels("numpy")
+        assert VectorizedExchange(cycle_graph(4), rng=0)._kernels is None
+        use_kernels("loops")
+        engine = VectorizedExchange(cycle_graph(4), rng=0)
+        assert engine._kernels == (kernels._round_loop, kernels._rounds_loop)
 
     def test_broken_numba_always_raises(self, monkeypatch):
         monkeypatch.setitem(kernels._RESOLVED, "implementation", "broken")
@@ -237,14 +226,23 @@ class TestImplementationResolution:
             kernels.resolve_implementation(require_jit=False)
 
     def test_backend_label_per_engine(self, monkeypatch):
-        monkeypatch.setitem(kernels._RESOLVED, "implementation", "numpy")
-        assert backend_label("fast") == "vectorized"
-        assert backend_label("vectorized") == "vectorized"
-        assert backend_label("faithful") == "faithful"
-        assert backend_label("compiled") == "compiled-numpy"
-        monkeypatch.setitem(kernels._RESOLVED, "implementation", "broken")
-        monkeypatch.setitem(kernels._RESOLVED, "error", RuntimeError("x"))
-        assert backend_label("compiled") == "compiled-broken"
+        """The summary's backend label names the network backend only;
+        which kernels ran is :func:`backend_info`'s business."""
+
+        def label(engine):
+            return run_summary_payload(
+                protocol="all", engine=engine, num_users=1, rounds=0,
+                dummy_count=0, elapsed_seconds=0.0,
+            )["backend"]
+
+        for implementation in ("numpy", "broken"):
+            monkeypatch.setitem(
+                kernels._RESOLVED, "implementation", implementation
+            )
+            assert label("fast") == "vectorized"
+            assert label("vectorized") == "vectorized"
+            assert label("compiled") == "vectorized"
+            assert label("faithful") == "faithful"
 
     def test_backend_info_payload(self):
         info = backend_info()

@@ -121,6 +121,27 @@ class TestHandWiredEquivalence:
 
 
 class TestRunBehavior:
+    @pytest.mark.parametrize("protocol", ["all", "single"])
+    def test_engine_aliases_give_identical_outputs(self, protocol):
+        """``fast`` and ``compiled`` are aliases of ``vectorized``: the
+        same engine, so the same bits and the same backend label."""
+        results = {
+            engine: run(_scenario(protocol, engine))
+            for engine in ("fast", "vectorized", "compiled")
+        }
+        reference = results["vectorized"]
+        for engine, other in results.items():
+            got, want = other.protocol_result, reference.protocol_result
+            assert got.payloads() == want.payloads(), engine
+            np.testing.assert_array_equal(got.allocation, want.allocation)
+            np.testing.assert_array_equal(got.delivered_by, want.delivered_by)
+            np.testing.assert_array_equal(
+                got.meters.messages_sent, want.meters.messages_sent
+            )
+            assert other.central_epsilon == reference.central_epsilon
+            assert other.empirical_epsilon == reference.empirical_epsilon
+            assert other.summary()["backend"] == "vectorized"
+
     def test_rounds_default_to_mixing_time(self):
         scenario = _scenario("all", "fast", rounds=None)
         result = run(scenario)

@@ -9,10 +9,17 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import pathlib
+import signal
+import socket
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.scenario import clear_graph_cache
 from repro.serve import ReproService, ServerHandle
 
@@ -538,7 +545,7 @@ class TestEngineOverride:
                 finished = wait_for_job(connection, job["id"])
                 assert finished["status"] == "done"
                 assert finished["result"]["engine"] == "compiled"
-                assert finished["result"]["backend"].startswith("compiled-")
+                assert finished["result"]["backend"] == "vectorized"
                 _, stats = request(connection, "GET", "/stats")
                 backend = stats["exchange_backend"]
                 assert backend["engine_override"] == "compiled"
@@ -551,3 +558,49 @@ class TestEngineOverride:
 
         with pytest.raises(ValidationError):
             ReproService(engine="quantum")
+
+
+class TestShutdown:
+    """SIGINT with idle keep-alive connections open shuts down quietly."""
+
+    def test_sigint_with_keep_alive_connections_prints_no_traceback(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        source_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--port", str(port), "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env,
+        )
+        connections = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(connections) < 2:
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", port, timeout=5
+                )
+                try:
+                    status, _ = request(connection, "GET", "/healthz")
+                except OSError:
+                    connection.close()
+                    assert time.monotonic() < deadline, "server never came up"
+                    time.sleep(0.1)
+                    continue
+                assert status == 200
+                connections.append(connection)  # left open: keep-alive
+            process.send_signal(signal.SIGINT)
+            _, stderr = process.communicate(timeout=30)
+        finally:
+            for connection in connections:
+                connection.close()
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr

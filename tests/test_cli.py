@@ -520,7 +520,8 @@ class TestEngineFlag:
         main(["run", scenario_file, "--json", "--engine", "compiled"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["engine"] == "compiled"
-        assert payload["backend"].startswith("compiled-")
+        # ``compiled`` is an alias of the one array engine.
+        assert payload["backend"] == "vectorized"
 
     def test_run_default_engine_backend_recorded(self, scenario_file, capsys):
         import json
