@@ -82,11 +82,7 @@ def planted_partition_from_degrees(
     keep = cross_heads != cross_tails
     cross_edges = np.stack([cross_heads[keep], cross_tails[keep]], axis=1)
 
-    all_edges = np.concatenate(intra_edges + [cross_edges])
-    lo = np.minimum(all_edges[:, 0], all_edges[:, 1])
-    hi = np.maximum(all_edges[:, 0], all_edges[:, 1])
-    unique = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return Graph(n, [(int(u), int(v)) for u, v in unique])
+    return Graph(n, np.concatenate(intra_edges + [cross_edges]))
 
 
 @dataclass(frozen=True)

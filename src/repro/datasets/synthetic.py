@@ -49,19 +49,7 @@ def configuration_model_graph(degrees: np.ndarray, rng: RngLike = None) -> Graph
     generator.shuffle(stubs)
     heads, tails = stubs[0::2], stubs[1::2]
     keep = heads != tails
-    heads, tails = heads[keep], tails[keep]
-    lo = np.minimum(heads, tails)
-    hi = np.maximum(heads, tails)
-    unique = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    # Build CSR directly (Graph.from_csr) for speed on large graphs.
-    all_heads = np.concatenate([unique[:, 0], unique[:, 1]])
-    all_tails = np.concatenate([unique[:, 1], unique[:, 0]])
-    order = np.lexsort((all_tails, all_heads))
-    all_heads, all_tails = all_heads[order], all_tails[order]
-    indptr = np.zeros(degrees.size + 1, dtype=np.int64)
-    np.add.at(indptr, all_heads + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return Graph.from_csr(degrees.size, indptr, all_tails)
+    return Graph(degrees.size, np.stack([heads[keep], tails[keep]], axis=1))
 
 
 @dataclass(frozen=True)

@@ -9,47 +9,40 @@ connected component, exactly as the paper does for Table 4.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from repro.exceptions import NotErgodicError
 from repro.graphs.graph import Graph
 
 
-def connected_components(graph: Graph) -> List[np.ndarray]:
-    """Connected components as arrays of node ids, largest first.
+def _component_labels(adjacency: sp.csr_matrix) -> Tuple[int, np.ndarray]:
+    """``(count, labels)``; strong components of a symmetric CSR are the
+    undirected ones, found without the transpose ``directed=False`` builds."""
+    return csgraph.connected_components(adjacency, connection="strong")
 
-    Implemented as an iterative BFS over the CSR structure (no recursion
-    limits, no networkx overhead on large graphs).
+
+def connected_components(graph: Graph) -> List[np.ndarray]:
+    """Connected components as sorted arrays of node ids.
+
+    Largest first, ties by smallest node, so the largest component is
+    deterministic.  One stable argsort of the csgraph labels groups the
+    nodes of every component at once.
     """
-    n = graph.num_nodes
-    labels = -np.ones(n, dtype=np.int64)
-    indptr, indices = graph.indptr, graph.indices
-    current_label = 0
-    stack: List[int] = []
-    for source in range(n):
-        if labels[source] >= 0:
-            continue
-        labels[source] = current_label
-        stack.append(source)
-        while stack:
-            node = stack.pop()
-            for neighbor in indices[indptr[node]: indptr[node + 1]]:
-                if labels[neighbor] < 0:
-                    labels[neighbor] = current_label
-                    stack.append(int(neighbor))
-        current_label += 1
-    components = [np.flatnonzero(labels == label) for label in range(current_label)]
-    components.sort(key=len, reverse=True)
+    count, labels = _component_labels(graph.adjacency_matrix())
+    members = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=count))
+    components = np.split(members, ends)[:-1]
+    components.sort(key=lambda component: (-component.size, component[0]))
     return components
 
 
 def is_connected(graph: Graph) -> bool:
     """Whether the graph has exactly one connected component."""
-    if graph.num_nodes == 0:
-        return False
-    return len(connected_components(graph)) == 1
+    return graph.num_nodes > 0 and _component_labels(graph.adjacency_matrix())[0] == 1
 
 
 def largest_connected_component(graph: Graph) -> Graph:
@@ -59,32 +52,28 @@ def largest_connected_component(graph: Graph) -> Graph:
     graphs are chosen when calculating the values of n and Gamma_G".
     """
     components = connected_components(graph)
-    if not components:
-        return graph
-    return graph.subgraph(components[0])
+    return graph.subgraph(components[0]) if components else graph
 
 
 def is_bipartite(graph: Graph) -> bool:
-    """2-colorability via BFS; vacuously true for edgeless graphs."""
-    n = graph.num_nodes
-    color = -np.ones(n, dtype=np.int8)
-    indptr, indices = graph.indptr, graph.indices
-    stack: List[int] = []
-    for source in range(n):
-        if color[source] >= 0:
-            continue
-        color[source] = 0
-        stack.append(source)
-        while stack:
-            node = stack.pop()
-            node_color = color[node]
-            for neighbor in indices[indptr[node]: indptr[node + 1]]:
-                if color[neighbor] < 0:
-                    color[neighbor] = 1 - node_color
-                    stack.append(int(neighbor))
-                elif color[neighbor] == node_color:
-                    return False
-    return True
+    """2-colorability; vacuously true for edgeless graphs.
+
+    A graph is bipartite iff its bipartite double cover
+    ``[[0, A], [A, 0]]`` has twice as many components: an odd cycle
+    joins the two copies of its component, an even one never does.
+    """
+    n, indptr, indices = graph.num_nodes, graph.indptr, graph.indices
+    # Built as CSR directly: ``sp.bmat`` would stage a COO copy of 2m edges.
+    cover = sp.csr_matrix(
+        (
+            np.ones(2 * indices.size),
+            np.concatenate([indices + n, indices]),
+            np.concatenate([indptr, indptr[1:] + indices.size]),
+        ),
+        shape=(2 * n, 2 * n),
+    )
+    count = _component_labels(graph.adjacency_matrix())[0]
+    return _component_labels(cover)[0] == 2 * count
 
 
 def is_ergodic(graph: Graph) -> bool:

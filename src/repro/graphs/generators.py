@@ -17,8 +17,10 @@ global RNG state.
 
 from __future__ import annotations
 
+from itertools import chain
 
 import networkx as nx
+import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.graphs.graph import Graph
@@ -32,12 +34,10 @@ def from_networkx(nx_graph) -> Graph:
     Node labels may be arbitrary hashables; they are relabeled to
     ``0 .. n-1`` in sorted-by-insertion order.
     """
-    nodes = list(nx_graph.nodes())
-    index = {node: position for position, node in enumerate(nodes)}
-    edges = [
-        (index[u], index[v]) for u, v in nx_graph.edges() if index[u] != index[v]
-    ]
-    return Graph(len(nodes), edges)
+    index = {node: position for position, node in enumerate(nx_graph.nodes())}
+    endpoints = map(index.__getitem__, chain.from_iterable(nx_graph.edges()))
+    edges = np.fromiter(endpoints, np.int64, 2 * nx_graph.number_of_edges()).reshape(-1, 2)
+    return Graph(len(index), edges[edges[:, 0] != edges[:, 1]])
 
 
 def complete_graph(num_nodes: int) -> Graph:
@@ -79,18 +79,13 @@ def grid_graph(rows: int, cols: int, *, periodic: bool = False) -> Graph:
     """2-D grid (optionally a torus) — the wireless-sensor-network use case."""
     check_positive_int(rows, "rows")
     check_positive_int(cols, "cols")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            node = r * cols + c
-            if c + 1 < cols:
-                edges.append((node, node + 1))
-            elif periodic and cols > 2:
-                edges.append((node, r * cols))
-            if r + 1 < rows:
-                edges.append((node, node + cols))
-            elif periodic and rows > 2:
-                edges.append((node, c))
+    nodes = np.arange(rows * cols).reshape(rows, cols)
+    pairs = [(nodes[:, :-1], nodes[:, 1:]), (nodes[:-1], nodes[1:])]
+    if periodic and cols > 2:
+        pairs.append((nodes[:, -1], nodes[:, 0]))
+    if periodic and rows > 2:
+        pairs.append((nodes[-1], nodes[0]))
+    edges = np.concatenate([np.stack([u.ravel(), v.ravel()], axis=1) for u, v in pairs])
     return Graph(rows * cols, edges)
 
 

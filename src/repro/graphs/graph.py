@@ -34,11 +34,14 @@ class Graph:
     num_nodes:
         Number of nodes ``n``; nodes are the integers ``0 .. n-1``.
     edges:
-        Iterable of ``(u, v)`` pairs with ``u != v``.  Order and
+        An ``(m, 2)`` integer array, used as is, or any iterable of
+        ``(u, v)`` integer pairs with ``u != v``.  Order, orientation and
         duplicates are ignored.
 
     Notes
     -----
+    The constructor is the one place where edges become the canonical
+    CSR (every generator and builder hands it an edge array).
     Instances are immutable: all mutating operations return new graphs.
     """
 
@@ -47,48 +50,48 @@ class Graph:
     def __init__(self, num_nodes: int, edges: Iterable[Tuple[int, int]]):
         if num_nodes < 0:
             raise ValidationError(f"num_nodes must be non-negative, got {num_nodes}")
-        self._num_nodes = int(num_nodes)
+        n = self._num_nodes = int(num_nodes)
 
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        edge_array = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if edge_array.size == 0:
-            edge_array = edge_array.reshape(0, 2)
+            edge_array = np.empty((0, 2), dtype=np.int64)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:
             raise ValidationError("edges must be an iterable of (u, v) pairs")
+        if not np.issubdtype(edge_array.dtype, np.integer):
+            raise ValidationError(
+                f"edge endpoints must be integers, got dtype {edge_array.dtype}"
+            )
+        edge_array = edge_array.astype(np.int64, copy=False)
         if edge_array.size:
-            if edge_array.min() < 0 or edge_array.max() >= self._num_nodes:
+            if edge_array.min() < 0 or edge_array.max() >= n:
                 raise ValidationError(
                     "edge endpoints must lie in [0, num_nodes); "
                     f"got range [{edge_array.min()}, {edge_array.max()}] "
-                    f"with num_nodes={self._num_nodes}"
+                    f"with num_nodes={n}"
                 )
             if np.any(edge_array[:, 0] == edge_array[:, 1]):
                 raise ValidationError("self-loops are not allowed")
 
-        # Canonicalize: undirected edge {u, v} stored once as (min, max).
-        lo = np.minimum(edge_array[:, 0], edge_array[:, 1])
-        hi = np.maximum(edge_array[:, 0], edge_array[:, 1])
-        unique = np.unique(np.stack([lo, hi], axis=1), axis=0) if lo.size else edge_array
-        self._num_edges = int(unique.shape[0])
-
-        # Build CSR by symmetrizing and sorting.
-        heads = np.concatenate([unique[:, 0], unique[:, 1]])
-        tails = np.concatenate([unique[:, 1], unique[:, 0]])
-        order = np.lexsort((tails, heads))
-        heads, tails = heads[order], tails[order]
-        self._indptr = np.zeros(self._num_nodes + 1, dtype=np.int64)
-        np.add.at(self._indptr, heads + 1, 1)
-        np.cumsum(self._indptr, out=self._indptr)
-        self._indices = tails.astype(np.int64)
+        # Canonicalize: each edge contributes both orientations as one
+        # int64 key ``head * n + tail``; one sort orders them exactly as
+        # the CSR does, and an adjacent-difference mask drops duplicates.
+        heads, tails = edge_array[:, 0], edge_array[:, 1]
+        keys = np.concatenate([heads * n + tails, tails * n + heads])
+        keys.sort()
+        heads, self._indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        self._num_edges = int(self._indices.size // 2)
+        self._indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads, minlength=n), out=self._indptr[1:])
 
     # ------------------------------------------------------------------
     # Alternate constructors
     # ------------------------------------------------------------------
     @classmethod
     def from_csr(cls, num_nodes: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
-        """Build a graph directly from a symmetric CSR structure.
+        """Wrap an already canonical CSR structure without re-checking it.
 
-        This is the fast path used by generators; the caller guarantees the
-        structure is symmetric, deduplicated, and loop-free.
+        Only for trusted spills written by :mod:`repro.graphs.io` from a
+        :class:`Graph`; everything else builds through the constructor.
         """
         graph = cls.__new__(cls)
         graph._num_nodes = int(num_nodes)
@@ -155,10 +158,8 @@ class Graph:
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate undirected edges as ``(u, v)`` with ``u < v``."""
-        for u in range(self._num_nodes):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield (u, int(v))
+        heads, tails = self._upper_halves()
+        return zip(heads.tolist(), tails.tolist())
 
     def is_regular(self) -> bool:
         """Whether every node has the same degree (``k``-regular graph)."""
@@ -193,16 +194,15 @@ class Graph:
         The relabeling follows the order of ``nodes``.
         """
         node_array = np.asarray(nodes, dtype=np.int64)
+        if np.any((node_array < 0) | (node_array >= self._num_nodes)):
+            raise ValidationError(f"subgraph nodes must lie in [0, {self._num_nodes})")
         if node_array.size != np.unique(node_array).size:
             raise ValidationError("subgraph nodes must be distinct")
-        mapping = -np.ones(self._num_nodes, dtype=np.int64)
+        mapping = np.full(self._num_nodes, -1, dtype=np.int64)
         mapping[node_array] = np.arange(node_array.size)
-        new_edges = [
-            (int(mapping[u]), int(mapping[v]))
-            for u, v in self.edges()
-            if mapping[u] >= 0 and mapping[v] >= 0
-        ]
-        return Graph(node_array.size, new_edges)
+        heads, tails = (mapping[half] for half in self._upper_halves())
+        inside = (heads >= 0) & (tails >= 0)
+        return Graph(node_array.size, np.stack([heads[inside], tails[inside]], axis=1))
 
     # ------------------------------------------------------------------
     # Dunder protocol
@@ -228,6 +228,12 @@ class Graph:
     # ------------------------------------------------------------------
     # Internal
     # ------------------------------------------------------------------
+    def _upper_halves(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(heads, tails)`` of every edge once, ``head < tail``, in CSR order."""
+        heads = np.repeat(np.arange(self._num_nodes), np.diff(self._indptr))
+        upper = heads < self._indices
+        return heads[upper], self._indices[upper]
+
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self._num_nodes:
             raise GraphError(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GraphError, ValidationError
+from repro.graphs.generators import path_graph
 from repro.graphs.graph import Graph
 
 
@@ -60,6 +61,21 @@ class TestConstruction:
     def test_rejects_malformed_edges(self):
         with pytest.raises(ValidationError):
             Graph(3, [(0, 1, 2)])  # type: ignore[list-item]
+
+    def test_rejects_non_integer_endpoints(self):
+        with pytest.raises(ValidationError, match="integers"):
+            Graph(3, [(0, 1.7)])
+        with pytest.raises(ValidationError, match="integers"):
+            Graph(3, np.array([[0.0, 1.0]]))
+
+    def test_accepts_integer_array_as_is(self):
+        edges = np.array([[2, 1], [0, 1], [1, 2]], dtype=np.int32)
+        graph = Graph(3, edges)
+        assert graph == Graph(3, [(0, 1), (1, 2)])
+        assert graph.indices.dtype == np.int64
+
+    def test_empty_input_of_any_dtype(self):
+        assert Graph(3, np.empty((0, 2))).num_edges == 0
 
     def test_from_edge_list_infers_size(self):
         graph = Graph.from_edge_list([(0, 5)])
@@ -149,6 +165,14 @@ class TestConversions:
         assert sub.num_nodes == 3
         assert sub.num_edges == 2
         assert sub.has_edge(0, 1)  # relabeled 1-2
+
+    def test_subgraph_rejects_negative_ids(self):
+        with pytest.raises(ValidationError, match="must lie in"):
+            path_graph(5).subgraph([-1, 3])
+
+    def test_subgraph_rejects_out_of_range_ids(self):
+        with pytest.raises(ValidationError, match="must lie in"):
+            path_graph(5).subgraph([7])
 
     def test_subgraph_rejects_duplicates(self):
         graph = Graph(3, [(0, 1)])
