@@ -13,7 +13,8 @@ Commands
     one; ``--out`` writes ``<artifact>.txt`` files plus a
     machine-readable ``manifest.json`` instead of printing.
 ``runall [dir] [--fast | --full]``
-    Regenerate every artifact into a directory (plus manifest.json).
+    Regenerate every artifact into a directory (plus manifest.json):
+    ``experiments all --out dir`` under its historical name.
 ``plan <n> <target_eps>``
     Deployment planning: local budgets achieving a central target on a
     regular graph of ``n`` users (both protocols).
@@ -74,6 +75,11 @@ Commands
     ``--engine`` pins the exchange backend every submitted job runs on
     (``GET /stats`` reports which kernels the array engine runs).
 
+Every command (and every ``results`` action) takes ``-h``/``--help``
+for its usage; ``python -m repro`` alone, ``-h`` or ``--help`` prints
+the ``info`` banner.  A malformed command line exits with the usage
+line and the fault, never a traceback.
+
 All surfaces share one error taxonomy (:mod:`repro.exceptions`): the
 message a failed command prints here is byte-identical to the
 ``message`` member the serving tier returns for the same fault.
@@ -81,10 +87,13 @@ message a failed command prints here is byte-identical to the
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 import repro
 from repro.exceptions import ReproError, error_payload
+
+_PROG = "python -m repro"
 
 _ARTIFACTS = (
     "table1", "table3", "table4",
@@ -92,64 +101,115 @@ _ARTIFACTS = (
 )
 
 
-def _info() -> None:
+class _Parser(argparse.ArgumentParser):
+    """``ArgumentParser`` whose usage errors raise instead of printing.
+
+    ``error`` raises ``SystemExit("<usage line>\\n<prog>: <message>")``
+    rather than printing and exiting 2, so in-process callers (tests,
+    ``serve.main``, ``runall.main``) see the message on the exception.
+    """
+
+    def error(self, message: str):
+        raise SystemExit(f"{self.format_usage().rstrip()}\n{self.prog}: {message}")
+
+
+def _memory_budget(text: str) -> int:
+    """``--profile-budget`` value: bytes, or a ``512M``/``2G`` suffix."""
+    from repro.api import parse_memory_budget
+
+    try:
+        return parse_memory_budget(text)
+    except ReproError as error:
+        raise argparse.ArgumentTypeError(error_payload(error)["message"]) from None
+
+
+def _engine(name: str) -> str:
+    """``--engine`` value, checked against the protocol runners' engines."""
+    from repro.protocols.all_protocol import ENGINES
+
+    if name not in ENGINES:
+        raise argparse.ArgumentTypeError(
+            f"unknown engine {name!r}; use one of {ENGINES}"
+        )
+    return name
+
+
+def _parse_axis_value(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        value = float(token)
+    except ValueError:
+        if token.lower() in ("true", "false"):
+            return token.lower() == "true"
+        return token
+    # Collapse integral floats ("1e6", "4.0") so int-validated builder
+    # params (num_nodes, rounds, ...) accept scientific notation.
+    return int(value) if value.is_integer() else value
+
+
+def _axis(token: str) -> tuple:
+    """``--axis path=v1,v2,...`` -> ``(path, [values])``."""
+    name, equals, raw = token.partition("=")
+    if not equals:
+        raise argparse.ArgumentTypeError(f"expected path=v1,v2,..., got {token!r}")
+    return name, [_parse_axis_value(part) for part in raw.split(",") if part]
+
+
+def _info(args: argparse.Namespace | None = None) -> None:
     print(f"repro {repro.__version__} — Network Shuffling (SIGMOD 2022) reproduction")
     print(repro.__doc__)
 
 
-def _artifact(name: str) -> None:
+def _artifact(args: argparse.Namespace) -> None:
     import importlib
 
-    module = importlib.import_module(f"repro.experiments.{name}")
+    module = importlib.import_module(f"repro.experiments.{args.command}")
     module.main()
 
 
-def _experiments(arguments: list[str]) -> None:
-    usage = (
-        "usage: python -m repro experiments <artifact|all> "
-        "[--fast | --full] [--out DIR] [--store DB]"
-    )
+def _campaign(args: argparse.Namespace) -> dict:
+    """Regenerate ``args.artifact`` (or every artifact) via the registry."""
     from repro.experiments import campaigns
 
-    preset, arguments = campaigns.parse_preset_flags(arguments)
-    out: str | None = None
-    if "--out" in arguments:
-        index = arguments.index("--out")
-        if index + 1 >= len(arguments):
-            raise SystemExit(usage)
-        out = arguments[index + 1]
-        del arguments[index:index + 2]
-    store: str | None = None
-    if "--store" in arguments:
-        index = arguments.index("--store")
-        if index + 1 >= len(arguments):
-            raise SystemExit(usage)
-        store = arguments[index + 1]
-        del arguments[index:index + 2]
-    if len(arguments) != 1:
-        raise SystemExit(usage)
-    name = arguments[0]
-    names = None if name == "all" else [name]
-    if names is not None and name not in campaigns.ARTIFACTS:
+    if args.fast and args.full:
+        args.parser.error("--fast and --full are mutually exclusive")
+    names = None if args.artifact == "all" else [args.artifact]
+    if names is not None and args.artifact not in campaigns.ARTIFACTS:
         known = ", ".join(["all", *campaigns.artifact_names()])
-        raise SystemExit(f"unknown artifact {name!r}; known: {known}")
-    manifest = campaigns.run_campaign(
-        names, preset=preset, output_dir=out, echo=print, store=store
+        args.parser.error(f"unknown artifact {args.artifact!r}; known: {known}")
+    preset = "fast" if args.fast else "full" if args.full else "default"
+    return campaigns.run_campaign(
+        names, preset=preset, output_dir=args.out, echo=print, store=args.store
     )
-    if out is not None:
+
+
+def _experiments(args: argparse.Namespace) -> None:
+    manifest = _campaign(args)
+    if args.out is not None:
         print(f"manifest: {manifest['manifest_path']}")
-    if store is not None:
-        print(f"recorded campaign {manifest['campaign_id']} in {store}")
+    if args.store is not None:
+        print(f"recorded campaign {manifest['campaign_id']} in {args.store}")
 
 
-def _plan(arguments: list[str]) -> None:
+def _runall(args: argparse.Namespace) -> dict:
+    manifest = _campaign(args)
+    print(
+        f"\nall artifacts regenerated in {manifest['output_dir']}/ "
+        f"(preset: {manifest['preset']}; manifest: {manifest['manifest_path']})"
+    )
+    return manifest
+
+
+def _plan(args: argparse.Namespace) -> None:
     from repro.amplification.planning import required_epsilon0
     from repro.core.config import DEFAULT_CONFIG
 
-    if len(arguments) != 2:
-        raise SystemExit("usage: python -m repro plan <n> <target_eps>")
-    n = int(arguments[0])
-    target = float(arguments[1])
+    n, target = args.n, args.target_eps
+    if n < 1:
+        args.parser.error(f"n must be at least 1 user, got {n}")
     delta = DEFAULT_CONFIG.delta
     sum_squared = 1.0 / n
     print(f"planning for n={n}, target central eps={target}, delta={delta}")
@@ -183,6 +243,24 @@ def _load_scenario(source: str) -> "repro.Scenario":
         ) from None
 
 
+def _scenario(args: argparse.Namespace) -> "repro.Scenario":
+    """Install ``--profile-budget`` as process policy; load the scenario.
+
+    The budget caps the memory schedule accounting may spend.  It never
+    changes the computed bits, so it is a flag rather than a field in
+    the scenario JSON.  ``--engine`` overrides the scenario's simulation
+    engine: the knob that switches an archived scenario between backends
+    without editing it.
+    """
+    if getattr(args, "profile_budget", None) is not None:
+        from repro.api import ProfilePolicy, set_profile_policy
+
+        set_profile_policy(ProfilePolicy(memory_budget=args.profile_budget))
+    scenario = _load_scenario(args.scenario)
+    engine = getattr(args, "engine", None)
+    return scenario if engine is None else scenario.updated(engine=engine)
+
+
 def _print_digest(digest: dict, as_json: bool) -> None:
     if as_json:
         import json
@@ -194,106 +272,17 @@ def _print_digest(digest: dict, as_json: bool) -> None:
         print(f"  {key:<{width}} : {value}")
 
 
-def _take_profile_budget(arguments: list[str], usage: str) -> list[str]:
-    """Extract ``--profile-budget VALUE``; installs the policy if given.
-
-    The budget is process policy, not scenario data — it never changes
-    the computed bits, only how much memory schedule accounting may
-    spend getting them — so it is a flag here rather than a field in
-    the scenario JSON.
-    """
-    if "--profile-budget" not in arguments:
-        return arguments
-    index = arguments.index("--profile-budget")
-    if index + 1 >= len(arguments):
-        raise SystemExit(usage)
-    from repro.api import ProfilePolicy, parse_memory_budget, set_profile_policy
-
-    try:
-        budget = parse_memory_budget(arguments[index + 1])
-    except ReproError as error:
-        raise SystemExit(
-            f"--profile-budget: {error_payload(error)['message']}"
-        ) from None
-    set_profile_policy(ProfilePolicy(memory_budget=budget))
-    return arguments[:index] + arguments[index + 2:]
-
-
-def _take_engine(arguments: list[str], usage: str) -> tuple[list[str], str | None]:
-    """Extract ``--engine NAME`` (and ``--require-jit``).
-
-    ``--engine`` overrides the scenario's simulation engine from the
-    command line — the knob that switches an archived scenario between
-    backends without editing it.  ``--require-jit`` makes the array
-    engine fail loudly when numba cannot JIT its kernels (process
-    policy, like ``--profile-budget``): without it the engine silently
-    runs its NumPy round.
-    """
-    if "--require-jit" in arguments:
-        from repro.netsim.kernels import set_require_jit
-
-        set_require_jit(True)
-        arguments = [token for token in arguments if token != "--require-jit"]
-    if "--engine" not in arguments:
-        return arguments, None
-    index = arguments.index("--engine")
-    if index + 1 >= len(arguments):
-        raise SystemExit(usage)
-    from repro.protocols.all_protocol import ENGINES
-
-    engine = arguments[index + 1]
-    if engine not in ENGINES:
-        raise SystemExit(
-            f"--engine: unknown engine {engine!r}; use one of {ENGINES}"
-        )
-    return arguments[:index] + arguments[index + 2:], engine
-
-
-def _run(arguments: list[str]) -> None:
-    usage = (
-        "usage: python -m repro run <scenario.json|-> [--json] "
-        "[--engine fast|vectorized|faithful|compiled] [--require-jit] "
-        "[--profile-budget BYTES|512M|2G]"
-    )
-    as_json = "--json" in arguments
-    arguments = [token for token in arguments if token != "--json"]
-    arguments = _take_profile_budget(arguments, usage)
-    arguments, engine = _take_engine(arguments, usage)
-    if len(arguments) != 1:
-        raise SystemExit(usage)
+def _run(args: argparse.Namespace) -> None:
     from repro.scenario import run
 
-    scenario = _load_scenario(arguments[0])
-    if engine is not None:
-        scenario = scenario.updated(engine=engine)
-    try:
-        result = run(scenario)
-    except ReproError as error:
-        raise SystemExit(
-            f"run failed: {error_payload(error)['message']}"
-        ) from None
-    _print_digest(result.summary(), as_json)
+    _print_digest(run(_scenario(args)).summary(), args.json)
 
 
-def _bound(arguments: list[str]) -> None:
-    usage = (
-        "usage: python -m repro bound <scenario.json|-> [--json] "
-        "[--profile-budget BYTES|512M|2G]"
-    )
-    as_json = "--json" in arguments
-    arguments = [token for token in arguments if token != "--json"]
-    arguments = _take_profile_budget(arguments, usage)
-    if len(arguments) != 1:
-        raise SystemExit(usage)
+def _bound(args: argparse.Namespace) -> None:
     from repro.api import bound, bound_payload
 
-    try:
-        payload = bound_payload(bound(_load_scenario(arguments[0])))
-    except ReproError as error:
-        raise SystemExit(
-            f"bound failed: {error_payload(error)['message']}"
-        ) from None
-    if as_json:
+    payload = bound_payload(bound(_scenario(args)))
+    if args.json:
         import json
 
         print(json.dumps(payload, indent=2))
@@ -307,158 +296,35 @@ def _bound(arguments: list[str]) -> None:
             print(f"    {key:<{width}} : {value}")
 
 
-def _audit(arguments: list[str]) -> None:
-    usage = "usage: python -m repro audit <scenario.json|-> [--trials N] [--json]"
-    as_json = "--json" in arguments
-    arguments = [token for token in arguments if token != "--json"]
-    trials: int | None = None
-    if "--trials" in arguments:
-        index = arguments.index("--trials")
-        if index + 1 >= len(arguments):
-            raise SystemExit(usage)
-        try:
-            trials = int(arguments[index + 1])
-        except ValueError:
-            raise SystemExit(usage) from None
-        del arguments[index:index + 2]
-    if len(arguments) != 1:
-        raise SystemExit(usage)
+def _audit(args: argparse.Namespace) -> None:
     from repro.scenario import audit
 
-    try:
-        result = audit(_load_scenario(arguments[0]), trials=trials)
-    except ReproError as error:
-        raise SystemExit(
-            f"audit failed: {error_payload(error)['message']}"
-        ) from None
-    _print_digest(result.summary(), as_json)
+    _print_digest(audit(_scenario(args), trials=args.trials).summary(), args.json)
 
 
-def _parse_axis_value(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        value = float(token)
-    except ValueError:
-        if token.lower() in ("true", "false"):
-            return token.lower() == "true"
-        return token
-    # Collapse integral floats ("1e6", "4.0") so int-validated builder
-    # params (num_nodes, rounds, ...) accept scientific notation.
-    return int(value) if value.is_integer() else value
-
-
-def _sweep(arguments: list[str]) -> None:
+def _sweep(args: argparse.Namespace) -> None:
     from repro.experiments.reporting import format_table
     from repro.scenario import sweep
 
-    usage = (
-        "usage: python -m repro sweep <scenario.json|-> "
-        "--axis path=v1,v2,... [--axis ...] "
-        "[--mode run|bound|stationary_bound|audit] [--workers N] "
-        "[--store DB] [--campaign NAME] "
-        "[--on-error raise|collect] [--retries N] [--point-timeout S] "
-        "[--engine fast|vectorized|faithful|compiled] [--require-jit] "
-        "[--profile-budget BYTES|512M|2G]"
-    )
-    arguments = _take_profile_budget(arguments, usage)
-    arguments, engine = _take_engine(arguments, usage)
-    source: str | None = None
     axis: dict[str, list] = {}
-    mode = "run"
-    workers = 0
-    store: str | None = None
-    campaign: str | None = None
-    on_error = "raise"
-    retries = 0
-    point_timeout: float | None = None
-    index = 0
-    while index < len(arguments):
-        token = arguments[index]
-        if token == "--axis":
-            index += 1
-            if index >= len(arguments) or "=" not in arguments[index]:
-                raise SystemExit(usage)
-            name, _, raw = arguments[index].partition("=")
-            if name in axis:
-                raise SystemExit(f"duplicate --axis {name!r}; give each path once")
-            axis[name] = [_parse_axis_value(part) for part in raw.split(",") if part]
-        elif token == "--mode":
-            index += 1
-            if index >= len(arguments):
-                raise SystemExit(usage)
-            mode = arguments[index]
-        elif token == "--workers":
-            index += 1
-            if index >= len(arguments):
-                raise SystemExit(usage)
-            try:
-                workers = int(arguments[index])
-            except ValueError:
-                raise SystemExit(usage) from None
-        elif token == "--store":
-            index += 1
-            if index >= len(arguments):
-                raise SystemExit(usage)
-            store = arguments[index]
-        elif token == "--campaign":
-            index += 1
-            if index >= len(arguments):
-                raise SystemExit(usage)
-            campaign = arguments[index]
-        elif token == "--on-error":
-            index += 1
-            if index >= len(arguments):
-                raise SystemExit(usage)
-            on_error = arguments[index]
-        elif token == "--retries":
-            index += 1
-            if index >= len(arguments):
-                raise SystemExit(usage)
-            try:
-                retries = int(arguments[index])
-            except ValueError:
-                raise SystemExit(usage) from None
-        elif token == "--point-timeout":
-            index += 1
-            if index >= len(arguments):
-                raise SystemExit(usage)
-            try:
-                point_timeout = float(arguments[index])
-            except ValueError:
-                raise SystemExit(usage) from None
-        elif source is None:
-            source = token
-        else:
-            raise SystemExit(usage)
-        index += 1
-    if source is None or not axis:
-        raise SystemExit(usage)
-
-    base = _load_scenario(source)
-    if engine is not None:
-        base = base.updated(engine=engine)
-    try:
-        result = sweep(
-            base,
-            axis=axis,
-            mode=mode,
-            workers=workers,
-            store=store,
-            campaign=campaign,
-            on_error=on_error,
-            retries=retries,
-            point_timeout=point_timeout,
-        )
-    except ReproError as error:
-        raise SystemExit(
-            f"sweep failed: {error_payload(error)['message']}"
-        ) from None
-    if store is not None:
+    for name, values in args.axis:
+        if name in axis:
+            args.parser.error(f"duplicate --axis {name!r}; give each path once")
+        axis[name] = values
+    result = sweep(
+        _scenario(args),
+        axis=axis,
+        mode=args.mode,
+        workers=args.workers,
+        store=args.store,
+        campaign=args.campaign,
+        on_error=args.on_error,
+        retries=args.retries,
+        point_timeout=args.point_timeout,
+    )
+    if args.store is not None:
         print(
-            f"store {store}: campaign {result.campaign_id} — "
+            f"store {args.store}: campaign {result.campaign_id} — "
             f"{result.computed} computed, {result.reused} reused"
             + (f", {result.failed} failed" if result.failed else "")
         )
@@ -482,8 +348,8 @@ def _sweep(arguments: list[str]) -> None:
         raise SystemExit(1)
 
     names = list(result.axis)
-    audited = mode == "audit"
-    simulated = mode == "run"
+    audited = args.mode == "audit"
+    simulated = args.mode == "run"
     if not simulated and not audited:
         # Accounting-only grids need no extra columns; the shared
         # SweepResult renderer covers them.
@@ -518,181 +384,225 @@ def _sweep(arguments: list[str]) -> None:
     _report_failures()
 
 
-def _results(arguments: list[str]) -> None:
-    usage = (
-        "usage: python -m repro results <query|diff|gc|campaigns> "
-        "--store DB ...\n"
-        "  query     [--x AXIS] [--y METRIC] [--group-by AXIS] "
-        "[--mode M] [--campaign C] [--json]\n"
-        "  diff      <campaign_a> <campaign_b> [--json]\n"
-        "  gc        [--dry-run]\n"
-        "  campaigns"
-    )
-    if not arguments:
-        raise SystemExit(usage)
-    action, rest = arguments[0], arguments[1:]
-    if action not in ("query", "diff", "gc", "campaigns"):
-        raise SystemExit(usage)
-
-    as_json = "--json" in rest
-    rest = [token for token in rest if token != "--json"]
-    dry_run = "--dry-run" in rest
-    rest = [token for token in rest if token != "--dry-run"]
-    options: dict[str, str] = {}
-    positional: list[str] = []
-    index = 0
-    while index < len(rest):
-        token = rest[index]
-        if token.startswith("--"):
-            index += 1
-            if index >= len(rest):
-                raise SystemExit(usage)
-            options[token[2:].replace("-", "_")] = rest[index]
-        else:
-            positional.append(token)
-        index += 1
-    store_path = options.pop("store", None)
-    if store_path is None:
-        raise SystemExit(usage)
-
+def _results(args: argparse.Namespace) -> None:
     import json
 
     from repro.store import ResultsStore, aggregate, diff, diff_is_empty
 
-    try:
-        with ResultsStore(store_path) as store:
-            if action == "query":
-                known = {"x", "y", "group_by", "mode", "campaign"}
-                unknown = set(options) - known
-                if unknown or positional:
-                    raise SystemExit(usage)
-                rows = aggregate(
-                    store,
-                    x=options.get("x", "rounds"),
-                    y=options.get("y", "epsilon"),
-                    group_by=options.get("group_by", "graph_kind"),
-                    mode=options.get("mode"),
-                    campaign=options.get("campaign"),
+    with ResultsStore(args.store) as store:
+        if args.action == "query":
+            rows = aggregate(
+                store,
+                x=args.x,
+                y=args.y,
+                group_by=args.group_by,
+                mode=args.mode,
+                campaign=args.campaign,
+            )
+            if args.json:
+                print(json.dumps(rows, indent=2))
+                return
+            from repro.experiments.reporting import format_table
+
+            headers = [args.group_by, args.x, f"mean {args.y}", "min", "max", "points"]
+            print(format_table(headers, [
+                (
+                    row["group"], row["x"], round(row["mean"], 6),
+                    round(row["min"], 6), round(row["max"], 6),
+                    row["points"],
                 )
-                if as_json:
-                    print(json.dumps(rows, indent=2))
-                    return
-                from repro.experiments.reporting import format_table
+                for row in rows
+            ]))
+        elif args.action == "diff":
+            report = diff(store, args.campaign_a, args.campaign_b)
+            if args.json:
+                print(json.dumps(report, indent=2))
+            elif diff_is_empty(report):
+                print(
+                    f"campaigns {report['campaign_a']} and "
+                    f"{report['campaign_b']}: no differences "
+                    f"({report['matched']} matched points)"
+                )
+            else:
+                print(
+                    f"campaigns {report['campaign_a']} vs "
+                    f"{report['campaign_b']}: "
+                    f"{len(report['only_a'])} only in a, "
+                    f"{len(report['only_b'])} only in b, "
+                    f"{len(report['changed'])} changed"
+                )
+                for entry in report["changed"]:
+                    print(
+                        f"  {entry['scenario_hash'][:12]} "
+                        f"[{entry['mode']}]: "
+                        + ", ".join(
+                            f"{name} {change['a']} -> {change['b']}"
+                            for name, change in entry["changes"].items()
+                        )
+                    )
+            if not diff_is_empty(report):
+                raise SystemExit(1)
+        elif args.action == "gc":
+            counts = store.gc(dry_run=args.dry_run)
+            verb = "would delete" if args.dry_run else "deleted"
+            for table, count in counts.items():
+                print(f"  {verb} {count} {table}")
+        else:  # campaigns
+            if args.json:
+                print(json.dumps(store.campaigns(), indent=2))
+                return
+            from repro.experiments.reporting import format_table
 
-                group = options.get("group_by", "graph_kind")
-                x = options.get("x", "rounds")
-                y = options.get("y", "epsilon")
-                headers = [group, x, f"mean {y}", "min", "max", "points"]
-                print(format_table(headers, [
+            print(format_table(
+                ["id", "name", "status", "preset", "code version",
+                 "created", "points", "artifacts"],
+                [
                     (
-                        row["group"], row["x"], round(row["mean"], 6),
-                        round(row["min"], 6), round(row["max"], 6),
-                        row["points"],
+                        entry["id"], entry["name"], entry["status"],
+                        entry["preset"] or "-", entry["code_version"],
+                        entry["created_at"], entry["points"],
+                        entry["artifacts"],
                     )
-                    for row in rows
-                ]))
-            elif action == "diff":
-                if len(positional) != 2 or options:
-                    raise SystemExit(usage)
-                report = diff(store, positional[0], positional[1])
-                if as_json:
-                    print(json.dumps(report, indent=2))
-                elif diff_is_empty(report):
-                    print(
-                        f"campaigns {report['campaign_a']} and "
-                        f"{report['campaign_b']}: no differences "
-                        f"({report['matched']} matched points)"
-                    )
-                else:
-                    print(
-                        f"campaigns {report['campaign_a']} vs "
-                        f"{report['campaign_b']}: "
-                        f"{len(report['only_a'])} only in a, "
-                        f"{len(report['only_b'])} only in b, "
-                        f"{len(report['changed'])} changed"
-                    )
-                    for entry in report["changed"]:
-                        print(
-                            f"  {entry['scenario_hash'][:12]} "
-                            f"[{entry['mode']}]: "
-                            + ", ".join(
-                                f"{name} {change['a']} -> {change['b']}"
-                                for name, change in entry["changes"].items()
-                            )
-                        )
-                if not diff_is_empty(report):
-                    raise SystemExit(1)
-            elif action == "gc":
-                if positional or options:
-                    raise SystemExit(usage)
-                counts = store.gc(dry_run=dry_run)
-                verb = "would delete" if dry_run else "deleted"
-                for table, count in counts.items():
-                    print(f"  {verb} {count} {table}")
-            else:  # campaigns
-                if positional or options:
-                    raise SystemExit(usage)
-                if as_json:
-                    print(json.dumps(store.campaigns(), indent=2))
-                    return
-                from repro.experiments.reporting import format_table
-
-                print(format_table(
-                    ["id", "name", "status", "preset", "code version",
-                     "created", "points", "artifacts"],
-                    [
-                        (
-                            entry["id"], entry["name"], entry["status"],
-                            entry["preset"] or "-", entry["code_version"],
-                            entry["created_at"], entry["points"],
-                            entry["artifacts"],
-                        )
-                        for entry in store.campaigns()
-                    ],
-                ))
-    except ReproError as error:
-        raise SystemExit(
-            f"results {action} failed: {error_payload(error)['message']}"
-        ) from None
+                    for entry in store.campaigns()
+                ],
+            ))
 
 
-def main(argv: list[str] | None = None) -> None:
-    """Dispatch the CLI."""
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    if not arguments or arguments[0] in ("info", "-h", "--help"):
-        _info()
-        return
-    command, rest = arguments[0], arguments[1:]
-    if command in _ARTIFACTS:
-        _artifact(command)
-    elif command == "experiments":
-        _experiments(rest)
-    elif command == "runall":
-        from repro.experiments.runall import main as runall_main
+def _serve(args: argparse.Namespace) -> None:
+    import asyncio
 
-        runall_main(rest)
-    elif command == "plan":
-        _plan(rest)
-    elif command == "run":
-        _run(rest)
-    elif command == "bound":
-        _bound(rest)
-    elif command == "audit":
-        _audit(rest)
-    elif command == "sweep":
-        _sweep(rest)
-    elif command == "results":
-        _results(rest)
-    elif command == "serve":
-        from repro.serve import main as serve_main
+    from repro.serve import serve
 
-        serve_main(rest)
-    else:
-        known = ", ".join(
-            ("info", *_ARTIFACTS, "experiments", "runall", "plan", "run",
-             "bound", "audit", "sweep", "results", "serve")
+    try:
+        asyncio.run(
+            serve(
+                host=args.host,
+                port=args.port,
+                workers=args.workers,
+                spill_dir=args.spill_dir,
+                max_queue=args.max_queue,
+                store=args.store,
+                job_timeout=args.job_timeout,
+                profile_budget=args.profile_budget,
+                engine=args.engine,
+            )
         )
-        raise SystemExit(f"unknown command {command!r}; known: {known}")
+    except KeyboardInterrupt:
+        pass
+
+
+def _parser() -> tuple[_Parser, dict]:
+    """The whole command line as one argparse tree.
+
+    Returns the root parser and its ``{command: subparser}`` map.  Every
+    subparser records its ``handler`` and itself (``parser``, for usage
+    errors raised after parsing) as defaults.
+    """
+    scenario = _Parser(add_help=False)
+    scenario.add_argument("scenario", metavar="scenario.json|-")
+    as_json = _Parser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    budget = _Parser(add_help=False)
+    budget.add_argument("--profile-budget", type=_memory_budget, metavar="BYTES|512M|2G")
+    engine = _Parser(add_help=False)
+    engine.add_argument("--engine", type=_engine,
+                        metavar="fast|vectorized|faithful|compiled")
+    engine.add_argument("--require-jit", action="store_true")
+    preset = _Parser(add_help=False)
+    preset.add_argument("--fast", action="store_true")
+    preset.add_argument("--full", action="store_true")
+    store = _Parser(add_help=False)
+    store.add_argument("--store", required=True, metavar="DB")
+
+    root = _Parser(prog=_PROG, add_help=False)
+    commands = root.add_subparsers(dest="command")
+
+    def command(name, handler, *parents, under=commands) -> _Parser:
+        parser = under.add_parser(name, parents=parents, allow_abbrev=False)
+        parser.set_defaults(handler=handler, parser=parser)
+        return parser
+
+    command("info", _info)
+    for name in _ARTIFACTS:
+        command(name, _artifact)
+    experiments = command("experiments", _experiments, preset)
+    experiments.add_argument("artifact", metavar="artifact|all")
+    experiments.add_argument("--out", metavar="DIR")
+    experiments.add_argument("--store", metavar="DB")
+    runall = command("runall", _runall, preset)
+    runall.add_argument("out", nargs="?", default="experiments_output", metavar="dir")
+    runall.set_defaults(artifact="all", store=None)
+    plan = command("plan", _plan)
+    plan.add_argument("n", type=int)
+    plan.add_argument("target_eps", type=float)
+    command("run", _run, scenario, as_json, engine, budget)
+    command("bound", _bound, scenario, as_json, budget)
+    audit = command("audit", _audit, scenario, as_json)
+    audit.add_argument("--trials", type=int, metavar="N")
+    sweep = command("sweep", _sweep, scenario, engine, budget)
+    sweep.add_argument("--axis", type=_axis, action="append", required=True,
+                       metavar="path=v1,v2,...")
+    sweep.add_argument("--mode", default="run",
+                       metavar="run|bound|stationary_bound|audit")
+    sweep.add_argument("--workers", type=int, default=0, metavar="N")
+    sweep.add_argument("--store", metavar="DB")
+    sweep.add_argument("--campaign", metavar="NAME")
+    sweep.add_argument("--on-error", default="raise", metavar="raise|collect")
+    sweep.add_argument("--retries", type=int, default=0, metavar="N")
+    sweep.add_argument("--point-timeout", type=float, metavar="S")
+    actions = command("results", None).add_subparsers(dest="action", required=True)
+    query = command("query", _results, store, as_json, under=actions)
+    query.add_argument("--x", default="rounds", metavar="AXIS")
+    query.add_argument("--y", default="epsilon", metavar="METRIC")
+    query.add_argument("--group-by", default="graph_kind", metavar="AXIS")
+    query.add_argument("--mode", metavar="M")
+    query.add_argument("--campaign", metavar="C")
+    diff = command("diff", _results, store, as_json, under=actions)
+    diff.add_argument("campaign_a")
+    diff.add_argument("campaign_b")
+    gc = command("gc", _results, store, under=actions)
+    gc.add_argument("--dry-run", action="store_true")
+    command("campaigns", _results, store, as_json, under=actions)
+    serve = command("serve", _serve, engine, budget)
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=int, default=8777)
+    serve.add_argument("--workers", type=int, default=2, metavar="N")
+    serve.add_argument("--spill-dir", metavar="DIR")
+    serve.add_argument("--store", metavar="DB")
+    serve.add_argument("--max-queue", type=int, metavar="N")
+    serve.add_argument("--job-timeout", type=float, metavar="SECONDS")
+    return root, commands.choices
+
+
+def main(argv: list[str] | None = None):
+    """Dispatch the CLI; returns the command handler's result."""
+    arguments = list(sys.argv[1:] if argv is None else argv)
+    if not arguments or arguments[0] in ("-h", "--help"):
+        _info()
+        return None
+    parser, commands = _parser()
+    if arguments[0] not in commands:
+        known = ", ".join(commands)
+        raise SystemExit(f"unknown command {arguments[0]!r}; known: {known}")
+    args, extra = parser.parse_known_args(arguments)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if getattr(args, "require_jit", False):
+        # Process policy like --profile-budget: the array engine fails
+        # loudly when numba cannot JIT its kernels instead of silently
+        # running its NumPy round.
+        from repro.netsim.kernels import set_require_jit
+
+        set_require_jit(True)
+    try:
+        return args.handler(args)
+    except ReproError as error:
+        # "run failed: ...", "results query failed: ...": the message is
+        # the serving tier's ``message`` for the same fault.
+        label = args.parser.prog[len(_PROG) + 1:]
+        raise SystemExit(
+            f"{label} failed: {error_payload(error)['message']}"
+        ) from None
 
 
 if __name__ == "__main__":

@@ -45,27 +45,6 @@ from repro.experiments.config import ExperimentConfig
 PRESETS = ("default", "fast", "full")
 
 
-def parse_preset_flags(arguments: List[str]) -> tuple:
-    """Strip ``--fast``/``--full`` from CLI arguments.
-
-    Returns ``(preset, remaining_arguments)``; the combination is
-    contradictory and exits loudly.  Shared by ``python -m repro
-    experiments`` and ``runall`` so the two entry points cannot drift.
-    """
-    if "--fast" in arguments and "--full" in arguments:
-        raise SystemExit("--fast and --full are mutually exclusive")
-    preset = "default"
-    remaining = []
-    for token in arguments:
-        if token == "--fast":
-            preset = "fast"
-        elif token == "--full":
-            preset = "full"
-        else:
-            remaining.append(token)
-    return preset, remaining
-
-
 @dataclass(frozen=True)
 class Artifact:
     """One paper artifact: its title and per-preset text generators."""

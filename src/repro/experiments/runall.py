@@ -19,7 +19,6 @@ stand-in, or ``--fast`` for the toy-scale CI smoke preset.
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 from typing import Callable, Dict, Optional
 
 from repro.experiments import campaigns
@@ -35,19 +34,13 @@ def artifact_generators(full: bool) -> Dict[str, Callable[[], str]]:
 
 
 def main(argv: Optional[list] = None) -> Dict[str, object]:
-    """Regenerate all artifacts; returns (and writes) the manifest."""
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    preset, arguments = campaigns.parse_preset_flags(arguments)
-    output_dir = Path(arguments[0]) if arguments else Path("experiments_output")
+    """Regenerate all artifacts; returns (and writes) the manifest.
 
-    manifest = campaigns.run_campaign(
-        preset=preset, output_dir=output_dir, echo=print
-    )
-    print(
-        f"\nall artifacts regenerated in {output_dir}/ "
-        f"(preset: {preset}; manifest: {manifest['manifest_path']})"
-    )
-    return manifest
+    The same command as ``python -m repro runall``.
+    """
+    from repro.__main__ import main as cli
+
+    return cli(["runall", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

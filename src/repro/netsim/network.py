@@ -22,7 +22,7 @@ the fast one (see ``tests/netsim/test_engine.py``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -253,37 +253,18 @@ class RoundBasedNetwork:
     # ------------------------------------------------------------------
     # Final delivery & queries
     # ------------------------------------------------------------------
-    def deliver_to_server(
-        self,
-        select: Optional[Callable[[int, List[Any], np.random.Generator], List[Any]]] = None,
-    ) -> None:
-        """Final round: each user sends her (selected) items to the server.
-
-        ``select(node_id, held_items, rng)`` chooses what to deliver;
-        the default delivers everything (the "all" protocol).  The
-        selection sees the full held list so the "single" protocol can
-        sample or substitute a dummy.
-        """
-        if self._engine is not None and select is None:
+    def deliver_to_server(self) -> None:
+        """Final round: each user sends every held item to the server."""
+        if self._engine is not None:
             self.meters.messages_sent += self._engine.held_counts()
             order = self._engine.drain()
             senders = self._engine.token_position[order]
             payloads = [self._payloads[token] for token in order]
             self.server.deliver_many(senders.tolist(), payloads)
             return
-        if self._engine is not None:
-            held_lists = self.drain_held()
-            for node_id, held in enumerate(held_lists):
-                chosen = select(node_id, held, self.rng)
-                for item in chosen:
-                    self.meters.messages_sent[node_id] += 1
-                    self.server.deliver(node_id, item)
-            return
         for node_id in range(self.num_users):
             node = self.nodes[node_id]
-            held = node.take_all()
-            chosen = held if select is None else select(node_id, held, self.rng)
-            for item in chosen:
+            for item in node.take_all():
                 node.meter.record_send()
                 self.server.deliver(node_id, item)
 

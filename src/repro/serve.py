@@ -195,6 +195,12 @@ class ReproService:
             raise ValidationError(
                 f"job_timeout must be positive seconds, got {job_timeout!r}"
             )
+        if workers < 1:
+            raise ValidationError(f"workers must be at least 1, got {workers!r}")
+        if max_queue is not None and max_queue < 0:
+            raise ValidationError(
+                f"max_queue must be non-negative, got {max_queue!r}"
+            )
         if engine is not None:
             from repro.protocols.all_protocol import ENGINES
 
@@ -209,12 +215,12 @@ class ReproService:
         self._job_timeout = job_timeout
         self._store_errors = 0
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, int(workers)), thread_name_prefix="repro-job"
+            max_workers=int(workers), thread_name_prefix="repro-job"
         )
         self._jobs: "OrderedDict[str, _Job]" = OrderedDict()
         self._jobs_lock = threading.Lock()
         self._retain_jobs = int(retain_jobs)
-        self._max_queue = None if max_queue is None else max(0, int(max_queue))
+        self._max_queue = None if max_queue is None else int(max_queue)
         self._metrics: Dict[str, _RouteMetrics] = {}
         self._spill_attached = spill_dir is not None
         if spill_dir is not None:
@@ -892,77 +898,7 @@ class ServerHandle:
 
 
 def main(arguments: list) -> None:
-    """``python -m repro serve [--host H] [--port P] [--workers N]
-    [--spill-dir DIR] [--store DB] [--max-queue N] [--job-timeout S]
-    [--profile-budget BYTES] [--engine NAME] [--require-jit]``.
+    """``python -m repro serve [flags]``; ``-h`` lists the flags."""
+    from repro.__main__ import main as cli
 
-    ``--engine`` takes ``vectorized`` or ``faithful`` (``fast`` and
-    ``compiled`` are aliases of ``vectorized``); ``--require-jit`` makes
-    the process refuse to run the array engine without numba kernels.
-    """
-    usage = (
-        "usage: python -m repro serve [--host HOST] [--port PORT] "
-        "[--workers N] [--spill-dir DIR] [--store DB] [--max-queue N] "
-        "[--job-timeout SECONDS] [--profile-budget BYTES|512M|2G] "
-        "[--engine fast|vectorized|faithful|compiled] [--require-jit]"
-    )
-    host, port, workers, spill_dir = "127.0.0.1", 8777, 2, None
-    store: Optional[str] = None
-    max_queue: Optional[int] = None
-    job_timeout: Optional[float] = None
-    profile_budget: Optional[int] = None
-    engine: Optional[str] = None
-    index = 0
-    while index < len(arguments):
-        flag = arguments[index]
-        index += 1
-        if flag in ("-h", "--help"):
-            raise SystemExit(usage)
-        if flag == "--require-jit":
-            from repro.netsim.kernels import set_require_jit
-
-            set_require_jit(True)
-            continue
-        if index >= len(arguments):
-            raise SystemExit(usage)
-        value = arguments[index]
-        index += 1
-        try:
-            if flag == "--host":
-                host = value
-            elif flag == "--port":
-                port = int(value)
-            elif flag == "--workers":
-                workers = int(value)
-            elif flag == "--spill-dir":
-                spill_dir = value
-            elif flag == "--store":
-                store = value
-            elif flag == "--max-queue":
-                max_queue = int(value)
-            elif flag == "--job-timeout":
-                job_timeout = float(value)
-            elif flag == "--profile-budget":
-                profile_budget = api.parse_memory_budget(value)
-            elif flag == "--engine":
-                engine = value
-            else:
-                raise SystemExit(usage)
-        except (ValueError, ValidationError):
-            raise SystemExit(usage) from None
-    try:
-        asyncio.run(
-            serve(
-                host=host,
-                port=port,
-                workers=workers,
-                spill_dir=spill_dir,
-                max_queue=max_queue,
-                store=store,
-                job_timeout=job_timeout,
-                profile_budget=profile_budget,
-                engine=engine,
-            )
-        )
-    except KeyboardInterrupt:
-        pass
+    cli(["serve", *arguments])

@@ -394,13 +394,6 @@ class TestVectorizedEngineApi:
         with pytest.raises(KeyError):
             board.meter(99)
 
-    def test_deliver_with_selection_vectorized(self, k4):
-        network = RoundBasedNetwork(k4, rng=0, backend="vectorized")
-        network.seed_items({i: [f"item-{i}"] for i in range(4)})
-        network.run_exchange(1)
-        network.deliver_to_server(select=lambda node, held, rng: held[:1])
-        assert len(network.server) <= 4
-
 
 def _three_phase_schedule(n: int = 50) -> DynamicGraphSchedule:
     return DynamicGraphSchedule([

@@ -96,13 +96,6 @@ class TestRoundBasedNetwork:
         assert len(network.server) == 4
         assert network.held_counts().sum() == 0
 
-    def test_deliver_with_selection(self, k4):
-        network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({i: [f"item-{i}"] for i in range(4)})
-        network.run_exchange(1)
-        network.deliver_to_server(select=lambda node, held, rng: held[:1])
-        assert len(network.server) <= 4
-
     def test_server_records_sender(self, k4):
         network = RoundBasedNetwork(k4, rng=0)
         network.seed_items({0: ["x"]})

@@ -375,6 +375,32 @@ class TestBackPressure:
             service.close()
 
 
+class TestServiceLimits:
+    """Out-of-range pool and queue sizes are refused, not clamped."""
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_refused(self, workers):
+        from repro.exceptions import ValidationError
+
+        with pytest.raises(ValidationError, match="workers"):
+            ReproService(workers=workers)
+
+    def test_negative_max_queue_refused(self):
+        from repro.exceptions import ValidationError
+
+        with pytest.raises(ValidationError, match="max_queue"):
+            ReproService(workers=1, max_queue=-1)
+
+    def test_cli_exits_cleanly_on_negative_max_queue(self, monkeypatch):
+        from repro.serve import main
+
+        async def refuse_to_boot(self, host, port):
+            raise AssertionError("an invalid service must not boot")
+
+        monkeypatch.setattr(ReproService, "start", refuse_to_boot)
+        with pytest.raises(SystemExit, match="serve failed: max_queue"):
+            main(["--port", "0", "--max-queue", "-1"])
+
 class TestJobPersistence:
     def test_finished_jobs_survive_restart(self, tmp_path):
         store = str(tmp_path / "serve.sqlite")

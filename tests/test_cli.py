@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro import Scenario
@@ -571,3 +573,72 @@ class TestEngineFlag:
         ])
         output = capsys.readouterr().out
         assert "compiled" in output
+
+
+def _command_paths():
+    """Every command in the CLI tree, the nested ``results`` actions too."""
+    from repro.__main__ import _parser
+
+    _, commands = _parser()
+    paths = []
+    for name, parser in commands.items():
+        paths.append([name])
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                paths.extend([name, nested] for nested in action.choices)
+    return paths
+
+
+class TestCommandTree:
+    @pytest.mark.parametrize("path", _command_paths(), ids=" ".join)
+    def test_every_command_prints_help(self, path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*path, "-h"])
+        assert excinfo.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("arguments", [[], ["--help"]])
+    def test_bare_and_help_print_info_banner(self, arguments, capsys):
+        main(arguments)
+        assert "Network Shuffling" in capsys.readouterr().out
+
+
+class TestMalformedInput:
+    """Input that used to crash or be silently ignored is a usage error."""
+
+    def test_plan_non_numeric_is_usage_error(self):
+        with pytest.raises(SystemExit, match="usage"):
+            main(["plan", "100", "abc"])
+
+    def test_plan_rejects_empty_population(self):
+        with pytest.raises(SystemExit, match="n must be at least 1"):
+            main(["plan", "0", "1.0"])
+
+    @pytest.mark.parametrize(
+        "arguments", [["--out", "somewhere"], ["one", "two"]], ids=" ".join
+    )
+    def test_runall_rejects_stray_arguments(
+        self, arguments, tmp_path, monkeypatch
+    ):
+        from repro.experiments import campaigns
+
+        monkeypatch.chdir(tmp_path)
+        stub = campaigns.Artifact(
+            name="table1", title="stub", default=lambda: "stub",
+            fast=lambda: "stub",
+        )
+        monkeypatch.setattr(campaigns, "ARTIFACTS", {"table1": stub})
+        with pytest.raises(SystemExit, match="usage"):
+            main(["runall", *arguments])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["info", "table1"])
+    def test_flagless_commands_reject_flags(self, command):
+        with pytest.raises(SystemExit, match="unrecognized arguments: --full"):
+            main([command, "--full"])
+
+    def test_abbreviated_flags_are_rejected(self, scenario_file):
+        # Only the declared spellings parse: argparse's prefix matching
+        # would otherwise accept ``--work`` for ``--workers``.
+        with pytest.raises(SystemExit, match="unrecognized arguments: --work"):
+            main(["sweep", scenario_file, "--axis", "rounds=2", "--work", "2"])
