@@ -20,7 +20,8 @@ Types
 Error taxonomy
     :class:`ReproError` and friends, plus :func:`http_status_for` /
     :func:`error_payload` — one exception -> HTTP status -> wire
-    payload mapping shared by the CLI and the service.
+    payload mapping shared by the CLI and the service;
+    :class:`AccountingError` when the spectral-gap solve fails.
 Cache telemetry
     :func:`cache_stats` / :func:`sampler_stats` — the process-wide
     graph cache and kernel-sampler memo counters the serving tier's
@@ -66,6 +67,7 @@ from repro.auditing.auditor import (
     should_memoize,
 )
 from repro.exceptions import (
+    AccountingError,
     BackendUnavailableError,
     ExecutionTimeoutError,
     InvalidScenarioError,
@@ -112,6 +114,7 @@ from repro.store import aggregate as store_aggregate
 from repro.store import diff as store_diff
 
 __all__ = [
+    "AccountingError",
     "AuditResult",
     "BackendUnavailableError",
     "DEFAULT_MEMORY_BUDGET",

@@ -135,6 +135,16 @@ class InvalidPrivacyParameterError(PrivacyError, ValidationError):
     """An ``epsilon`` or ``delta`` value is outside its valid range."""
 
 
+class AccountingError(ReproError):
+    """A numerical solver behind a privacy figure failed.
+
+    Raised when the Lanczos solve for the spectral gap does not converge
+    or returns a non-finite eigenvalue: the Theorem 5.3-5.6 bounds and
+    the mixing time cannot be priced, so the request fails loudly
+    instead of surfacing a raw SciPy error.  Mapped to HTTP 500.
+    """
+
+
 class BudgetExceededError(PrivacyError):
     """A privacy accountant's budget has been exhausted."""
 

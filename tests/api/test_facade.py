@@ -12,6 +12,7 @@ import pytest
 
 from repro import api
 from repro.exceptions import (
+    AccountingError,
     BackendUnavailableError,
     BudgetExceededError,
     InvalidScenarioError,
@@ -117,6 +118,7 @@ class TestHttpContract:
             (ValidationError("bad arg"), 400),
             (BudgetExceededError("spent"), 409),
             (BackendUnavailableError("no jit"), 501),
+            (AccountingError("no convergence"), 500),
             (ReproError("boom"), 500),
             (RuntimeError("not ours"), 500),
         ],
@@ -138,6 +140,12 @@ class TestHttpContract:
         assert http_status_for(ScheduleRefusedError("x")) != http_status_for(
             ValidationError("x")
         )
+
+
+class TestSolverFailure:
+    def test_bound_raises_accounting_error(self, stalled_lanczos):
+        with pytest.raises(AccountingError, match="Lanczos solve failed"):
+            api.bound(api.parse_scenario(stalled_lanczos))
 
 
 class TestCacheTelemetry:

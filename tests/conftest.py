@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from repro.graphs.generators import (
     complete_graph,
@@ -41,3 +42,28 @@ def triangle() -> Graph:
 def k4() -> Graph:
     """Complete graph on four nodes."""
     return complete_graph(4)
+
+
+@pytest.fixture
+def stalled_lanczos(monkeypatch):
+    """Make every ARPACK solve raise ``ArpackNoConvergence``.
+
+    Yields a scenario past the dense-eigensolver limit, so pricing it
+    needs the stalled sparse solve.  The graph cache is cleared around
+    the test so no summary leaks between tests.
+    """
+    from repro.graphs import spectral
+    from repro.scenario import clear_graph_cache
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    clear_graph_cache()
+    monkeypatch.setattr(spectral.spla, "eigsh", stalled)
+    yield {
+        "graph": {"kind": "k_regular", "params": {"degree": 4, "num_nodes": 1600}},
+        "mechanism": {"kind": "rr", "params": {"epsilon": 1.0}},
+        "rounds": 4,
+        "seed": 5,
+    }
+    clear_graph_cache()

@@ -5,14 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import GraphError, NotErgodicError
+from repro.exceptions import AccountingError, GraphError, NotErgodicError
+from repro.graphs import spectral
 from repro.graphs.generators import (
+    barabasi_albert_graph,
     complete_graph,
     cycle_graph,
+    grid_graph,
     random_regular_graph,
+    watts_strogatz_graph,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.spectral import (
+    deflated_spectral_gap,
     mixing_time,
     normalized_adjacency,
     normalized_adjacency_eigenvalues,
@@ -122,6 +127,60 @@ class TestSpectralGap:
         g4 = spectral_gap(random_regular_graph(4, 200, rng=0))
         g16 = spectral_gap(random_regular_graph(16, 200, rng=0))
         assert g16 > g4
+
+
+def _dense_gap(graph):
+    eigenvalues = np.linalg.eigvalsh(normalized_adjacency(graph).toarray())
+    return max(min(1.0 - eigenvalues[-2], 1.0 - abs(eigenvalues[0])), 0.0)
+
+
+class TestDeflatedSolve:
+    """The sparse path: one Lanczos solve with ``sqrt(pi)`` deflated."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            complete_graph(400),
+            cycle_graph(301),
+            random_regular_graph(3, 600, rng=0),
+            barabasi_albert_graph(500, 2, rng=0),
+            watts_strogatz_graph(500, 4, 0.2, rng=0),
+            grid_graph(15, 13, periodic=True),
+        ],
+        ids=["complete", "odd-cycle", "3-regular", "ba", "ws", "odd-torus"],
+    )
+    def test_matches_dense_oracle(self, graph):
+        assert abs(deflated_spectral_gap(graph) - _dense_gap(graph)) <= 1e-12
+
+    def test_matches_two_sided_lanczos(self):
+        graph = random_regular_graph(6, 2000, rng=0)
+        eigenvalues = normalized_adjacency_eigenvalues(graph)
+        two_sided = min(1.0 - eigenvalues[1], 1.0 - abs(eigenvalues[-1]))
+        assert spectral_gap(graph) == pytest.approx(two_sided, abs=1e-12)
+
+    def test_repeat_summaries_are_identical(self):
+        graph = random_regular_graph(6, 2000, rng=3)
+        assert spectral_summary(graph) == spectral_summary(graph)
+
+    def test_leaves_global_rng_untouched(self):
+        graph = random_regular_graph(6, 2000, rng=4)
+        before = np.random.get_state()
+        spectral_gap(graph)
+        after = np.random.get_state()
+        assert before[0] == after[0]
+        np.testing.assert_array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+
+    def test_no_convergence_is_typed(self, stalled_lanczos):
+        with pytest.raises(AccountingError, match="Lanczos solve failed"):
+            spectral_gap(random_regular_graph(6, 2000, rng=0))
+
+    def test_non_finite_eigenvalue_is_typed(self, monkeypatch):
+        monkeypatch.setattr(
+            spectral.spla, "eigsh", lambda *args, **kwargs: np.array([np.nan])
+        )
+        with pytest.raises(AccountingError, match="non-finite"):
+            spectral_gap(random_regular_graph(6, 2000, rng=0))
 
 
 class TestMixingTime:

@@ -261,6 +261,15 @@ class TestErrorTaxonomy:
             main(["run", str(path)])
         assert payload["message"] in str(excinfo.value)
 
+    def test_solver_failure_is_typed(self, client, stalled_lanczos):
+        # A stalled Lanczos solve surfaces through the taxonomy, not as
+        # a raw SciPy exception.
+        status, payload = request(client, "POST", "/bound",
+                                  {"scenario": stalled_lanczos})
+        assert status == 500
+        assert payload["error"] == "AccountingError"
+        assert "Lanczos solve failed" in payload["message"]
+
     def test_unknown_route_is_404(self, client):
         status, payload = request(client, "GET", "/nope")
         assert status == 404

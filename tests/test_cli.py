@@ -128,6 +128,23 @@ class TestScenarioCommands:
         assert "epsilon" in output
         assert "theorem" in output
 
+    def test_bound_solver_failure_is_the_typed_message(
+        self, stalled_lanczos, tmp_path
+    ):
+        import json
+
+        from repro.api import AccountingError, bound, error_payload, parse_scenario
+
+        with pytest.raises(AccountingError) as raised:
+            bound(parse_scenario(stalled_lanczos))
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(stalled_lanczos))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bound", str(path)])
+        assert str(excinfo.value) == (
+            f"bound failed: {error_payload(raised.value)['message']}"
+        )
+
     def test_bound_schedule_scenario_shows_accounting(
         self, schedule_scenario_file, capsys
     ):
