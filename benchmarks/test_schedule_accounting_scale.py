@@ -8,10 +8,11 @@ per-topology transition CSRs, regardless of ``n``.
 
 The bench asserts the two halves of the claim separately: bounded peak
 allocation (tracemalloc, via the ``memory_watch`` fixture) and a sound,
-finite guarantee out the other end.  The pytest-benchmark figure tracks
+finite guarantee out the other end.  The pytest-benchmark figures track
 the store-backed warm path — resuming every block from its spilled
 ``.npz`` instead of re-evolving it — which is what ascending-``rounds``
-sweeps pay per point.
+sweeps pay per point, and the one-block range: a 2000-node profile that
+fits the default budget and so stays one panel in memory.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def test_100k_node_churn_bound_within_memory_budget(memory_watch):
 
     assert elapsed < _TIME_BUDGET_SECONDS
     assert watch.peak_bytes < _PEAK_CEILING
-    # The budget forced the escalation — dense would need ~160 GB.
+    # The budget forced several blocks — one would need ~160 GB.
     assert accounting["strategy"] == "blocked"
     assert accounting["blocks"] > 1
     # And the result is still the exact accounting, not an approximation.
@@ -159,3 +160,62 @@ def test_bench_profile_store_warm_resume(benchmark, spilled_store_directory):
 
     collisions, _ = benchmark(warm_resume)
     assert collisions.shape == (_RESUME_NODES,)
+
+
+_ONE_BLOCK_NODES = 2_000
+_ONE_BLOCK_SWEEP = (2, 4, 8, 12, 16)
+
+
+def _one_block_scenario(rounds: int):
+    return parse_scenario({
+        "graph": {"kind": "schedule", "params": {
+            "base": {
+                "kind": "k_regular",
+                "params": {"degree": _DEGREE, "num_nodes": _ONE_BLOCK_NODES},
+            },
+            "phases": 3,
+        }},
+        "mechanism": {"kind": "rr", "params": {"epsilon": 1.0}},
+        "rounds": rounds,
+        "seed": 0,
+    })
+
+
+@pytest.mark.parametrize("rounds", [4, 8])
+def test_bench_one_block_bound(benchmark, rounds):
+    """pytest-benchmark figure: a cold ``bound`` whose profile is one block.
+
+    Every round starts from an empty graph cache, so the figure is the
+    single-shot cost a CLI user pays: schedule build plus one in-memory
+    panel evolved ``rounds`` steps.
+    """
+    scenario = _one_block_scenario(rounds)
+    result = benchmark.pedantic(
+        bound, args=(scenario,), setup=clear_graph_cache,
+        rounds=5, iterations=1,
+    )
+    accounting = result.accounting
+    assert accounting["strategy"] == "dense"
+    assert accounting["blocks"] == 1
+    assert accounting["block_size"] == _ONE_BLOCK_NODES
+    assert np.isfinite(result.epsilon) and result.epsilon > 0
+
+
+def test_bench_one_block_ascending_sweep(benchmark):
+    """pytest-benchmark figure: an ascending-``rounds`` sweep on one block.
+
+    The in-memory panel is continued from the previous point instead of
+    restarted, so the sweep costs one 16-round evolution, not the sum.
+    """
+    scenarios = [_one_block_scenario(rounds) for rounds in _ONE_BLOCK_SWEEP]
+
+    def ascending_sweep():
+        return [bound(scenario) for scenario in scenarios]
+
+    results = benchmark.pedantic(
+        ascending_sweep, setup=clear_graph_cache, rounds=3, iterations=1,
+    )
+    assert [r.accounting["steps"] for r in results] == list(_ONE_BLOCK_SWEEP)
+    clear_graph_cache()
+    cold = bound(scenarios[-1])
+    assert results[-1].sum_squared == cold.sum_squared

@@ -31,13 +31,15 @@ Commands
     scenarios must set ``rounds`` explicitly and are accounted via the
     exact scheduled collision mass.  ``--profile-budget`` caps the
     memory schedule accounting may spend (``512M``, ``2G``, bytes);
-    over-budget schedules escalate to blocked/spilled evolution with
-    bit-identical results.
+    it sets the panel width — a profile that fits is one in-memory
+    block, a larger one evolves in column blocks spilled to disk — and
+    every width gives bit-identical results.
 ``bound <scenario.json> [--json] [--profile-budget BYTES]``
     Price a scenario without simulating: the closed-form guarantee plus
     — for schedule scenarios — the ``accounting`` block reporting the
-    strategy (dense/blocked), block size, and truncation bound behind
-    the collision mass.
+    strategy (``dense`` for one in-memory block, ``blocked`` for
+    spilled blocks), block size, and truncation bound behind the
+    collision mass.
 ``audit <scenario.json> [--trials N] [--json]``
     Run the Theorem 6.1 distinguishing game against the scenario and
     print the measured epsilon lower bound.

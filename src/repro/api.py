@@ -36,8 +36,9 @@ Exchange backends
 Schedule accounting
     :class:`ProfilePolicy` plus :func:`get_profile_policy` /
     :func:`set_profile_policy` / :func:`profile_policy` — the
-    process-wide memory budget that decides whether dynamic-schedule
-    collision profiles evolve dense, blocked, or blocked-with-spill;
+    process-wide memory budget that sets the panel width of
+    dynamic-schedule collision profiles (one in-memory block when the
+    profile fits, spilled column blocks otherwise);
     :func:`profile_stats` / :func:`reset_profile_stats` for the
     out-of-core engine's counters.
 Auditor planning

@@ -40,16 +40,13 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ScheduleRefusedError, ValidationError
-from repro.graphs.dynamic import (
-    DynamicGraphSchedule,
-    evolve_profile_on_schedule,
-    panel_collisions,
-)
+from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
 from repro.graphs.io import load_spill, save_graph_npz, save_schedule_npz
 from repro.graphs.spectral import SpectralSummary, spectral_summary
 from repro.graphs.walks import evolve_distribution, position_distribution
 from repro.scenario.profile import (
+    ProfilePlan,
     ProfileStore,
     ScheduleAccounting,
     _count,
@@ -105,10 +102,11 @@ class GraphBundle:
     #: hundreds of megabytes.
     _KERNEL_SAMPLER_CAP = 2
 
-    #: How many profile stores stay resident per schedule bundle (one
-    #: per distinct (laziness, truncation, block size) — the stores
-    #: themselves hold no panels between calls, only the last collision
-    #: vector, so the cap guards dict growth, not memory).
+    #: How many profile stores stay cached per schedule bundle (one per
+    #: distinct (laziness, truncation, block size)).  Spilling stores
+    #: hold only their last collision vector between calls; at most
+    #: one in-memory store is kept (see :meth:`_profile_store`), so
+    #: the cap guards dict growth, not memory.
     _PROFILE_STORE_CAP = 2
 
     def __init__(self, graph: Union[Graph, DynamicGraphSchedule]):
@@ -120,16 +118,7 @@ class GraphBundle:
         # same matrix-vector sequence as a from-scratch walk, so the
         # result is bit-identical.
         self._walks: Dict[float, tuple] = {}
-        # Schedule analogue of the walk cache, but bounded to ONE entry:
-        # laziness -> (steps, dense (n, n) profile whose column i is
-        # user i's exact position distribution).  A dense profile can
-        # run hundreds of MB, so only the most recent laziness is
-        # retained — ascending-rounds sweeps (the common shape) still
-        # evolve incrementally; a laziness sweep recomputes per value.
-        # Used only when plan_profile picks the dense strategy; the
-        # blocked/spilled strategies go through _profile_stores.
-        self._profiles: Dict[float, tuple] = {}
-        # Blocked-accounting stores keyed by the knobs that change a
+        # Schedule-accounting stores keyed by the knobs that change a
         # panel's bits (laziness, truncation, block size) plus the
         # spill root they write under.
         self._profile_stores: "OrderedDict[tuple, ProfileStore]" = (
@@ -187,58 +176,26 @@ class GraphBundle:
         assumption — wrapped in a :class:`ScheduleAccounting` that
         records how it was computed.
 
-        *How* is planned per call from the process-wide
-        :class:`~repro.scenario.profile.ProfilePolicy`: schedules whose
-        dense ``(n, n)`` profile fits the memory budget keep the
-        in-memory incremental memo (ascending-``rounds`` sweeps evolve
-        from the cached longest profile, bit-identical to
-        from-scratch); larger ones evolve in column blocks spilled to
-        (and resumed from) the graph cache's spill directory.  Both
-        paths — and every block size — produce bit-identical masses.
-        With ``truncation`` set, the panel path drops sub-tolerance
-        entries each round and the returned accounting carries the
+        The panel width is planned per call from the process-wide
+        :class:`~repro.scenario.profile.ProfilePolicy` memory budget.
+        A profile that fits is one block kept in memory, so an
+        ascending-``rounds`` sweep continues the longest evolution so
+        far (bit-identical to from-scratch); a larger one evolves in
+        column blocks spilled to (and resumed from) the graph cache's
+        spill directory.  Every block width produces bit-identical
+        masses.  With ``truncation`` set, sub-tolerance entries are
+        dropped each round and the returned accounting carries the
         provable additive bound on the mass that error can hide.
         """
-        schedule = self.graph
-        n = schedule.num_nodes
-        plan = plan_profile(n, get_profile_policy())
-        if truncation is None and plan.strategy == "dense":
-            with self._derive_lock:
-                key = float(laziness)
-                cached = self._profiles.get(key)
-                if cached is not None and cached[0] <= steps:
-                    done, profile = cached
-                else:
-                    # A descending-rounds request recomputes from
-                    # scratch without downgrading the cache for later,
-                    # longer requests.
-                    done, profile = 0, np.eye(n)
-                profile = evolve_profile_on_schedule(
-                    schedule, profile, steps - done,
-                    laziness=laziness, start_round=done,
-                )
-                if cached is None or steps >= cached[0]:
-                    self._profiles.clear()
-                    self._profiles[key] = (steps, profile)
-                collisions = panel_collisions(profile)
-            _count("dense_profiles")
-            return ScheduleAccounting(
-                sum_squared=float(collisions.max()),
-                strategy="dense",
-                block_size=n,
-                blocks=1,
-                steps=int(steps),
-                truncation=None,
-                truncation_bound=0.0,
-                exact=True,
-            )
-        # Panel path: the blocked plan, or any truncated run (dropped
-        # mass is tracked per block regardless of how many blocks).
-        block_size = plan.block_size if plan.strategy == "blocked" else n
+        plan = plan_profile(self.graph.num_nodes, get_profile_policy())
         with self._derive_lock:
-            store = self._profile_store(laziness, truncation, block_size)
+            store = self._profile_store(laziness, truncation, plan)
         collisions, dropped = store.collisions(steps)
-        _count("blocked_profiles")
+        _count(
+            "dense_profiles"
+            if plan.blocks == 1 and truncation is None
+            else "blocked_profiles"
+        )
         if truncation is not None:
             _count("truncated_profiles")
         sum_squared, truncation_bound = worst_user_mass(
@@ -247,8 +204,8 @@ class GraphBundle:
         return ScheduleAccounting(
             sum_squared=sum_squared,
             strategy=plan.strategy,
-            block_size=block_size,
-            blocks=store.num_blocks,
+            block_size=plan.block_size,
+            blocks=plan.blocks,
             steps=int(steps),
             truncation=truncation,
             truncation_bound=truncation_bound,
@@ -259,34 +216,43 @@ class GraphBundle:
         self,
         laziness: float,
         truncation: Optional[float],
-        block_size: int,
+        plan: ProfilePlan,
     ) -> ProfileStore:
         """The (memoized) block store for one set of accounting knobs.
 
-        The spill root is resolved at call time from the process-wide
-        cache, so attaching a spill directory mid-session (sweep
-        setup, serve ``--spill-dir``) redirects subsequent profiles
-        without rebuilding bundles.
+        A one-block plan gets an in-memory store; only one of those is
+        kept per bundle, since its panel is the whole ``(n, n)``
+        profile.  The spill root of a multi-block plan is resolved at
+        call time from the process-wide cache, so attaching a spill
+        directory mid-session (sweep setup, serve ``--spill-dir``)
+        redirects subsequent profiles without rebuilding bundles.
         """
-        root = GRAPH_CACHE.spill_dir
+        root = GRAPH_CACHE.spill_dir if plan.spill else None
         key = (
             float(laziness),
             None if truncation is None else float(truncation),
-            int(block_size),
+            plan.block_size,
             None if root is None else str(root),
         )
         store = self._profile_stores.get(key)
         if store is None:
+            if not plan.spill:
+                for stale in [
+                    other for other, kept in self._profile_stores.items()
+                    if not kept.spill
+                ]:
+                    del self._profile_stores[stale]
             store = ProfileStore(
                 self.graph,
                 identity=store_identity(
                     self.cache_key, float(laziness), truncation,
-                    int(block_size),
+                    plan.block_size,
                 ),
-                block_size=block_size,
+                block_size=plan.block_size,
                 laziness=laziness,
                 truncation=truncation,
                 directory=root,
+                spill=plan.spill,
             )
             self._profile_stores[key] = store
             while len(self._profile_stores) > self._PROFILE_STORE_CAP:

@@ -2,25 +2,26 @@
 
 Exact per-user accounting on a dynamic schedule evolves every user's
 position distribution — an ``(n, n)`` profile that dominated memory and
-capped schedules at 4096 nodes.  This module lifts the ceiling with a
-three-rung escalation ladder governed by one knob, the **profile memory
-budget**:
+capped schedules at 4096 nodes.  This module lifts the ceiling with one
+panel engine governed by one knob, the **profile memory budget**: the
+profile evolves in column blocks of ``B`` users, ``B`` being the widest
+panel that fits the budget (``min(n, budget // (16·n))`` — one float64
+panel plus equal headroom for the per-round product).
 
-* **dense** — the profile fits the budget: evolve it in memory exactly
-  as before (one incremental memo per laziness).
-* **blocked** — evolve the profile in column blocks of ``B`` users
-  (``B`` chosen so one panel plus product headroom fits the budget);
-  one-hot columns stay sparse until they mix, so early rounds cost
-  ``O(nnz)`` not ``O(n·B)``.
-* **spilled** — every completed block is written to an ``.npz`` under
+* One block (the whole profile fits): the panel stays **in memory**
+  between calls, so an ascending-``rounds`` sweep continues it instead
+  of restarting from one-hot.
+* Several blocks: every completed block is written to an ``.npz`` under
   the spill directory (atomic temp+replace, like the graph spill), so
   the memory high-water is ``O(n·B)`` and an ascending-``rounds`` sweep
-  resumes each block from disk instead of restarting from one-hot.
+  resumes each block from disk.
 
-All three rungs produce **bit-identical** collision masses: the panel
-kernels apply the same per-round products over the same operand bits
-(:mod:`repro.graphs.dynamic` documents why), and every path reduces
-columns with the same strictly-sequential summation.
+Either way one-hot columns stay sparse until they mix, so early rounds
+cost ``O(nnz)`` not ``O(n·B)``, and every block width produces
+**bit-identical** collision masses: the panel kernels apply the same
+per-round products over the same operand bits
+(:mod:`repro.graphs.dynamic` documents why), and every panel reduces
+its columns with the same strictly-sequential summation.
 
 For the million-node churn regime an optional **truncation** tolerance
 (a *scenario* field — it changes results, so it is hashed and swept
@@ -50,7 +51,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import ScheduleRefusedError, ValidationError
+from repro.exceptions import ValidationError
 from repro.graphs.dynamic import (
     DynamicGraphSchedule,
     _TransitionCache,
@@ -76,10 +77,10 @@ __all__ = [
     "parse_memory_budget",
 ]
 
-#: Default profile memory budget: laptop-class.  Dense stays the
-#: strategy up to n ≈ 5792 (so every schedule the old 4096-node cap
-#: admitted keeps its exact in-memory path), blocked/spilled takes
-#: over beyond that.
+#: Default profile memory budget: laptop-class.  One in-memory block
+#: serves schedules up to n ≈ 5792 (so every schedule the old 4096-node
+#: cap admitted keeps an in-memory profile); spilled blocks take over
+#: beyond that.
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
 #: Bytes budgeted per profile entry: the float64 panel itself plus
@@ -87,58 +88,47 @@ DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 #: with it.
 _BYTES_PER_ENTRY = 16
 
-_STRATEGIES = ("auto", "dense", "blocked")
-
-#: Fault-injection channel the block loop fires after each spill
+#: Fault-injection channel the block loop fires after each block
 #: (chaos tests kill the process mid-profile and assert the resume).
 FAULT_CHANNEL = "profile"
 
 
 @dataclass(frozen=True)
 class ProfilePolicy:
-    """How schedule accounting may spend memory (never what it computes).
+    """How much memory schedule accounting may spend (never what it computes).
 
-    The policy steers *strategy*, not results: every strategy returns
-    bit-identical collision masses, so the policy lives process-wide
-    (settable per worker, per serve process, per CLI flag) instead of
-    inside the hashed :class:`~repro.scenario.spec.Scenario`.
-
-    ``strategy="auto"`` escalates dense → blocked → spilled as ``n``
-    outgrows ``memory_budget``; ``"dense"`` insists on the in-memory
-    profile and refuses loudly over budget; ``"blocked"`` forces the
-    panel path (tests use it to cross-check parity).  ``block_size``
-    overrides the derived panel width.
+    The budget sets the panel width, not the results: every width
+    returns bit-identical collision masses, so the policy lives
+    process-wide (settable per worker, per serve process, per CLI flag)
+    instead of inside the hashed :class:`~repro.scenario.spec.Scenario`.
     """
 
     memory_budget: int = DEFAULT_MEMORY_BUDGET
-    strategy: str = "auto"
-    block_size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.strategy not in _STRATEGIES:
-            raise ValidationError(
-                f"profile strategy must be one of {_STRATEGIES}, "
-                f"got {self.strategy!r}"
-            )
         if int(self.memory_budget) < 1:
             raise ValidationError(
                 f"profile memory budget must be positive, "
                 f"got {self.memory_budget!r}"
             )
-        if self.block_size is not None and int(self.block_size) < 1:
-            raise ValidationError(
-                f"profile block size must be >= 1, got {self.block_size!r}"
-            )
 
 
 @dataclass(frozen=True)
 class ProfilePlan:
-    """The strategy :func:`plan_profile` chose for one schedule size."""
+    """The panel geometry :func:`plan_profile` chose for one schedule size."""
 
-    strategy: str  # "dense" | "blocked"
     block_size: int
-    spill: bool
     blocks: int
+
+    @property
+    def spill(self) -> bool:
+        """Whether blocks go to disk (only a multi-block profile spills)."""
+        return self.blocks > 1
+
+    @property
+    def strategy(self) -> str:
+        """The payload label: ``"dense"`` for one block, else ``"blocked"``."""
+        return "blocked" if self.spill else "dense"
 
 
 _POLICY_LOCK = threading.Lock()
@@ -167,7 +157,7 @@ def set_profile_policy(policy: ProfilePolicy) -> ProfilePolicy:
 def profile_policy(**overrides: Any) -> Iterator[ProfilePolicy]:
     """Temporarily override policy fields for the ``with`` block.
 
-    >>> with profile_policy(strategy="blocked", block_size=7):
+    >>> with profile_policy(memory_budget=256 * 1024 * 1024):
     ...     repro.bound(scenario)
     """
     current = get_profile_policy()
@@ -208,7 +198,7 @@ def parse_memory_budget(text: Union[str, int]) -> int:
             token = token[:-1]
         try:
             value = int(float(token) * multiplier)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ValidationError(
                 f"cannot parse memory budget {text!r}; expected bytes "
                 "or a K/M/G/T-suffixed size like '512M'"
@@ -223,50 +213,15 @@ def parse_memory_budget(text: Union[str, int]) -> int:
 def plan_profile(
     num_nodes: int, policy: Optional[ProfilePolicy] = None
 ) -> ProfilePlan:
-    """Pick dense vs blocked (and the panel width) for an ``n``-node schedule.
+    """The panel width for an ``n``-node schedule: the widest that fits.
 
-    The only refusal left in schedule accounting: an explicit
-    ``strategy="dense"`` whose ``(n, n)`` profile exceeds the budget.
-    Everything else escalates automatically.
+    ``width = min(n, budget // (16·n))`` (at least 1): one float64
+    panel plus equal headroom for the per-round product.
     """
     policy = policy or get_profile_policy()
     n = int(num_nodes)
-    budget = int(policy.memory_budget)
-    dense_bytes = _BYTES_PER_ENTRY * n * n
-    derived = max(1, min(n, budget // (_BYTES_PER_ENTRY * n)))
-
-    def blocked(width: int) -> ProfilePlan:
-        width = max(1, min(n, int(width)))
-        return ProfilePlan(
-            strategy="blocked",
-            block_size=width,
-            spill=True,
-            blocks=-(-n // width),
-        )
-
-    if policy.strategy == "dense":
-        if dense_bytes > budget:
-            raise ScheduleRefusedError(
-                f"strategy='dense' schedule accounting of n={n} needs "
-                f"~{dense_bytes // (1024 * 1024)} MiB for the (n, n) "
-                f"profile, over the {budget // (1024 * 1024)} MiB "
-                "profile memory budget; use strategy='auto' (blocked "
-                "evolution with disk spill, bit-identical results) or "
-                "raise the profile_memory_budget."
-            )
-        return ProfilePlan(
-            strategy="dense", block_size=n, spill=False, blocks=1
-        )
-    if policy.strategy == "blocked":
-        return blocked(policy.block_size or derived)
-    # auto: an explicit block size opts into the panel path outright.
-    if policy.block_size is not None:
-        return blocked(policy.block_size)
-    if dense_bytes <= budget:
-        return ProfilePlan(
-            strategy="dense", block_size=n, spill=False, blocks=1
-        )
-    return blocked(derived)
+    width = max(1, min(n, int(policy.memory_budget) // (_BYTES_PER_ENTRY * n)))
+    return ProfilePlan(block_size=width, blocks=-(-n // width))
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +411,9 @@ def _write_panel(
     else:
         payload = {
             "kind": np.array("dense"),
-            "values": np.asarray(panel, dtype=np.float64),
+            # Column-major, so the per-column reductions of a resumed
+            # panel read contiguous memory.
+            "values": np.asfortranarray(panel, dtype=np.float64),
             **meta,
         }
     # Same atomicity discipline as the graph spill: a unique temp name
@@ -512,20 +469,23 @@ def _read_panel(
 # The block store
 # ----------------------------------------------------------------------
 class ProfileStore:
-    """Block-granular evolve/spill/resume for one schedule's profile.
+    """Block-granular evolve/keep/resume for one schedule's profile.
 
     One store binds a schedule to one set of result-affecting knobs
     (laziness, truncation, block size).  :meth:`collisions` walks the
-    column blocks: each block resumes from its spilled ``.npz`` when
-    one exists at fewer (or equal) rounds, evolves the remainder, is
-    re-spilled, reduced to per-user collision mass, and **released**
-    before the next block starts — the memory high-water is one panel.
+    column blocks: each block resumes from its kept evolution when one
+    exists at fewer (or equal) rounds, evolves the remainder, is kept,
+    and is reduced to per-user collision mass.  ``spill=True`` keeps
+    blocks as ``.npz`` files and **releases** each panel before the next
+    block starts — the memory high-water is one panel.  ``spill=False``
+    keeps the evolved panels in memory instead (what a one-block profile
+    that fits the memory budget uses).
 
-    Resume is bit-identical to a cold run: the spilled operand bytes
-    are exact (float64 ``.npz`` round-trips), and continuing a panel
+    Resume is bit-identical to a cold run: the kept operand bytes are
+    exact (float64 ``.npz`` round-trips), and continuing a panel
     applies precisely the products a longer cold evolution would.
-    A *descending* rounds request recomputes from one-hot without
-    downgrading the file, mirroring the dense memo's semantics.
+    A *descending* rounds request recomputes from one-hot and never
+    replaces a longer kept evolution with its shorter one.
     """
 
     def __init__(
@@ -549,21 +509,47 @@ class ProfileStore:
         self.laziness = float(laziness)
         self.truncation = None if truncation is None else float(truncation)
         self.spill = bool(spill)
-        self._root = profile_spill_root(directory) / self.identity
+        self._spill_dir = directory
         self._last: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        # spill=False: block start -> (panel, dropped, steps).
+        self._resident: Dict[int, Tuple[Any, np.ndarray, int]] = {}
         self._lock = threading.Lock()
 
     @property
     def directory(self) -> Path:
         """Where this store's blocks live on disk."""
-        return self._root
+        return profile_spill_root(self._spill_dir) / self.identity
 
     def block_path(self, start: int) -> Path:
-        return self._root / f"block_{int(start):08d}.npz"
+        return self.directory / f"block_{int(start):08d}.npz"
 
     @property
     def num_blocks(self) -> int:
         return -(-self.schedule.num_nodes // self.block_size)
+
+    def _kept(self, start: int, width: int):
+        """The kept ``(panel, dropped, steps)`` of one block, or ``None``."""
+        if not self.spill:
+            with self._lock:
+                return self._resident.get(start)
+        return _read_panel(
+            self.block_path(start), self.schedule.num_nodes, width
+        )
+
+    def _keep(
+        self, start: int, panel: Any, dropped: np.ndarray, steps: int
+    ) -> None:
+        if not self.spill:
+            with self._lock:
+                kept = self._resident.get(start)
+                if kept is None or kept[2] < steps:
+                    self._resident[start] = (panel, dropped, steps)
+            return
+        written = _write_panel(
+            self.block_path(start), panel, dropped, steps, start
+        )
+        _count("blocks_spilled")
+        _count("spill_bytes", written)
 
     def collisions(self, steps: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-user ``(collision mass, dropped mass)`` after ``steps`` rounds.
@@ -585,19 +571,14 @@ class ProfileStore:
         transitions = _TransitionCache(self.schedule, self.laziness)
         for index, start in enumerate(range(0, n, self.block_size)):
             stop = min(start + self.block_size, n)
-            panel = None
-            dropped = None
-            done = 0
-            if self.spill:
-                loaded = _read_panel(
-                    self.block_path(start), n, stop - start
-                )
-                if loaded is not None and loaded[2] <= steps:
-                    panel, dropped, done = loaded
-                    _count("blocks_resumed")
-            if panel is None:
+            kept = self._kept(start, stop - start)
+            if kept is not None and kept[2] <= steps:
+                panel, dropped, done = kept
+                _count("blocks_resumed")
+            else:
                 panel = identity_panel(n, start, stop)
                 dropped = np.zeros(stop - start, dtype=np.float64)
+                done = 0
             if done < steps:
                 panel, dropped = evolve_panel_on_schedule(
                     self.schedule,
@@ -610,13 +591,8 @@ class ProfileStore:
                     dropped=dropped,
                 )
                 _count("blocks_evolved")
-                if self.spill:
-                    written = _write_panel(
-                        self.block_path(start), panel, dropped,
-                        steps, start,
-                    )
-                    _count("blocks_spilled")
-                    _count("spill_bytes", written)
+                if kept is None or kept[2] < steps:
+                    self._keep(start, panel, dropped, steps)
             out[start:stop] = panel_collisions(panel)
             dropped_out[start:stop] = dropped
             # Chaos hook: lets tests kill this process between blocks

@@ -289,8 +289,8 @@ class Scenario:
         upper end* of the resulting interval (sound, slightly
         conservative) and surfaces ``truncation_bound`` in the
         accounting payload.  It changes results, so it is a scenario
-        field (hashed, sweepable) — memory strategy knobs, which do
-        not, live in :class:`repro.scenario.profile.ProfilePolicy`.
+        field (hashed, sweepable) — the memory budget, which does
+        not, lives in :class:`repro.scenario.profile.ProfilePolicy`.
         Only valid on ``schedule`` graphs with
         ``analysis="stationary"``.
     delta / delta2:

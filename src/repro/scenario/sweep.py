@@ -467,7 +467,7 @@ def _initialize_worker(
     ``profile_policy`` carries the parent's schedule-accounting policy
     with the memory budget divided by the worker count, so ``workers``
     concurrent profile evolutions respect the *host's* budget (the
-    strategy choice changes, the resulting bits never do).
+    panel width changes, the resulting bits never do).
     """
     _replay_registrations(registrations)
     if spill_dir is not None:
@@ -760,11 +760,7 @@ def _worker_profile_policy(workers: int) -> Dict[str, Any]:
         _MIN_WORKER_PROFILE_BUDGET,
         int(policy.memory_budget) // max(1, int(workers)),
     )
-    return {
-        "memory_budget": share,
-        "strategy": policy.strategy,
-        "block_size": policy.block_size,
-    }
+    return {"memory_budget": share}
 
 
 def _prepare_pool_graphs(

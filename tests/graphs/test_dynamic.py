@@ -10,7 +10,6 @@ from repro.graphs.dynamic import (
     DynamicGraphSchedule,
     EpochSelector,
     _TransitionCache,
-    collision_profile_blocked,
     collision_profile_on_schedule,
     evolve_on_schedule,
     evolve_panel_on_schedule,
@@ -28,6 +27,7 @@ from repro.graphs.generators import (
     random_regular_graph,
 )
 from repro.graphs.walks import evolve_distribution, position_distribution
+from repro.scenario.profile import ProfileStore
 
 
 @pytest.fixture
@@ -270,6 +270,15 @@ class TestEpochSelector:
         assert picks[6:] == [two_graphs[0]] * 2
 
 
+def _blocked(schedule, steps, *, block_size, **options):
+    """Per-user ``(collisions, dropped)`` from an in-memory block store."""
+    store = ProfileStore(
+        schedule, identity="parity", block_size=block_size, spill=False,
+        **options,
+    )
+    return store.collisions(steps)
+
+
 class TestBlockedCollisionParity:
     """Property: blocked accounting is bit-identical to dense, any B."""
 
@@ -280,7 +289,7 @@ class TestBlockedCollisionParity:
     ):
         schedule = DynamicGraphSchedule(two_graphs)
         dense = collision_profile_on_schedule(schedule, 6, laziness=laziness)
-        blocked, dropped = collision_profile_blocked(
+        blocked, dropped = _blocked(
             schedule, 6, block_size=block_size, laziness=laziness
         )
         np.testing.assert_array_equal(blocked, dense)
@@ -288,9 +297,7 @@ class TestBlockedCollisionParity:
 
     def test_zero_steps_is_one_hot_collision(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
-        collisions, _ = collision_profile_blocked(
-            schedule, 0, block_size=13
-        )
+        collisions, _ = _blocked(schedule, 0, block_size=13)
         np.testing.assert_array_equal(collisions, np.ones(60))
 
     def test_panel_resume_matches_cold_run(self, two_graphs):
@@ -312,7 +319,7 @@ class TestBlockedCollisionParity:
     def test_rejects_bad_block_size(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
         with pytest.raises(ValidationError):
-            collision_profile_blocked(schedule, 2, block_size=0)
+            _blocked(schedule, 2, block_size=0)
 
 
 class TestTruncation:
@@ -322,7 +329,7 @@ class TestTruncation:
     def test_soundness_bracket(self, two_graphs, tol):
         schedule = DynamicGraphSchedule(two_graphs)
         exact = collision_profile_on_schedule(schedule, 6)
-        truncated, dropped = collision_profile_blocked(
+        truncated, dropped = _blocked(
             schedule, 6, block_size=17, truncation=tol
         )
         assert np.all(truncated <= exact + 1e-15)
@@ -331,7 +338,7 @@ class TestTruncation:
     def test_tiny_tolerance_drops_nothing(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
         exact = collision_profile_on_schedule(schedule, 4)
-        truncated, dropped = collision_profile_blocked(
+        truncated, dropped = _blocked(
             schedule, 4, block_size=60, truncation=1e-300
         )
         np.testing.assert_array_equal(truncated, exact)

@@ -1,10 +1,11 @@
 """Out-of-core schedule accounting: planning, the block store, resume.
 
-The PR 9 escalation ladder end to end: :func:`plan_profile` picks the
-strategy, :class:`ProfileStore` evolves/spills/resumes column blocks
-with bit-identical results, the runner surfaces the accounting payload,
-pooled sweeps split the budget per worker, and a killed process resumes
-from its spilled blocks (chaos-tested through the PR 8 fault harness).
+The panel engine end to end: :func:`plan_profile` derives the panel
+width from the memory budget, :class:`ProfileStore` evolves/keeps/
+resumes column blocks with bit-identical results, the runner surfaces
+the accounting payload, pooled sweeps split the budget per worker, and
+a killed process resumes from its spilled blocks (chaos-tested through
+the fault harness).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api import parse_scenario
-from repro.exceptions import ScheduleRefusedError, ValidationError
+from repro.exceptions import ValidationError
 from repro.graphs.dynamic import (
     DynamicGraphSchedule,
     collision_profile_on_schedule,
@@ -63,17 +64,12 @@ class TestPolicy:
     def test_default_policy(self):
         policy = get_profile_policy()
         assert policy.memory_budget == DEFAULT_MEMORY_BUDGET
-        assert policy.strategy == "auto"
 
     def test_context_manager_restores(self):
         before = get_profile_policy()
-        with profile_policy(memory_budget=1024, strategy="blocked"):
+        with profile_policy(memory_budget=1024):
             assert get_profile_policy().memory_budget == 1024
         assert get_profile_policy() == before
-
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValidationError, match="strategy"):
-            ProfilePolicy(strategy="mmap")
 
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValidationError, match="budget"):
@@ -99,7 +95,9 @@ class TestParseMemoryBudget:
     def test_accepts(self, text, expected):
         assert parse_memory_budget(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "lots", "-1", "0", "M"])
+    @pytest.mark.parametrize(
+        "text", ["", "lots", "-1", "0", "M", "inf", "1e400"]
+    )
     def test_rejects(self, text):
         with pytest.raises(ValidationError):
             parse_memory_budget(text)
@@ -119,21 +117,13 @@ class TestPlanProfile:
         assert 1 <= plan.block_size < 64
         assert plan.blocks * plan.block_size >= 64
 
-    def test_explicit_dense_over_budget_refused(self):
-        policy = ProfilePolicy(memory_budget=16 * 1024, strategy="dense")
-        with pytest.raises(ScheduleRefusedError, match="profile memory budget"):
-            plan_profile(64, policy)
-
-    def test_explicit_block_size_wins(self):
-        plan = plan_profile(64, ProfilePolicy(block_size=7))
-        assert plan.strategy == "blocked"
-        assert plan.block_size == 7
-        assert plan.blocks == 10
-
-    def test_block_size_clamped_to_n(self):
-        plan = plan_profile(8, ProfilePolicy(block_size=100))
-        assert plan.block_size == 8
-        assert plan.blocks == 1
+    @pytest.mark.parametrize(
+        "budget, width, blocks", [(16 * 64 * 7, 7, 10), (1, 1, 64)]
+    )
+    def test_width_is_budget_over_sixteen_n(self, budget, width, blocks):
+        plan = plan_profile(64, ProfilePolicy(memory_budget=budget))
+        assert plan.block_size == width
+        assert plan.blocks == blocks
 
 
 class TestProfileStore:
@@ -184,10 +174,31 @@ class TestProfileStore:
             shorter, collision_profile_on_schedule(_schedule(), 2)
         )
         # The spilled blocks still hold the longer evolution.
-        resumed, _ = self._store(tmp_path).collisions(STEPS)
+        reset_profile_stats()
+        fresh = self._store(tmp_path)
+        resumed, _ = fresh.collisions(STEPS)
+        stats = profile_stats()
+        assert stats["blocks_resumed"] == fresh.num_blocks
+        assert stats["blocks_evolved"] == 0
         np.testing.assert_array_equal(
             resumed, collision_profile_on_schedule(_schedule(), STEPS)
         )
+
+    def test_resident_store_resumes_and_keeps_longest(self, tmp_path):
+        store = self._store(tmp_path, spill=False)
+        store.collisions(3)
+        reset_profile_stats()
+        resumed, _ = store.collisions(STEPS)
+        assert profile_stats()["blocks_resumed"] == store.num_blocks
+        np.testing.assert_array_equal(
+            resumed, collision_profile_on_schedule(_schedule(), STEPS)
+        )
+        store.collisions(2)
+        reset_profile_stats()
+        store.collisions(STEPS + 1)
+        stats = profile_stats()
+        assert stats["blocks_resumed"] == store.num_blocks
+        assert stats["blocks_evolved"] == store.num_blocks
 
     def test_corrupt_block_is_a_miss_not_an_error(self, tmp_path):
         store = self._store(tmp_path)
@@ -238,13 +249,40 @@ class TestBoundAccounting:
         scenario = parse_scenario(SCHEDULE_SCENARIO)
         dense = bound(scenario)
         clear_graph_cache()
-        with profile_policy(strategy="blocked", block_size=7):
+        with profile_policy(memory_budget=16 * 64 * 7):
             blocked = bound(scenario)
         assert blocked.sum_squared == dense.sum_squared
         assert blocked.epsilon == dense.epsilon
+        assert blocked.accounting == {
+            **dense.accounting,
+            "strategy": "blocked",
+            "block_size": 7,
+            "blocks": 10,
+        }
         assert dense.accounting["strategy"] == "dense"
-        assert blocked.accounting["strategy"] == "blocked"
+        assert dense.accounting["block_size"] == 64
+        assert dense.accounting["blocks"] == 1
         assert blocked.accounting["exact"] is True
+
+    def test_one_block_profile_stays_in_memory(self, tmp_path):
+        from repro.scenario.cache import GRAPH_CACHE
+
+        GRAPH_CACHE.spill_dir = tmp_path
+        try:
+            short = bound(parse_scenario({**SCHEDULE_SCENARIO, "rounds": 3}))
+            reset_profile_stats()
+            longer = bound(parse_scenario(SCHEDULE_SCENARIO))
+        finally:
+            GRAPH_CACHE.spill_dir = None
+        assert short.accounting["blocks"] == longer.accounting["blocks"] == 1
+        assert not list(tmp_path.rglob("*.npz"))
+        stats = profile_stats()
+        assert stats["blocks_resumed"] == 1
+        assert stats["dense_profiles"] == 1
+        clear_graph_cache()
+        assert bound(parse_scenario(SCHEDULE_SCENARIO)).sum_squared == (
+            longer.sum_squared
+        )
 
     def test_truncation_surfaces_provable_bound(self):
         scenario = parse_scenario(
@@ -294,15 +332,25 @@ class TestPooledSweepBudget:
             assert floored["memory_budget"] == _MIN_WORKER_PROFILE_BUDGET
 
     def test_pooled_bound_sweep_matches_inline(self):
-        scenario = parse_scenario(SCHEDULE_SCENARIO)
+        # 1024 nodes: the 8 MiB worker floor plans two blocks of 512.
+        scenario = parse_scenario({
+            **SCHEDULE_SCENARIO,
+            "graph": {"kind": "schedule", "params": {"graphs": [
+                {"kind": "k_regular",
+                 "params": {"degree": 4, "num_nodes": 1024}},
+                {"kind": "cycle", "params": {"num_nodes": 1024}},
+            ]}},
+        })
         axis = {"rounds": [2, 4]}
         inline = sweep(scenario, axis=axis, mode="bound")
         clear_graph_cache()
-        with profile_policy(strategy="blocked", block_size=16):
+        with profile_policy(memory_budget=1024):
             pooled = sweep(scenario, axis=axis, mode="bound", workers=2)
         for point_a, point_b in zip(inline, pooled):
             assert point_a.epsilon == point_b.epsilon
+            assert point_a.outcome.accounting["strategy"] == "dense"
             assert point_b.outcome.accounting["strategy"] == "blocked"
+            assert point_b.outcome.accounting["blocks"] == 2
 
 
 _CHAOS_CHILD = textwrap.dedent(

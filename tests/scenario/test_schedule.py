@@ -269,13 +269,6 @@ class TestScheduleBound:
         assert result.accounting["exact"] is True
         assert result.epsilon > 0.0
 
-    def test_explicit_dense_over_budget_is_the_only_refusal(self):
-        scenario = _schedule_scenario(rounds=2)
-        with profile_policy(
-            memory_budget=16 * 1024, strategy="dense"
-        ), pytest.raises(ValidationError, match="profile memory budget"):
-            bound(scenario)
-
 
 class TestScheduleAudit:
     def test_audit_runs_on_schedule(self):

@@ -191,6 +191,17 @@ class TestScenarioCommands:
         finally:
             set_profile_policy(ProfilePolicy())
 
+    @pytest.mark.parametrize("budget", ["inf", "1e400"])
+    def test_bound_overflowing_budget_is_a_usage_error(
+        self, scenario_file, budget
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bound", scenario_file, "--profile-budget", budget])
+        message = str(excinfo.value)
+        assert message.startswith("usage:")
+        assert "--profile-budget" in message
+        assert "cannot parse memory budget" in message
+
     def test_bound_usage_error(self):
         with pytest.raises(SystemExit, match="usage"):
             main(["bound"])
