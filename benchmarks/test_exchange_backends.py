@@ -6,7 +6,9 @@ producing the *identical* seeded held-count vector (the shared RNG
 contract makes the comparison exact, not statistical).  The engine on
 its numba kernels must reproduce the same vector too and, with numba
 installed, beat the same engine forced onto its NumPy round by >=3x on
-the fused multi-round path.
+the fused multi-round path.  A second shape times the NumPy round where
+per-round reordering dominates: the irregular replica-sweep graph over
+its mixing time.
 """
 
 from __future__ import annotations
@@ -16,14 +18,22 @@ import time
 import numpy as np
 import pytest
 
+from repro.datasets.synthetic import build_dataset
 from repro.graphs.generators import random_regular_graph
 from repro.netsim import kernels
+from repro.netsim.engine import VectorizedExchange
 from repro.netsim.kernels import NUMBA_AVAILABLE, resolve_implementation
 from repro.netsim.network import RoundBasedNetwork
 
 _NUM_NODES = 10_000
 _DEGREE = 8
 _ROUNDS = 16
+
+#: The replica-sweep shape: the google stand-in at 3% scale (~25k nodes,
+#: heavy-tailed degrees), one token per user, run for its mixing time.
+_GOOGLE_SCALE = 0.03
+_GOOGLE_SEED = 2022
+_IRREGULAR_ROUNDS = 122
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +126,35 @@ def test_bench_compiled_exchange(benchmark, shootout_graph):
     """pytest-benchmark timing of the engine on its resolved kernels —
     numba when installed (JSON artifact)."""
     _bench_engine(benchmark, shootout_graph)
+
+
+@pytest.fixture(scope="module")
+def irregular_graph():
+    return build_dataset(
+        "google", scale=_GOOGLE_SCALE, seed=_GOOGLE_SEED
+    ).graph
+
+
+def test_bench_numpy_round_irregular(benchmark, irregular_graph, monkeypatch):
+    """pytest-benchmark timing of the NumPy round on the irregular
+    replica-sweep shape, where the per-round reorder dominates (JSON
+    artifact)."""
+    _force_numpy_round(monkeypatch)
+    num_nodes = irregular_graph.num_nodes
+
+    def fresh_engine():
+        engine = VectorizedExchange(irregular_graph, rng=0)
+        engine.seed_tokens(np.arange(num_nodes))
+        return (engine,), {}
+
+    def exchange(engine):
+        engine.run(_IRREGULAR_ROUNDS)
+        return engine
+
+    engine = benchmark.pedantic(
+        exchange, setup=fresh_engine, rounds=5, iterations=1
+    )
+    assert engine.held_counts().sum() == num_nodes
+    assert (
+        engine.meters.total_messages_sent() == num_nodes * _IRREGULAR_ROUNDS
+    )

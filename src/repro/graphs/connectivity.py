@@ -17,6 +17,7 @@ from scipy.sparse import csgraph
 
 from repro.exceptions import NotErgodicError
 from repro.graphs.graph import Graph
+from repro.utils.mathutils import stable_argsort
 
 
 def _component_labels(adjacency: sp.csr_matrix) -> Tuple[int, np.ndarray]:
@@ -33,7 +34,7 @@ def connected_components(graph: Graph) -> List[np.ndarray]:
     nodes of every component at once.
     """
     count, labels = _component_labels(graph.adjacency_matrix())
-    members = np.argsort(labels, kind="stable")
+    members = stable_argsort(labels)
     ends = np.cumsum(np.bincount(labels, minlength=count))
     components = np.split(members, ends)[:-1]
     components.sort(key=lambda component: (-component.size, component[0]))

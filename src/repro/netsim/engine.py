@@ -11,8 +11,10 @@ process as two flat arrays,
 
 and advances a round with a handful of NumPy kernels: one dropout mask,
 one uniform draw per moving token turned into a neighbor via the CSR
-``indptr``/``indices`` offsets of :class:`repro.graphs.graph.Graph`, and
-``np.bincount`` for held counts and meter totals.
+``indptr``/``indices`` offsets of :class:`repro.graphs.graph.Graph`,
+``np.bincount`` for receipts, and one packed-key sort
+(:func:`repro.utils.mathutils.stable_argsort`) for the next round's
+iteration order.
 
 RNG contract (exact, not statistical)
 -------------------------------------
@@ -39,8 +41,11 @@ Which code advances a round is resolved once per process by
 :meth:`VectorizedExchange.run_round` calls the JIT-compiled fused round
 kernel and a fault-free static :meth:`VectorizedExchange.run` hands the
 whole span to the fused multi-round driver; without numba the NumPy
-round below runs.  Both consume the identical stream, so the choice is
-invisible in the results and reported only by
+round below runs.  The kernels order the next round by a counting sort,
+the NumPy round by one unstable sort of ``(holder << shift) | index``
+keys — no stable argsort runs on either path, yet both realize its
+permutation exactly.  Both consume the identical stream, so the choice
+is invisible in the results and reported only by
 :func:`repro.netsim.kernels.backend_info`.
 """
 
@@ -58,6 +63,7 @@ from repro.netsim import kernels
 from repro.netsim.faults import DropoutModel, NoFaults
 from repro.netsim.message import SERVER_ID
 from repro.netsim.metrics import VectorMeterBoard
+from repro.utils.mathutils import stable_argsort
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Ceiling on memoized degree vectors for schedule-driven engines.  A
@@ -263,7 +269,7 @@ class VectorizedExchange:
             )
         self.token_origin = np.concatenate([self.token_origin, origins])
         self.token_position = np.concatenate([self.token_position, origins])
-        self._order = np.argsort(self.token_position, kind="stable")
+        self._order = stable_argsort(self.token_position)
         self._drained = False
         counts = np.bincount(origins, minlength=self.num_users)
         self.meters.current_items += counts
@@ -320,10 +326,12 @@ class VectorizedExchange:
         destinations = self._indices[self._indptr[sources] + offsets]
         self.token_position[movers] = destinations
 
-        # Meter totals, one bincount per direction.
-        sends = np.bincount(sources, minlength=n)
-        receipts = np.bincount(destinations, minlength=n)
+        # Meter totals: every online holder sends all it held
+        # (``current_items == bincount(token_position)``), and one
+        # bincount counts the arrivals.
         meters = self.meters
+        sends = np.where(offline, 0, meters.current_items)
+        receipts = np.bincount(destinations, minlength=n)
         meters.messages_sent += sends
         meters.messages_received += receipts
         # Online holders empty their queue before deliveries land;
@@ -338,9 +346,7 @@ class VectorizedExchange:
         # order), then arrivals in send order — a stable sort by the new
         # positions realizes exactly the per-message inbox order.
         sequence = np.concatenate([stayers, movers])
-        self._order = sequence[
-            np.argsort(self.token_position[sequence], kind="stable")
-        ]
+        self._order = sequence[stable_argsort(self.token_position[sequence])]
 
     def _ensure_buffers(self) -> _RoundBuffers:
         buffers = self._buffers
@@ -441,8 +447,11 @@ class VectorizedExchange:
 
         The faithful simulator delivers node by node in ascending id,
         each node's items in held order — which is exactly
-        :attr:`_order`.
+        :attr:`_order`.  Empty after :meth:`drain`: the delivered tokens
+        have left the network.
         """
+        if self._drained:
+            return np.empty(0, dtype=np.int64)
         return self._order.copy()
 
     def drain(self) -> np.ndarray:
@@ -451,8 +460,6 @@ class VectorizedExchange:
         resulting sends themselves.  Idempotent: a second drain returns
         an empty order, matching the faithful backend whose nodes are
         empty after ``take_all``."""
-        if self._drained:
-            return np.empty(0, dtype=np.int64)
         order = self.delivery_order()
         self.meters.current_items[:] = 0
         self._drained = True

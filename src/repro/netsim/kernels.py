@@ -2,15 +2,17 @@
 
 :class:`~repro.netsim.engine.VectorizedExchange` advances a round as a
 chain of separate NumPy passes — fault mask, mover split, degree gather,
-hop draw, destination gather, two bincounts, three meter updates, and a
-stable argsort — each streaming the full token array through memory,
-with a Python-level trip between every round.  When numba is installed
-(the ``repro[compiled]`` extra) the engine instead runs the loops below,
-JIT-compiled to machine code: mover selection, clamped hop offset, CSR
-destination gather, and all five meter accumulations (sends / receipts /
-current / peak / held) in **one pass** over the token array, with the
-stable argsort replaced by an O(tokens + nodes) counting sort that
-realizes the identical permutation.  A multi-round driver keeps
+hop draw, destination gather, a receipts bincount, the meter updates,
+and a packed-key sort for the next iteration order
+(:func:`repro.utils.mathutils.stable_argsort`) — each streaming the
+token array through memory, with a Python-level trip between every
+round.  When numba is installed (the ``repro[compiled]`` extra) the
+engine instead runs the loops below, JIT-compiled to machine code: mover
+selection, clamped hop offset, CSR destination gather, and all five
+meter accumulations (sends / receipts / current / peak / held) in **one
+pass** over the token array, with the next order built by an
+O(tokens + nodes) counting sort that realizes the identical
+permutation.  A multi-round driver keeps
 fault-free static-graph campaigns out of the interpreter between rounds
 entirely.  Without numba the engine runs its NumPy round; which of the
 two a process runs is an install-time detail, reported by

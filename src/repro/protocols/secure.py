@@ -42,6 +42,7 @@ from repro.graphs.graph import Graph
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.message import SERVER_ID
 from repro.netsim.metrics import MeterBoard
+from repro.utils.mathutils import stable_argsort
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -234,7 +235,7 @@ def _run_batched(
     # Message j originates at user j.  ``order`` is the faithful event
     # sequence: ascending holder, inbox arrival order within a holder.
     holders = first_hops
-    order = np.argsort(holders, kind="stable")
+    order = stable_argsort(holders)
     hop_trajectory = [holders]
     sent = np.ones(num_users, dtype=np.int64)
     received = np.bincount(holders, minlength=num_users)
@@ -263,7 +264,7 @@ def _run_batched(
         received += receipts
         current = receipts
         holders = next_hops
-        order = order[np.argsort(holders[order], kind="stable")]
+        order = order[stable_argsort(holders[order])]
         hop_trajectory.append(holders)
 
     # Final delivery: every holder sends (and releases) all she holds.

@@ -20,6 +20,7 @@ import pytest
 from repro.exceptions import SimulationError, ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule, evolve_on_schedule
 from repro.graphs.generators import (
+    barabasi_albert_graph,
     complete_graph,
     cycle_graph,
     random_regular_graph,
@@ -150,6 +151,41 @@ class TestSeededEquivalence:
         reference = faithful.drain_held()
         assert reference == vectorized.drain_held()
         assert reference == compiled.drain_held()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_irregular_multi_item_order_every_round(self, network_on, seed):
+        """Ordering oracle on an irregular graph: several items per
+        node, independent dropout, and after every round count the
+        variants deliver to the server and drain in identical order —
+        which held counts alone cannot see."""
+        graph = barabasi_albert_graph(60, 2, rng=3)
+        seeds = {
+            user: [(user, copy) for copy in range(1 + user % 4)]
+            for user in range(graph.num_nodes)
+        }
+
+        def after(rounds):
+            nets = []
+            for variant in VARIANTS:
+                net = network_on(
+                    variant, graph, faults=IndependentDropout(0.3), rng=seed
+                )
+                net.seed_items(seeds)
+                net.run_exchange(rounds)
+                nets.append(net)
+            return nets
+
+        for rounds in range(13):
+            faithful, *others = after(rounds)
+            faithful.deliver_to_server()
+            for other in others:
+                other.deliver_to_server()
+                assert faithful.server.delivered_by == other.server.delivered_by
+                assert faithful.server.reports == other.server.reports
+            reference, *drained = (net.drain_held() for net in after(rounds))
+            assert sum(map(len, reference)) == sum(map(len, seeds.values()))
+            for held in drained:
+                assert held == reference
 
     def test_all_protocol_identical_across_engines(
         self, small_regular, use_kernels
@@ -372,6 +408,17 @@ class TestVectorizedEngineApi:
         engine.seed_tokens(np.arange(10))
         engine.run(2)
         assert engine.held_counts().sum() == 10
+
+    def test_delivery_order_empty_after_drain(self, k4):
+        """Drained tokens are gone: no delivery order survives them."""
+        engine = VectorizedExchange(k4, rng=0)
+        engine.seed_tokens(np.arange(4))
+        engine.run(2)
+        assert sorted(engine.drain().tolist()) == [0, 1, 2, 3]
+        assert engine.delivery_order().dtype == np.int64
+        assert engine.delivery_order().size == 0
+        assert engine.drain().size == 0
+        assert engine.held_counts().sum() == 0
 
     def test_unknown_backend_rejected(self, k4):
         with pytest.raises(ValidationError):

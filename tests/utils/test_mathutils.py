@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.exceptions import ValidationError
 from repro.utils.mathutils import (
     binary_search_monotone,
     l2_norm_squared,
@@ -15,6 +16,7 @@ from repro.utils.mathutils import (
     log_add_exp,
     log_sub_exp,
     softplus_inverse,
+    stable_argsort,
     stable_expm1,
 )
 
@@ -103,3 +105,71 @@ class TestL2NormSquared:
     )
     def test_non_negative(self, values):
         assert l2_norm_squared(np.array(values)) >= 0.0
+
+
+#: Token counts at and around the packing shift's boundaries, where
+#: ``count.bit_length()`` steps up.
+_BOUNDARY_COUNTS = [1, 2, 3, 4, 7, 8, 9, 63, 64, 65, 255, 256, 257, 1024]
+
+
+@st.composite
+def _keyed(draw):
+    """``(keys, n)``: keys in ``[0, n)``, biased towards repeats, the
+    all-equal case and the top key ``n - 1``."""
+    count = draw(
+        st.one_of(st.sampled_from(_BOUNDARY_COUNTS),
+                  st.integers(min_value=0, max_value=300))
+    )
+    n = draw(st.integers(min_value=1, max_value=2 * count + 2))
+    keys = draw(
+        st.lists(
+            st.one_of(st.just(n - 1), st.integers(0, n - 1)),
+            min_size=count, max_size=count,
+        )
+    )
+    return np.array(keys, dtype=np.int64), n
+
+
+class TestStableArgsort:
+    @given(_keyed())
+    def test_matches_numpy_stable_argsort(self, keyed):
+        keys, _ = keyed
+        result = stable_argsort(keys)
+        assert result.dtype == np.int64
+        np.testing.assert_array_equal(
+            result, np.argsort(keys, kind="stable")
+        )
+
+    @pytest.mark.parametrize("count", _BOUNDARY_COUNTS)
+    def test_all_equal_keys_keep_index_order(self, count):
+        keys = np.full(count, 5, dtype=np.int64)
+        np.testing.assert_array_equal(stable_argsort(keys), np.arange(count))
+
+    def test_empty_and_single(self):
+        assert stable_argsort(np.empty(0, dtype=np.int64)).size == 0
+        np.testing.assert_array_equal(stable_argsort(np.array([9])), [0])
+
+    def test_negative_and_narrow_keys(self):
+        keys = np.array([3, -2, 3, -2, 0, -7], dtype=np.int32)
+        np.testing.assert_array_equal(
+            stable_argsort(keys), np.argsort(keys, kind="stable")
+        )
+
+    def test_does_not_mutate_keys(self):
+        keys = np.array([2, 0, 1, 0], dtype=np.int64)
+        stable_argsort(keys)
+        np.testing.assert_array_equal(keys, [2, 0, 1, 0])
+
+    @pytest.mark.parametrize("count", [1, 4, 1000])
+    def test_overflow_raises(self, count):
+        shift = count.bit_length()
+        limit = np.iinfo(np.int64).max >> shift
+        keys = np.zeros(count, dtype=np.int64)
+        keys[-1] = limit
+        np.testing.assert_array_equal(
+            stable_argsort(keys), np.argsort(keys, kind="stable")
+        )
+        for bad in (limit + 1, -limit - 2):
+            keys[-1] = bad
+            with pytest.raises(ValidationError, match="overflow"):
+                stable_argsort(keys)
