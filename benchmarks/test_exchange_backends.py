@@ -1,7 +1,8 @@
-"""Exchange-backend shootout: faithful vs the array engine's kernels.
+"""Exchange shootout: the per-message oracle vs the array engine's kernels.
 
 The acceptance target for the vectorized engine is a >=10x speedup over
-the faithful backend on a 10,000-node, 16-round exchange, while
+the per-message oracle (:class:`repro.testing.oracle.FaithfulNetwork`)
+on a 10,000-node, 16-round exchange, while
 producing the *identical* seeded held-count vector (the shared RNG
 contract makes the comparison exact, not statistical).  The engine on
 its numba kernels must reproduce the same vector too and, with numba
@@ -24,6 +25,7 @@ from repro.netsim import kernels
 from repro.netsim.engine import VectorizedExchange
 from repro.netsim.kernels import NUMBA_AVAILABLE, resolve_implementation
 from repro.netsim.network import RoundBasedNetwork
+from repro.testing.oracle import FaithfulNetwork
 
 _NUM_NODES = 10_000
 _DEGREE = 8
@@ -47,8 +49,8 @@ def _force_numpy_round(patch) -> None:
     patch.setitem(kernels._RESOLVED, "implementation", "numpy")
 
 
-def _timed_exchange(graph, backend: str):
-    network = RoundBasedNetwork(graph, rng=0, backend=backend)
+def _timed_exchange(graph, network_type):
+    network = network_type(graph, rng=0)
     network.seed_items({i: [i] for i in range(graph.num_nodes)})
     start = time.perf_counter()
     network.run_exchange(_ROUNDS)
@@ -56,19 +58,21 @@ def _timed_exchange(graph, backend: str):
     return elapsed, network.held_counts()
 
 def test_vectorized_speedup_over_faithful(shootout_graph):
-    faithful_time, faithful_counts = _timed_exchange(shootout_graph, "faithful")
+    faithful_time, faithful_counts = _timed_exchange(
+        shootout_graph, FaithfulNetwork
+    )
     vectorized_time, vectorized_counts = _timed_exchange(
-        shootout_graph, "vectorized"
+        shootout_graph, RoundBasedNetwork
     )
     speedup = faithful_time / vectorized_time
     print(
         f"\nfaithful: {faithful_time:.3f}s  vectorized: {vectorized_time:.3f}s"
         f"  speedup: {speedup:.1f}x ({_NUM_NODES} nodes, {_ROUNDS} rounds)"
     )
-    # Same seed => bit-identical allocation on both backends.
+    # Same seed => bit-identical allocation on the oracle and the engine.
     np.testing.assert_array_equal(faithful_counts, vectorized_counts)
     assert speedup >= 10.0, (
-        f"vectorized backend only {speedup:.1f}x faster than faithful"
+        f"vectorized engine only {speedup:.1f}x faster than the oracle"
     )
 
 
@@ -80,10 +84,10 @@ def test_compiled_matches_vectorized_and_is_not_slower(
     with monkeypatch.context() as patch:
         _force_numpy_round(patch)
         vectorized_time, vectorized_counts = _timed_exchange(
-            shootout_graph, "vectorized"
+            shootout_graph, RoundBasedNetwork
         )
     compiled_time, compiled_counts = _timed_exchange(
-        shootout_graph, "vectorized"
+        shootout_graph, RoundBasedNetwork
     )
     speedup = vectorized_time / compiled_time
     implementation = resolve_implementation()

@@ -8,8 +8,8 @@ a practitioner would actually want.
 
 The network-shuffling rows are priced through the declarative Scenario
 API (`repro.stationary_bound` — closed form, no graph build even at
-n=10,000) and the network-shuffling cost row is one `repro.run` of the
-same scenario on the faithful engine.
+n=10,000) and the network-shuffling cost row is one metered `repro.run`
+of the same scenario.
 
 Run:  python examples/compare_mechanisms.py
 """
@@ -30,12 +30,11 @@ EPSILON0 = 1.0
 DELTA = 1e-6
 
 
-def _network_scenario(protocol: str, n: int, engine: str = "fast") -> Scenario:
+def _network_scenario(protocol: str, n: int) -> Scenario:
     return Scenario(
         graph={"kind": "k_regular", "params": {"degree": 8, "num_nodes": n}},
         protocol=protocol,
         epsilon0=EPSILON0,
-        engine=engine,
         delta=DELTA,
         delta2=DELTA,
         seed=0,
@@ -69,9 +68,7 @@ def main() -> None:
     values = [0] * n_sim
     prochlo = run_prochlo(values, rng=0)
     mixnet = run_mixnet(values, rng=0)
-    shuffle = run(
-        _network_scenario("all", n_sim, engine="faithful").updated(rounds=8)
-    )
+    shuffle = run(_network_scenario("all", n_sim).updated(rounds=8))
     user_meters = [shuffle.meters.meter(u) for u in range(n_sim)]
 
     print("\nmeasured system costs at n=512:")

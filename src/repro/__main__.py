@@ -18,14 +18,12 @@ Commands
 ``plan <n> <target_eps>``
     Deployment planning: local budgets achieving a central target on a
     regular graph of ``n`` users (both protocols).
-``run <scenario.json> [--json] [--engine NAME] [--profile-budget BYTES]``
+``run <scenario.json> [--json] [--require-jit] [--profile-budget BYTES]``
     Execute one declarative scenario (simulate + account) and print the
     result digest (``--json`` emits machine-readable JSON).  ``-`` reads
-    the scenario from stdin.  ``--engine
-    fast|vectorized|faithful|compiled`` overrides the scenario's
-    simulation engine (``fast`` and ``compiled`` are aliases of
-    ``vectorized``; ``--require-jit`` makes a process without working
-    numba kernels a hard error).  Time-varying topologies ride the same
+    the scenario from stdin.  ``--require-jit`` makes a process without
+    working numba kernels a hard error instead of running the exchange
+    on its NumPy round.  Time-varying topologies ride the same
     commands via the ``schedule`` graph spec (sub-specs plus a
     round-robin/epoch selector, or ``base`` + ``phases`` churn); such
     scenarios must set ``rounds`` explicitly and are accounted via the
@@ -54,9 +52,8 @@ Commands
     reported failures instead of aborting the grid, ``--retries N``
     retries points whose worker crashed (rebuilding the pool), and
     ``--point-timeout S`` kills and retries hung points; a sweep with
-    failed points exits nonzero after printing them.  ``--engine`` /
-    ``--require-jit`` work as on ``run`` (the ``engine`` field is also
-    a sweepable axis: ``--axis engine=vectorized,faithful``).
+    failed points exits nonzero after printing them.  ``--require-jit``
+    works as on ``run``.
 ``results <query|diff|gc|campaigns> --store DB ...``
     Query the campaign store: ``query`` aggregates a metric over any
     recorded axis straight from SQL (``--x``/``--y``/``--group-by``/
@@ -74,8 +71,8 @@ Commands
     persists job outcomes across restarts and serves ``GET /results``;
     ``--max-queue`` turns on 429 back-pressure; ``--job-timeout``
     fails jobs that outlive their wall-clock budget with a 504;
-    ``--engine`` pins the exchange backend every submitted job runs on
-    (``GET /stats`` reports which kernels the array engine runs).
+    ``--require-jit`` works as on ``run`` (``GET /stats`` reports which
+    kernels the array engine runs).
 
 Every command (and every ``results`` action) takes ``-h``/``--help``
 for its usage; ``python -m repro`` alone, ``-h`` or ``--help`` prints
@@ -123,17 +120,6 @@ def _memory_budget(text: str) -> int:
         return parse_memory_budget(text)
     except ReproError as error:
         raise argparse.ArgumentTypeError(error_payload(error)["message"]) from None
-
-
-def _engine(name: str) -> str:
-    """``--engine`` value, checked against the protocol runners' engines."""
-    from repro.protocols.all_protocol import ENGINES
-
-    if name not in ENGINES:
-        raise argparse.ArgumentTypeError(
-            f"unknown engine {name!r}; use one of {ENGINES}"
-        )
-    return name
 
 
 def _parse_axis_value(token: str):
@@ -250,17 +236,13 @@ def _scenario(args: argparse.Namespace) -> "repro.Scenario":
 
     The budget caps the memory schedule accounting may spend.  It never
     changes the computed bits, so it is a flag rather than a field in
-    the scenario JSON.  ``--engine`` overrides the scenario's simulation
-    engine: the knob that switches an archived scenario between backends
-    without editing it.
+    the scenario JSON.
     """
     if getattr(args, "profile_budget", None) is not None:
         from repro.api import ProfilePolicy, set_profile_policy
 
         set_profile_policy(ProfilePolicy(memory_budget=args.profile_budget))
-    scenario = _load_scenario(args.scenario)
-    engine = getattr(args, "engine", None)
-    return scenario if engine is None else scenario.updated(engine=engine)
+    return _load_scenario(args.scenario)
 
 
 def _print_digest(digest: dict, as_json: bool) -> None:
@@ -486,7 +468,6 @@ def _serve(args: argparse.Namespace) -> None:
                 store=args.store,
                 job_timeout=args.job_timeout,
                 profile_budget=args.profile_budget,
-                engine=args.engine,
             )
         )
     except KeyboardInterrupt:
@@ -506,10 +487,8 @@ def _parser() -> tuple[_Parser, dict]:
     as_json.add_argument("--json", action="store_true")
     budget = _Parser(add_help=False)
     budget.add_argument("--profile-budget", type=_memory_budget, metavar="BYTES|512M|2G")
-    engine = _Parser(add_help=False)
-    engine.add_argument("--engine", type=_engine,
-                        metavar="fast|vectorized|faithful|compiled")
-    engine.add_argument("--require-jit", action="store_true")
+    jit = _Parser(add_help=False)
+    jit.add_argument("--require-jit", action="store_true")
     preset = _Parser(add_help=False)
     preset.add_argument("--fast", action="store_true")
     preset.add_argument("--full", action="store_true")
@@ -537,11 +516,11 @@ def _parser() -> tuple[_Parser, dict]:
     plan = command("plan", _plan)
     plan.add_argument("n", type=int)
     plan.add_argument("target_eps", type=float)
-    command("run", _run, scenario, as_json, engine, budget)
+    command("run", _run, scenario, as_json, jit, budget)
     command("bound", _bound, scenario, as_json, budget)
     audit = command("audit", _audit, scenario, as_json)
     audit.add_argument("--trials", type=int, metavar="N")
-    sweep = command("sweep", _sweep, scenario, engine, budget)
+    sweep = command("sweep", _sweep, scenario, jit, budget)
     sweep.add_argument("--axis", type=_axis, action="append", required=True,
                        metavar="path=v1,v2,...")
     sweep.add_argument("--mode", default="run",
@@ -565,7 +544,7 @@ def _parser() -> tuple[_Parser, dict]:
     gc = command("gc", _results, store, under=actions)
     gc.add_argument("--dry-run", action="store_true")
     command("campaigns", _results, store, as_json, under=actions)
-    serve = command("serve", _serve, engine, budget)
+    serve = command("serve", _serve, jit, budget)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8777)
     serve.add_argument("--workers", type=int, default=2, metavar="N")

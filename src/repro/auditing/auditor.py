@@ -682,7 +682,9 @@ def _looped_world_statistics(
     return out
 
 
-_AUDIT_METHODS = ("auto", "kernel", "tiled", "loop")
+#: Accepted ``method=`` values (the serving tier checks ``/audit``
+#: bodies against this at submission).
+AUDIT_METHODS = ("auto", "kernel", "tiled", "loop")
 
 #: Largest graph whose dense ``t``-step kernel the auto method will
 #: hold in memory (n^2 float64 = 32 MiB at the cap).
@@ -706,9 +708,9 @@ def resolve_method(method: str, graph: GraphLike, rounds: int) -> str:
     memoize kernel samplers (the scenario layer, the serving tier) ask
     here instead of duplicating the heuristic.
     """
-    if method not in _AUDIT_METHODS:
+    if method not in AUDIT_METHODS:
         raise ValidationError(
-            f"method must be one of {_AUDIT_METHODS}, got {method!r}"
+            f"method must be one of {AUDIT_METHODS}, got {method!r}"
         )
     if isinstance(graph, DynamicGraphSchedule):
         if method == "kernel":

@@ -6,20 +6,15 @@ final reports, and every entity is metered (messages sent/received,
 peak queue memory) so the Table 3 complexity comparison can be
 *measured* rather than asserted.
 
-Two interchangeable backends realize the exchange under an exact shared
-RNG contract (seeded runs agree bit for bit):
-
-* ``backend="vectorized"`` — :class:`~repro.netsim.engine.VectorizedExchange`
-  keeps every in-flight report in flat NumPy arrays and advances a round
-  with a few gathers plus ``np.bincount`` metering; this is what the
-  protocol simulators pick by default and it scales to millions of
-  tokens.  With numba installed (the ``repro[compiled]`` extra) the same
-  engine runs fused JIT kernels (:mod:`repro.netsim.kernels`); which
-  kernels ran never changes a result and is reported only by
-  :func:`repro.netsim.kernels.backend_info`.
-* ``backend="faithful"`` — per-message over
-  :class:`~repro.netsim.node.Node` objects; keeps message identity for
-  adversary/audit scenarios and cross-validates the fast path.
+The exchange runs on :class:`~repro.netsim.engine.VectorizedExchange`,
+which keeps every in-flight report in flat NumPy arrays and advances a
+round with a few gathers plus ``np.bincount`` metering, scaling to
+millions of tokens.  With numba installed (the ``repro[compiled]``
+extra) the same engine runs fused JIT kernels
+(:mod:`repro.netsim.kernels`); which kernels ran never changes a result
+and is reported only by :func:`repro.netsim.kernels.backend_info`.  The
+per-message reference simulator it is tested against is
+:class:`repro.testing.oracle.FaithfulNetwork`.
 
 An :class:`~repro.netsim.adversary.AdversaryView` records exactly what
 the paper's threat model grants the central adversary: the linkage of
@@ -28,10 +23,8 @@ originator).
 """
 
 from repro.netsim.engine import VectorizedExchange
-from repro.netsim.message import Message
 from repro.netsim.metrics import EntityMeter, MeterBoard, VectorMeterBoard
-from repro.netsim.network import BACKENDS, RoundBasedNetwork
-from repro.netsim.node import Node
+from repro.netsim.network import RoundBasedNetwork
 from repro.netsim.server import Server
 from repro.netsim.adversary import AdversaryView
 from repro.netsim.faults import AdversarialDropout, DropoutModel, NoFaults, IndependentDropout
@@ -42,14 +35,11 @@ from repro.netsim.collusion import (
 )
 
 __all__ = [
-    "Message",
     "EntityMeter",
     "MeterBoard",
     "VectorMeterBoard",
     "VectorizedExchange",
-    "BACKENDS",
     "RoundBasedNetwork",
-    "Node",
     "Server",
     "AdversaryView",
     "DropoutModel",

@@ -1,10 +1,10 @@
 """Vectorized exchange engine: every in-flight report as one array slot.
 
-The faithful simulator (:class:`repro.netsim.network.RoundBasedNetwork`
-with ``backend="faithful"``) walks Python ``Node`` objects and draws one
-random number per message per round — O(n · items) interpreter overhead
-that caps simulations at ~10^4 users.  This engine represents the same
-process as two flat arrays,
+The per-message reference simulator
+(:class:`repro.testing.oracle.FaithfulNetwork`) walks Python ``Node``
+objects and draws one random number per message per round — O(n · items)
+interpreter overhead that caps it at ~10^4 users.  This engine
+represents the same process as two flat arrays,
 
 * ``token_origin[i]``  — the user who created token ``i``;
 * ``token_position[i]`` — the user currently holding token ``i``;
@@ -18,17 +18,18 @@ iteration order.
 
 RNG contract (exact, not statistical)
 -------------------------------------
-Both backends consume the *same* random stream in the *same* order, so a
-seeded vectorized run reproduces the faithful run bit for bit:
+The engine and the reference simulator consume the *same* random stream
+in the *same* order, so a seeded engine run reproduces the per-message
+run bit for bit:
 
 1. each round first draws the fault model's offline mask;
 2. then one uniform double per message held by an online node, in the
-   faithful iteration order — ascending holder id, and within a holder
+   per-message iteration order — ascending holder id, and within a holder
    the inbox arrival order; the neighbor index is
    ``floor(u * degree)``.
 
 NumPy's ``Generator.random(k)`` produces the identical stream to ``k``
-scalar ``Generator.random()`` calls, so the faithful engine's per-item
+scalar ``Generator.random()`` calls, so the reference's per-item
 scalar draw and this engine's single array draw coincide.  The engine
 maintains the iteration order explicitly in :attr:`_order` — kept items
 precede arrivals, arrivals land in send order — which is exactly the
@@ -113,8 +114,7 @@ class VectorizedExchange:
         topology time-varying: before each round the engine swaps in the
         schedule's graph for that round index (a pure cache rebind —
         ``_degrees``/``_indptr``/``_indices`` — consuming no randomness,
-        so the exact RNG contract with the faithful backend is
-        untouched).
+        so the exact RNG contract is untouched).
     faults:
         Dropout model — offline holders keep their tokens for the round
         (the paper's lazy-walk fault model, Section 4.5).
@@ -161,7 +161,7 @@ class VectorizedExchange:
         self._indices = graph.indices
         self.token_origin = np.empty(0, dtype=np.int64)
         self.token_position = np.empty(0, dtype=np.int64)
-        #: Tokens in faithful iteration order: ascending holder, then
+        #: Tokens in iteration order: ascending holder, then
         #: inbox arrival order within a holder (see module docstring).
         self._order = np.empty(0, dtype=np.int64)
         self.meters = VectorMeterBoard(graph.num_nodes, SERVER_ID)
@@ -196,7 +196,7 @@ class VectorizedExchange:
         Rebinds the cached degree/CSR arrays; token positions, meters,
         iteration order, and the RNG stream are untouched — a swap
         consumes no randomness, which is what lets a schedule-driven run
-        keep the exact RNG contract with the faithful backend.
+        keep the exact RNG contract.
 
         On a schedule-constructed engine the schedule owns the topology:
         this method is exactly how it rebinds ``graph_at(round_index)``
@@ -285,14 +285,14 @@ class VectorizedExchange:
         """One synchronous exchange round (lines 4-8 of Algorithms 1/2)."""
         n = self.num_users
         # Topology swap first: it consumes no randomness, so the fault
-        # and hop draws below stay in lockstep with the faithful backend.
+        # and hop draws below stay in the contract's order.
         self._sync_schedule()
         offline = self.faults.offline_mask(n, self.round_index, self.rng)
         if self._drained:
             # Delivered tokens left the network: the round is a no-op
             # over an empty token set — but it still consumes the fault
             # model's draw and advances the clock, exactly like the
-            # faithful backend iterating empty nodes.
+            # per-message reference iterating empty nodes.
             self.round_index += 1
             return
         if self._kernels is not None:
@@ -391,7 +391,7 @@ class VectorizedExchange:
             and type(self.faults) is NoFaults
             and self._paths is None
             # Isolated nodes present: the per-round path reproduces the
-            # faithful error timing (and stream position at the raise).
+            # reference's error timing (and stream position at the raise).
             and not bool(np.any(self._degrees == 0))
         )
         if not fusable:
@@ -445,7 +445,7 @@ class VectorizedExchange:
     def delivery_order(self) -> np.ndarray:
         """Token ids in server-delivery order.
 
-        The faithful simulator delivers node by node in ascending id,
+        The per-message reference delivers node by node in ascending id,
         each node's items in held order — which is exactly
         :attr:`_order`.  Empty after :meth:`drain`: the delivered tokens
         have left the network.
@@ -458,8 +458,8 @@ class VectorizedExchange:
         """Release every token (the per-message ``take_all``); returns
         the delivery order.  Releases memory only — callers meter any
         resulting sends themselves.  Idempotent: a second drain returns
-        an empty order, matching the faithful backend whose nodes are
-        empty after ``take_all``."""
+        an empty order, matching the per-message reference whose nodes
+        are empty after ``take_all``."""
         order = self.delivery_order()
         self.meters.current_items[:] = 0
         self._drained = True

@@ -21,10 +21,11 @@ two a process runs is an install-time detail, reported by
 RNG contract (exact, not statistical)
 -------------------------------------
 The kernels consume the *same* random stream in the *same* order as the
-engine's NumPy round and the faithful backend: the fault model's draw
-first, then one uniform double per moving token in faithful iteration
-order.  Uniforms are pre-drawn per round (``Generator.random(k)``
-produces the identical stream to ``k`` scalar calls) and, on the fused
+engine's NumPy round and the per-message reference
+(:class:`repro.testing.oracle.FaithfulNetwork`): the fault model's draw
+first, then one uniform double per moving token in iteration order.
+Uniforms are pre-drawn per round (``Generator.random(k)`` produces the
+identical stream to ``k`` scalar calls) and, on the fused
 multi-round path, for several rounds at once (``random(a)`` then
 ``random(b)`` is the identical stream to ``random(a + b)``) — so seeded
 runs agree bit for bit whichever kernels ran (see

@@ -1,32 +1,4 @@
-"""Messages exchanged on the simulated network."""
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Any
+"""Entity ids on the simulated network."""
 
 #: Sentinel entity id for the curator/server.
 SERVER_ID = -1
-
-
-@dataclass(frozen=True)
-class Message:
-    """One message in flight.
-
-    Attributes
-    ----------
-    sender:
-        Entity id of the sender (``SERVER_ID`` for the server).
-    recipient:
-        Entity id of the recipient.
-    payload:
-        Arbitrary payload — protocol simulators carry report objects or
-        ciphertext envelopes here.
-    round_index:
-        The round in which the message was sent.
-    """
-
-    sender: int
-    recipient: int
-    payload: Any
-    round_index: int = 0

@@ -10,16 +10,12 @@
 * :func:`run_secure_protocol` — the Section 4.4 realization with the
   double-encryption envelope on the metered network simulator.
 
-Two execution engines, both metered, both running on
-:class:`repro.netsim.RoundBasedNetwork` under an exact shared RNG
-contract (a seeded run is identical on either):
-
-* the **fast** engine (``engine="fast"``/``"vectorized"``, the default)
-  is the flat-array :class:`repro.netsim.VectorizedExchange` — a round
-  costs a few NumPy kernels, scaling to millions of reports;
-* the **faithful** engine (``engine="faithful"``) runs per-message over
-  ``Node`` objects, keeping message identity — use it for
-  adversary/audit scenarios and as the cross-validation oracle.
+The runners exchange on :class:`repro.netsim.RoundBasedNetwork`, the
+flat-array :class:`repro.netsim.VectorizedExchange`: a round costs a few
+NumPy kernels (or one JIT kernel call), scaling to millions of reports,
+and every entity is metered.  Their ``engine=`` spellings all select
+this one exchange; :class:`repro.testing.oracle.FaithfulNetwork` is the
+per-message reference the tests hold it to.
 """
 
 from repro.protocols.reports import Report, ProtocolResult

@@ -22,19 +22,11 @@ from repro.protocols.reports import ProtocolResult, Report, payload_list
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
-#: Network backend each ``engine=`` spelling runs on.  ``fast`` and
-#: ``compiled`` are aliases of ``vectorized``, kept for one release so
-#: stored scenarios (and their hashes) stay valid.
-ENGINE_BACKENDS = {
-    "fast": "vectorized",
-    "vectorized": "vectorized",
-    "faithful": "faithful",
-    "compiled": "vectorized",
-}
-
-#: Valid ``engine=`` choices for the protocol runners (and the Scenario
-#: spec layer, which imports this so the two never drift).
-ENGINES = tuple(ENGINE_BACKENDS)
+#: Accepted ``engine=`` spellings.  Every one runs the array exchange:
+#: the knob selects nothing and survives so stored scenarios (and their
+#: hashes) stay valid.  The per-message reference simulator is
+#: :class:`repro.testing.oracle.FaithfulNetwork`.
+ENGINES = ("fast", "vectorized", "faithful", "compiled")
 
 
 def resolve_backend(
@@ -42,16 +34,13 @@ def resolve_backend(
     faults: Optional[DropoutModel],
     laziness: float,
 ) -> tuple[str, Optional[DropoutModel]]:
-    """Map a protocol ``engine`` choice to a network backend + faults.
+    """Check an ``engine`` spelling; return the network backend + faults.
 
-    ``"fast"``, ``"vectorized"`` and ``"compiled"`` select the flat-array
-    engine (numba kernels when installed); ``"faithful"`` selects the
-    per-message path.  ``laziness`` is sugar for ``IndependentDropout``
-    on any backend (the paper's lazy-walk fault model); passing both is
-    ambiguous.
+    The backend is always ``"vectorized"``.  ``laziness`` is sugar for
+    ``IndependentDropout`` (the paper's lazy-walk fault model); passing
+    both is ambiguous.
     """
-    backend = ENGINE_BACKENDS.get(engine)
-    if backend is None:
+    if engine not in ENGINES:
         raise ValidationError(
             f"unknown engine {engine!r}; use one of {ENGINES}"
         )
@@ -59,7 +48,7 @@ def resolve_backend(
         if faults is not None:
             raise ValidationError("pass either faults or laziness, not both")
         faults = IndependentDropout(laziness)
-    return backend, faults
+    return "vectorized", faults
 
 
 def _randomize_inputs(
@@ -111,15 +100,10 @@ def run_all_protocol(
     randomizer:
         Optional ``A_ldp`` applied to each value before the exchange.
     engine:
-        ``"fast"``/``"vectorized"`` (flat-array exchange engine — the
-        default) or ``"faithful"`` (per-message on the ``Node``-object
-        simulator).  Both run on :class:`RoundBasedNetwork` under an
-        exact shared RNG contract, so a seeded run produces identical
-        results on either; the faithful path keeps per-message identity
-        for adversary/audit scenarios.
+        One of :data:`ENGINES`; every spelling runs the same exchange.
     faults:
         Dropout model (offline users keep their reports — the lazy-walk
-        fault model of Section 4.5); works on both engines.
+        fault model of Section 4.5).
     laziness:
         Shorthand for ``faults=IndependentDropout(laziness)``.
     rng:

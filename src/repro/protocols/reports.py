@@ -67,9 +67,9 @@ class ProtocolResult:
     dummy_count:
         Number of dummy reports the server received (``A_single`` only).
     meters:
-        Per-entity traffic/memory meters — a ``MeterBoard`` from the
-        faithful engine or an array-backed ``VectorMeterBoard`` from the
-        vectorized engine (same query API, identical values for a
+        Per-entity traffic/memory meters — the exchange engine's
+        array-backed ``VectorMeterBoard``, or a ``MeterBoard`` from the
+        per-message oracle (same query API, identical values for a
         seeded run).
     """
 

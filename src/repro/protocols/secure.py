@@ -232,7 +232,7 @@ def _run_batched(
         ]
         draw_ephemeral(generator)  # wrap_for_hop's KEM draw
 
-    # Message j originates at user j.  ``order`` is the faithful event
+    # Message j originates at user j.  ``order`` is the per-message event
     # sequence: ascending holder, inbox arrival order within a holder.
     holders = first_hops
     order = stable_argsort(holders)

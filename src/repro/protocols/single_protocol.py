@@ -73,7 +73,7 @@ def run_single_protocol(
 
     The final selection consumes the RNG as *one batched draw* over the
     non-empty holders (in user order), then the dummies' draws in user
-    order — identical across engines for a fixed seed.
+    order.
 
     Returns
     -------
@@ -97,9 +97,8 @@ def run_single_protocol(
 
     # Line 9 of Algorithm 2, batched: one vectorized draw selects the
     # uniform index for every non-empty holder at once (the per-user
-    # ``rng.integers`` loop was the hot spot on million-user sweeps).
-    # Both engines share this path, so seeded runs stay identical across
-    # backends; dummy draws happen after the batch, in user order.
+    # ``rng.integers`` loop was the hot spot on million-user sweeps);
+    # dummy draws happen after the batch, in user order.
     nonempty = np.flatnonzero(allocation > 0)
     picks = np.empty(graph.num_nodes, dtype=np.int64)
     picks[nonempty] = generator.integers(0, allocation[nonempty])

@@ -150,12 +150,6 @@ def _dataset(
 _SCHEDULE_SELECTORS = ("round_robin", "epoch")
 
 
-# The picklable epoch selector now lives beside the schedule class
-# (graphs.dynamic.EpochSelector) so graphs/io.py can serialize it for
-# the disk spill; this alias keeps old imports working.
-_EpochSelector = EpochSelector
-
-
 @GRAPHS.register(
     "schedule",
     example={

@@ -2,7 +2,7 @@
 
 ``run(scenario)`` is the one entry point the experiments, examples, and
 CLI share: it materializes the graph, builds the mechanism and workload,
-executes Algorithm 1/2 on the chosen engine, and evaluates the matching
+executes Algorithm 1/2 on the exchange engine, and evaluates the matching
 amplification theorem — returning everything in a :class:`RunResult` so
 privacy accounting is no longer a separate manual step.
 
@@ -13,7 +13,7 @@ independent child generators with the SeedSequence spawning protocol —
 ``graph``, ``values``, ``protocol`` in that order — and ``run`` consumes
 them in exactly that way.  A hand-wired pipeline that draws its
 generators from the same helper reproduces a ``run`` bit for bit, on
-either engine; the scenario tests assert this.
+the engine or the per-message oracle; the scenario tests assert this.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The frozen, serializable :class:`Scenario` and its component specs.
 
 A scenario is *data*: which graph to build, which ``A_ldp`` to apply,
-which protocol/engine to exchange with and for how many rounds, which
+which protocol to exchange with and for how many rounds, which
 fault model to apply, and the accounting knobs ``(delta, delta2)``.
 ``Scenario.to_dict`` / ``from_dict`` round-trip exactly through JSON, so
 a workload can live in a file, travel over the wire, or key a cache.
@@ -256,9 +256,9 @@ class Scenario:
         Exchange rounds ``t``; ``None`` selects the graph's mixing time
         ``alpha^{-1} log n`` (the paper's operating point).
     engine:
-        ``"fast"``/``"vectorized"`` (flat-array engine; ``"compiled"``
-        is a deprecated alias) or ``"faithful"`` (per-message
-        simulator).  Seeded runs are bit-identical across engines.
+        ``"fast"``, ``"vectorized"``, ``"faithful"`` or ``"compiled"``.
+        Every spelling runs the one array exchange; the field is kept
+        so stored scenarios and their hashes stay valid.
     faults / laziness:
         Dropout model reference, or the lazy-walk shorthand probability.
         Mutually exclusive.

@@ -10,10 +10,9 @@ and the presence rules.
 Presence rules
 --------------
 * The execution scalars (protocol, engine, backend, num_users, rounds,
-  dummy_count, elapsed_seconds) are always present.  ``backend`` is the
-  network backend ``engine`` resolves to — ``faithful`` or
-  ``vectorized`` (the ``fast`` and ``compiled`` spellings are aliases
-  of the latter).
+  dummy_count, elapsed_seconds) are always present.  ``engine`` echoes
+  the scenario's spelling; ``backend`` is always ``vectorized``, the one
+  exchange every spelling runs.
 * The four accounting fields appear together iff a central bound was
   computed (``central_epsilon is not None``).
 * ``empirical_epsilon`` appears iff the Theorem 6.1 estimate exists
@@ -48,12 +47,10 @@ def run_summary_payload(
     schedule_accounting: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Build the canonical JSON-able digest of one scenario execution."""
-    from repro.protocols.all_protocol import ENGINE_BACKENDS
-
     payload: Dict[str, Any] = {
         "protocol": protocol,
         "engine": engine,
-        "backend": ENGINE_BACKENDS.get(engine, str(engine)),
+        "backend": "vectorized",
         "num_users": int(num_users),
         "rounds": int(rounds),
         "dummy_count": int(dummy_count),

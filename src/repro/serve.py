@@ -25,8 +25,8 @@ Endpoints (JSON in, JSON out):
     GRAPH_STATS kinds), synchronously.
 ``POST /run`` / ``POST /audit``
     Body ``{"scenario": {...}}`` (audit also accepts ``trials``,
-    ``rounds``, ``method``) — enqueue a job; returns ``202`` with a
-    job id immediately.
+    ``rounds``, ``method``, each checked before enqueueing) — enqueue a
+    job; returns ``202`` with a job id immediately.
 ``GET /jobs/<id>``
     Job status; ``result`` appears when done, ``error`` (the canonical
     :func:`repro.exceptions.error_payload`) when failed.
@@ -71,6 +71,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import api
+from repro.auditing.auditor import AUDIT_METHODS
 from repro.exceptions import (
     ExecutionTimeoutError,
     InvalidScenarioError,
@@ -189,7 +190,6 @@ class ReproService:
         store: Optional[str] = None,
         job_timeout: Optional[float] = None,
         profile_budget: Optional[int] = None,
-        engine: Optional[str] = None,
     ):
         if job_timeout is not None and not job_timeout > 0:
             raise ValidationError(
@@ -201,16 +201,6 @@ class ReproService:
             raise ValidationError(
                 f"max_queue must be non-negative, got {max_queue!r}"
             )
-        if engine is not None:
-            from repro.protocols.all_protocol import ENGINES
-
-            if engine not in ENGINES:
-                raise ValidationError(
-                    f"unknown engine {engine!r}; use one of {ENGINES}"
-                )
-        #: Deployment-wide engine override applied to every submitted
-        #: job scenario (``--engine``); None keeps each scenario's own.
-        self._engine = engine
         self.started = time.time()
         self._job_timeout = job_timeout
         self._store_errors = 0
@@ -525,7 +515,11 @@ class ReproService:
 
     def _stationary_bound(self, body: Mapping[str, Any]) -> Dict[str, Any]:
         scenario = self._scenario_of(body)
-        materialize = bool(body.get("materialize", False))
+        materialize = body.get("materialize", False)
+        if not isinstance(materialize, bool):
+            raise InvalidScenarioError(
+                f"'materialize' must be a JSON boolean, got {materialize!r}"
+            )
         return api.bound_payload(
             api.stationary_bound(scenario, materialize=materialize)
         )
@@ -538,10 +532,6 @@ class ReproService:
 
     def _enqueue(self, kind: str, body: Mapping[str, Any]) -> Dict[str, Any]:
         scenario = self._scenario_of(body)
-        if self._engine is not None:
-            # Deployment override: this host decides which exchange
-            # backend executes its jobs (e.g. vectorized vs faithful).
-            scenario = scenario.updated(engine=self._engine)
         options: Dict[str, Any] = {}
         if kind == "audit":
             for name in ("trials", "rounds"):
@@ -550,7 +540,12 @@ class ReproService:
                     options[name] = value
             method = body.get("method")
             if method is not None:
-                options["method"] = str(method)
+                if method not in AUDIT_METHODS:
+                    raise InvalidScenarioError(
+                        f"'method' must be one of {AUDIT_METHODS}, "
+                        f"got {method!r}"
+                    )
+                options["method"] = method
         job = _Job(
             id=f"job-{next(self._job_ids)}",
             kind=kind,
@@ -713,10 +708,7 @@ class ReproService:
             "graph_cache": api.cache_stats(),
             "kernel_sampler": api.sampler_stats(),
             "profile_store": api.profile_stats(),
-            "exchange_backend": {
-                **backend_info(),
-                "engine_override": self._engine,
-            },
+            "exchange_backend": backend_info(),
             "jobs": {"retained": len(jobs), **by_status},
             "queue": {"depth": depth, "max": self._max_queue},
             "store_errors": self._store_errors,
@@ -773,7 +765,6 @@ async def serve(
     store: Optional[str] = None,
     job_timeout: Optional[float] = None,
     profile_budget: Optional[int] = None,
-    engine: Optional[str] = None,
     echo=print,
 ) -> None:
     """Run the service until SIGINT/SIGTERM (the CLI entry point)."""
@@ -784,7 +775,6 @@ async def serve(
         store=store,
         job_timeout=job_timeout,
         profile_budget=profile_budget,
-        engine=engine,
     )
     await service.start(host, port)
     stop = asyncio.Event()
@@ -810,7 +800,6 @@ async def serve(
             if profile_budget is not None
             else ""
         )
-        + (f", engine {engine}" if engine is not None else "")
         + ") — GET /healthz /stats /results,"
         " POST /bound /stationary_bound /run /audit",
         flush=True,

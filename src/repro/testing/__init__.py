@@ -7,6 +7,10 @@ fault-tolerance machinery (per-point isolation, crash recovery,
 poison-point quarantine, incremental checkpointing) is exercised
 against *real* failures rather than mocks.
 
+:mod:`repro.testing.oracle` is the per-message exchange simulator
+(:class:`~repro.testing.oracle.FaithfulNetwork`): the reference the
+array exchange engine is tested against bit for bit.
+
 Nothing here is imported by the library's production paths except the
 single :func:`~repro.testing.faults.maybe_fire` hook in the sweep
 engine, which is a no-op unless a fault plan is explicitly installed.

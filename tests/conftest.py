@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -42,6 +44,33 @@ def triangle() -> Graph:
 def k4() -> Graph:
     """Complete graph on four nodes."""
     return complete_graph(4)
+
+
+@pytest.fixture(scope="session")
+def on_oracle():
+    """``with on_oracle(): ...`` exchanges every protocol run started in
+    the block on the per-message oracle
+    (:class:`repro.testing.oracle.FaithfulNetwork`) instead of the array
+    engine — ``run_all_protocol``/``run_single_protocol`` and everything
+    above them (``repro.run``, the shuffler).  A test runs a seed once
+    outside the block and once inside to compare the two exchanges;
+    ``on_oracle(False)`` is a no-op block, for parametrized tests."""
+    from repro.protocols import all_protocol, single_protocol
+    from repro.testing.oracle import FaithfulNetwork
+
+    def network(graph, *, backend, **kwargs):
+        assert backend == "vectorized"
+        return FaithfulNetwork(graph, **kwargs)
+
+    @contextlib.contextmanager
+    def routed(active: bool = True):
+        with pytest.MonkeyPatch.context() as patch:
+            if active:
+                for module in (all_protocol, single_protocol):
+                    patch.setattr(module, "RoundBasedNetwork", network)
+            yield
+
+    return routed
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.shuffler import NetworkShuffler
@@ -109,7 +110,13 @@ class TestRun:
         with pytest.raises(ValidationError):
             shuffler.run([0] * 200, BinaryRandomizedResponse(2.0), rng=0)
 
-    def test_faithful_engine(self, graph):
+    def test_faithful_engine(self, graph, on_oracle):
+        """The shuffler's run on the per-message oracle matches the
+        engine's, seed for seed."""
         shuffler = NetworkShuffler(graph, 1.0, 1e-6, rounds=3)
-        result = shuffler.run([0] * 200, engine="faithful", rng=0)
+        fast = shuffler.run([0] * 200, rng=0)
+        with on_oracle():
+            result = shuffler.run([0] * 200, rng=0)
         assert result.meters is not None
+        np.testing.assert_array_equal(result.allocation, fast.allocation)
+        assert result.payloads() == fast.payloads()

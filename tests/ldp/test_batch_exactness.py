@@ -15,11 +15,11 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.graphs.generators import random_regular_graph
 from repro.ldp import KaryRandomizedResponse
-from repro.netsim.network import RoundBasedNetwork
 from repro.protocols.all_protocol import run_all_protocol
 from repro.protocols.reports import payload_list
 from repro.protocols.single_protocol import DUMMY_ORIGIN, run_single_protocol
 from repro.scenario import DUMMIES, MECHANISMS, VALUES
+from repro.testing.oracle import FaithfulNetwork
 
 KARY_STREAM = pytest.mark.xfail(
     strict=True,
@@ -139,7 +139,7 @@ def _reference_run(protocol, graph, rounds, values, randomizer, dummy_factory, s
     """Algorithms 1-2 with the per-user randomize/dummy loops spelled out."""
     generator = np.random.default_rng(seed)
     payloads = [randomizer.randomize(value, generator) for value in values]
-    network = RoundBasedNetwork(graph, rng=generator)
+    network = FaithfulNetwork(graph, rng=generator)
     network.seed_items({
         user: [(user, payload)] for user, payload in enumerate(payloads)
     })
@@ -173,8 +173,10 @@ def exchange_graph():
     ("privunit", "privunit_normal"),
 ])
 def test_protocol_matches_per_user_reference(
-    exchange_graph, engine, protocol, kind, dummy
+    exchange_graph, engine, protocol, kind, dummy, on_oracle
 ):
+    """The per-user reference exchanges on the per-message oracle; the
+    ``faithful`` case runs the protocol on the oracle too."""
     mechanism = MECHANISMS.build(kind, **MECHANISMS.example(kind))
     factory = DUMMIES.build(dummy, mechanism)
     values = _values(kind, exchange_graph.num_nodes, np.random.default_rng(1))
@@ -182,16 +184,18 @@ def test_protocol_matches_per_user_reference(
     allocation, expected = _reference_run(
         protocol, exchange_graph, rounds, values, mechanism, factory, seed=21
     )
-    if protocol == "all":
-        result = run_all_protocol(
-            exchange_graph, rounds, values=values, randomizer=mechanism,
-            engine=engine, rng=21,
-        )
-    else:
-        result = run_single_protocol(
-            exchange_graph, rounds, values=values, randomizer=mechanism,
-            dummy_factory=factory, engine=engine, rng=21,
-        )
+    with on_oracle(engine == "faithful"):
+        if protocol == "all":
+            result = run_all_protocol(
+                exchange_graph, rounds, values=values, randomizer=mechanism,
+                rng=21,
+            )
+        else:
+            result = run_single_protocol(
+                exchange_graph, rounds, values=values, randomizer=mechanism,
+                dummy_factory=factory, rng=21,
+            )
+    if protocol == "single":
         assert result.dummy_count > 0
     np.testing.assert_array_equal(result.allocation, allocation)
     assert [r.origin for r in result.server_reports] == [o for o, _ in expected]

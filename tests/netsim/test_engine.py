@@ -1,9 +1,10 @@
-"""Backend equivalence: the three-way exchange oracle.
+"""Exchange equivalence: the three-way oracle.
 
-The array engine promises an *exact* RNG contract with the faithful
-simulator, whichever kernels it runs — a seeded run must produce
-identical per-round held counts, meters, and server deliveries on all
-three variants (``faithful`` ≡ ``vectorized``, the engine on its NumPy
+The array engine promises an *exact* RNG contract with the per-message
+simulator (:class:`repro.testing.oracle.FaithfulNetwork`), whichever
+kernels it runs — a seeded run must produce identical per-round held
+counts, meters, and server deliveries on all three variants
+(``faithful``, the oracle ≡ ``vectorized``, the engine on its NumPy
 round ≡ ``compiled``, the engine on the JIT kernel loops run
 interpreted) — plus statistical agreement with the exact distribution
 evolution of :mod:`repro.graphs.walks`.  The JIT variant is
@@ -36,9 +37,10 @@ from repro.netsim.faults import (
 from repro.netsim.network import RoundBasedNetwork
 from repro.protocols.all_protocol import run_all_protocol
 from repro.protocols.single_protocol import run_single_protocol
+from repro.testing.oracle import FaithfulNetwork
 
 
-#: The three-way oracle: the faithful simulator, then the array engine
+#: The three-way oracle: the per-message simulator, then the array engine
 #: on its NumPy round and on the JIT kernel loops run interpreted.
 VARIANTS = ("faithful", "vectorized", "compiled")
 
@@ -53,7 +55,7 @@ def network_on(use_kernels):
 
     def build(variant, graph, **kwargs):
         if variant == "faithful":
-            return RoundBasedNetwork(graph, backend="faithful", **kwargs)
+            return FaithfulNetwork(graph, **kwargs)
         use_kernels(KERNEL_MODES[variant])
         return RoundBasedNetwork(graph, backend="vectorized", **kwargs)
 
@@ -188,11 +190,12 @@ class TestSeededEquivalence:
                 assert held == reference
 
     def test_all_protocol_identical_across_engines(
-        self, small_regular, use_kernels
+        self, small_regular, use_kernels, on_oracle
     ):
         use_kernels("numpy")
         fast = run_all_protocol(small_regular, 7, rng=9)
-        faithful = run_all_protocol(small_regular, 7, engine="faithful", rng=9)
+        with on_oracle():
+            faithful = run_all_protocol(small_regular, 7, rng=9)
         use_kernels("loops")
         loops = run_all_protocol(small_regular, 7, rng=9)
         for other in (faithful, loops):
@@ -205,13 +208,12 @@ class TestSeededEquivalence:
             ]
 
     def test_single_protocol_identical_across_engines(
-        self, small_regular, use_kernels
+        self, small_regular, use_kernels, on_oracle
     ):
         use_kernels("numpy")
         fast = run_single_protocol(small_regular, 7, rng=9)
-        faithful = run_single_protocol(
-            small_regular, 7, engine="faithful", rng=9
-        )
+        with on_oracle():
+            faithful = run_single_protocol(small_regular, 7, rng=9)
         use_kernels("loops")
         loops = run_single_protocol(small_regular, 7, rng=9)
         for other in (faithful, loops):
@@ -421,8 +423,10 @@ class TestVectorizedEngineApi:
         assert engine.held_counts().sum() == 0
 
     def test_unknown_backend_rejected(self, k4):
-        with pytest.raises(ValidationError):
-            RoundBasedNetwork(k4, backend="quantum")
+        """Only ``vectorized`` runs; ``faithful`` moved to the oracle."""
+        for backend in ("quantum", "faithful"):
+            with pytest.raises(ValidationError, match="repro.testing.oracle"):
+                RoundBasedNetwork(k4, backend=backend)
 
     def test_compiled_backend_rejected(self, k4):
         """``compiled`` is an engine alias, not a network backend."""
@@ -551,17 +555,17 @@ class TestDynamicScheduleEquivalence:
         engine = VectorizedExchange(small_regular, rng=0)
         with pytest.raises(ValidationError):
             engine.set_graph(complete_graph(small_regular.num_nodes + 1))
-        network = RoundBasedNetwork(small_regular, rng=0, backend="faithful")
+        network = FaithfulNetwork(small_regular, rng=0)
         with pytest.raises(ValidationError):
             network.set_graph(complete_graph(small_regular.num_nodes + 1))
 
     def test_set_graph_rebinds_both_backends(self, small_regular):
         replacement = complete_graph(small_regular.num_nodes)
-        for backend in ("faithful", "vectorized"):
-            network = RoundBasedNetwork(small_regular, rng=0, backend=backend)
+        for network_type in (FaithfulNetwork, RoundBasedNetwork):
+            network = network_type(small_regular, rng=0)
             network.set_graph(replacement)
             assert network.graph is replacement
-            if backend == "faithful":
+            if network_type is FaithfulNetwork:
                 np.testing.assert_array_equal(
                     network.nodes[0].neighbors, replacement.neighbors(0)
                 )
@@ -652,8 +656,7 @@ class TestOffsetBoundaryClamp:
     @pytest.mark.parametrize("value", [1.0 - 2.0**-53, 1.0])
     def test_faithful_boundary_draw_hits_last_neighbor(self, value):
         graph = cycle_graph(7)
-        network = RoundBasedNetwork(graph, rng=0, backend="faithful")
-        node = network.nodes[0]
+        node = FaithfulNetwork(graph, rng=0).nodes[0]
         assert node.sample_neighbor(_PinnedRng(value)) == int(
             graph.neighbors(0)[-1]
         )

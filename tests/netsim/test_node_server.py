@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.netsim.metrics import EntityMeter
-from repro.netsim.node import Node
 from repro.netsim.server import Server
+from repro.testing.oracle import Node
 
 
 @pytest.fixture

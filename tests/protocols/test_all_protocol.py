@@ -78,12 +78,16 @@ class TestFastEngine:
 
 
 class TestFaithfulEngine:
-    def test_conservation(self, small_regular):
-        result = run_all_protocol(small_regular, 5, engine="faithful", rng=0)
+    """The protocol on the per-message oracle."""
+
+    def test_conservation(self, small_regular, on_oracle):
+        with on_oracle():
+            result = run_all_protocol(small_regular, 5, rng=0)
         assert result.check_conservation()
 
-    def test_meters_populated(self, small_regular):
-        result = run_all_protocol(small_regular, 5, engine="faithful", rng=0)
+    def test_meters_populated(self, small_regular, on_oracle):
+        with on_oracle():
+            result = run_all_protocol(small_regular, 5, rng=0)
         assert result.meters is not None
         sent = [
             result.meters.meter(u).messages_sent
@@ -92,27 +96,25 @@ class TestFaithfulEngine:
         # Every user relays roughly once per round plus final delivery.
         assert np.mean(sent) == pytest.approx(6.0, rel=0.35)
 
-    def test_agrees_with_fast_statistically(self):
-        """Both engines should produce the same allocation distribution."""
+    def test_agrees_with_fast_statistically(self, on_oracle):
+        """Both exchanges should produce the same allocation distribution."""
         graph = complete_graph(30)
         fast_max = np.mean([
             run_all_protocol(graph, 4, rng=seed).allocation.max()
             for seed in range(20)
         ])
-        faithful_max = np.mean([
-            run_all_protocol(graph, 4, engine="faithful", rng=seed).allocation.max()
-            for seed in range(20)
-        ])
+        with on_oracle():
+            faithful_max = np.mean([
+                run_all_protocol(graph, 4, rng=seed).allocation.max()
+                for seed in range(20)
+            ])
         assert fast_max == pytest.approx(faithful_max, rel=0.35)
 
-    def test_dropout_faults(self, small_regular):
-        result = run_all_protocol(
-            small_regular,
-            5,
-            engine="faithful",
-            faults=IndependentDropout(0.5),
-            rng=0,
-        )
+    def test_dropout_faults(self, small_regular, on_oracle):
+        with on_oracle():
+            result = run_all_protocol(
+                small_regular, 5, faults=IndependentDropout(0.5), rng=0
+            )
         assert result.check_conservation()
 
 

@@ -45,11 +45,12 @@ class TestAllProtocolInvariants:
 
     @given(protocol_setup())
     @settings(max_examples=20, deadline=None)
-    def test_engines_agree_on_counts(self, setup):
-        """Fast and faithful engines both conserve reports."""
+    def test_engines_agree_on_counts(self, on_oracle, setup):
+        """The engine and the per-message oracle both conserve reports."""
         graph, rounds, seed = setup
         fast = run_all_protocol(graph, rounds, rng=seed)
-        faithful = run_all_protocol(graph, rounds, engine="faithful", rng=seed)
+        with on_oracle():
+            faithful = run_all_protocol(graph, rounds, rng=seed)
         assert len(fast.server_reports) == len(faithful.server_reports)
         assert fast.allocation.sum() == faithful.allocation.sum()
 

@@ -68,10 +68,9 @@ class TestSingleProtocol:
         # eps=5 RR of 0 is almost always 0.
         assert np.mean([r.payload for r in dummies]) < 0.3
 
-    def test_faithful_engine(self, small_regular):
-        result = run_single_protocol(
-            small_regular, 5, engine="faithful", rng=0
-        )
+    def test_faithful_engine(self, small_regular, on_oracle):
+        with on_oracle():
+            result = run_single_protocol(small_regular, 5, rng=0)
         assert len(result.server_reports) == small_regular.num_nodes
         assert result.meters is not None
 

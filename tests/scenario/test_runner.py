@@ -1,5 +1,6 @@
 """Acceptance: a seeded ``repro.run`` reproduces the hand-wired pipeline
-bit for bit — reports, meters, and accounting — on both engines."""
+bit for bit — reports, meters, and accounting — on the array engine and
+on the per-message oracle (:mod:`repro.testing.oracle`)."""
 
 from __future__ import annotations
 
@@ -81,8 +82,15 @@ def _hand_wired(protocol: str, engine: str):
 @pytest.mark.parametrize("engine", ["fast", "faithful", "compiled"])
 @pytest.mark.parametrize("protocol", ["all", "single"])
 class TestHandWiredEquivalence:
-    def test_reports_meters_and_accounting_identical(self, protocol, engine):
-        expected, expected_bound, expected_empirical = _hand_wired(protocol, engine)
+    """The ``faithful`` case exchanges the hand-wired side on the oracle."""
+
+    def test_reports_meters_and_accounting_identical(
+        self, protocol, engine, on_oracle
+    ):
+        with on_oracle(engine == "faithful"):
+            expected, expected_bound, expected_empirical = _hand_wired(
+                protocol, engine
+            )
         got = run(_scenario(protocol, engine))
 
         # Simulation: identical reports (origin AND payload), allocation.
@@ -111,23 +119,53 @@ class TestHandWiredEquivalence:
         assert got.bound.theorem == expected_bound.theorem
         assert got.empirical_epsilon == expected_empirical
 
-    def test_engines_agree_with_each_other(self, protocol, engine):
+    def test_engines_agree_with_each_other(self, protocol, engine, on_oracle):
         reference = run(_scenario(protocol, "fast"))
-        other = run(_scenario(protocol, engine))
+        with on_oracle(engine == "faithful"):
+            other = run(_scenario(protocol, engine))
         assert [r.origin for r in other.protocol_result.server_reports] == [
             r.origin for r in reference.protocol_result.server_reports
         ]
         assert other.central_epsilon == reference.central_epsilon
 
 
+class TestOracleParity:
+    """A seeded ``repro.run`` at a few thousand users with dropout, on
+    whichever kernels the engine resolved, against the per-message
+    oracle: the same payloads, allocation, meters and epsilon."""
+
+    @pytest.mark.parametrize("protocol", ["all", "single"])
+    def test_run_matches_oracle_with_dropout(self, protocol, on_oracle):
+        scenario = _scenario(
+            protocol, "fast",
+            graph=GraphSpec.of("k_regular", degree=8, num_nodes=3000),
+            rounds=12, laziness=0.2,
+        )
+        engine = run(scenario)
+        with on_oracle():
+            oracle = run(scenario)
+        got, want = engine.protocol_result, oracle.protocol_result
+        assert got.payloads() == want.payloads()
+        assert [r.origin for r in got.server_reports] == [
+            r.origin for r in want.server_reports
+        ]
+        np.testing.assert_array_equal(got.allocation, want.allocation)
+        np.testing.assert_array_equal(got.delivered_by, want.delivered_by)
+        assert got.dummy_count == want.dummy_count
+        for user in range(-1, got.num_users):  # -1 is the server
+            assert got.meters.meter(user) == want.meters.meter(user), user
+        assert engine.central_epsilon == oracle.central_epsilon
+        assert engine.empirical_epsilon == oracle.empirical_epsilon
+
+
 class TestRunBehavior:
     @pytest.mark.parametrize("protocol", ["all", "single"])
     def test_engine_aliases_give_identical_outputs(self, protocol):
-        """``fast`` and ``compiled`` are aliases of ``vectorized``: the
-        same engine, so the same bits and the same backend label."""
+        """Every ``engine`` spelling runs the one array engine: the same
+        bits and the same backend label."""
         results = {
             engine: run(_scenario(protocol, engine))
-            for engine in ("fast", "vectorized", "compiled")
+            for engine in ("fast", "vectorized", "faithful", "compiled")
         }
         reference = results["vectorized"]
         for engine, other in results.items():

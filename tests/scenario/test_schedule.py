@@ -174,10 +174,12 @@ class TestScheduleRun:
         assert result.empirical_epsilon is not None
         assert len(result.payloads()) == 64
 
-    def test_engines_bit_identical_on_schedules(self):
+    def test_engines_bit_identical_on_schedules(self, on_oracle):
+        """The engine and the per-message oracle agree on a schedule."""
         fast = run(_schedule_scenario())
         for engine in ("faithful", "compiled"):
-            other = run(_schedule_scenario(engine=engine))
+            with on_oracle(engine == "faithful"):
+                other = run(_schedule_scenario(engine=engine))
             np.testing.assert_array_equal(
                 fast.protocol_result.allocation,
                 other.protocol_result.allocation,

@@ -100,9 +100,7 @@ class TestIntrospection:
         assert payload["store_errors"] == 0
         assert set(payload["exchange_backend"]) == {
             "numba_available", "compiled_kernels", "require_jit",
-            "engine_override",
         }
-        assert payload["exchange_backend"]["engine_override"] is None
         assert payload["exchange_backend"]["compiled_kernels"] in (
             "numba", "numpy", "broken"
         )
@@ -286,6 +284,39 @@ class TestErrorTaxonomy:
             {"scenario": SCENARIO, "rounds": "eight"})
         assert status == 400
         assert "rounds" in payload["message"]
+
+    def test_non_boolean_materialize_is_400(self, client):
+        """``"false"`` is a truthy string: it must be refused, not
+        silently build the graph."""
+        scenario = dict(SCENARIO, graph={
+            "kind": "k_regular", "params": {"degree": 4, "num_nodes": 200}})
+        _, before = request(client, "GET", "/stats")
+        for value in ("false", 1, None):
+            status, payload = request(
+                client, "POST", "/stationary_bound",
+                {"scenario": scenario, "materialize": value})
+            assert status == 400
+            assert payload["error"] == "InvalidScenarioError"
+            assert "materialize" in payload["message"]
+        status, payload = request(
+            client, "POST", "/stationary_bound",
+            {"scenario": scenario, "materialize": False})
+        assert status == 200
+        assert payload["sum_squared"] == 1 / 200
+        _, after = request(client, "GET", "/stats")
+        assert after["graph_cache"]["builds"] == before["graph_cache"]["builds"]
+
+    def test_unknown_audit_method_is_400(self, client):
+        """Checked at submission, like ``trials``/``rounds``: no job is
+        queued only to fail."""
+        _, before = request(client, "GET", "/stats")
+        status, payload = request(
+            client, "POST", "/audit", {"scenario": SCENARIO, "method": "bogus"})
+        assert status == 400
+        assert payload["error"] == "InvalidScenarioError"
+        assert "method" in payload["message"]
+        _, after = request(client, "GET", "/stats")
+        assert after["jobs"]["retained"] == before["jobs"]["retained"]
 
 
 class TestKeepAlive:
@@ -561,38 +592,6 @@ class TestStoreErrorAccounting:
             assert "results store write failed for job job-1" in caplog.text
         finally:
             service.close()
-
-
-class TestEngineOverride:
-    """``serve --engine`` pins the exchange backend for every job."""
-
-    def test_service_pins_engine_for_all_jobs(self):
-        clear_graph_cache()
-        with ServerHandle.start(engine="compiled") as handle:
-            connection = http.client.HTTPConnection(
-                handle.host, handle.port, timeout=30
-            )
-            try:
-                status, job = request(
-                    connection, "POST", "/run", {"scenario": SCENARIO}
-                )
-                assert status == 202
-                finished = wait_for_job(connection, job["id"])
-                assert finished["status"] == "done"
-                assert finished["result"]["engine"] == "compiled"
-                assert finished["result"]["backend"] == "vectorized"
-                _, stats = request(connection, "GET", "/stats")
-                backend = stats["exchange_backend"]
-                assert backend["engine_override"] == "compiled"
-            finally:
-                connection.close()
-        clear_graph_cache()
-
-    def test_unknown_engine_rejected_at_construction(self):
-        from repro.exceptions import ValidationError
-
-        with pytest.raises(ValidationError):
-            ReproService(engine="quantum")
 
 
 class TestShutdown:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import pathlib
 
 import pytest
 
@@ -540,18 +541,7 @@ class TestSweepFaultFlags:
 
 
 class TestEngineFlag:
-    """``--engine`` / ``--require-jit`` on run and sweep."""
-
-    def test_run_engine_override_recorded_in_summary(
-        self, scenario_file, capsys
-    ):
-        import json
-
-        main(["run", scenario_file, "--json", "--engine", "compiled"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"] == "compiled"
-        # ``compiled`` is an alias of the one array engine.
-        assert payload["backend"] == "vectorized"
+    """``--require-jit`` on run and sweep; ``--engine`` is gone."""
 
     def test_run_default_engine_backend_recorded(self, scenario_file, capsys):
         import json
@@ -561,11 +551,36 @@ class TestEngineFlag:
         assert payload["engine"] == "fast"
         assert payload["backend"] == "vectorized"
 
+    def test_run_engine_spelling_recorded_in_summary(
+        self, scenario_file, capsys, tmp_path
+    ):
+        """A stored scenario's ``engine`` spelling still loads and is
+        echoed; the backend is the one array engine whatever it says."""
+        import json
+
+        stored = json.loads(pathlib.Path(scenario_file).read_text())
+        path = tmp_path / "faithful.json"
+        path.write_text(json.dumps(dict(stored, engine="faithful")))
+        main(["run", str(path), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["engine"] == "faithful"
+        assert payload["backend"] == "vectorized"
+
     def test_run_rejects_unknown_engine(self, scenario_file):
-        with pytest.raises(SystemExit, match="engine"):
-            main(["run", scenario_file, "--engine", "quantum"])
+        """No command takes ``--engine`` any more: it selected nothing."""
+        commands = (
+            ["run", scenario_file],
+            ["sweep", scenario_file, "--axis", "rounds=2"],
+            ["serve"],
+        )
+        for command in commands:
+            with pytest.raises(
+                SystemExit, match="unrecognized arguments: --engine quantum"
+            ):
+                main([*command, "--engine", "quantum"])
 
     def test_run_engine_flag_requires_value(self, scenario_file):
+        """A bare ``--engine`` is refused with the usage line."""
         with pytest.raises(SystemExit, match="usage"):
             main(["run", scenario_file, "--engine"])
 
@@ -577,21 +592,9 @@ class TestEngineFlag:
         monkeypatch.setitem(kernels._RESOLVED, "implementation", "numpy")
         try:
             with pytest.raises(SystemExit, match="run failed"):
-                main([
-                    "run", scenario_file,
-                    "--engine", "compiled", "--require-jit",
-                ])
+                main(["run", scenario_file, "--require-jit"])
         finally:
             kernels.set_require_jit(False)
-
-    def test_sweep_engine_override(self, scenario_file, capsys):
-        main([
-            "sweep", scenario_file,
-            "--axis", "rounds=2,3",
-            "--engine", "compiled",
-        ])
-        output = capsys.readouterr().out
-        assert "empirical eps" in output
 
     def test_engine_is_sweepable_axis(self, scenario_file, capsys):
         main([
