@@ -57,10 +57,11 @@ scalar sweep, orders of magnitude fewer scipy calls.
 
 Seed-stream contract: ``audit_network_shuffle`` derives one child
 generator per world (``D`` first, then ``D'``) with the SeedSequence
-spawning protocol.  The retained reference implementation
-(``method="loop"``) uses the same per-world children but draws trial
-by trial, so all methods agree statistically (same estimator, same
-trial count) without being bit-identical.
+spawning protocol.  The per-trial reference loop,
+:func:`repro.testing.oracle.looped_audit`, uses the same per-world
+children but draws trial by trial, so it agrees with both engines
+statistically (same estimator, same trial count) without being
+bit-identical.
 """
 
 from __future__ import annotations
@@ -75,14 +76,12 @@ from repro.exceptions import ScheduleRefusedError, ValidationError
 from repro.graphs.dynamic import (
     DynamicGraphSchedule,
     position_distribution_on_schedule,
-    simulate_tokens_on_schedule,
     simulate_trial_walks_on_schedule,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.walks import (
     lazy_transition_matrix,
     position_distribution,
-    simulate_token_walks,
     simulate_trial_walks,
 )
 from repro.ldp.base import LocalRandomizer
@@ -645,46 +644,9 @@ def _kernel_world_statistics(
     return out
 
 
-def _looped_world_statistics(
-    graph: GraphLike,
-    randomizer: BinaryRandomizedResponse,
-    rounds: int,
-    trials: int,
-    victim: int,
-    victim_bit: int,
-    statistic: AuditStatistic,
-    laziness: float,
-    generator: np.random.Generator,
-) -> np.ndarray:
-    """Reference per-trial loop (the pre-batching engine).
-
-    Kept for the statistical-equivalence oracle and the speedup
-    benchmark; same estimator and draw structure as the batched path,
-    executed one trial at a time.
-    """
-    n = graph.num_nodes
-    starts = np.arange(n, dtype=np.int64)
-    dynamic = isinstance(graph, DynamicGraphSchedule)
-    out = np.empty(trials, dtype=np.float64)
-    for index in range(trials):
-        bits = generator.integers(0, 2, size=n)
-        bits[victim] = victim_bit
-        payloads = randomizer.randomize_batch(bits, generator)
-        if dynamic:
-            holders = simulate_tokens_on_schedule(
-                graph, starts, rounds, laziness=laziness, rng=generator
-            )
-        else:
-            holders = simulate_token_walks(
-                graph, starts, rounds, laziness=laziness, rng=generator
-            )
-        out[index] = statistic(payloads[np.newaxis, :], holders[np.newaxis, :])[0]
-    return out
-
-
 #: Accepted ``method=`` values (the serving tier checks ``/audit``
 #: bodies against this at submission).
-AUDIT_METHODS = ("auto", "kernel", "tiled", "loop")
+AUDIT_METHODS = ("auto", "kernel", "tiled")
 
 #: Largest graph whose dense ``t``-step kernel the auto method will
 #: hold in memory (n^2 float64 = 32 MiB at the cap).
@@ -774,10 +736,7 @@ def audit_network_shuffle(
     Each world draws from its own SeedSequence child generator (``D``
     then ``D'``).  ``method`` selects the Monte Carlo engine (see the
     module docstring): ``"auto"`` picks ``"kernel"`` for mixed walks on
-    graphs up to ``2048`` nodes and ``"tiled"`` otherwise;
-    ``"loop"`` is the retained per-trial reference — statistically
-    equivalent to both fast engines, not bit-identical (different draw
-    granularity).
+    graphs up to ``2048`` nodes and ``"tiled"`` otherwise.
 
     ``kernel_sampler`` injects a pre-built (memoized) ``_KernelSampler``
     for the kernel engine — the scenario layer passes the graph
@@ -814,13 +773,8 @@ def audit_network_shuffle(
                 world_rng,
             )
     else:
-        stepper = (
-            _tiled_world_statistics if resolved == "tiled"
-            else _looped_world_statistics
-        )
-
         def world_statistics(victim_bit: int, world_rng: np.random.Generator):
-            return stepper(
+            return _tiled_world_statistics(
                 graph, randomizer, rounds, trials, victim, victim_bit,
                 statistic, laziness, world_rng,
             )

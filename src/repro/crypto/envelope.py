@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence
-
 from repro.crypto.elgamal import Ciphertext, decrypt, encrypt
 from repro.crypto.keys import PublicKeyInfrastructure, UserKeyring
 from repro.exceptions import CryptoError
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 
 
 @dataclass(frozen=True)
@@ -99,80 +97,3 @@ def server_open(pki: PublicKeyInfrastructure, inner: Ciphertext) -> bytes:
     """Step 4: the server decrypts the surviving ``c2`` layer."""
     return decrypt(pki.server_private_key, inner)
 
-
-# ----------------------------------------------------------------------
-# Batch entry points — one validated pass per protocol round.
-#
-# The batched secure-protocol driver applies the envelope flow to a
-# whole round of messages at once: per-call PKI lookups and registration
-# checks are hoisted out of the message loop, and one shared generator
-# draws every ephemeral.  Each element is processed by exactly the same
-# primitives as the scalar functions, so a batch call on a singleton
-# list is indistinguishable from the scalar call.
-# ----------------------------------------------------------------------
-def seal_batch(
-    pki: PublicKeyInfrastructure,
-    reports: Sequence[bytes],
-    rng: RngLike = None,
-) -> List[Ciphertext]:
-    """Seal many reports for the server (batched :func:`seal_for_server`)."""
-    generator = ensure_rng(rng)
-    server_key = pki.server_public_key
-    return [encrypt(server_key, report, generator) for report in reports]
-
-
-def wrap_batch(
-    pki: PublicKeyInfrastructure,
-    recipients: Sequence[int],
-    inners: Sequence[Ciphertext],
-    rng: RngLike = None,
-) -> List[Envelope]:
-    """Wrap ``inners[i]`` for ``recipients[i]`` (batched
-    :func:`wrap_for_hop`).
-
-    The authentication gate runs once per *distinct* recipient instead
-    of once per message; an unregistered recipient anywhere in the batch
-    rejects the whole call before any ciphertext is produced.
-    """
-    if len(recipients) != len(inners):
-        raise CryptoError(
-            f"batch mismatch: {len(recipients)} recipients, "
-            f"{len(inners)} inner ciphertexts"
-        )
-    for recipient in {int(recipient) for recipient in recipients}:
-        if not pki.is_registered(recipient):
-            raise CryptoError(f"recipient {recipient} is not PKI-registered")
-    generator = ensure_rng(rng)
-    public_key_of = pki.public_key_of
-    return [
-        Envelope(
-            recipient=int(recipient),
-            hop_ciphertext=encrypt(
-                public_key_of(int(recipient)), _serialize_inner(inner),
-                generator,
-            ),
-        )
-        for recipient, inner in zip(recipients, inners)
-    ]
-
-
-def open_batch(
-    keyrings: Mapping[int, UserKeyring],
-    envelopes: Sequence[Envelope],
-) -> List[Ciphertext]:
-    """Strip the hop layer of many envelopes (batched
-    :func:`open_envelope`).
-
-    Each envelope is opened with the keyring of its own ``recipient`` —
-    the current holder — looked up in ``keyrings``.
-    """
-    inners: List[Ciphertext] = []
-    for envelope in envelopes:
-        keyring = keyrings.get(envelope.recipient)
-        if keyring is None:
-            raise CryptoError(
-                f"no keyring for envelope recipient {envelope.recipient}"
-            )
-        blob = decrypt(keyring.e2e.private_key, envelope.hop_ciphertext)
-        inners.append(_deserialize_inner(blob))
-    return inners

@@ -58,9 +58,7 @@ from repro.graphs.walks import (
 )
 from repro.graphs.dynamic import (
     DynamicGraphSchedule,
-    collision_profile_on_schedule,
     evolve_on_schedule,
-    evolve_profile_on_schedule,
     position_distribution_on_schedule,
     simulate_tokens_on_schedule,
     simulate_trial_walks_on_schedule,
@@ -105,9 +103,7 @@ __all__ = [
     "sum_squared_positions",
     "total_variation_to_stationary",
     "DynamicGraphSchedule",
-    "collision_profile_on_schedule",
     "evolve_on_schedule",
-    "evolve_profile_on_schedule",
     "position_distribution_on_schedule",
     "simulate_tokens_on_schedule",
     "simulate_trial_walks_on_schedule",

@@ -224,56 +224,6 @@ def trace_collision_on_schedule(
     return collisions
 
 
-def evolve_profile_on_schedule(
-    schedule: DynamicGraphSchedule,
-    distributions: np.ndarray,
-    steps: int,
-    *,
-    laziness: float = 0.0,
-    start_round: int = 0,
-) -> np.ndarray:
-    """Evolve a column-stacked batch of distributions across the schedule.
-
-    ``distributions`` has shape ``(n, k)`` — column ``j`` is one
-    probability vector; every column advances through the same per-round
-    transition matrices (one sparse-dense product per round).  This is
-    how the accounting layer tracks *every user's* position distribution
-    at once: start from the identity and column ``i`` is ``P^i(t)``.
-    """
-    if steps < 0:
-        raise ValidationError(f"steps must be non-negative, got {steps}")
-    current = np.asarray(distributions, dtype=np.float64)
-    if current.ndim != 2 or current.shape[0] != schedule.num_nodes:
-        raise ValidationError(
-            f"distributions must have shape ({schedule.num_nodes}, k), "
-            f"got {current.shape}"
-        )
-    cache = _TransitionCache(schedule, laziness)
-    for round_index in range(start_round, start_round + steps):
-        current = cache.at(round_index) @ current
-    return current
-
-
-def collision_profile_on_schedule(
-    schedule: DynamicGraphSchedule,
-    steps: int,
-    *,
-    laziness: float = 0.0,
-) -> np.ndarray:
-    """Exact per-user collision mass ``sum_j P^i_j(t)^2``, shape ``(n,)``.
-
-    Column ``i`` of the evolved identity is user ``i``'s exact position
-    distribution after ``steps`` scheduled rounds; its squared L2 norm
-    is the collision mass the Theorem 5.3/5.5 bounds consume.  The max
-    over users is the sound (worst-user) value — no stationarity
-    assumption, which a dynamic schedule could not honor anyway.
-    """
-    profile = evolve_profile_on_schedule(
-        schedule, np.eye(schedule.num_nodes), steps, laziness=laziness
-    )
-    return panel_collisions(profile)
-
-
 # ----------------------------------------------------------------------
 # Blocked / sparsity-aware profile evolution (out-of-core accounting)
 # ----------------------------------------------------------------------
@@ -385,7 +335,8 @@ def evolve_panel_on_schedule(
 ) -> Tuple[Panel, np.ndarray]:
     """Evolve one column block of user distributions across the schedule.
 
-    The blocked counterpart of :func:`evolve_profile_on_schedule`: the
+    The blocked counterpart of the dense reference
+    :func:`repro.testing.oracle.evolve_profile_on_schedule`: the
     panel holds ``B`` users' distributions and advances through the
     same per-round transposed transition CSRs, so each column's value
     sequence is **bit-identical** to the corresponding column of the

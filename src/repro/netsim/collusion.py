@@ -126,34 +126,6 @@ def collect_observations(
     ]
 
 
-def _reverse_posterior_argmax(
-    graph: Graph, anchor: int, free_rounds: int
-) -> int:
-    """MAP origin for a walk anchored at ``anchor`` after ``free_rounds``.
-
-    By reversibility of the degree-biased walk, ``P(origin = i | at
-    anchor after r rounds)`` is proportional to ``pi_i M^r[i, anchor]``
-    under a uniform origin prior; we evolve the reverse walk from the
-    anchor and reweight by degrees.
-
-    Scalar reference kept for the batched-parity oracle; the attack
-    itself runs :func:`_batched_reverse_posterior_argmax`.
-    """
-    if free_rounds == 0:
-        return anchor
-    matrix_t = transition_matrix(graph).T.tocsr()
-    distribution = np.zeros(graph.num_nodes)
-    distribution[anchor] = 1.0
-    # Reverse chain: P(X_0 = i | X_r = a) ∝ pi_i P_i->a^{(r)}; for the
-    # degree-biased chain the time reversal equals the forward chain, so
-    # evolving from the anchor gives the posterior up to the pi reweight.
-    for _ in range(free_rounds):
-        distribution = matrix_t @ distribution
-    pi = stationary_distribution(graph)
-    posterior = distribution * pi
-    return int(np.argmax(posterior))
-
-
 #: Cap on dense-block cells (num_nodes x anchor columns) evolved at
 #: once; larger anchor sets are processed in column chunks so memory
 #: stays bounded on big graphs (the per-token loop this replaces was
@@ -161,18 +133,23 @@ def _reverse_posterior_argmax(
 _MAX_BLOCK_CELLS = 8_000_000
 
 
-def _batched_reverse_posterior_argmax(
+def _map_origins(
     graph: Graph, anchors: np.ndarray, free_rounds: np.ndarray
 ) -> np.ndarray:
     """MAP origins for many ``(anchor, free_rounds)`` queries at once.
 
     One dense ``(n, k)`` block of the ``k`` unique anchors' one-hot
     columns is pushed through the sparse reverse chain; every query
-    reads its answer off the block at its own horizon.  Each column
-    applies exactly the matrix-vector sequence of the scalar reference,
-    so the guesses match it bit for bit — with one chain evolution per
-    column chunk and one stationary-distribution solve total, instead
-    of one per token.
+    reads its answer off the block at its own horizon.  By
+    reversibility of the degree-biased walk, ``P(origin = i | at
+    anchor after r rounds)`` is proportional to ``pi_i M^r[i, anchor]``
+    under a uniform origin prior, so each column evolves the reverse
+    walk from its anchor and reweights by ``pi``.  Each column applies
+    exactly the matrix-vector sequence of the per-query reference
+    (:func:`repro.testing.oracle.reverse_posterior_argmax`), so the
+    guesses match it bit for bit — with one chain evolution per column
+    chunk and one stationary-distribution solve total, instead of one
+    per token.
     """
     anchors = np.asarray(anchors, dtype=np.int64)
     free_rounds = np.asarray(free_rounds, dtype=np.int64)
@@ -236,7 +213,7 @@ def run_collusion_attack(
     # One batched posterior pass answers both attacks: the baseline
     # anchors every token at its final holder with the full horizon,
     # the aided attack re-anchors observed tokens at their sighting.
-    all_guesses = _batched_reverse_posterior_argmax(
+    all_guesses = _map_origins(
         graph,
         np.concatenate([final_holders, senders]),
         np.concatenate([np.full(n, rounds, dtype=np.int64), round_indices - 1]),

@@ -86,10 +86,11 @@ def audit(
         Overrides the scenario's (resolved) exchange rounds.
     method:
         Monte Carlo engine override, forwarded to
-        :func:`repro.auditing.auditor.audit_network_shuffle`.  On a
-        ``schedule`` graph spec the walk-stepping engines (``tiled``,
-        ``loop``) apply and ``auto`` resolves to ``tiled``; ``kernel``
-        precomputes one static ``M^t`` and rejects schedules loudly.
+        :func:`repro.auditing.auditor.audit_network_shuffle`: one of
+        :data:`~repro.auditing.auditor.AUDIT_METHODS`, ``auto``,
+        ``kernel`` or ``tiled``.  On a ``schedule`` graph spec ``auto``
+        resolves to the walk-stepping ``tiled``; ``kernel`` precomputes
+        one static ``M^t`` and rejects schedules loudly.
     rng:
         Overrides the scenario seed's ``audit`` child stream — pass an
         explicit generator to draw audit replicas without re-deriving

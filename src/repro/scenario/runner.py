@@ -317,9 +317,10 @@ def bound(scenario: Scenario, *, rounds: Optional[int] = None) -> NetworkShuffle
 
     A ``schedule`` graph spec is accounted *exactly*: every user's
     position distribution is evolved through the per-round topologies
-    (:func:`repro.graphs.dynamic.evolve_profile_on_schedule`) and the
-    worst user's collision mass feeds the Theorem 5.3/5.5 bounds — no
-    stationarity assumption, which a time-varying walk could not honor.
+    in column panels kept by the bundle's
+    :class:`~repro.scenario.profile.ProfileStore`, and the worst user's
+    collision mass feeds the Theorem 5.3/5.5 bounds — no stationarity
+    assumption, which a time-varying walk could not honor.
     """
     bundle = _bundle_for(scenario)
     mechanism = build_mechanism(scenario)

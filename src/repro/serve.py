@@ -24,9 +24,10 @@ Endpoints (JSON in, JSON out):
     closed-form at-stationarity guarantee (no graph build for
     GRAPH_STATS kinds), synchronously.
 ``POST /run`` / ``POST /audit``
-    Body ``{"scenario": {...}}`` (audit also accepts ``trials``,
-    ``rounds``, ``method``, each checked before enqueueing) — enqueue a
-    job; returns ``202`` with a job id immediately.
+    Body ``{"scenario": {...}}`` (audit also accepts ``trials >= 1``,
+    ``rounds >= 0`` and ``method`` — ``auto``, ``kernel`` or ``tiled`` —
+    each checked before enqueueing) — enqueue a job; returns ``202``
+    with a job id immediately.
 ``GET /jobs/<id>``
     Job status; ``result`` appears when done, ``error`` (the canonical
     :func:`repro.exceptions.error_payload`) when failed.
@@ -534,10 +535,15 @@ class ReproService:
         scenario = self._scenario_of(body)
         options: Dict[str, Any] = {}
         if kind == "audit":
-            for name in ("trials", "rounds"):
+            for name, least in (("trials", 1), ("rounds", 0)):
                 value = self._int_option(body, name)
-                if value is not None:
-                    options[name] = value
+                if value is None:
+                    continue
+                if value < least:
+                    raise InvalidScenarioError(
+                        f"{name!r} must be >= {least}, got {value}"
+                    )
+                options[name] = value
             method = body.get("method")
             if method is not None:
                 if method not in AUDIT_METHODS:

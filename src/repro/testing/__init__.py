@@ -7,9 +7,18 @@ fault-tolerance machinery (per-point isolation, crash recovery,
 poison-point quarantine, incremental checkpointing) is exercised
 against *real* failures rather than mocks.
 
-:mod:`repro.testing.oracle` is the per-message exchange simulator
-(:class:`~repro.testing.oracle.FaithfulNetwork`): the reference the
-array exchange engine is tested against bit for bit.
+:mod:`repro.testing.oracle` holds the reference implementations the
+runtime paths are tested against:
+
+* :class:`~repro.testing.oracle.FaithfulNetwork`, the per-message
+  exchange simulator the array engine matches bit for bit;
+* :func:`~repro.testing.oracle.looped_audit`, the per-trial auditor the
+  ``kernel`` and ``tiled`` engines match statistically;
+* :func:`~repro.testing.oracle.reverse_posterior_argmax`, the
+  one-query collusion posterior the batched attack matches bit for bit;
+* :func:`~repro.testing.oracle.evolve_profile_on_schedule` and
+  :func:`~repro.testing.oracle.collision_profile_on_schedule`, the
+  dense schedule profile the panel accounting matches bit for bit.
 
 Nothing here is imported by the library's production paths except the
 single :func:`~repro.testing.faults.maybe_fire` hook in the sweep

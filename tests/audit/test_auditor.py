@@ -22,6 +22,7 @@ from repro.graphs.generators import grid_graph, random_regular_graph
 from repro.graphs.walks import position_distribution
 from repro.ldp.laplace import LaplaceMechanism
 from repro.ldp.randomized_response import BinaryRandomizedResponse
+from repro.testing.oracle import looped_audit
 
 
 def _scalar_epsilon_lower_bound(statistics_d, statistics_d_prime, delta,
@@ -197,36 +198,41 @@ class TestAuditNetworkShuffle:
 
 
 class TestEngineEquivalence:
-    """The three Monte Carlo engines share one estimator.
+    """The two Monte Carlo engines and the per-trial oracle share one
+    estimator.
 
     Same graph, same trial count, independent seeds: eps_hat from the
-    kernel, tiled, and loop engines must agree to estimation noise, at
-    an unmixed point (t=0, eps_hat ~ eps0) and past mixing (~0).
+    kernel and tiled engines and from the looped oracle must agree to
+    estimation noise, at an unmixed point (t=0, eps_hat ~ eps0) and
+    past mixing (~0).
     """
+
+    @staticmethod
+    def _audits(graph, rounds, **options):
+        results = {
+            method: audit_network_shuffle(
+                graph, 1.0, rounds, method=method, **options
+            )
+            for method in ("kernel", "tiled")
+        }
+        results["loop"] = looped_audit(graph, 1.0, rounds, **options)
+        return results
 
     @pytest.fixture(scope="class")
     def graph(self):
         return random_regular_graph(6, 200, rng=0)
 
     def test_unmixed_point_agrees(self, graph):
-        results = {
-            method: audit_network_shuffle(
-                graph, 1.0, 0, trials=4000, rng=7, method=method
-            ).epsilon_lower_bound
-            for method in ("kernel", "tiled", "loop")
-        }
-        for method, eps in results.items():
-            assert eps == pytest.approx(1.0, abs=0.3), (method, results)
+        results = self._audits(graph, 0, trials=4000, rng=7)
+        for method, result in results.items():
+            assert result.epsilon_lower_bound == pytest.approx(
+                1.0, abs=0.3
+            ), (method, results)
 
     def test_mixed_point_agrees(self, graph):
-        results = {
-            method: audit_network_shuffle(
-                graph, 1.0, 14, trials=4000, rng=7, method=method
-            ).epsilon_lower_bound
-            for method in ("kernel", "tiled", "loop")
-        }
-        for method, eps in results.items():
-            assert eps < 0.25, (method, results)
+        results = self._audits(graph, 14, trials=4000, rng=7)
+        for method, result in results.items():
+            assert result.epsilon_lower_bound < 0.25, (method, results)
 
     def test_statistics_distributions_match(self, graph):
         """Kolmogorov-style check: per-engine world statistics have the
@@ -252,18 +258,16 @@ class TestEngineEquivalence:
         )
 
     def test_deterministic_per_method(self, graph):
-        for method in ("kernel", "tiled", "loop"):
-            first = audit_network_shuffle(
-                graph, 1.0, 4, trials=500, rng=3, method=method
-            )
-            second = audit_network_shuffle(
-                graph, 1.0, 4, trials=500, rng=3, method=method
-            )
-            assert first == second
+        assert self._audits(graph, 4, trials=500, rng=3) == self._audits(
+            graph, 4, trials=500, rng=3
+        )
 
     def test_unknown_method_rejected(self, graph):
-        with pytest.raises(ValidationError, match="method"):
-            audit_network_shuffle(graph, 1.0, 2, trials=100, method="warp")
+        for method in ("warp", "loop"):
+            with pytest.raises(ValidationError, match="method"):
+                audit_network_shuffle(
+                    graph, 1.0, 2, trials=100, method=method
+                )
 
 
 class TestKernelSampler:
@@ -444,9 +448,7 @@ class TestScheduleAuditing:
         tiled = audit_network_shuffle(
             schedule, 2.0, 0, trials=800, method="tiled", rng=0
         )
-        looped = audit_network_shuffle(
-            schedule, 2.0, 0, trials=800, method="loop", rng=0
-        )
+        looped = looped_audit(schedule, 2.0, 0, trials=800, rng=0)
         # t=0: both should measure ~eps0 (same estimator, same trial
         # count; draws differ in granularity only).
         assert tiled.epsilon_lower_bound == pytest.approx(

@@ -6,12 +6,9 @@ import pytest
 
 from repro.crypto.elgamal import Ciphertext, decrypt
 from repro.crypto.envelope import (
-    open_batch,
     open_envelope,
-    seal_batch,
     seal_for_server,
     server_open,
-    wrap_batch,
     wrap_for_hop,
 )
 from repro.crypto.keys import PublicKeyInfrastructure
@@ -104,60 +101,3 @@ class TestEnvelopeLifecycle:
         recovered = open_envelope(keyrings[0], envelope)
         assert server_open(infrastructure, recovered) == payload
 
-
-class TestBatchEndpoints:
-    """Batched seal/wrap/open — one validated pass per protocol round."""
-
-    def test_singleton_batch_matches_scalar_calls(self, pki):
-        """A batch of one is indistinguishable from the scalar call:
-        same primitives, same single KEM draw from the same seed."""
-        infrastructure, keyrings = pki
-        assert seal_batch(infrastructure, [b"r"], rng=1) == [
-            seal_for_server(infrastructure, b"r", rng=1)
-        ]
-        inner = seal_for_server(infrastructure, b"r", rng=1)
-        assert wrap_batch(infrastructure, [2], [inner], rng=3) == [
-            wrap_for_hop(infrastructure, 2, inner, rng=3)
-        ]
-        envelope = wrap_for_hop(infrastructure, 2, inner, rng=3)
-        assert open_batch(keyrings, [envelope]) == [
-            open_envelope(keyrings[2], envelope)
-        ]
-
-    def test_full_batched_relay_chain(self, pki):
-        infrastructure, keyrings = pki
-        reports = [b"a", b"b", b"c"]
-        inners = seal_batch(infrastructure, reports, rng=1)
-        envelopes = wrap_batch(infrastructure, [1, 2, 0], inners, rng=2)
-        hop_one = open_batch(keyrings, envelopes)
-        assert all(isinstance(inner, Ciphertext) for inner in hop_one)
-        envelopes = wrap_batch(infrastructure, [3, 3, 1], hop_one, rng=3)
-        hop_two = open_batch(keyrings, envelopes)
-        assert [
-            server_open(infrastructure, inner) for inner in hop_two
-        ] == reports
-
-    def test_wrap_batch_length_mismatch_rejected(self, pki):
-        infrastructure, _ = pki
-        inners = seal_batch(infrastructure, [b"a", b"b"], rng=1)
-        with pytest.raises(CryptoError):
-            wrap_batch(infrastructure, [0], inners, rng=2)
-
-    def test_wrap_batch_unregistered_recipient_rejects_whole_batch(self, pki):
-        infrastructure, _ = pki
-        inners = seal_batch(infrastructure, [b"a", b"b"], rng=1)
-        with pytest.raises(CryptoError):
-            wrap_batch(infrastructure, [0, 42], inners, rng=2)
-
-    def test_open_batch_missing_keyring_rejected(self, pki):
-        infrastructure, keyrings = pki
-        inners = seal_batch(infrastructure, [b"a"], rng=1)
-        envelopes = wrap_batch(infrastructure, [3], inners, rng=2)
-        with pytest.raises(CryptoError):
-            open_batch({0: keyrings[0]}, envelopes)
-
-    def test_empty_batches(self, pki):
-        infrastructure, keyrings = pki
-        assert seal_batch(infrastructure, [], rng=1) == []
-        assert wrap_batch(infrastructure, [], [], rng=1) == []
-        assert open_batch(keyrings, []) == []

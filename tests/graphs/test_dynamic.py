@@ -10,10 +10,8 @@ from repro.graphs.dynamic import (
     DynamicGraphSchedule,
     EpochSelector,
     _TransitionCache,
-    collision_profile_on_schedule,
     evolve_on_schedule,
     evolve_panel_on_schedule,
-    evolve_profile_on_schedule,
     identity_panel,
     panel_collisions,
     position_distribution_on_schedule,
@@ -28,6 +26,10 @@ from repro.graphs.generators import (
 )
 from repro.graphs.walks import evolve_distribution, position_distribution
 from repro.scenario.profile import ProfileStore
+from repro.testing.oracle import (
+    collision_profile_on_schedule,
+    evolve_profile_on_schedule,
+)
 
 
 @pytest.fixture

@@ -152,8 +152,8 @@ class TestScheduleNpz:
     def test_roundtrip_preserves_collision_bits(self, tmp_path):
         """The restored schedule accounts bit-identically — the property
         that lets profile blocks resume against a reloaded topology."""
-        from repro.graphs.dynamic import collision_profile_on_schedule
         from repro.graphs.io import load_schedule_npz, save_schedule_npz
+        from repro.testing.oracle import collision_profile_on_schedule
 
         schedule = self._schedule()
         path = tmp_path / "sched.npz"

@@ -20,10 +20,7 @@ import pytest
 
 from repro.api import parse_scenario
 from repro.exceptions import ValidationError
-from repro.graphs.dynamic import (
-    DynamicGraphSchedule,
-    collision_profile_on_schedule,
-)
+from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.generators import random_regular_graph
 from repro.scenario import bound, clear_graph_cache, sweep
 from repro.scenario.profile import (
@@ -39,6 +36,7 @@ from repro.scenario.profile import (
     set_profile_policy,
 )
 from repro.testing import faults
+from repro.testing.oracle import collision_profile_on_schedule
 
 N = 30
 STEPS = 5

@@ -15,10 +15,7 @@ import pytest
 
 from repro.amplification.network_shuffle import epsilon_all_stationary
 from repro.exceptions import ValidationError
-from repro.graphs.dynamic import (
-    DynamicGraphSchedule,
-    collision_profile_on_schedule,
-)
+from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.scenario import (
     GRAPHS,
     Scenario,
@@ -31,6 +28,7 @@ from repro.scenario import (
     stationary_bound,
     sweep,
 )
+from repro.testing.oracle import collision_profile_on_schedule
 
 _SUB_SPECS = [
     {"kind": "k_regular", "params": {"degree": 4, "num_nodes": 64}},
@@ -282,9 +280,10 @@ class TestScheduleAudit:
         with pytest.raises(ValidationError, match="kernel"):
             audit(_schedule_scenario(), trials=200, method="kernel")
 
-    def test_loop_method_supported(self):
-        result = audit(_schedule_scenario(), trials=50, method="loop")
-        assert result.epsilon_lower_bound >= 0.0
+    def test_loop_method_rejected(self):
+        """The per-trial loop is a test oracle, not an engine."""
+        with pytest.raises(ValidationError, match="method"):
+            audit(_schedule_scenario(), trials=50, method="loop")
 
     def test_topk_statistic_on_schedule(self):
         scenario = _schedule_scenario(

@@ -318,6 +318,29 @@ class TestErrorTaxonomy:
         _, after = request(client, "GET", "/stats")
         assert after["jobs"]["retained"] == before["jobs"]["retained"]
 
+    @pytest.mark.parametrize(
+        ("option", "value", "fragment"),
+        [
+            ("trials", 0, "'trials' must be >= 1"),
+            ("rounds", -2, "'rounds' must be >= 0"),
+            ("method", "loop", "('auto', 'kernel', 'tiled')"),
+        ],
+        ids=["trials", "rounds", "method"],
+    )
+    def test_out_of_range_audit_option_is_400(
+        self, client, option, value, fragment
+    ):
+        """Range-checked at submission too: a synchronous 400 naming
+        the option, and no job queued."""
+        _, before = request(client, "GET", "/stats")
+        status, payload = request(
+            client, "POST", "/audit", {"scenario": SCENARIO, option: value})
+        assert status == 400
+        assert payload["error"] == "InvalidScenarioError"
+        assert fragment in payload["message"]
+        _, after = request(client, "GET", "/stats")
+        assert after["jobs"]["retained"] == before["jobs"]["retained"]
+
 
 class TestKeepAlive:
     def test_one_connection_serves_many_requests(self, server):
