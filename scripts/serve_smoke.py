@@ -1,9 +1,12 @@
 """CI smoke test for the serving tier.
 
 Boots ``python -m repro serve`` as a real subprocess on an ephemeral
-port, waits for ``/healthz``, runs one synchronous bound query and one
-enqueued audit round-trip, checks ``/stats`` saw the traffic, and shuts
-the server down cleanly (SIGINT).  Exits non-zero on any failure.
+port, waits for ``/healthz``, runs one synchronous bound query, checks
+that a negative ``rounds`` override is a typed 400, runs one enqueued
+audit round-trip, checks ``/stats`` saw the traffic (the audit, at 128
+nodes and 8 rounds, must have picked the kernel engine and memoized one
+sampler), and shuts the server down cleanly (SIGINT).  Exits non-zero
+on any failure.
 
 Usage: python scripts/serve_smoke.py
 """
@@ -33,8 +36,11 @@ def request(base: str, method: str, path: str, body=None, timeout=30):
         base + path, data=data, method=method,
         headers={"Content-Type": "application/json"},
     )
-    with urllib.request.urlopen(req, timeout=timeout) as response:
-        return response.status, json.loads(response.read())
+    try:
+        with urllib.request.urlopen(req, timeout=timeout) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
 
 
 def wait_for_health(base: str, deadline_seconds: float = 30.0) -> dict:
@@ -71,6 +77,12 @@ def main() -> None:
         assert bound["epsilon"] > 0 and bound["n"] == 128, bound
         print(f"bound: eps={bound['epsilon']:.4f} via {bound['theorem']}")
 
+        status, refusal = request(base, "POST", "/bound",
+                                  {"scenario": SCENARIO, "rounds": -1})
+        assert status == 400, (status, refusal)
+        assert refusal["error"] == "ValidationError", refusal
+        print(f"bound rounds=-1: {status} {refusal['error']}")
+
         status, job = request(base, "POST", "/audit",
                               {"scenario": SCENARIO, "trials": 200})
         assert status == 202 and job["id"].startswith("job-"), (status, job)
@@ -93,6 +105,7 @@ def main() -> None:
         assert stats["graph_cache"]["requests"] >= 1, stats
         routes = set(stats["requests"])
         assert {"POST /bound", "POST /audit", "GET /jobs/<id>"} <= routes, routes
+        assert stats["kernel_sampler"]["builds"] == 1, stats["kernel_sampler"]
         print(f"stats: graph_cache={stats['graph_cache']} "
               f"kernel_sampler={stats['kernel_sampler']}")
     finally:

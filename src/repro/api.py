@@ -42,8 +42,9 @@ Schedule accounting
     :func:`profile_stats` / :func:`reset_profile_stats` for the
     out-of-core engine's counters.
 Auditor planning
-    :func:`resolve_method` / :func:`should_memoize` — the public
-    replacements for the auditor's former private heuristics.
+    :func:`resolve_method` — which Monte Carlo engine (``kernel`` or
+    ``tiled``) an audit of a graph at a round count will run; the
+    auditor decides this itself, no caller option overrides it.
 Campaign store
     :class:`ResultsStore` / :func:`open_store` — the persistent results
     database behind ``sweep(store=...)`` incremental re-runs;
@@ -62,11 +63,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Union
 
 from repro.amplification.network_shuffle import NetworkShuffleBound
-from repro.auditing.auditor import (
-    AuditResult,
-    resolve_method,
-    should_memoize,
-)
+from repro.auditing.auditor import AuditResult, resolve_method
 from repro.exceptions import (
     AccountingError,
     BackendUnavailableError,
@@ -161,7 +158,6 @@ __all__ = [
     "seed_streams",
     "set_profile_policy",
     "set_require_jit",
-    "should_memoize",
     "spill_graph",
     "stationary_bound",
     "store_aggregate",

@@ -23,7 +23,6 @@ from repro.auditing.auditor import (
     epsilon_lower_bound,
     report_sum_statistic,
     resolve_method,
-    should_memoize,
     topk_evidence_statistic,
     weighted_evidence_statistic,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "epsilon_lower_bound",
     "report_sum_statistic",
     "resolve_method",
-    "should_memoize",
     "topk_evidence_statistic",
     "weighted_evidence_statistic",
 ]

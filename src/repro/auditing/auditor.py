@@ -28,17 +28,18 @@ measured privacy loss collapses — amplification made visible.
 
 Monte Carlo engine
 ------------------
-Everything is trial-batched.  Two fast engines share the same
-estimator (tokens and trials are jointly independent, so any sampler
-with the exact per-token ``t``-step law produces the same statistic
+Everything is trial-batched.  Two engines share the same estimator
+(tokens and trials are jointly independent, so any sampler with the
+exact per-token ``t``-step law produces the same statistic
 distribution):
 
-* ``method="tiled"`` simulates all ``trials x n`` token walks in a
-  single flat :func:`~repro.graphs.walks.simulate_trial_walks` call
-  (tiled start nodes), draws the randomizer flips for every trial at
-  once, and reduces to per-trial statistics with one segmented
-  (axis-1) reduction.  Cost scales with ``rounds``.
-* ``method="kernel"`` computes the ``t``-step transition kernel
+* ``tiled`` simulates all ``trials x n`` token walks in a single flat
+  :func:`~repro.graphs.walks.simulate_trial_walks` call (tiled start
+  nodes), draws the randomizer flips for every trial at once, and
+  reduces to per-trial statistics with one segmented (axis-1)
+  reduction.  Cost scales with ``rounds``.  It walks a static graph
+  and a dynamic schedule alike.
+* ``kernel`` computes the ``t``-step transition kernel
   ``M^t`` once (``t`` sparse-dense products, shared by both worlds)
   and samples every token's final holder directly from its kernel row
   by vectorized rejection against a scaled-uniform proposal — after
@@ -48,8 +49,9 @@ distribution):
   (binary RR applied to a uniform bit is a uniform bit — exactly the
   same law, one fewer pass over the batch).
 
-``method="auto"`` (default) picks ``kernel`` for mixed walks on graphs
-small enough to hold the dense kernel and ``tiled`` otherwise.  The
+:func:`resolve_method` picks the engine from what it observes:
+``kernel`` for mixed walks on static graphs small enough to hold the
+dense kernel, ``tiled`` otherwise.  No caller option overrides it.  The
 threshold sweep is shared: sorted-array ``searchsorted`` counts plus
 *vectorized* Clopper-Pearson bounds (``beta.ppf`` on arrays) —
 identical ``(eps, threshold)`` on the same statistics arrays as the
@@ -67,47 +69,30 @@ bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG
-from repro.exceptions import ScheduleRefusedError, ValidationError
-from repro.graphs.dynamic import (
-    DynamicGraphSchedule,
-    position_distribution_on_schedule,
-    simulate_trial_walks_on_schedule,
-)
+from repro.exceptions import ValidationError
+from repro.graphs.dynamic import DynamicGraphSchedule, GraphLike
 from repro.graphs.graph import Graph
-from repro.graphs.walks import (
-    lazy_transition_matrix,
-    position_distribution,
-    simulate_trial_walks,
-)
+from repro.graphs.spectral import lazy_transition_matrix
+from repro.graphs.walks import position_distribution, simulate_trial_walks
 from repro.ldp.base import LocalRandomizer
 from repro.ldp.randomized_response import BinaryRandomizedResponse
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
-from repro.utils.validation import check_delta, check_positive_int
-
-#: Anywhere the auditor takes a topology it accepts a static graph or a
-#: dynamic schedule; the step-walking engines handle both, the kernel
-#: engine (one dense ``M^t``) is static-only and rejects schedules.
-GraphLike = Union[Graph, DynamicGraphSchedule]
+from repro.utils.validation import (
+    check_delta,
+    check_node_index,
+    check_non_negative_int,
+    check_positive_int,
+)
 
 #: A trial-batched attacker statistic: maps ``(payloads, holders)``
 #: arrays of shape ``(trials, n)`` to one scalar of evidence per trial.
 AuditStatistic = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-
-def _position_distribution(
-    graph: GraphLike, victim: int, rounds: int, laziness: float
-) -> np.ndarray:
-    """The victim's exact ``P(t)`` on a static or time-varying topology."""
-    if isinstance(graph, DynamicGraphSchedule):
-        return position_distribution_on_schedule(
-            graph, victim, rounds, laziness=laziness
-        )
-    return position_distribution(graph, victim, rounds, laziness=laziness)
 
 #: Cap on ``trials * n`` tokens simulated per flat batch; audits larger
 #: than this chunk the trial axis so memory stays bounded.
@@ -277,7 +262,7 @@ def weighted_evidence_statistic(
     On a dynamic schedule the weights come from the exact scheduled
     evolution — the adversary knows the topology sequence.
     """
-    weights = _position_distribution(graph, victim, rounds, laziness)
+    weights = position_distribution(graph, victim, rounds, laziness=laziness)
 
     def statistic(payloads: np.ndarray, holders: np.ndarray) -> np.ndarray:
         return (payloads * weights[holders]).sum(axis=1)
@@ -300,7 +285,7 @@ def topk_evidence_statistic(
     how much the attack degrades with coarser side information.
     """
     check_positive_int(top_k, "top_k")
-    weights = _position_distribution(graph, victim, rounds, laziness)
+    weights = position_distribution(graph, victim, rounds, laziness=laziness)
     top_k = min(top_k, graph.num_nodes)
     in_top = np.zeros(graph.num_nodes, dtype=bool)
     in_top[np.argpartition(weights, -top_k)[-top_k:]] = True
@@ -406,28 +391,17 @@ def _tiled_world_statistics(
     laziness: float,
     generator: np.random.Generator,
 ) -> np.ndarray:
-    """All of one world's trial statistics via flat tiled walk batches.
-
-    A dynamic schedule walks the same tiled batch through
-    :func:`simulate_trial_walks_on_schedule` — one NumPy hop per
-    scheduled round, same estimator.
-    """
+    """All of one world's trial statistics via flat tiled walk batches."""
     n = graph.num_nodes
     starts = np.arange(n, dtype=np.int64)
-    dynamic = isinstance(graph, DynamicGraphSchedule)
     out = np.empty(trials, dtype=np.float64)
     for done, chunk in _trial_chunks(trials, n):
         bits = generator.integers(0, 2, size=(chunk, n))
         bits[:, victim] = victim_bit
         payloads = randomizer.randomize_batch(bits, generator)
-        if dynamic:
-            holders = simulate_trial_walks_on_schedule(
-                graph, starts, rounds, chunk, laziness=laziness, rng=generator
-            )
-        else:
-            holders = simulate_trial_walks(
-                graph, starts, rounds, chunk, laziness=laziness, rng=generator
-            )
+        holders = simulate_trial_walks(
+            graph, starts, rounds, chunk, laziness=laziness, rng=generator
+        )
         out[done:done + chunk] = statistic(payloads, holders)
     return out
 
@@ -644,66 +618,33 @@ def _kernel_world_statistics(
     return out
 
 
-#: Accepted ``method=`` values (the serving tier checks ``/audit``
-#: bodies against this at submission).
-AUDIT_METHODS = ("auto", "kernel", "tiled")
-
-#: Largest graph whose dense ``t``-step kernel the auto method will
+#: Largest graph whose dense ``t``-step kernel the kernel engine will
 #: hold in memory (n^2 float64 = 32 MiB at the cap).
 KERNEL_MAX_NODES = 2048
 #: Rounds below which walks are too unmixed for rejection sampling to
-#: pay off; the auto method step-simulates instead (cheap at small t).
+#: pay off; the auditor step-simulates instead (cheap at small t).
 _KERNEL_MIN_ROUNDS = 8
 
 
-def resolve_method(method: str, graph: GraphLike, rounds: int) -> str:
-    """The Monte Carlo engine ``audit_network_shuffle`` will actually run.
+def resolve_method(graph: GraphLike, rounds: int) -> str:
+    """The Monte Carlo engine ``audit_network_shuffle`` will run.
 
-    Resolves ``"auto"`` against the graph and round count — ``"kernel"``
-    for mixed walks on graphs small enough to hold the dense ``M^t``
-    (:data:`KERNEL_MAX_NODES`), ``"tiled"`` otherwise; a dynamic
-    schedule always step-simulates (``"tiled"``).  Explicit methods pass
-    through unchanged, except ``"kernel"`` on a schedule, which is
-    refused: a time-varying topology has no single ``t``-step kernel.
+    ``"kernel"`` for mixed walks (``rounds >= 8``) on static graphs
+    small enough to hold the dense ``M^t`` (:data:`KERNEL_MAX_NODES`),
+    ``"tiled"`` otherwise: a dynamic schedule has no single ``t``-step
+    kernel, so it always step-simulates.
 
-    This is the public planning hook: callers that want to pre-build or
-    memoize kernel samplers (the scenario layer, the serving tier) ask
-    here instead of duplicating the heuristic.
+    This is the public planning hook: callers that pre-build or memoize
+    kernel samplers (the scenario layer) ask here instead of duplicating
+    the heuristic.
     """
-    if method not in AUDIT_METHODS:
-        raise ValidationError(
-            f"method must be one of {AUDIT_METHODS}, got {method!r}"
-        )
-    if isinstance(graph, DynamicGraphSchedule):
-        if method == "kernel":
-            raise ScheduleRefusedError(
-                "method='kernel' precomputes one dense t-step kernel "
-                "M^t; a dynamic schedule has no single kernel — use "
-                "method='tiled' (or 'auto'), which walks the schedule "
-                "round by round"
-            )
-        return "tiled" if method == "auto" else method
-    if method != "auto":
-        return method
-    if graph.num_nodes <= KERNEL_MAX_NODES and rounds >= _KERNEL_MIN_ROUNDS:
+    if (
+        not isinstance(graph, DynamicGraphSchedule)
+        and graph.num_nodes <= KERNEL_MAX_NODES
+        and rounds >= _KERNEL_MIN_ROUNDS
+    ):
         return "kernel"
     return "tiled"
-
-
-def should_memoize(graph: GraphLike) -> bool:
-    """Whether a kernel sampler for ``graph`` is worth caching.
-
-    True exactly when the auto heuristic would consider the kernel
-    engine at all: a static graph within :data:`KERNEL_MAX_NODES`.
-    Past the cap a sampler's dense stage tables run to hundreds of
-    megabytes, so an explicitly requested kernel audit on a larger
-    graph should build call-scoped (freed on return) instead of
-    pinning them in a process-wide cache; a dynamic schedule has no
-    kernel to memoize.
-    """
-    if isinstance(graph, DynamicGraphSchedule):
-        return False
-    return graph.num_nodes <= KERNEL_MAX_NODES
 
 
 def audit_network_shuffle(
@@ -717,7 +658,6 @@ def audit_network_shuffle(
     victim: int = 0,
     statistic: Optional[AuditStatistic] = None,
     confidence: float = 0.95,
-    method: str = "auto",
     kernel_sampler: Optional[_KernelSampler] = None,
     label: Optional[str] = None,
     rng: RngLike = None,
@@ -734,25 +674,20 @@ def audit_network_shuffle(
     same ``victim`` the game flips).
 
     Each world draws from its own SeedSequence child generator (``D``
-    then ``D'``).  ``method`` selects the Monte Carlo engine (see the
-    module docstring): ``"auto"`` picks ``"kernel"`` for mixed walks on
-    graphs up to ``2048`` nodes and ``"tiled"`` otherwise.
+    then ``D'``).  :func:`resolve_method` picks the Monte Carlo engine
+    (see the module docstring).
 
     ``kernel_sampler`` injects a pre-built (memoized) ``_KernelSampler``
     for the kernel engine — the scenario layer passes the graph
     bundle's, so audit sweeps stop rebuilding ``M^t`` per grid point.
     It must have been built for this exact ``(graph, rounds, laziness)``
     (the sampler build is deterministic, so a memoized instance is
-    bit-identical to a cold one); ignored when the resolved method is
-    not ``"kernel"``.
+    bit-identical to a cold one); ignored when :func:`resolve_method`
+    picks ``"tiled"``.
     """
     check_positive_int(trials, "trials")
-    check_positive_int(rounds + 1, "rounds + 1")
-    if not 0 <= victim < graph.num_nodes:
-        raise ValidationError(
-            f"victim {victim} out of range for {graph.num_nodes} users"
-        )
-    resolved = resolve_method(method, graph, rounds)
+    check_non_negative_int(rounds, "rounds")
+    victim = check_node_index(victim, graph.num_nodes, "victim")
     generator = ensure_rng(rng)
     rng_d, rng_d_prime = spawn_rngs(generator, 2)
     randomizer = BinaryRandomizedResponse(epsilon0)
@@ -761,7 +696,7 @@ def audit_network_shuffle(
             graph, rounds, laziness=laziness, victim=victim
         )
 
-    if resolved == "kernel":
+    if resolve_method(graph, rounds) == "kernel":
         sampler = (
             kernel_sampler if kernel_sampler is not None
             else _KernelSampler(graph, rounds, laziness)

@@ -9,10 +9,13 @@ communication graph (Section 4.1).  This package provides:
   (:mod:`repro.graphs.generators`);
 * connectivity / bipartiteness / ergodicity predicates
   (:mod:`repro.graphs.connectivity`);
-* spectral machinery — transition matrix, spectral gap, mixing time
-  (:mod:`repro.graphs.spectral`);
+* spectral machinery — transition matrix (plain and lazy), spectral
+  gap, mixing time (:mod:`repro.graphs.spectral`);
+* time-varying topologies — :class:`~repro.graphs.dynamic.DynamicGraphSchedule`
+  (:mod:`repro.graphs.dynamic`);
 * the random-walk engine — exact distribution evolution and Monte-Carlo
-  token walks (:mod:`repro.graphs.walks`);
+  token walks, one function per operation for a static graph or a
+  schedule alike (:mod:`repro.graphs.walks`);
 * graph metrics such as the irregularity measure ``Gamma_G``
   (:mod:`repro.graphs.metrics`).
 """
@@ -40,6 +43,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.spectral import (
     SpectralSummary,
+    lazy_transition_matrix,
     mixing_time,
     normalized_adjacency_eigenvalues,
     spectral_gap,
@@ -47,22 +51,14 @@ from repro.graphs.spectral import (
     stationary_distribution,
     transition_matrix,
 )
+from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.walks import (
-    WalkTrace,
     evolve_distribution,
-    lazy_transition_matrix,
     position_distribution,
     simulate_token_walks,
+    simulate_trial_walks,
     sum_squared_positions,
     total_variation_to_stationary,
-)
-from repro.graphs.dynamic import (
-    DynamicGraphSchedule,
-    evolve_on_schedule,
-    position_distribution_on_schedule,
-    simulate_tokens_on_schedule,
-    simulate_trial_walks_on_schedule,
-    trace_collision_on_schedule,
 )
 from repro.graphs.metrics import (
     degree_statistics,
@@ -89,25 +85,20 @@ __all__ = [
     "star_graph",
     "watts_strogatz_graph",
     "SpectralSummary",
+    "lazy_transition_matrix",
     "mixing_time",
     "normalized_adjacency_eigenvalues",
     "spectral_gap",
     "spectral_summary",
     "stationary_distribution",
     "transition_matrix",
-    "WalkTrace",
+    "DynamicGraphSchedule",
     "evolve_distribution",
-    "lazy_transition_matrix",
     "position_distribution",
     "simulate_token_walks",
+    "simulate_trial_walks",
     "sum_squared_positions",
     "total_variation_to_stationary",
-    "DynamicGraphSchedule",
-    "evolve_on_schedule",
-    "position_distribution_on_schedule",
-    "simulate_tokens_on_schedule",
-    "simulate_trial_walks_on_schedule",
-    "trace_collision_on_schedule",
     "degree_statistics",
     "irregularity_gamma",
     "stationary_collision_probability",

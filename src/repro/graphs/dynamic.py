@@ -1,31 +1,32 @@
-"""Random walks on *dynamic* graphs (paper Section 4.5 / future work).
+"""Dynamic graphs: a topology per round (paper Section 4.5 / future work).
 
 The paper suggests modeling user churn and adversarial node removal
 with walks on time-varying graphs (citing Zhong-Shen-Seiferas).  A
-:class:`DynamicGraphSchedule` supplies one graph per round; the walk
-engine below evolves position distributions and token walks across the
-sequence, and the privacy bounds consume the resulting exact
-``sum_i P_i(t)^2`` — no stationarity assumption needed.
+:class:`DynamicGraphSchedule` supplies one graph per round.  The walk
+functions in :mod:`repro.graphs.walks` take a schedule wherever they
+take a graph (a static graph is a one-graph schedule), and the privacy
+bounds consume the resulting exact ``sum_i P_i(t)^2`` — no
+stationarity assumption needed.  This module keeps the schedule itself,
+the memoized per-round transition matrices, and the blocked panel
+evolution behind out-of-core schedule accounting.
 
 Convergence caveat: a dynamic walk need not converge at all (e.g.
 alternating between two bipartite graphs); the exact evolution is the
-honest tool here, which is why these helpers return full distributions
+honest tool here, which is why the walks return full distributions
 rather than spectral shortcuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import SimulationError, ValidationError
+from repro.exceptions import ValidationError
 from repro.graphs.graph import Graph
-from repro.graphs.walks import lazy_transition_matrix
-from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_probability, check_probability_vector
+from repro.graphs.spectral import lazy_transition_matrix
 
 #: A column panel of user distributions: dense ``(n, B)`` array, or a
 #: scipy sparse matrix of the same shape while the columns are still
@@ -101,6 +102,11 @@ class DynamicGraphSchedule:
         return self._graphs[index]
 
 
+#: Anywhere a walk takes a topology it accepts a static graph or a
+#: dynamic schedule.
+GraphLike = Union[Graph, DynamicGraphSchedule]
+
+
 @dataclass(frozen=True)
 class EpochSelector:
     """Hold each scheduled graph for ``block`` consecutive rounds.
@@ -149,79 +155,6 @@ class _TransitionCache:
             self._matrices[id(graph)] = (graph, matrix)
             return matrix
         return entry[1]
-
-
-def evolve_on_schedule(
-    schedule: DynamicGraphSchedule,
-    initial: np.ndarray,
-    steps: int,
-    *,
-    laziness: float = 0.0,
-    start_round: int = 0,
-) -> np.ndarray:
-    """Exact ``P(t)`` across a dynamic schedule.
-
-    Each round applies the transition matrix of that round's graph:
-    ``P(t+1) = M_t^T P(t)``.  ``start_round`` offsets the schedule clock
-    so evolutions can resume mid-schedule (incremental sweeps).
-    """
-    if steps < 0:
-        raise ValidationError(f"steps must be non-negative, got {steps}")
-    current = check_probability_vector(
-        initial, "initial", size=schedule.num_nodes
-    ).astype(np.float64)
-    cache = _TransitionCache(schedule, laziness)
-    for round_index in range(start_round, start_round + steps):
-        current = cache.at(round_index) @ current
-    return current
-
-
-def position_distribution_on_schedule(
-    schedule: DynamicGraphSchedule,
-    start_node: int,
-    steps: int,
-    *,
-    laziness: float = 0.0,
-) -> np.ndarray:
-    """``P(t)`` for a walk started deterministically at ``start_node``.
-
-    The schedule counterpart of
-    :func:`repro.graphs.walks.position_distribution` — what the
-    informed-adversary audit statistics weigh payloads by.
-    """
-    if not 0 <= start_node < schedule.num_nodes:
-        raise ValidationError(
-            f"start_node {start_node} out of range for "
-            f"{schedule.num_nodes} nodes"
-        )
-    initial = np.zeros(schedule.num_nodes)
-    initial[start_node] = 1.0
-    return evolve_on_schedule(schedule, initial, steps, laziness=laziness)
-
-
-def trace_collision_on_schedule(
-    schedule: DynamicGraphSchedule,
-    initial: np.ndarray,
-    steps: int,
-    *,
-    laziness: float = 0.0,
-) -> List[float]:
-    """``sum_i P_i(t)^2`` for ``t = 0 .. steps`` on a dynamic schedule.
-
-    Feed any entry straight into the Theorem 5.3/5.5 bounds as the
-    exact collision mass for a protocol stopping at that round.
-    """
-    if steps < 0:
-        raise ValidationError(f"steps must be non-negative, got {steps}")
-    current = check_probability_vector(
-        initial, "initial", size=schedule.num_nodes
-    ).astype(np.float64)
-    cache = _TransitionCache(schedule, laziness)
-    collisions = [float(current @ current)]
-    for round_index in range(steps):
-        current = cache.at(round_index) @ current
-        collisions.append(float(current @ current))
-    return collisions
 
 
 # ----------------------------------------------------------------------
@@ -383,163 +316,3 @@ def evolve_panel_on_schedule(
         if truncation is not None:
             panel = _truncate_panel(panel, truncation, dropped)
     return panel, dropped
-
-
-class _HopContext:
-    """Per-graph arrays the vectorized hop needs, computed once.
-
-    This is the single home of the hop's graph-side setup — the token
-    walk memoizes one per distinct topology (a static walk is a
-    one-graph schedule) — so the degree/CSR contract lives in one place.
-    ``uniform_degree`` is the scalar degree of a regular graph (the
-    paper's main scenario: same uniform draws, one fewer million-element
-    gather per round, bit-identical to the general path) or ``None``.
-    """
-
-    __slots__ = ("degrees", "uniform_degree", "has_isolated", "indptr", "indices")
-
-    def __init__(self, graph: Graph):
-        self.degrees = graph.degrees()
-        self.uniform_degree = (
-            int(self.degrees[0])
-            if self.degrees.size and self.degrees.min() == self.degrees.max()
-            else None
-        )
-        self.has_isolated = bool(self.degrees.size) and self.degrees.min() == 0
-        self.indptr = graph.indptr
-        self.indices = graph.indices
-
-
-def _hop_tokens(
-    holders: np.ndarray,
-    context: _HopContext,
-    laziness: float,
-    generator: np.random.Generator,
-) -> np.ndarray:
-    """One walk hop on a prebuilt :class:`_HopContext`.
-
-    A *moving* token on an isolated node raises ``SimulationError`` —
-    the lazy-walk fault-model semantics of the exchange engine: a token
-    that stays put this round (laziness) tolerates temporary isolation.
-    The draw order (hop uniforms, then the laziness mask) is the
-    established stream contract; the guard consumes no randomness.
-    """
-    degrees = context.degrees
-    node_degrees = (
-        context.uniform_degree if context.uniform_degree else degrees[holders]
-    )
-    offsets = (generator.random(holders.size) * node_degrees).astype(np.int64)
-    # Same boundary clamp as the exchange engine: floor(u * degree)
-    # can only reach degree on a contract-violating draw (u == 1.0
-    # from a stubbed/custom generator); bit-identical otherwise.
-    np.minimum(offsets, node_degrees - 1, out=offsets)
-    if context.has_isolated:
-        # Gather only where a neighbor exists (the draws above are
-        # still one per token, keeping the stream contract); whether a
-        # stranded token is an *error* depends on whether it moves.
-        stranded = degrees[holders] == 0
-        destinations = holders.copy()
-        valid = ~stranded
-        destinations[valid] = context.indices[
-            context.indptr[holders[valid]] + offsets[valid]
-        ]
-    else:
-        stranded = None
-        destinations = context.indices[context.indptr[holders] + offsets]
-    if laziness > 0.0:
-        moving = generator.random(holders.size) >= laziness
-        if stranded is not None and np.any(moving & stranded):
-            raise SimulationError(
-                "a moving token's node is isolated in the current topology"
-            )
-        return np.where(moving, destinations, holders)
-    if stranded is not None and np.any(stranded):
-        raise SimulationError(
-            "a moving token's node is isolated in the current topology"
-        )
-    return destinations
-
-
-def simulate_tokens_on_schedule(
-    schedule: DynamicGraphSchedule,
-    start_nodes: np.ndarray,
-    steps: int,
-    *,
-    laziness: float = 0.0,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Monte-Carlo token walks across a dynamic schedule.
-
-    The one token walker: :func:`repro.graphs.walks.simulate_token_walks`
-    runs it on a one-graph schedule.  Per-graph degree/CSR lookups
-    (:class:`_HopContext`) are memoized per *distinct topology* so a
-    cycling schedule pays one degree scan per graph, not per round.  A
-    *moving* token stranded on a node the current
-    topology isolates raises
-    :class:`~repro.exceptions.SimulationError` — the exchange engine's
-    lazy-walk semantics: a token that stays put this round tolerates
-    temporary isolation.  Isolated *start* nodes stay a
-    :class:`~repro.exceptions.ValidationError`, like the static walk.
-    """
-    if steps < 0:
-        raise ValidationError(f"steps must be non-negative, got {steps}")
-    check_probability(laziness, "laziness")
-    holders = np.asarray(start_nodes, dtype=np.int64).copy()
-    if holders.size and (
-        holders.min() < 0 or holders.max() >= schedule.num_nodes
-    ):
-        raise ValidationError("start_nodes out of range")
-    generator = ensure_rng(rng)
-    # Like _TransitionCache, hold the graph alongside its context so a
-    # lazily generated phase graph's id cannot be recycled mid-walk.
-    contexts: Dict[int, Tuple[Graph, _HopContext]] = {}
-
-    def context_for(round_index: int) -> _HopContext:
-        graph = schedule.graph_at(round_index)
-        entry = contexts.get(id(graph))
-        if entry is None or entry[0] is not graph:
-            context = _HopContext(graph)
-            contexts[id(graph)] = (graph, context)
-            return context
-        return entry[1]
-
-    start_context = context_for(0)
-    if holders.size and start_context.has_isolated and np.any(
-        start_context.degrees[holders] == 0
-    ):
-        raise ValidationError("some tokens start on isolated nodes")
-    for round_index in range(steps):
-        try:
-            holders = _hop_tokens(
-                holders, context_for(round_index), laziness, generator
-            )
-        except SimulationError as error:
-            raise SimulationError(f"round {round_index}: {error}") from None
-    return holders
-
-
-def simulate_trial_walks_on_schedule(
-    schedule: DynamicGraphSchedule,
-    start_nodes: np.ndarray,
-    steps: int,
-    trials: int,
-    *,
-    laziness: float = 0.0,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """``trials`` independent repetitions of a scheduled token-walk batch.
-
-    The schedule counterpart of
-    :func:`repro.graphs.walks.simulate_trial_walks`: the trial axis is
-    tiled into the token axis so all ``trials x num_tokens`` walks
-    advance together, one NumPy hop per scheduled round.  Returns shape
-    ``(trials, num_tokens)``.
-    """
-    if trials < 1:
-        raise ValidationError(f"trials must be positive, got {trials}")
-    starts = np.asarray(start_nodes, dtype=np.int64)
-    tiled = np.tile(starts, trials)
-    finals = simulate_tokens_on_schedule(
-        schedule, tiled, steps, laziness=laziness, rng=rng
-    )
-    return finals.reshape(trials, starts.size)

@@ -12,7 +12,7 @@ library cheap:
 
 Self-loops are rejected (a user does not relay a report to herself in the
 basic protocol; laziness is modeled explicitly by
-:func:`repro.graphs.walks.lazy_transition_matrix`).  Parallel edges are
+:func:`repro.graphs.spectral.lazy_transition_matrix`).  Parallel edges are
 collapsed.
 """
 

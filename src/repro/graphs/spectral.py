@@ -29,9 +29,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.exceptions import AccountingError, GraphError
+from repro.exceptions import AccountingError, GraphError, ValidationError
 from repro.graphs.connectivity import require_ergodic
 from repro.graphs.graph import Graph
+from repro.utils.validation import check_probability
 
 #: Below this node count we use dense eigendecomposition (exact, simple);
 #: above it, sparse Lanczos for the extreme eigenvalues only.
@@ -66,6 +67,22 @@ def transition_matrix(graph: Graph) -> sp.csr_matrix:
     adjacency = graph.adjacency_matrix()
     inverse_degree = sp.diags(1.0 / degrees)
     return (inverse_degree @ adjacency).tocsr()
+
+
+def lazy_transition_matrix(graph: Graph, laziness: float) -> sp.csr_matrix:
+    """Lazy walk matrix ``M_lazy = laziness * I + (1 - laziness) * M``.
+
+    ``laziness`` models the probability a user is temporarily offline
+    (battery depletion, network outage — Section 4.5) and keeps her
+    reports for the round.  Any ``laziness > 0`` makes a bipartite
+    connected graph ergodic.
+    """
+    check_probability(laziness, "laziness")
+    matrix = transition_matrix(graph)
+    if laziness == 0.0:
+        return matrix
+    identity = sp.identity(graph.num_nodes, format="csr")
+    return (laziness * identity + (1.0 - laziness) * matrix).tocsr()
 
 
 def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
@@ -221,7 +238,7 @@ class SpectralSummary:
     def sum_squared_bound(self, steps: int) -> float:
         """Equation 7 upper bound: ``sum P_i(t)^2 <= sum pi_i^2 + (1-alpha)^{2t}``."""
         if steps < 0:
-            raise ValueError(f"steps must be non-negative, got {steps}")
+            raise ValidationError(f"steps must be non-negative, got {steps}")
         # A sum of squared probabilities never exceeds 1 (it is 1 exactly
         # when the distribution is a point mass at t=0).
         return min(

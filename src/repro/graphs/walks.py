@@ -1,53 +1,50 @@
 """Random-walk engine: exact distribution evolution and token simulation.
 
-Two complementary views of the same process:
+One process, ``P(t+1) = M_t^T P(t)`` (Section 4.1), seen two ways:
 
-* **Exact** — evolve the position probability vector with
-  ``P(t+1) = M^T P(t)`` (Section 4.1).  Deterministic, O(m) per step.
-  This is what Figure 5 uses to trace the walk on k-regular graphs
-  exactly, exposing the early-time oscillation the paper remarks on.
-* **Monte Carlo** — simulate ``num_tokens`` independent report tokens
-  hopping to uniformly random neighbors.  This is what the protocol
-  simulators (:mod:`repro.protocols`) build on, and lets us validate
-  the exact dynamics empirically.
+* **Exact** — evolve the position probability vector with sparse
+  mat-vec products.  Deterministic, O(m) per step.  This is what
+  Figure 5 uses to trace the walk on k-regular graphs exactly,
+  exposing the early-time oscillation the paper remarks on.
+* **Monte Carlo** — simulate independent report tokens hopping to
+  uniformly random neighbors.  The auditor and the walk ablations
+  build on this, and it validates the exact dynamics empirically.
 
-Both support *lazy* walks (stay put with probability ``laziness``),
+Every walk function takes a :class:`~repro.graphs.graph.Graph` or a
+:class:`~repro.graphs.dynamic.DynamicGraphSchedule`: a static graph is
+walked as a one-graph schedule, so both run the same code and a graph
+and ``DynamicGraphSchedule([graph])`` give bit-identical results.  Both
+views support *lazy* walks (stay put with probability ``laziness``),
 the paper's fault-tolerance model (Section 4.5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.exceptions import ValidationError
+from repro.exceptions import SimulationError, ValidationError
+from repro.graphs.dynamic import DynamicGraphSchedule, GraphLike, _TransitionCache
 from repro.graphs.graph import Graph
-from repro.graphs.spectral import stationary_distribution, transition_matrix
-from repro.utils.rng import RngLike
-from repro.utils.validation import check_probability, check_probability_vector
+from repro.graphs.spectral import stationary_distribution
+from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import (
+    check_node_index,
+    check_probability,
+    check_probability_vector,
+)
 
 
-def lazy_transition_matrix(graph: Graph, laziness: float) -> sp.csr_matrix:
-    """Lazy walk matrix ``M_lazy = laziness * I + (1 - laziness) * M``.
-
-    ``laziness`` models the probability a user is temporarily offline
-    (battery depletion, network outage — Section 4.5) and keeps her
-    reports for the round.  Any ``laziness > 0`` makes a bipartite
-    connected graph ergodic.
-    """
-    check_probability(laziness, "laziness")
-    matrix = transition_matrix(graph)
-    if laziness == 0.0:
-        return matrix
-    identity = sp.identity(graph.num_nodes, format="csr")
-    return (laziness * identity + (1.0 - laziness) * matrix).tocsr()
+def _as_schedule(graph: GraphLike) -> DynamicGraphSchedule:
+    """``graph`` itself if it is a schedule, else its one-graph schedule."""
+    if isinstance(graph, DynamicGraphSchedule):
+        return graph
+    return DynamicGraphSchedule([graph])
 
 
 def evolve_distribution(
-    graph: Graph,
+    graph: GraphLike,
     initial: np.ndarray,
     steps: int,
     *,
@@ -55,21 +52,24 @@ def evolve_distribution(
 ) -> np.ndarray:
     """Evolve ``P(0) = initial`` for ``steps`` rounds; return ``P(steps)``.
 
-    Computes ``P(t+1) = M^T P(t)`` with sparse mat-vec products — never
-    materializes a matrix power.
+    Each round applies the transition matrix of that round's graph,
+    ``P(t+1) = M_t^T P(t)``, with sparse mat-vec products — never a
+    matrix power.  A schedule's matrices are built once per distinct
+    graph.
     """
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
+    check_probability(laziness, "laziness")
     distribution = check_probability_vector(initial, "initial", size=graph.num_nodes)
-    matrix_t = lazy_transition_matrix(graph, laziness).T.tocsr()
+    transitions = _TransitionCache(_as_schedule(graph), laziness)
     current = distribution.astype(np.float64)
-    for _ in range(steps):
-        current = matrix_t @ current
+    for round_index in range(steps):
+        current = transitions.at(round_index) @ current
     return current
 
 
 def position_distribution(
-    graph: Graph,
+    graph: GraphLike,
     start_node: int,
     steps: int,
     *,
@@ -79,61 +79,13 @@ def position_distribution(
 
     This is the per-user position distribution ``P^G`` of the symmetric
     scenario: on a k-regular (vertex-transitive) graph every user's
-    distribution is a relabeling of this one.
+    distribution is a relabeling of this one.  It is also what the
+    informed-adversary audit statistics weigh payloads by.
     """
+    start_node = check_node_index(start_node, graph.num_nodes, "start_node")
     initial = np.zeros(graph.num_nodes)
-    if not 0 <= start_node < graph.num_nodes:
-        raise ValidationError(
-            f"start_node {start_node} out of range for {graph.num_nodes} nodes"
-        )
     initial[start_node] = 1.0
     return evolve_distribution(graph, initial, steps, laziness=laziness)
-
-
-@dataclass
-class WalkTrace:
-    """Time series of walk statistics collected by :func:`trace_walk`."""
-
-    steps: List[int] = field(default_factory=list)
-    sum_squared: List[float] = field(default_factory=list)
-    """``sum_i P_i(t)^2`` at each step — the quantity every theorem uses."""
-    tv_distance: List[float] = field(default_factory=list)
-    """``||P(t) - pi||_1`` graph total variation (Definition 4.4)."""
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (steps, sum_squared, tv_distance) as NumPy arrays."""
-        return (
-            np.asarray(self.steps, dtype=np.int64),
-            np.asarray(self.sum_squared, dtype=np.float64),
-            np.asarray(self.tv_distance, dtype=np.float64),
-        )
-
-
-def trace_walk(
-    graph: Graph,
-    initial: np.ndarray,
-    steps: int,
-    *,
-    laziness: float = 0.0,
-) -> WalkTrace:
-    """Evolve a distribution and record per-step statistics.
-
-    Returns a :class:`WalkTrace` with entries for ``t = 0 .. steps``.
-    """
-    if steps < 0:
-        raise ValidationError(f"steps must be non-negative, got {steps}")
-    distribution = check_probability_vector(initial, "initial", size=graph.num_nodes)
-    pi = stationary_distribution(graph)
-    matrix_t = lazy_transition_matrix(graph, laziness).T.tocsr()
-    trace = WalkTrace()
-    current = distribution.astype(np.float64)
-    for t in range(steps + 1):
-        trace.steps.append(t)
-        trace.sum_squared.append(float(np.dot(current, current)))
-        trace.tv_distance.append(float(np.abs(current - pi).sum()))
-        if t < steps:
-            current = matrix_t @ current
-    return trace
 
 
 def total_variation_to_stationary(graph: Graph, distribution: np.ndarray) -> float:
@@ -155,8 +107,83 @@ def sum_squared_positions(distribution: np.ndarray) -> float:
     return float(np.dot(distribution, distribution))
 
 
+class _HopContext:
+    """Per-graph arrays the vectorized hop needs, computed once.
+
+    This is the single home of the hop's graph-side setup — the token
+    walk memoizes one per distinct topology — so the degree/CSR
+    contract lives in one place.  ``uniform_degree`` is the scalar
+    degree of a regular graph (the paper's main scenario: same uniform
+    draws, one fewer million-element gather per round, bit-identical to
+    the general path) or ``None``.
+    """
+
+    __slots__ = ("degrees", "uniform_degree", "has_isolated", "indptr", "indices")
+
+    def __init__(self, graph: Graph):
+        self.degrees = graph.degrees()
+        self.uniform_degree = (
+            int(self.degrees[0])
+            if self.degrees.size and self.degrees.min() == self.degrees.max()
+            else None
+        )
+        self.has_isolated = bool(self.degrees.size) and self.degrees.min() == 0
+        self.indptr = graph.indptr
+        self.indices = graph.indices
+
+
+def _hop_tokens(
+    holders: np.ndarray,
+    context: _HopContext,
+    laziness: float,
+    generator: np.random.Generator,
+) -> np.ndarray:
+    """One walk hop on a prebuilt :class:`_HopContext`.
+
+    A *moving* token on an isolated node raises ``SimulationError`` —
+    the lazy-walk fault-model semantics of the exchange engine: a token
+    that stays put this round (laziness) tolerates temporary isolation.
+    The draw order (hop uniforms, then the laziness mask) is the
+    established stream contract; the guard consumes no randomness.
+    """
+    degrees = context.degrees
+    node_degrees = (
+        context.uniform_degree if context.uniform_degree else degrees[holders]
+    )
+    offsets = (generator.random(holders.size) * node_degrees).astype(np.int64)
+    # Same boundary clamp as the exchange engine: floor(u * degree)
+    # can only reach degree on a contract-violating draw (u == 1.0
+    # from a stubbed/custom generator); bit-identical otherwise.
+    np.minimum(offsets, node_degrees - 1, out=offsets)
+    if context.has_isolated:
+        # Gather only where a neighbor exists (the draws above are
+        # still one per token, keeping the stream contract); whether a
+        # stranded token is an *error* depends on whether it moves.
+        stranded = degrees[holders] == 0
+        destinations = holders.copy()
+        valid = ~stranded
+        destinations[valid] = context.indices[
+            context.indptr[holders[valid]] + offsets[valid]
+        ]
+    else:
+        stranded = None
+        destinations = context.indices[context.indptr[holders] + offsets]
+    if laziness > 0.0:
+        moving = generator.random(holders.size) >= laziness
+        if stranded is not None and np.any(moving & stranded):
+            raise SimulationError(
+                "a moving token's node is isolated in the current topology"
+            )
+        return np.where(moving, destinations, holders)
+    if stranded is not None and np.any(stranded):
+        raise SimulationError(
+            "a moving token's node is isolated in the current topology"
+        )
+    return destinations
+
+
 def simulate_token_walks(
-    graph: Graph,
+    graph: GraphLike,
     start_nodes: np.ndarray,
     steps: int,
     *,
@@ -168,7 +195,7 @@ def simulate_token_walks(
     Parameters
     ----------
     graph:
-        The communication graph.
+        The communication graph, or a schedule of one graph per round.
     start_nodes:
         Integer array of shape ``(num_tokens,)`` — where each token
         (report) starts.  Network shuffling starts token ``i`` at user
@@ -187,26 +214,57 @@ def simulate_token_walks(
 
     Notes
     -----
-    The static walk is the schedule walk
-    (:func:`repro.graphs.dynamic.simulate_tokens_on_schedule`) on a
-    one-graph schedule: the same validation, draws and errors.  Fully
-    vectorized — each round draws one uniform neighbor index per token
-    using the CSR offsets, so a million token-steps cost a few NumPy
-    gathers.
+    Fully vectorized — each round draws one uniform neighbor index per
+    token using the CSR offsets, so a million token-steps cost a few
+    NumPy gathers.  Per-graph degree/CSR lookups (:class:`_HopContext`)
+    are memoized per *distinct topology*, so a cycling schedule pays one
+    degree scan per graph, not per round.  A *moving* token stranded on
+    a node the current topology isolates raises
+    :class:`~repro.exceptions.SimulationError` — the exchange engine's
+    lazy-walk semantics: a token that stays put this round tolerates
+    temporary isolation.  Isolated *start* nodes are a
+    :class:`~repro.exceptions.ValidationError`.
     """
-    from repro.graphs.dynamic import (
-        DynamicGraphSchedule,
-        simulate_tokens_on_schedule,
-    )
+    if steps < 0:
+        raise ValidationError(f"steps must be non-negative, got {steps}")
+    check_probability(laziness, "laziness")
+    schedule = _as_schedule(graph)
+    holders = np.asarray(start_nodes, dtype=np.int64).copy()
+    if holders.size and (
+        holders.min() < 0 or holders.max() >= schedule.num_nodes
+    ):
+        raise ValidationError("start_nodes out of range")
+    generator = ensure_rng(rng)
+    # Like _TransitionCache, hold the graph alongside its context so a
+    # lazily generated phase graph's id cannot be recycled mid-walk.
+    contexts: Dict[int, Tuple[Graph, _HopContext]] = {}
 
-    return simulate_tokens_on_schedule(
-        DynamicGraphSchedule([graph]), start_nodes, steps,
-        laziness=laziness, rng=rng,
-    )
+    def context_for(round_index: int) -> _HopContext:
+        current = schedule.graph_at(round_index)
+        entry = contexts.get(id(current))
+        if entry is None or entry[0] is not current:
+            context = _HopContext(current)
+            contexts[id(current)] = (current, context)
+            return context
+        return entry[1]
+
+    start_context = context_for(0)
+    if holders.size and start_context.has_isolated and np.any(
+        start_context.degrees[holders] == 0
+    ):
+        raise ValidationError("some tokens start on isolated nodes")
+    for round_index in range(steps):
+        try:
+            holders = _hop_tokens(
+                holders, context_for(round_index), laziness, generator
+            )
+        except SimulationError as error:
+            raise SimulationError(f"round {round_index}: {error}") from None
+    return holders
 
 
 def simulate_trial_walks(
-    graph: Graph,
+    graph: GraphLike,
     start_nodes: np.ndarray,
     steps: int,
     trials: int,
@@ -219,8 +277,7 @@ def simulate_trial_walks(
     All ``trials x num_tokens`` walks run as one flat token walk — the
     trial axis is tiled into the token axis, so a 2000-trial audit on a
     1000-node graph costs the same NumPy gathers as a single
-    2-million-token simulation (see
-    :func:`repro.graphs.dynamic.simulate_trial_walks_on_schedule`).
+    2-million-token simulation, one hop per round.
 
     Returns
     -------
@@ -228,19 +285,17 @@ def simulate_trial_walks(
         Shape ``(trials, num_tokens)`` — row ``r`` holds the final
         holders of trial ``r``'s tokens.
     """
-    from repro.graphs.dynamic import (
-        DynamicGraphSchedule,
-        simulate_trial_walks_on_schedule,
+    if trials < 1:
+        raise ValidationError(f"trials must be positive, got {trials}")
+    starts = np.asarray(start_nodes, dtype=np.int64)
+    finals = simulate_token_walks(
+        graph, np.tile(starts, trials), steps, laziness=laziness, rng=rng
     )
-
-    return simulate_trial_walks_on_schedule(
-        DynamicGraphSchedule([graph]), start_nodes, steps, trials,
-        laziness=laziness, rng=rng,
-    )
+    return finals.reshape(trials, starts.size)
 
 
 def empirical_position_distribution(
-    graph: Graph,
+    graph: GraphLike,
     start_node: int,
     steps: int,
     *,
@@ -262,7 +317,7 @@ def empirical_position_distribution(
 
 
 def report_allocation(
-    graph: Graph,
+    graph: GraphLike,
     steps: int,
     *,
     laziness: float = 0.0,

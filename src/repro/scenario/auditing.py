@@ -8,7 +8,10 @@ memoized bundle, the attacker statistic resolves through the
 :data:`~repro.scenario.builders.AUDIT_STATISTICS` registry, and the
 randomness comes from the scenario seed's dedicated ``audit`` child
 stream — auditing a scenario never perturbs what ``run(scenario)``
-simulates.
+simulates.  The auditor picks its own Monte Carlo engine
+(:func:`~repro.auditing.auditor.resolve_method`; no option overrides
+it), and whenever that is the kernel engine the bundle's memoized
+sampler is handed in, so audit sweeps build each ``M^t`` once.
 
 The audit implements the binary-RR distinguishing game of the paper's
 Section 6, so the scenario must use the ``"rr"`` mechanism (or no
@@ -24,7 +27,6 @@ from repro.auditing.auditor import (
     AuditResult,
     audit_network_shuffle,
     resolve_method,
-    should_memoize,
 )
 from repro.exceptions import ValidationError
 from repro.ldp.randomized_response import BinaryRandomizedResponse
@@ -70,7 +72,6 @@ def audit(
     *,
     trials: Optional[int] = None,
     rounds: Optional[int] = None,
-    method: str = "auto",
     rng: RngLike = None,
 ) -> AuditResult:
     """Measure the scenario's empirical epsilon lower bound.
@@ -84,13 +85,6 @@ def audit(
         Overrides the spec's trial count (default 2000).
     rounds:
         Overrides the scenario's (resolved) exchange rounds.
-    method:
-        Monte Carlo engine override, forwarded to
-        :func:`repro.auditing.auditor.audit_network_shuffle`: one of
-        :data:`~repro.auditing.auditor.AUDIT_METHODS`, ``auto``,
-        ``kernel`` or ``tiled``.  On a ``schedule`` graph spec ``auto``
-        resolves to the walk-stepping ``tiled``; ``kernel`` precomputes
-        one static ``M^t`` and rejects schedules loudly.
     rng:
         Overrides the scenario seed's ``audit`` child stream — pass an
         explicit generator to draw audit replicas without re-deriving
@@ -120,26 +114,19 @@ def audit(
     # ``victim`` parameterizes both the statistic (whose position
     # distribution to weigh) and the game itself (whose bit the worlds
     # flip), so it stays in the builder params *and* reaches the engine.
-    victim = int(params.get("victim", 0))
+    victim = params.get("victim", 0)
     statistic = AUDIT_STATISTICS.build(
         spec.kind, bundle.graph, steps, laziness, **params
     )
     generator = rng if rng is not None else seed_streams(scenario.seed).audit
-    # When the kernel engine will run, hand it the bundle's memoized
-    # sampler: repeated audits (eps0/trials axes) reuse it outright and
-    # a rounds axis extends the cached matrix power chain — both
-    # bit-identical to a cold build (the sampler build is
-    # deterministic; only sampling consumes randomness).
-    # ``should_memoize`` gates this to the auto heuristic's node cap:
-    # past it the dense stage tables are hundreds of MB, so an
-    # explicitly requested kernel audit on a larger graph builds
-    # call-scoped (freed on return) instead of pinning them in the
-    # process-wide cache.
+    # When the kernel engine will run (only on static graphs within
+    # KERNEL_MAX_NODES), hand it the bundle's memoized sampler: repeated
+    # audits (eps0/trials axes) reuse it outright and a rounds axis
+    # extends the cached matrix power chain — both bit-identical to a
+    # cold build (the sampler build is deterministic; only sampling
+    # consumes randomness).
     sampler = None
-    if (
-        resolve_method(method, bundle.graph, steps) == "kernel"
-        and should_memoize(bundle.graph)
-    ):
+    if resolve_method(bundle.graph, steps) == "kernel":
         sampler = bundle.kernel_sampler(steps, laziness)
     return audit_network_shuffle(
         bundle.graph,
@@ -151,7 +138,6 @@ def audit(
         victim=victim,
         statistic=statistic,
         confidence=confidence,
-        method=method,
         kernel_sampler=sampler,
         label=f"scenario:{spec.kind}:t={steps}",
         rng=generator,

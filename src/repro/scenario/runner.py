@@ -60,6 +60,7 @@ from repro.scenario.cache import (
 )
 from repro.scenario.spec import Scenario
 from repro.scenario.summary import run_summary_payload
+from repro.utils.validation import check_non_negative_int
 
 __all__ = [
     "RunResult",
@@ -278,7 +279,9 @@ def _resolve_rounds(
     point); a dynamic schedule has no mixing time, so it requires the
     scenario (or the caller) to fix ``rounds`` explicitly.
     """
-    steps = override if override is not None else scenario.rounds
+    if override is not None:
+        return check_non_negative_int(override, "rounds")
+    steps = scenario.rounds
     if steps is None:
         if bundle.is_schedule:
             raise ScheduleRefusedError(

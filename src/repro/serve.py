@@ -24,10 +24,11 @@ Endpoints (JSON in, JSON out):
     closed-form at-stationarity guarantee (no graph build for
     GRAPH_STATS kinds), synchronously.
 ``POST /run`` / ``POST /audit``
-    Body ``{"scenario": {...}}`` (audit also accepts ``trials >= 1``,
-    ``rounds >= 0`` and ``method`` — ``auto``, ``kernel`` or ``tiled`` —
-    each checked before enqueueing) — enqueue a job; returns ``202``
-    with a job id immediately.
+    Body ``{"scenario": {...}}`` (audit also accepts ``trials >= 1`` and
+    ``rounds >= 0``, each checked before enqueueing; the auditor picks
+    its own Monte Carlo engine, so like any other unknown member a
+    ``method`` is ignored) — enqueue a job; returns ``202`` with a job
+    id immediately.
 ``GET /jobs/<id>``
     Job status; ``result`` appears when done, ``error`` (the canonical
     :func:`repro.exceptions.error_payload`) when failed.
@@ -72,7 +73,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import api
-from repro.auditing.auditor import AUDIT_METHODS
 from repro.exceptions import (
     ExecutionTimeoutError,
     InvalidScenarioError,
@@ -544,14 +544,6 @@ class ReproService:
                         f"{name!r} must be >= {least}, got {value}"
                     )
                 options[name] = value
-            method = body.get("method")
-            if method is not None:
-                if method not in AUDIT_METHODS:
-                    raise InvalidScenarioError(
-                        f"'method' must be one of {AUDIT_METHODS}, "
-                        f"got {method!r}"
-                    )
-                options["method"] = method
         job = _Job(
             id=f"job-{next(self._job_ids)}",
             kind=kind,

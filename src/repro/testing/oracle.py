@@ -22,7 +22,7 @@ listed in :mod:`repro.testing` with the fast path each one checks.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -34,14 +34,14 @@ from repro.auditing.auditor import (
 )
 from repro.core.config import DEFAULT_CONFIG
 from repro.exceptions import SimulationError, ValidationError
-from repro.graphs.dynamic import (
-    DynamicGraphSchedule,
-    panel_collisions,
-    simulate_tokens_on_schedule,
-)
+from repro.graphs.dynamic import DynamicGraphSchedule, GraphLike, panel_collisions
 from repro.graphs.graph import Graph
-from repro.graphs.spectral import stationary_distribution, transition_matrix
-from repro.graphs.walks import lazy_transition_matrix, simulate_token_walks
+from repro.graphs.spectral import (
+    lazy_transition_matrix,
+    stationary_distribution,
+    transition_matrix,
+)
+from repro.graphs.walks import simulate_token_walks
 from repro.ldp.randomized_response import BinaryRandomizedResponse
 from repro.netsim.faults import DropoutModel, NoFaults
 from repro.netsim.message import SERVER_ID
@@ -106,7 +106,7 @@ class FaithfulNetwork:
 
     def __init__(
         self,
-        graph: Union[Graph, DynamicGraphSchedule],
+        graph: GraphLike,
         *,
         faults: Optional[DropoutModel] = None,
         rng: RngLike = None,
@@ -212,7 +212,7 @@ class FaithfulNetwork:
 
 
 def _looped_world_statistics(
-    graph: Union[Graph, DynamicGraphSchedule],
+    graph: GraphLike,
     randomizer: BinaryRandomizedResponse,
     rounds: int,
     trials: int,
@@ -230,26 +230,20 @@ def _looped_world_statistics(
     """
     n = graph.num_nodes
     starts = np.arange(n, dtype=np.int64)
-    dynamic = isinstance(graph, DynamicGraphSchedule)
     out = np.empty(trials, dtype=np.float64)
     for index in range(trials):
         bits = generator.integers(0, 2, size=n)
         bits[victim] = victim_bit
         payloads = randomizer.randomize_batch(bits, generator)
-        if dynamic:
-            holders = simulate_tokens_on_schedule(
-                graph, starts, rounds, laziness=laziness, rng=generator
-            )
-        else:
-            holders = simulate_token_walks(
-                graph, starts, rounds, laziness=laziness, rng=generator
-            )
+        holders = simulate_token_walks(
+            graph, starts, rounds, laziness=laziness, rng=generator
+        )
         out[index] = statistic(payloads[np.newaxis, :], holders[np.newaxis, :])[0]
     return out
 
 
 def looped_audit(
-    graph: Union[Graph, DynamicGraphSchedule],
+    graph: GraphLike,
     epsilon0: float,
     rounds: int,
     *,

@@ -32,6 +32,20 @@ def check_non_negative_int(value: int, name: str) -> int:
     return int(value)
 
 
+def check_node_index(value: int, num_nodes: int, name: str) -> int:
+    """Return ``value`` if it is an integer node index in ``[0, num_nodes)``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or not 0 <= value < num_nodes
+    ):
+        raise ValidationError(
+            f"{name} must be an integer node index in [0, {num_nodes}), "
+            f"got {value!r}"
+        )
+    return int(value)
+
+
 def check_probability(value: float, name: str) -> float:
     """Return ``value`` if it lies in ``[0, 1]``, else raise."""
     value = float(value)

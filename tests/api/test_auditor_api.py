@@ -1,22 +1,21 @@
-"""Public auditor planning API: resolve_method / should_memoize.
+"""Public auditor planning API: resolve_method.
 
-These were ``_resolve_method`` and ``_KERNEL_MAX_NODES`` — private
-heuristics the scenario layer reached into.  Now they are documented
-exports; the old spellings are gone.
+``resolve_method`` was ``_resolve_method`` — a private heuristic the
+scenario layer reached into.  Now it is a documented export, and the
+only place the auditor's engine is decided: no caller option overrides
+it, and the scenario layer memoizes a kernel sampler exactly when it
+answers ``"kernel"``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.auditing import (
-    KERNEL_MAX_NODES,
-    resolve_method,
-    should_memoize,
-)
-from repro.exceptions import ScheduleRefusedError, ValidationError
+from repro import api
+from repro.auditing import KERNEL_MAX_NODES, resolve_method
 from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.generators import cycle_graph, random_regular_graph
+from repro.scenario import Scenario, audit
 
 
 @pytest.fixture
@@ -29,39 +28,63 @@ def schedule():
     return DynamicGraphSchedule([cycle_graph(9), cycle_graph(9)])
 
 
-class TestResolveMethod:
-    def test_explicit_methods_pass_through(self, small_graph):
-        assert resolve_method("kernel", small_graph, rounds=64) == "kernel"
-        assert resolve_method("tiled", small_graph, rounds=64) == "tiled"
+@pytest.fixture
+def fresh_cache():
+    api.clear_graph_cache()
+    yield
+    api.clear_graph_cache()
 
+
+def _audit_builds(graph_spec) -> int:
+    """Kernel samplers built by one 12-round scenario audit."""
+    audit(
+        Scenario(
+            graph=graph_spec,
+            mechanism={"kind": "rr", "params": {"epsilon": 1.0}},
+            rounds=12,
+            seed=0,
+        ),
+        trials=40,
+    )
+    return api.sampler_stats()["builds"]
+
+
+class TestResolveMethod:
     def test_auto_prefers_kernel_on_small_graphs(self, small_graph):
-        assert resolve_method("auto", small_graph, rounds=64) == "kernel"
+        assert resolve_method(small_graph, rounds=64) == "kernel"
 
     def test_auto_falls_back_for_short_walks(self, small_graph):
         # Few rounds: step-simulating is cheaper than building M^t.
-        assert resolve_method("auto", small_graph, rounds=1) == "tiled"
-
-    def test_unknown_method_is_a_validation_error(self, small_graph):
-        with pytest.raises(ValidationError, match="method"):
-            resolve_method("warp", small_graph, rounds=8)
+        assert resolve_method(small_graph, rounds=1) == "tiled"
 
     def test_kernel_on_schedule_is_refused(self, schedule):
-        with pytest.raises(ScheduleRefusedError):
-            resolve_method("kernel", schedule, rounds=8)
+        # A time-varying topology has no single t-step kernel, however
+        # well mixed the walk is.
+        for rounds in (8, 64, 10_000):
+            assert resolve_method(schedule, rounds=rounds) == "tiled"
 
     def test_auto_on_schedule_step_simulates(self, schedule):
-        assert resolve_method("auto", schedule, rounds=8) == "tiled"
+        assert resolve_method(schedule, rounds=8) == "tiled"
 
 
 class TestShouldMemoize:
-    def test_small_static_graph_memoizes(self, small_graph):
-        assert should_memoize(small_graph) is True
+    """The scenario layer memoizes a sampler exactly when the auditor
+    will run the kernel engine."""
 
-    def test_schedule_never_memoizes(self, schedule):
-        assert should_memoize(schedule) is False
+    def test_small_static_graph_memoizes(self, fresh_cache):
+        spec = {"kind": "k_regular", "params": {"degree": 4, "num_nodes": 50}}
+        assert _audit_builds(spec) == 1
 
-    def test_cap_is_the_kernel_cap(self, small_graph):
-        assert small_graph.num_nodes <= KERNEL_MAX_NODES
+    def test_schedule_never_memoizes(self, fresh_cache):
+        cycle = {"kind": "cycle", "params": {"num_nodes": 9}}
+        spec = {"kind": "schedule", "params": {"graphs": [cycle, cycle]}}
+        assert _audit_builds(spec) == 0
+
+    def test_cap_is_the_kernel_cap(self):
+        # Past the cap the dense stage tables would run to hundreds of
+        # MB, so the kernel engine (and its memo) is never chosen.
+        assert resolve_method(cycle_graph(KERNEL_MAX_NODES), 64) == "kernel"
+        assert resolve_method(cycle_graph(KERNEL_MAX_NODES + 1), 64) == "tiled"
 
 
 class TestDeprecatedSpellings:

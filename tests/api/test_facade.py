@@ -57,7 +57,6 @@ class TestSurface:
         from repro import auditing
 
         assert api.resolve_method is auditing.resolve_method
-        assert api.should_memoize is auditing.should_memoize
 
 
 class TestParseScenario:
@@ -146,6 +145,15 @@ class TestSolverFailure:
     def test_bound_raises_accounting_error(self, stalled_lanczos):
         with pytest.raises(AccountingError, match="Lanczos solve failed"):
             api.bound(api.parse_scenario(stalled_lanczos))
+
+
+class TestRoundsOverride:
+    @pytest.mark.parametrize("rounds", [-1, True, 2.5])
+    def test_bad_bound_rounds_is_a_validation_error(self, rounds):
+        """Validated once where the override is resolved: a typed 400,
+        not a raw ``ValueError`` from the spectral bound."""
+        with pytest.raises(ValidationError, match="rounds"):
+            api.bound(api.parse_scenario(SCENARIO_DICT), rounds=rounds)
 
 
 class TestCacheTelemetry:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.auditing import auditor as auditor_module
 from repro.auditing.auditor import (
     _clopper_pearson,
     _KernelSampler,
@@ -17,12 +18,15 @@ from repro.auditing.auditor import (
     topk_evidence_statistic,
     weighted_evidence_statistic,
 )
+from repro.core.config import DEFAULT_CONFIG
 from repro.exceptions import ValidationError
+from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.generators import grid_graph, random_regular_graph
 from repro.graphs.walks import position_distribution
 from repro.ldp.laplace import LaplaceMechanism
 from repro.ldp.randomized_response import BinaryRandomizedResponse
 from repro.testing.oracle import looped_audit
+from repro.utils.rng import ensure_rng, spawn_rngs
 
 
 def _scalar_epsilon_lower_bound(statistics_d, statistics_d_prime, delta,
@@ -204,18 +208,41 @@ class TestEngineEquivalence:
     Same graph, same trial count, independent seeds: eps_hat from the
     kernel and tiled engines and from the looped oracle must agree to
     estimation noise, at an unmixed point (t=0, eps_hat ~ eps0) and
-    past mixing (~0).
+    past mixing (~0).  The auditor picks one engine per call, so both
+    are driven here through their world-statistics functions, with the
+    auditor's per-world seed streams and threshold sweep.
     """
 
     @staticmethod
-    def _audits(graph, rounds, **options):
-        results = {
-            method: audit_network_shuffle(
-                graph, 1.0, rounds, method=method, **options
-            )
-            for method in ("kernel", "tiled")
+    def _audits(graph, rounds, *, trials, rng):
+        randomizer = BinaryRandomizedResponse(1.0)
+        statistic = weighted_evidence_statistic(graph, rounds)
+        sampler = _KernelSampler(graph, rounds, 0.0)
+        engines = {
+            "kernel": lambda bit, world_rng: (
+                auditor_module._kernel_world_statistics(
+                    sampler, randomizer, trials, 0, bit, statistic, world_rng
+                )
+            ),
+            "tiled": lambda bit, world_rng: (
+                auditor_module._tiled_world_statistics(
+                    graph, randomizer, rounds, trials, 0, bit, statistic,
+                    0.0, world_rng,
+                )
+            ),
         }
-        results["loop"] = looped_audit(graph, 1.0, rounds, **options)
+        results = {}
+        for name, world_statistics in engines.items():
+            rng_d, rng_d_prime = spawn_rngs(ensure_rng(rng), 2)
+            eps, _ = epsilon_lower_bound(
+                world_statistics(0, rng_d),
+                world_statistics(1, rng_d_prime),
+                DEFAULT_CONFIG.delta,
+            )
+            results[name] = eps
+        results["loop"] = looped_audit(
+            graph, 1.0, rounds, trials=trials, rng=rng
+        ).epsilon_lower_bound
         return results
 
     @pytest.fixture(scope="class")
@@ -224,28 +251,24 @@ class TestEngineEquivalence:
 
     def test_unmixed_point_agrees(self, graph):
         results = self._audits(graph, 0, trials=4000, rng=7)
-        for method, result in results.items():
-            assert result.epsilon_lower_bound == pytest.approx(
-                1.0, abs=0.3
-            ), (method, results)
+        for method, eps in results.items():
+            assert eps == pytest.approx(1.0, abs=0.3), (method, results)
 
     def test_mixed_point_agrees(self, graph):
         results = self._audits(graph, 14, trials=4000, rng=7)
-        for method, result in results.items():
-            assert result.epsilon_lower_bound < 0.25, (method, results)
+        for method, eps in results.items():
+            assert eps < 0.25, (method, results)
 
     def test_statistics_distributions_match(self, graph):
         """Kolmogorov-style check: per-engine world statistics have the
         same distribution (quantiles within Monte Carlo noise)."""
-        from repro.auditing import auditor as module
-
         statistic = weighted_evidence_statistic(graph, 6)
         randomizer = BinaryRandomizedResponse(1.0)
         sampler = _KernelSampler(graph, 6, 0.0)
-        kernel = module._kernel_world_statistics(
+        kernel = auditor_module._kernel_world_statistics(
             sampler, randomizer, 3000, 0, 0, statistic, np.random.default_rng(1)
         )
-        tiled = module._tiled_world_statistics(
+        tiled = auditor_module._tiled_world_statistics(
             graph, randomizer, 6, 3000, 0, 0, statistic, 0.0,
             np.random.default_rng(2),
         )
@@ -263,8 +286,9 @@ class TestEngineEquivalence:
         )
 
     def test_unknown_method_rejected(self, graph):
-        for method in ("warp", "loop"):
-            with pytest.raises(ValidationError, match="method"):
+        """The auditor picks its own engine: no ``method`` is accepted."""
+        for method in ("warp", "loop", "kernel", "tiled", "auto"):
+            with pytest.raises(TypeError, match="method"):
                 audit_network_shuffle(
                     graph, 1.0, 2, trials=100, method=method
                 )
@@ -399,6 +423,19 @@ class TestVictimParameter:
         with pytest.raises(ValidationError, match="victim"):
             audit_network_shuffle(graph, 1.0, 2, trials=100, victim=20)
 
+    @pytest.mark.parametrize("victim", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_victim_is_named(self, victim):
+        """Neither an IndexError nor (for ``True``, which would index as
+        a mask) a probability-mass error: the victim is named."""
+        graph = random_regular_graph(4, 20, rng=0)
+        with pytest.raises(ValidationError, match="victim"):
+            audit_network_shuffle(graph, 1.0, 2, trials=100, victim=victim)
+
+    def test_negative_rounds_named(self):
+        graph = random_regular_graph(4, 20, rng=0)
+        with pytest.raises(ValidationError, match="rounds must be non-negative"):
+            audit_network_shuffle(graph, 1.0, -1, trials=100)
+
     def test_scenario_audit_victim_param(self):
         import dataclasses
 
@@ -422,13 +459,11 @@ class TestVictimParameter:
 
 
 class TestScheduleAuditing:
-    """The step-walking engines extend to dynamic schedules; the kernel
-    engine (one static dense M^t) refuses them loudly."""
+    """The step-walking engine extends to dynamic schedules; the kernel
+    engine (one static dense M^t) never runs on them."""
 
     @pytest.fixture
     def schedule(self):
-        from repro.graphs.dynamic import DynamicGraphSchedule
-
         return DynamicGraphSchedule([
             random_regular_graph(4, 60, rng=0),
             random_regular_graph(6, 60, rng=1),
@@ -438,16 +473,19 @@ class TestScheduleAuditing:
         result = audit_network_shuffle(schedule, 1.0, 4, trials=150, rng=0)
         assert result.epsilon_lower_bound >= 0.0
 
-    def test_kernel_rejected(self, schedule):
-        with pytest.raises(ValidationError, match="kernel"):
-            audit_network_shuffle(
-                schedule, 1.0, 4, trials=150, method="kernel", rng=0
-            )
+    def test_kernel_rejected(self, schedule, monkeypatch):
+        """Even at a mixed round count, where a static graph of this
+        size runs the kernel engine, a schedule step-simulates."""
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel sampler built for a schedule")
+
+        monkeypatch.setattr(auditor_module, "_KernelSampler", no_kernel)
+        result = audit_network_shuffle(schedule, 1.0, 12, trials=150, rng=0)
+        assert result.epsilon_lower_bound >= 0.0
 
     def test_tiled_and_loop_agree_statistically(self, schedule):
-        tiled = audit_network_shuffle(
-            schedule, 2.0, 0, trials=800, method="tiled", rng=0
-        )
+        tiled = audit_network_shuffle(schedule, 2.0, 0, trials=800, rng=0)
         looped = looped_audit(schedule, 2.0, 0, trials=800, rng=0)
         # t=0: both should measure ~eps0 (same estimator, same trial
         # count; draws differ in granularity only).
@@ -462,10 +500,8 @@ class TestScheduleAuditing:
         assert mixed.epsilon_lower_bound < raw.epsilon_lower_bound
 
     def test_weighted_statistic_uses_scheduled_evolution(self, schedule):
-        from repro.graphs.dynamic import position_distribution_on_schedule
-
         statistic = weighted_evidence_statistic(schedule, 5)
-        weights = position_distribution_on_schedule(schedule, 0, 5)
+        weights = position_distribution(schedule, 0, 5)
         payloads = np.ones((1, 60))
         holders = np.tile(np.arange(60), (1, 1))
         assert statistic(payloads, holders)[0] == pytest.approx(
@@ -546,3 +582,38 @@ class TestBatchedLocalAudit:
         assert result.epsilon_lower_bound == eps
         assert result.best_threshold == threshold
         assert 0.2 < result.epsilon_lower_bound <= 1.2
+
+
+class TestFrozenAuditVectors:
+    """``(epsilon_lower_bound, best_threshold)`` of default-path audits,
+    frozen before the engine choice became internal: the auditor must
+    keep resolving each case to the same engine and seed stream."""
+
+    _GRAPH = random_regular_graph(4, 64, rng=0)
+    _SCHEDULE = DynamicGraphSchedule([
+        random_regular_graph(4, 60, rng=0),
+        random_regular_graph(6, 60, rng=1),
+    ])
+
+    @pytest.mark.parametrize(
+        "topology, rounds, laziness, seed, engine, expected",
+        [
+            (_GRAPH, 3, 0.0, 11, "tiled",
+             (0.24611716579941356, 0.25)),
+            (_GRAPH, 12, 0.0, 12, "kernel",
+             (0.2797010553401993, 0.44564783573150635)),
+            (_GRAPH, 10, 0.3, 13, "kernel",
+             (0.14084128151676129, 0.5213871192365114)),
+            (_SCHEDULE, 5, 0.2, 14, "tiled",
+             (0.29089601377374275, 0.39719111111111116)),
+        ],
+        ids=["static-tiled", "static-kernel", "lazy-kernel", "schedule"],
+    )
+    def test_seeded_audit_is_frozen(
+        self, topology, rounds, laziness, seed, engine, expected
+    ):
+        assert auditor_module.resolve_method(topology, rounds) == engine
+        result = audit_network_shuffle(
+            topology, 2.0, rounds, trials=500, laziness=laziness, rng=seed
+        )
+        assert (result.epsilon_lower_bound, result.best_threshold) == expected

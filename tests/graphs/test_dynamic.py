@@ -1,4 +1,9 @@
-"""Tests for dynamic-graph walks (Section 4.5 extension)."""
+"""Tests for dynamic-graph walks (Section 4.5 extension).
+
+The walks themselves live in :mod:`repro.graphs.walks` and take a
+schedule wherever they take a graph; these tests drive them on
+multi-graph schedules.
+"""
 
 from __future__ import annotations
 
@@ -10,21 +15,23 @@ from repro.graphs.dynamic import (
     DynamicGraphSchedule,
     EpochSelector,
     _TransitionCache,
-    evolve_on_schedule,
     evolve_panel_on_schedule,
     identity_panel,
     panel_collisions,
-    position_distribution_on_schedule,
-    simulate_tokens_on_schedule,
-    simulate_trial_walks_on_schedule,
-    trace_collision_on_schedule,
 )
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     random_regular_graph,
 )
-from repro.graphs.walks import evolve_distribution, position_distribution
+from repro.graphs.spectral import lazy_transition_matrix
+from repro.graphs.walks import (
+    evolve_distribution,
+    position_distribution,
+    simulate_token_walks,
+    simulate_trial_walks,
+    sum_squared_positions,
+)
 from repro.scenario.profile import ProfileStore
 from repro.testing.oracle import (
     collision_profile_on_schedule,
@@ -79,14 +86,14 @@ class TestEvolveOnSchedule:
         schedule = DynamicGraphSchedule([graph])
         initial = np.zeros(40)
         initial[0] = 1.0
-        dynamic = evolve_on_schedule(schedule, initial, 8)
+        dynamic = evolve_distribution(schedule, initial, 8)
         static = evolve_distribution(graph, initial, 8)
         np.testing.assert_allclose(dynamic, static, atol=1e-12)
 
     def test_mass_preserved(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
         initial = np.full(60, 1.0 / 60)
-        result = evolve_on_schedule(schedule, initial, 10)
+        result = evolve_distribution(schedule, initial, 10)
         assert result.sum() == pytest.approx(1.0)
 
     def test_alternating_bipartite_never_converges(self):
@@ -96,7 +103,7 @@ class TestEvolveOnSchedule:
         schedule = DynamicGraphSchedule([even_cycle])
         initial = np.zeros(6)
         initial[0] = 1.0
-        result = evolve_on_schedule(schedule, initial, 100)
+        result = evolve_distribution(schedule, initial, 100)
         # Parity preserved: odd nodes never reached at even times.
         assert result[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -105,23 +112,22 @@ class TestEvolveOnSchedule:
         schedule = DynamicGraphSchedule(two_graphs)
         initial = np.zeros(60)
         initial[0] = 1.0
-        collisions = trace_collision_on_schedule(schedule, initial, 40)
-        assert collisions[0] == 1.0
-        assert collisions[-1] == pytest.approx(1.0 / 60, rel=0.05)
+        assert sum_squared_positions(
+            evolve_distribution(schedule, initial, 0)
+        ) == 1.0
+        assert sum_squared_positions(
+            evolve_distribution(schedule, initial, 40)
+        ) == pytest.approx(1.0 / 60, rel=0.05)
 
 
 class TestTraceCollision:
-    def test_length(self, two_graphs):
-        schedule = DynamicGraphSchedule(two_graphs)
-        initial = np.full(60, 1.0 / 60)
-        collisions = trace_collision_on_schedule(schedule, initial, 5)
-        assert len(collisions) == 6
-
     def test_uniform_start_stays_uniformish(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
         initial = np.full(60, 1.0 / 60)
-        collisions = trace_collision_on_schedule(schedule, initial, 5)
-        for value in collisions:
+        for steps in range(6):
+            value = sum_squared_positions(
+                evolve_distribution(schedule, initial, steps)
+            )
             assert value == pytest.approx(1.0 / 60, rel=0.05)
 
 
@@ -133,36 +139,34 @@ class TestMemoizedTransitions:
         schedule = DynamicGraphSchedule([graph])  # every round reuses it
         initial = np.zeros(40)
         initial[0] = 1.0
-        dynamic = evolve_on_schedule(schedule, initial, 12)
+        dynamic = evolve_distribution(schedule, initial, 12)
         static = evolve_distribution(graph, initial, 12)
         np.testing.assert_array_equal(dynamic, static)
 
     def test_trace_matches_manual_unmemoized_loop(self, two_graphs):
-        from repro.graphs.walks import lazy_transition_matrix
-
         schedule = DynamicGraphSchedule(two_graphs)
         initial = np.zeros(60)
         initial[0] = 1.0
-        memoized = trace_collision_on_schedule(
-            schedule, initial, 9, laziness=0.2
-        )
         current = initial.astype(np.float64)
-        manual = [float(current @ current)]
         for round_index in range(9):
             matrix_t = lazy_transition_matrix(
                 schedule.graph_at(round_index), 0.2
             ).T.tocsr()
             current = matrix_t @ current
-            manual.append(float(current @ current))
-        assert memoized == manual
+            memoized = evolve_distribution(
+                schedule, initial, round_index + 1, laziness=0.2
+            )
+            np.testing.assert_array_equal(memoized, current)
 
     def test_start_round_offsets_the_schedule_clock(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
-        initial = np.zeros(60)
-        initial[17] = 1.0
-        full = evolve_on_schedule(schedule, initial, 7)
-        prefix = evolve_on_schedule(schedule, initial, 3)
-        resumed = evolve_on_schedule(schedule, prefix, 4, start_round=3)
+        panel = np.zeros((60, 1))
+        panel[17, 0] = 1.0
+        full, _ = evolve_panel_on_schedule(schedule, panel, 7)
+        prefix, _ = evolve_panel_on_schedule(schedule, panel, 3)
+        resumed, _ = evolve_panel_on_schedule(
+            schedule, prefix, 4, start_round=3
+        )
         np.testing.assert_array_equal(full, resumed)
 
 
@@ -172,22 +176,22 @@ class TestPositionDistributionOnSchedule:
         initial = np.zeros(60)
         initial[5] = 1.0
         np.testing.assert_array_equal(
-            position_distribution_on_schedule(schedule, 5, 8),
-            evolve_on_schedule(schedule, initial, 8),
+            position_distribution(schedule, 5, 8),
+            evolve_distribution(schedule, initial, 8),
         )
 
     def test_static_schedule_matches_plain_helper(self):
         graph = random_regular_graph(4, 30, rng=2)
         schedule = DynamicGraphSchedule([graph])
         np.testing.assert_array_equal(
-            position_distribution_on_schedule(schedule, 0, 6),
+            position_distribution(schedule, 0, 6),
             position_distribution(graph, 0, 6),
         )
 
     def test_rejects_out_of_range_start(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
         with pytest.raises(ValidationError):
-            position_distribution_on_schedule(schedule, 60, 3)
+            position_distribution(schedule, 60, 3)
 
 
 class TestProfileEvolution:
@@ -197,7 +201,7 @@ class TestProfileEvolution:
         for user in (0, 13, 59):
             np.testing.assert_array_equal(
                 profile[:, user],
-                position_distribution_on_schedule(schedule, user, 6),
+                position_distribution(schedule, user, 6),
             )
 
     def test_collision_profile_matches_per_user_traces(self, two_graphs):
@@ -205,10 +209,8 @@ class TestProfileEvolution:
         collisions = collision_profile_on_schedule(schedule, 5)
         assert collisions.shape == (60,)
         for user in (0, 30):
-            initial = np.zeros(60)
-            initial[user] = 1.0
-            trace = trace_collision_on_schedule(schedule, initial, 5)
-            assert collisions[user] == pytest.approx(trace[-1], abs=1e-15)
+            exact = sum_squared_positions(position_distribution(schedule, user, 5))
+            assert collisions[user] == pytest.approx(exact, abs=1e-15)
 
     def test_rejects_wrong_shape(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
@@ -244,8 +246,6 @@ class TestTransitionCacheIdentity:
             # collected; the *cache's* correctness under collection is
             # what the loop below exercises.
             graph = schedule.graph_at(round_index)
-            from repro.graphs.walks import lazy_transition_matrix
-
             expected.append(lazy_transition_matrix(graph, 0.0).T.tocsr())
         for round_index in range(6):
             got = cache.at(round_index)
@@ -359,18 +359,18 @@ class TestSimulateTokens:
     def test_shape_and_range(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
         starts = np.arange(60)
-        finals = simulate_tokens_on_schedule(schedule, starts, 12, rng=0)
+        finals = simulate_token_walks(schedule, starts, 12, rng=0)
         assert finals.shape == (60,)
         assert finals.min() >= 0 and finals.max() < 60
 
     def test_matches_exact_distribution(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
         starts = np.zeros(50_000, dtype=np.int64)
-        finals = simulate_tokens_on_schedule(schedule, starts, 6, rng=0)
+        finals = simulate_token_walks(schedule, starts, 6, rng=0)
         empirical = np.bincount(finals, minlength=60) / 50_000
         initial = np.zeros(60)
         initial[0] = 1.0
-        exact = evolve_on_schedule(schedule, initial, 6)
+        exact = evolve_distribution(schedule, initial, 6)
         assert np.abs(empirical - exact).sum() < 0.06
 
 
@@ -382,7 +382,7 @@ class TestScheduleWalkStranding:
         isolating = Graph(3, [(0, 1)])  # node 2 isolated
         schedule = DynamicGraphSchedule([isolating])
         with pytest.raises(ValidationError, match="start on isolated"):
-            simulate_tokens_on_schedule(schedule, np.array([2]), steps, rng=0)
+            simulate_token_walks(schedule, np.array([2]), steps, rng=0)
 
     def test_mid_walk_stranding_is_simulation_error(self):
         """A swap that isolates a walker's node mid-schedule raises the
@@ -396,7 +396,7 @@ class TestScheduleWalkStranding:
         with pytest.raises(SimulationError, match="isolated in the current"):
             # Round 0 moves the token from 0 to its only neighbor 1;
             # round 1's topology strands it there.
-            simulate_tokens_on_schedule(schedule, np.array([0]), 2, rng=0)
+            simulate_token_walks(schedule, np.array([0]), 2, rng=0)
 
     def test_lazy_stayer_tolerates_temporary_isolation(self):
         """The exchange engine's lazy-walk semantics: a token that stays
@@ -407,7 +407,7 @@ class TestScheduleWalkStranding:
         path = Graph(3, [(0, 1), (1, 2)])
         isolating = Graph(3, [(0, 2)])  # node 1 isolated
         schedule = DynamicGraphSchedule([path, isolating])
-        finals = simulate_tokens_on_schedule(
+        finals = simulate_token_walks(
             schedule, np.array([0]), 2, laziness=1.0, rng=0
         )
         assert int(finals[0]) == 0  # never moved, never stranded
@@ -423,22 +423,22 @@ class TestScheduleWalkStranding:
         outage = DynamicGraphSchedule(
             [cycle_graph(4), Graph(4, [])],
         )
-        finals = simulate_tokens_on_schedule(
+        finals = simulate_token_walks(
             outage, np.arange(4), 4, laziness=1.0, rng=0
         )
         np.testing.assert_array_equal(finals, np.arange(4))
         with pytest.raises(SimulationError, match="round 1"):
-            simulate_tokens_on_schedule(outage, np.arange(4), 2, rng=0)
+            simulate_token_walks(outage, np.arange(4), 2, rng=0)
 
     def test_negative_steps_rejected(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
         with pytest.raises(ValidationError):
-            simulate_tokens_on_schedule(schedule, np.arange(60), -1)
+            simulate_token_walks(schedule, np.arange(60), -1)
 
     def test_out_of_range_starts_rejected(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
         with pytest.raises(ValidationError, match="out of range"):
-            simulate_tokens_on_schedule(schedule, np.array([60]), 1)
+            simulate_token_walks(schedule, np.array([60]), 1)
 
 
 class TestTrialWalksOnSchedule:
@@ -447,11 +447,11 @@ class TestTrialWalksOnSchedule:
         produces the identical draws."""
         schedule = DynamicGraphSchedule(two_graphs)
         starts = np.arange(60)
-        trials = simulate_trial_walks_on_schedule(
+        trials = simulate_trial_walks(
             schedule, starts, 5, 7, rng=3
         )
         assert trials.shape == (7, 60)
-        flat = simulate_tokens_on_schedule(
+        flat = simulate_token_walks(
             schedule, np.tile(starts, 7), 5, rng=3
         )
         np.testing.assert_array_equal(trials, flat.reshape(7, 60))
@@ -459,4 +459,4 @@ class TestTrialWalksOnSchedule:
     def test_rejects_non_positive_trials(self, two_graphs):
         schedule = DynamicGraphSchedule(two_graphs)
         with pytest.raises(ValidationError):
-            simulate_trial_walks_on_schedule(schedule, np.arange(60), 3, 0)
+            simulate_trial_walks(schedule, np.arange(60), 3, 0)

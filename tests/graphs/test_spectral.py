@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import AccountingError, GraphError, NotErgodicError
+from repro.exceptions import (
+    AccountingError,
+    GraphError,
+    NotErgodicError,
+    ValidationError,
+)
 from repro.graphs import spectral
 from repro.graphs.generators import (
     barabasi_albert_graph,
@@ -231,7 +236,7 @@ class TestSpectralSummary:
 
     def test_negative_steps_rejected(self):
         graph = random_regular_graph(4, 64, rng=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="steps"):
             spectral_summary(graph).sum_squared_bound(-1)
 
     def test_rejects_non_ergodic(self):

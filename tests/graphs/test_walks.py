@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import ValidationError
-from repro.graphs.generators import complete_graph, cycle_graph
-from repro.graphs.spectral import stationary_distribution
+from repro.graphs.dynamic import DynamicGraphSchedule
+from repro.graphs.generators import complete_graph, cycle_graph, random_regular_graph
+from repro.graphs.spectral import lazy_transition_matrix, stationary_distribution
 from repro.graphs.walks import (
     empirical_position_distribution,
     evolve_distribution,
-    lazy_transition_matrix,
     position_distribution,
     report_allocation,
     simulate_token_walks,
+    simulate_trial_walks,
     sum_squared_positions,
     total_variation_to_stationary,
-    trace_walk,
 )
 
 
@@ -76,6 +76,19 @@ class TestPositionDistribution:
         with pytest.raises(ValidationError):
             position_distribution(k4, 99, 1)
 
+    @pytest.mark.parametrize("start", [2.5, True, "0"])
+    def test_start_must_be_an_integer_node(self, k4, start):
+        """A float or bool start is neither an IndexError nor a boolean
+        mask that fails mass validation: it is named and rejected."""
+        with pytest.raises(ValidationError, match="start_node"):
+            position_distribution(k4, start, 1)
+
+    def test_numpy_integer_start_accepted(self, k4):
+        np.testing.assert_array_equal(
+            position_distribution(k4, np.int64(2), 1),
+            position_distribution(k4, 2, 1),
+        )
+
 
 class TestLazyTransitionMatrix:
     def test_zero_laziness_is_plain(self, k4):
@@ -112,29 +125,25 @@ class TestLazyTransitionMatrix:
 
 
 class TestTraceWalk:
-    def test_records_all_steps(self, small_regular):
-        initial = np.zeros(small_regular.num_nodes)
-        initial[0] = 1.0
-        trace = trace_walk(small_regular, initial, 10)
-        assert trace.steps == list(range(11))
-        assert len(trace.sum_squared) == 11
+    """A walk's per-step statistics (what Figure 5 plots): the collision
+    mass and graph TV distance of ``evolve_distribution`` at each t."""
 
     def test_sum_squared_starts_at_one(self, small_regular):
         initial = np.zeros(small_regular.num_nodes)
         initial[0] = 1.0
-        trace = trace_walk(small_regular, initial, 3)
-        assert trace.sum_squared[0] == pytest.approx(1.0)
+        start = evolve_distribution(small_regular, initial, 0)
+        assert sum_squared_positions(start) == pytest.approx(1.0)
 
     def test_tv_decreases_overall(self, medium_regular):
         initial = np.zeros(medium_regular.num_nodes)
         initial[0] = 1.0
-        trace = trace_walk(medium_regular, initial, 50)
-        assert trace.tv_distance[-1] < 0.01 * trace.tv_distance[0]
-
-    def test_as_arrays(self, triangle):
-        trace = trace_walk(triangle, np.ones(3) / 3, 2)
-        steps, sums, tvs = trace.as_arrays()
-        assert steps.shape == sums.shape == tvs.shape == (3,)
+        first, last = (
+            total_variation_to_stationary(
+                medium_regular, evolve_distribution(medium_regular, initial, t)
+            )
+            for t in (0, 50)
+        )
+        assert last < 0.01 * first
 
 
 class TestTotalVariation:
@@ -226,3 +235,42 @@ class TestReportAllocation:
         allocation = report_allocation(graph, 3, rng=0)
         # Nobody should hoard a large fraction after mixing on K_n.
         assert allocation.max() < 15
+
+
+#: Each walk function as ``(topology, rng) -> array``, on a lazy walk.
+_WALKS = {
+    "evolve_distribution": lambda topology, rng: evolve_distribution(
+        topology, np.full(40, 1.0 / 40) * 0.5 + np.eye(40)[3] * 0.5, 9,
+        laziness=0.25,
+    ),
+    "position_distribution": lambda topology, rng: position_distribution(
+        topology, 7, 9, laziness=0.25
+    ),
+    "simulate_token_walks": lambda topology, rng: simulate_token_walks(
+        topology, np.arange(40), 9, laziness=0.25, rng=rng
+    ),
+    "simulate_trial_walks": lambda topology, rng: simulate_trial_walks(
+        topology, np.arange(40), 9, 5, laziness=0.25, rng=rng
+    ),
+    "empirical_position_distribution": (
+        lambda topology, rng: empirical_position_distribution(
+            topology, 7, 9, num_samples=500, laziness=0.25, rng=rng
+        )
+    ),
+    "report_allocation": lambda topology, rng: report_allocation(
+        topology, 9, laziness=0.25, rng=rng
+    ),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_graph_and_one_graph_schedule_are_bit_identical(walk):
+    """A static graph is walked as a one-graph schedule: same arrays,
+    same generator state afterwards."""
+    graph = random_regular_graph(4, 40, rng=0)
+    on_graph_rng = np.random.default_rng(11)
+    on_schedule_rng = np.random.default_rng(11)
+    on_graph = _WALKS[walk](graph, on_graph_rng)
+    on_schedule = _WALKS[walk](DynamicGraphSchedule([graph]), on_schedule_rng)
+    np.testing.assert_array_equal(on_graph, on_schedule)
+    assert on_graph_rng.random() == on_schedule_rng.random()

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError, ValidationError
-from repro.graphs.dynamic import DynamicGraphSchedule, evolve_on_schedule
+from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.generators import (
     barabasi_albert_graph,
     complete_graph,
@@ -546,9 +546,7 @@ class TestDynamicScheduleEquivalence:
         engine.seed_tokens(np.zeros(samples, dtype=np.int64))
         engine.run(5)
         empirical = engine.held_counts() / samples
-        initial = np.zeros(50)
-        initial[0] = 1.0
-        exact = evolve_on_schedule(schedule, initial, 5)
+        exact = position_distribution(schedule, 0, 5)
         assert np.abs(empirical - exact).sum() < 0.15
 
     def test_set_graph_rejects_node_count_mismatch(self, small_regular):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.amplification.network_shuffle import epsilon_all_stationary
+from repro.api import sampler_stats
 from repro.exceptions import ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.scenario import (
@@ -277,12 +278,16 @@ class TestScheduleAudit:
         assert result.epsilon_lower_bound >= 0.0
 
     def test_kernel_method_refused(self):
-        with pytest.raises(ValidationError, match="kernel"):
-            audit(_schedule_scenario(), trials=200, method="kernel")
+        """A schedule has no single t-step kernel: even at a mixed round
+        count its audit step-simulates and memoizes no sampler."""
+        result = audit(_schedule_scenario(rounds=12), trials=200)
+        assert result.epsilon_lower_bound >= 0.0
+        assert sampler_stats()["builds"] == 0
 
     def test_loop_method_rejected(self):
-        """The per-trial loop is a test oracle, not an engine."""
-        with pytest.raises(ValidationError, match="method"):
+        """The per-trial loop is a test oracle, not an engine, and no
+        caller option selects an engine."""
+        with pytest.raises(TypeError, match="method"):
             audit(_schedule_scenario(), trials=50, method="loop")
 
     def test_topk_statistic_on_schedule(self):

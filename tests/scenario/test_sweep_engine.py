@@ -408,10 +408,10 @@ class TestKernelSamplerMemo:
 
     def test_repeated_audits_reuse_the_sampler(self):
         scenario = self._audit_scenario()
-        first = audit(scenario, method="kernel")
+        first = audit(scenario)
         bundle = _bundle_for(scenario)
         assert (bundle.kernel_builds, bundle.kernel_hits) == (1, 0)
-        second = audit(scenario, method="kernel")
+        second = audit(scenario)
         assert (bundle.kernel_builds, bundle.kernel_hits) == (1, 1)
         assert first == second
 
@@ -419,10 +419,10 @@ class TestKernelSamplerMemo:
         """The ROADMAP PR 3 follow-up acceptance: memoized sampler ==
         cold-built sampler, bit for bit."""
         scenario = self._audit_scenario()
-        audit(scenario, method="kernel")          # warm the memo
-        warm = audit(scenario, method="kernel")   # served from memo
+        audit(scenario)          # warm the memo
+        warm = audit(scenario)   # served from memo
         clear_graph_cache()                       # force a cold rebuild
-        cold = audit(scenario, method="kernel")
+        cold = audit(scenario)
         assert warm.epsilon_lower_bound == cold.epsilon_lower_bound
         assert warm.best_threshold == cold.best_threshold
         assert warm == cold
@@ -431,14 +431,14 @@ class TestKernelSamplerMemo:
         """An ascending rounds audit seeds M^t from the cached longest
         power; the result must equal a from-scratch build."""
         warm_results = [
-            audit(self._audit_scenario(rounds=rounds), method="kernel")
+            audit(self._audit_scenario(rounds=rounds))
             for rounds in (8, 12, 16)
         ]
         cold_results = []
         for rounds in (8, 12, 16):
             clear_graph_cache()
             cold_results.append(
-                audit(self._audit_scenario(rounds=rounds), method="kernel")
+                audit(self._audit_scenario(rounds=rounds))
             )
         for warm, cold in zip(warm_results, cold_results):
             assert warm == cold
@@ -455,8 +455,8 @@ class TestKernelSamplerMemo:
 
     def test_distinct_laziness_builds_distinct_samplers(self):
         scenario = self._audit_scenario()
-        audit(scenario, method="kernel")
-        audit(scenario.updated(laziness=0.2), method="kernel")
+        audit(scenario)
+        audit(scenario.updated(laziness=0.2))
         bundle = _bundle_for(scenario)
         assert bundle.kernel_builds == 2
 
@@ -465,7 +465,7 @@ class TestKernelSamplerMemo:
         sampler must release its laziness's chain too."""
         scenario = self._audit_scenario()
         for laziness in (0.0, 0.1, 0.2, 0.3):
-            audit(scenario.updated(laziness=laziness), method="kernel")
+            audit(scenario.updated(laziness=laziness))
         bundle = _bundle_for(scenario)
         assert len(bundle._kernel_powers) <= bundle._KERNEL_SAMPLER_CAP
 

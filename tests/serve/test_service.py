@@ -306,26 +306,50 @@ class TestErrorTaxonomy:
         _, after = request(client, "GET", "/stats")
         assert after["graph_cache"]["builds"] == before["graph_cache"]["builds"]
 
-    def test_unknown_audit_method_is_400(self, client):
-        """Checked at submission, like ``trials``/``rounds``: no job is
-        queued only to fail."""
-        _, before = request(client, "GET", "/stats")
+    def test_audit_method_member_is_ignored(self, client):
+        """The auditor picks its own engine: a ``method`` member is
+        ignored like any other unknown body member, and the audit is
+        the one submitted without it."""
+        results = []
+        for extra in ({}, {"method": "bogus"}, {"method": "kernel"}):
+            status, job = request(
+                client, "POST", "/audit",
+                {"scenario": SCENARIO, "trials": 60, **extra})
+            assert status == 202, job
+            finished = wait_for_job(client, job["id"])
+            assert finished["status"] == "done", finished
+            results.append(finished["result"])
+        assert results[0] == results[1] == results[2]
+
+    def test_negative_bound_rounds_is_400(self, client):
         status, payload = request(
-            client, "POST", "/audit", {"scenario": SCENARIO, "method": "bogus"})
+            client, "POST", "/bound", {"scenario": SCENARIO, "rounds": -1})
         assert status == 400
-        assert payload["error"] == "InvalidScenarioError"
-        assert "method" in payload["message"]
-        _, after = request(client, "GET", "/stats")
-        assert after["jobs"]["retained"] == before["jobs"]["retained"]
+        assert payload["error"] == "ValidationError"
+        assert "rounds must be non-negative" in payload["message"]
+
+    @pytest.mark.parametrize("victim", [2.5, True], ids=["float", "bool"])
+    def test_bad_audit_victim_is_a_typed_400(self, client, victim):
+        """A non-integer victim fails its job as a validation error
+        naming the node, not as an IndexError or a mass-check message."""
+        scenario = dict(SCENARIO, audit={
+            "kind": "weighted_evidence", "params": {"victim": victim}})
+        status, job = request(
+            client, "POST", "/audit", {"scenario": scenario, "trials": 60})
+        assert status == 202, job
+        finished = wait_for_job(client, job["id"])
+        assert finished["status"] == "error", finished
+        assert finished["error"]["error"] == "ValidationError"
+        assert finished["error"]["status"] == 400
+        assert "integer node index" in finished["error"]["message"]
 
     @pytest.mark.parametrize(
         ("option", "value", "fragment"),
         [
             ("trials", 0, "'trials' must be >= 1"),
             ("rounds", -2, "'rounds' must be >= 0"),
-            ("method", "loop", "('auto', 'kernel', 'tiled')"),
         ],
-        ids=["trials", "rounds", "method"],
+        ids=["trials", "rounds"],
     )
     def test_out_of_range_audit_option_is_400(
         self, client, option, value, fragment
