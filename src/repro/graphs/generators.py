@@ -40,6 +40,20 @@ def from_networkx(nx_graph) -> Graph:
     return Graph(len(index), edges[edges[:, 0] != edges[:, 1]])
 
 
+def _from_generated(nx_graph) -> Graph:
+    """:func:`from_networkx` for a networkx graph built here, then freed.
+
+    networkx caches its ``nodes``/``edges``/``degree`` views on the graph,
+    and each view points back at it.  That reference cycle kept every
+    generated graph (megabytes of dicts) alive until the next full
+    garbage collection, often into the next graph build.  Dropping the
+    attributes breaks the cycle, so reference counting frees it here.
+    """
+    graph = from_networkx(nx_graph)
+    nx_graph.__dict__.clear()
+    return graph
+
+
 def complete_graph(num_nodes: int) -> Graph:
     """Complete graph ``K_n``: shuffling on it mixes in one step."""
     check_positive_int(num_nodes, "num_nodes")
@@ -106,7 +120,7 @@ def random_regular_graph(degree: int, num_nodes: int, rng: RngLike = None) -> Gr
     generator = ensure_rng(rng)
     seed = int(generator.integers(0, 2**31 - 1))
     nx_graph = nx.random_regular_graph(degree, num_nodes, seed=seed)
-    return from_networkx(nx_graph)
+    return _from_generated(nx_graph)
 
 
 def erdos_renyi_graph(num_nodes: int, edge_probability: float, rng: RngLike = None) -> Graph:
@@ -116,7 +130,7 @@ def erdos_renyi_graph(num_nodes: int, edge_probability: float, rng: RngLike = No
     generator = ensure_rng(rng)
     seed = int(generator.integers(0, 2**31 - 1))
     nx_graph = nx.fast_gnp_random_graph(num_nodes, edge_probability, seed=seed)
-    return from_networkx(nx_graph)
+    return _from_generated(nx_graph)
 
 
 def barabasi_albert_graph(num_nodes: int, attachment: int, rng: RngLike = None) -> Graph:
@@ -135,7 +149,7 @@ def barabasi_albert_graph(num_nodes: int, attachment: int, rng: RngLike = None) 
     generator = ensure_rng(rng)
     seed = int(generator.integers(0, 2**31 - 1))
     nx_graph = nx.barabasi_albert_graph(num_nodes, attachment, seed=seed)
-    return from_networkx(nx_graph)
+    return _from_generated(nx_graph)
 
 
 def watts_strogatz_graph(
@@ -153,4 +167,4 @@ def watts_strogatz_graph(
     nx_graph = nx.connected_watts_strogatz_graph(
         num_nodes, nearest_neighbors, rewire_probability, seed=seed
     )
-    return from_networkx(nx_graph)
+    return _from_generated(nx_graph)

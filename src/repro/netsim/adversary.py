@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.exceptions import ValidationError
+
 
 @dataclass(frozen=True)
 class AdversaryView:
@@ -48,7 +50,10 @@ class AdversaryView:
         """Fraction of reports whose originator ``guess`` got right."""
         guess = np.asarray(guess, dtype=np.int64)
         if guess.shape != self.origin.shape:
-            raise ValueError("guess must assign one originator per report")
+            raise ValidationError(
+                f"guess must assign one originator per report: got shape "
+                f"{guess.shape}, need {self.origin.shape}"
+            )
         return float(np.mean(guess == self.origin))
 
     def baseline_guess(self) -> np.ndarray:
@@ -70,7 +75,7 @@ class AdversaryView:
         """
         matrix = np.asarray(position_distributions, dtype=np.float64)
         if matrix.shape != (self.num_users, self.num_users):
-            raise ValueError(
+            raise ValidationError(
                 f"need an (n, n) matrix of position distributions, "
                 f"got {matrix.shape}"
             )

@@ -253,7 +253,7 @@ class VectorizedExchange:
         # Validate isolation against the topology in force at the next
         # round — on a schedule the seeding round's graph, not graph 0.
         self._sync_schedule()
-        if origins.size and np.any(self._degrees[np.unique(origins)] == 0):
+        if origins.size and np.any(self._degrees[origins] == 0):
             raise ValidationError("some tokens start on isolated nodes")
         if self._drained:
             # Drained tokens left the network (final delivery); seeding

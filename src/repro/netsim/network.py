@@ -2,9 +2,19 @@
 
 One round = every online node forwards each held item to a uniformly
 random neighbor; deliveries land in inboxes and become visible at the
-start of the next round.  :class:`RoundBasedNetwork` carries arbitrary
-payloads over the flat-array engine of :mod:`repro.netsim.engine`: all
-tokens hop in a few array passes per round, meters aggregated per node.
+start of the next round.  :class:`RoundBasedNetwork` runs the
+flat-array engine of :mod:`repro.netsim.engine`: all tokens hop in a
+few array passes per round, meters aggregated per node.
+
+Its working interface is token-level:
+:meth:`~RoundBasedNetwork.seed_tokens` (one token per origin entry),
+:meth:`~RoundBasedNetwork.deliver_tokens` (``(token ids, senders)`` in
+delivery order) and :meth:`~RoundBasedNetwork.drain_tokens` (token ids
+in holder order).  The protocols keep each token's payload in their own
+arrays, indexed by token id.  ``seed_items``/``deliver_to_server``/
+``drain_held`` carry arbitrary items as thin adapters over those three
+methods.
+
 With numba installed it runs the fused JIT kernels of
 :mod:`repro.netsim.kernels`, otherwise NumPy — an install-time detail
 that never changes a result.
@@ -17,7 +27,7 @@ contract one Python object per user, is
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -86,30 +96,44 @@ class RoundBasedNetwork:
     # ------------------------------------------------------------------
     # Seeding
     # ------------------------------------------------------------------
-    def seed_items(self, items_per_node: Dict[int, List[Any]]) -> None:
-        """Place initial items (randomized reports) into nodes.
+    def seed_tokens(self, origins: np.ndarray) -> None:
+        """Place one token per entry of ``origins`` at that node.
 
-        Seeding is only allowed before the campaign's first exchange
-        round (repeated calls are fine) or after the final delivery —
-        interleaving seeds with rounds would scramble the inbox-arrival
-        order the exact RNG contract depends on.
+        Token ids continue from the current count, and restart from 0
+        after a final delivery; seeding ``arange(n)`` makes token id ==
+        origin.  Seeding is only allowed before the campaign's first
+        exchange round (repeated calls are fine) or after the final
+        delivery — interleaving seeds with rounds would scramble the
+        inbox-arrival order the exact RNG contract depends on.
         """
         drained = self._engine.drained
+        self._engine.seed_tokens(origins)
+        if drained:
+            # The delivered campaign's payloads left with its tokens.
+            self._payloads = []
+
+    def seed_items(self, items_per_node: Dict[int, List[Any]]) -> None:
+        """Place initial items (e.g. randomized reports) into nodes.
+
+        An adapter over :meth:`seed_tokens`: each item becomes a token
+        whose id indexes the item, in dict order and then list order.
+        """
         origins: List[int] = []
         payloads: List[Any] = []
         for node_id, items in items_per_node.items():
             origins.extend([node_id] * len(items))
             payloads.extend(items)
-        # Let the engine validate (and raise) before touching _payloads,
-        # or a rejected seed would shift the token-id -> payload mapping
-        # for every later campaign.
-        self._engine.seed_tokens(np.asarray(origins, dtype=np.int64))
-        if drained:
-            # The engine restarts token ids from 0 after a final
-            # delivery; drop the delivered campaign's payloads so the
-            # mapping stays aligned.
-            self._payloads = []
-        self._payloads.extend(payloads)
+        first = 0 if self._engine.drained else self._engine.num_tokens
+        # The engine validates (and raises) before any payload is kept,
+        # so a rejected seed cannot shift the token-id -> item mapping.
+        self.seed_tokens(np.asarray(origins, dtype=np.int64))
+        self._payloads += [None] * (first - len(self._payloads)) + payloads
+
+    def _items(self, tokens: np.ndarray) -> List[Any]:
+        """The items of ``tokens``; a token seeded bare carries ``None``."""
+        payloads = self._payloads
+        payloads += [None] * (self._engine.num_tokens - len(payloads))
+        return [payloads[token] for token in tokens.tolist()]
 
     # ------------------------------------------------------------------
     # Exchange rounds
@@ -145,23 +169,45 @@ class RoundBasedNetwork:
     # ------------------------------------------------------------------
     # Final delivery & queries
     # ------------------------------------------------------------------
-    def deliver_to_server(self) -> None:
-        """Final round: each user sends every held item to the server."""
+    def deliver_tokens(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Final round: each user sends every held token to the server.
+
+        Meters the sends and the server's receipts; returns ``(token
+        ids, senders)`` in delivery order — ascending sender, each
+        sender's tokens in inbox-arrival order.
+        """
         self.meters.messages_sent += self._engine.held_counts()
-        order = self._engine.drain()
-        senders = self._engine.token_position[order]
-        payloads = [self._payloads[token] for token in order]
-        self.server.deliver_many(senders.tolist(), payloads)
+        tokens = self._engine.drain()
+        senders = self._engine.token_position[tokens]
+        self.server.receive(tokens.size)
+        return tokens, senders
+
+    def deliver_to_server(self) -> None:
+        """:meth:`deliver_tokens`, with the server keeping the items."""
+        tokens, senders = self.deliver_tokens()
+        self.server.store(senders.tolist(), self._items(tokens))
+
+    def drain_tokens(self) -> np.ndarray:
+        """Remove every held token (no sends are metered).
+
+        Returns the token ids grouped by ascending holder, each holder's
+        tokens in inbox-arrival order; :meth:`held_counts` taken before
+        the drain gives the group sizes.
+        """
+        return self._engine.drain()
 
     def drain_held(self) -> List[List[Any]]:
         """Remove and return every node's held items, indexed by node,
-        each node's items in inbox-arrival order."""
-        order = self._engine.drain()
-        positions = self._engine.token_position
-        held_lists: List[List[Any]] = [[] for _ in range(self.num_users)]
-        for token in order:
-            held_lists[positions[token]].append(self._payloads[token])
-        return held_lists
+        each node's items in inbox-arrival order (an adapter over
+        :meth:`drain_tokens`)."""
+        counts = self.held_counts().tolist()
+        items = self._items(self.drain_tokens())
+        held: List[List[Any]] = []
+        start = 0
+        for count in counts:
+            held.append(items[start:start + count])
+            start += count
+        return held
 
     def held_counts(self) -> np.ndarray:
         """Current items held per user — the allocation vector ``L``."""

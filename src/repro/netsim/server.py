@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.exceptions import ValidationError
 from repro.netsim.metrics import EntityMeter
 
 
@@ -24,19 +25,31 @@ class Server:
 
     def deliver(self, sender: int, payload: Any) -> None:
         """Record one report delivered by ``sender``."""
-        self._reports.append(payload)
-        self._delivered_by.append(int(sender))
-        self.meter.record_receive()
-        self.meter.record_store()
+        self.deliver_many([sender], [payload])
 
     def deliver_many(self, senders: List[int], payloads: List[Any]) -> None:
         """Record a batch of reports (the vectorized final round)."""
+        self.store(senders, payloads)
+        self.receive(len(payloads))
+
+    def receive(self, count: int) -> None:
+        """Meter ``count`` arriving reports (received and stored).
+
+        The token-level delivery charges the server through this alone:
+        the protocols hold the delivered reports as arrays.
+        """
+        self.meter.record_receive(count)
+        self.meter.record_store(count)
+
+    def store(self, senders: List[int], payloads: List[Any]) -> None:
+        """Keep reports whose arrival :meth:`receive` already metered."""
         if len(senders) != len(payloads):
-            raise ValueError("senders and payloads must have equal length")
+            raise ValidationError(
+                f"senders and payloads must have equal length, got "
+                f"{len(senders)} and {len(payloads)}"
+            )
         self._reports.extend(payloads)
         self._delivered_by.extend(int(sender) for sender in senders)
-        self.meter.record_receive(len(payloads))
-        self.meter.record_store(len(payloads))
 
     @property
     def reports(self) -> List[Any]:

@@ -13,7 +13,11 @@
 The runners exchange on :class:`repro.netsim.RoundBasedNetwork`, the
 flat-array :class:`repro.netsim.VectorizedExchange`: a round costs a few
 NumPy kernels (or one JIT kernel call), scaling to millions of reports,
-and every entity is metered.  Their ``engine=`` spellings all select
+and every entity is metered.  Reports travel as arrays from randomizer
+to server: user ``j``'s report is token ``j``, delivery and selection
+are token-id vectors, and :class:`ProtocolResult` holds the delivered
+origins and payloads, building its :class:`Report` list only when
+``server_reports`` is read.  Their ``engine=`` spellings all select
 this one exchange; :class:`repro.testing.oracle.FaithfulNetwork` is the
 per-message reference the tests hold it to.
 """

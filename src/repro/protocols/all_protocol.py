@@ -4,11 +4,15 @@ Each user randomizes her value, the network exchanges reports for ``t``
 random-walk rounds, then every user delivers *all* reports she holds to
 the server (a user holding none sends a null response, i.e. delivers
 nothing).
+
+The reports travel as arrays: user ``j``'s report is token ``j`` on the
+network, the server's delivery is the drained token order, and the
+payloads are gathered from the randomized batch by token id.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from repro.graphs.graph import Graph
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel, IndependentDropout
 from repro.netsim.network import RoundBasedNetwork
-from repro.protocols.reports import ProtocolResult, Report, payload_list
+from repro.protocols.reports import ProtocolResult, take_payloads
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
@@ -56,22 +60,24 @@ def _randomize_inputs(
     values: Optional[Sequence[Any]],
     num_users: int,
     rng: np.random.Generator,
-) -> List[Report]:
-    """Line 2 of Algorithm 1: ``s_j <- A_ldp(x_j)`` for every user."""
+) -> Any:
+    """Line 2 of Algorithm 1: ``s_j <- A_ldp(x_j)`` for every user.
+
+    Returns the reports indexed by user (= token id): the
+    ``randomize_batch`` result itself, the raw values as a list when
+    there is no randomizer, or ``None`` for a privacy-only run.
+    """
     if values is None:
-        # Privacy-only runs don't need payloads; carry the origin only.
-        return [Report(origin=user, payload=None) for user in range(num_users)]
+        return None
     if len(values) != num_users:
         raise ValidationError(
             f"need one value per user: got {len(values)} values, n={num_users}"
         )
-    if randomizer is not None:
-        # One stream-exact batch call: the same draws, in the same
-        # order, as randomizing user by user.
-        values = payload_list(randomizer.randomize_batch(values, rng))
-    return [
-        Report(origin=user, payload=value) for user, value in enumerate(values)
-    ]
+    if randomizer is None:
+        return list(values)
+    # One stream-exact batch call: the same draws, in the same order,
+    # as randomizing user by user.
+    return randomizer.randomize_batch(values, rng)
 
 
 def run_all_protocol(
@@ -117,28 +123,29 @@ def run_all_protocol(
     """
     check_non_negative_int(rounds, "rounds")
     generator = ensure_rng(rng)
-    reports = _randomize_inputs(randomizer, values, graph.num_nodes, generator)
+    num_users = graph.num_nodes
+    reports = _randomize_inputs(randomizer, values, num_users, generator)
     backend, faults = resolve_backend(engine, faults, laziness)
 
     network = RoundBasedNetwork(
         graph, faults=faults, rng=generator, backend=backend
     )
-    network.seed_items({report.origin: [report] for report in reports})
+    # User j seeds token j, so a token id is its report's origin.
+    network.seed_tokens(np.arange(num_users, dtype=np.int64))
     network.run_exchange(rounds)
     allocation = network.held_counts()
-    network.deliver_to_server()
-    server_reports = list(network.server.reports)
-    delivered_by = np.asarray(network.server.delivered_by, dtype=np.int64)
-    if len(server_reports) != graph.num_nodes:
+    tokens, delivered_by = network.deliver_tokens()
+    if tokens.size != num_users:
         raise ProtocolError(
-            f"A_all lost reports: {len(server_reports)} of {graph.num_nodes} "
+            f"A_all lost reports: {tokens.size} of {num_users} "
             "reached the server"
         )
     return ProtocolResult(
         protocol="all",
-        num_users=graph.num_nodes,
+        num_users=num_users,
         rounds=rounds,
-        server_reports=server_reports,
+        origins=tokens,
+        delivered_payloads=take_payloads(reports, tokens),
         delivered_by=delivered_by,
         allocation=allocation,
         meters=network.meters,

@@ -1,8 +1,17 @@
-"""Report objects and protocol-run results."""
+"""Report objects and protocol-run results.
+
+A protocol run carries its reports as arrays indexed by token id: the
+network is seeded with one token per user (token id == origin), and
+the server's delivery is a vector of token ids.  :class:`ProtocolResult`
+keeps those delivered ``origins`` and the delivered payloads in
+delivery order; :attr:`ProtocolResult.server_reports`, the per-report
+:class:`Report` list, is a view built from them on first read.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, List, Optional
 
 import numpy as np
@@ -21,6 +30,20 @@ def payload_list(batch: Any) -> List[Any]:
     if isinstance(batch, np.ndarray):
         return batch.tolist() if batch.ndim == 1 else list(batch)
     return list(batch)
+
+
+def take_payloads(batch: Any, tokens: np.ndarray) -> Any:
+    """The payloads of ``tokens`` from a per-token ``batch``, in order.
+
+    An array batch (a ``randomize_batch`` result) is fancy-indexed and
+    stays an array; a list is gathered into a list; ``None`` (a run
+    without values) stays ``None``.
+    """
+    if batch is None:
+        return None
+    if isinstance(batch, np.ndarray):
+        return batch[tokens]
+    return [batch[token] for token in tokens.tolist()]
 
 
 @dataclass(frozen=True)
@@ -57,8 +80,13 @@ class ProtocolResult:
         ``n``.
     rounds:
         Exchange rounds ``t`` executed before reporting.
-    server_reports:
-        Reports received by the server, in delivery order.
+    origins:
+        For each server report, in delivery order, the user who
+        generated it; ``-1`` marks a dummy.
+    delivered_payloads:
+        The payloads of the server reports, in delivery order: a
+        ``randomize_batch`` array (read through :func:`payload_list`),
+        a list, or ``None`` when the run carried no values.
     delivered_by:
         For each server report, the user who delivered it.
     allocation:
@@ -76,11 +104,21 @@ class ProtocolResult:
     protocol: str
     num_users: int
     rounds: int
-    server_reports: List[Report]
+    origins: np.ndarray
+    delivered_payloads: Any
     delivered_by: np.ndarray
     allocation: np.ndarray
     dummy_count: int = 0
     meters: Optional[MeterBoard | VectorMeterBoard] = None
+
+    @cached_property
+    def server_reports(self) -> List[Report]:
+        """Reports received by the server, in delivery order — built
+        from :attr:`origins` and the payloads on first read."""
+        return [
+            Report(origin, payload)
+            for origin, payload in zip(self.origins.tolist(), self.payloads())
+        ]
 
     @property
     def real_reports(self) -> List[Report]:
@@ -88,27 +126,29 @@ class ProtocolResult:
         return [report for report in self.server_reports if not report.is_dummy]
 
     def payloads(self, include_dummies: bool = True) -> List[Any]:
-        """Payloads of the delivered reports."""
+        """Payloads of the delivered reports, in delivery order."""
+        if self.delivered_payloads is None:
+            items: List[Any] = [None] * self.origins.size
+        else:
+            items = payload_list(self.delivered_payloads)
+        if include_dummies:
+            return items
         return [
-            report.payload
-            for report in self.server_reports
-            if include_dummies or not report.is_dummy
+            item for item, origin in zip(items, self.origins.tolist())
+            if origin >= 0
         ]
 
     def adversary_view(self) -> AdversaryView:
         """The central adversary's observation of this run."""
-        origins = np.asarray(
-            [report.origin for report in self.server_reports], dtype=np.int64
-        )
         return AdversaryView(
             num_users=self.num_users,
             final_holder=np.asarray(self.delivered_by, dtype=np.int64),
             report_payloads=self.payloads(),
-            origin=origins,
+            origin=np.array(self.origins, dtype=np.int64),
         )
 
     def check_conservation(self) -> bool:
         """``A_all`` invariant: every seeded report reaches the server."""
         if self.protocol != "all":
             return True
-        return len(self.server_reports) == self.num_users
+        return self.origins.size == self.num_users

@@ -6,6 +6,10 @@ exactly **one** report: a uniform sample from her held set, or a dummy
 hides the report-allocation vector from the adversary (stronger privacy
 at large ``eps0``) at the cost of dropped real reports and injected
 dummies (utility loss — the Figure 9 trade-off).
+
+The selection runs on token ids: the drained order groups each holder's
+reports, so every pick is one index into it, and the payloads are
+gathered from the randomized batch by the picked ids.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel
 from repro.netsim.network import RoundBasedNetwork
 from repro.protocols.all_protocol import _randomize_inputs, resolve_backend
-from repro.protocols.reports import ProtocolResult, Report, payload_list
+from repro.protocols.reports import ProtocolResult, payload_list, take_payloads
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
@@ -78,49 +82,61 @@ def run_single_protocol(
     Returns
     -------
     ProtocolResult
-        Exactly ``n`` reports reach the server; ``dummy_count`` of them
-        are dummies (users who held nothing).
+        Exactly ``n`` reports reach the server, user ``u``'s at position
+        ``u``; ``dummy_count`` of them are dummies (users who held
+        nothing, origin ``-1``).
     """
     check_non_negative_int(rounds, "rounds")
     generator = ensure_rng(rng)
-    reports = _randomize_inputs(randomizer, values, graph.num_nodes, generator)
+    num_users = graph.num_nodes
+    reports = _randomize_inputs(randomizer, values, num_users, generator)
     backend, faults = resolve_backend(engine, faults, laziness)
 
     network = RoundBasedNetwork(
         graph, faults=faults, rng=generator, backend=backend
     )
-    network.seed_items({report.origin: [report] for report in reports})
+    # User j seeds token j, so a token id is its report's origin.
+    network.seed_tokens(np.arange(num_users, dtype=np.int64))
     network.run_exchange(rounds)
     allocation = network.held_counts()
-    held_by_user: List[List[Report]] = network.drain_held()
-    meters = network.meters
+    # Grouped by ascending holder, each holder's tokens in inbox-arrival
+    # order: user u's held reports are order[starts[u]:][:allocation[u]].
+    order = network.drain_tokens()
+    starts = np.cumsum(allocation) - allocation
 
     # Line 9 of Algorithm 2, batched: one vectorized draw selects the
-    # uniform index for every non-empty holder at once (the per-user
-    # ``rng.integers`` loop was the hot spot on million-user sweeps);
-    # dummy draws happen after the batch, in user order.
-    nonempty = np.flatnonzero(allocation > 0)
-    picks = np.empty(graph.num_nodes, dtype=np.int64)
-    picks[nonempty] = generator.integers(0, allocation[nonempty])
+    # uniform index for every non-empty holder at once; dummy draws
+    # happen after the batch, in user order.
+    holds = allocation > 0
+    nonempty = np.flatnonzero(holds)
+    picks = generator.integers(0, allocation[nonempty])
+    chosen = order[starts[nonempty] + picks]
+    dummy_count = num_users - nonempty.size
+    dummies = _draw_dummies(randomizer, dummy_factory, dummy_count, generator)
 
-    dummy_count = graph.num_nodes - nonempty.size
-    dummies = iter(
-        _draw_dummies(randomizer, dummy_factory, dummy_count, generator)
-    )
-    server_reports = [
-        held[picks[user]] if held else Report(DUMMY_ORIGIN, next(dummies))
-        for user, held in enumerate(held_by_user)
-    ]
-    delivered_by = np.arange(graph.num_nodes, dtype=np.int64)
+    origins = np.full(num_users, DUMMY_ORIGIN, dtype=np.int64)
+    origins[nonempty] = chosen
+    delivered = take_payloads(reports, chosen)
+    if dummy_count:
+        # User u delivers her pick if she holds any report, else a dummy.
+        real = iter(
+            [None] * nonempty.size if delivered is None
+            else payload_list(delivered)
+        )
+        dummy = iter(dummies)
+        delivered = [
+            next(real) if held else next(dummy) for held in holds.tolist()
+        ]
     return ProtocolResult(
         protocol="single",
-        num_users=graph.num_nodes,
+        num_users=num_users,
         rounds=rounds,
-        server_reports=server_reports,
-        delivered_by=delivered_by,
+        origins=origins,
+        delivered_payloads=delivered,
+        delivered_by=np.arange(num_users, dtype=np.int64),
         allocation=allocation,
         dummy_count=dummy_count,
-        meters=meters,
+        meters=network.meters,
     )
 
 

@@ -121,6 +121,7 @@ class FaithfulNetwork:
         self.rng = ensure_rng(rng)
         self.round_index = 0
         self._campaign_start_round = 0
+        self._num_tokens = 0
         self.meters = MeterBoard()
         self.nodes: Dict[int, Node] = {
             node_id: Node(node_id, graph.neighbors(node_id), self.meters.meter(node_id))
@@ -132,6 +133,20 @@ class FaithfulNetwork:
     def num_users(self) -> int:
         """Number of user nodes."""
         return self.graph.num_nodes
+
+    def seed_tokens(self, origins: np.ndarray) -> None:
+        """Seed one token per entry of ``origins``, carrying token ids
+        as items: ids continue from the current count, and restart from
+        0 once the network is empty (after the final delivery)."""
+        if not any(node.held or node.inbox for node in self.nodes.values()):
+            self._num_tokens = 0
+        items: Dict[int, List[int]] = {}
+        for token, origin in enumerate(
+            np.asarray(origins, dtype=np.int64).tolist(), start=self._num_tokens
+        ):
+            items.setdefault(origin, []).append(token)
+        self.seed_items(items)
+        self._num_tokens += len(origins)
 
     def seed_items(self, items_per_node: Dict[int, List[Any]]) -> None:
         """Place items into nodes: before a campaign's first round
@@ -191,17 +206,45 @@ class FaithfulNetwork:
         for _ in range(rounds):
             self.run_exchange_round()
 
-    def deliver_to_server(self) -> None:
-        """Final round: each user sends every held item to the server."""
+    def _send_held(self) -> tuple[List[Any], List[int]]:
+        """Final round: every node sends each held item to the server,
+        in ascending node order; returns ``(items, senders)``."""
+        items: List[Any] = []
+        senders: List[int] = []
         for node_id in range(self.num_users):
             node = self.nodes[node_id]
             for item in node.take_all():
                 node.meter.record_send()
-                self.server.deliver(node_id, item)
+                items.append(item)
+                senders.append(node_id)
+        self.server.receive(len(items))
+        return items, senders
+
+    def deliver_to_server(self) -> None:
+        """Final round: each user sends every held item to the server."""
+        items, senders = self._send_held()
+        self.server.store(senders, items)
+
+    def deliver_tokens(self) -> tuple[np.ndarray, np.ndarray]:
+        """The final round for token ids: ``(token ids, senders)`` in
+        delivery order, metered as :meth:`deliver_to_server` but not
+        kept by the server."""
+        tokens, senders = self._send_held()
+        return (
+            np.asarray(tokens, dtype=np.int64),
+            np.asarray(senders, dtype=np.int64),
+        )
 
     def drain_held(self) -> List[List[Any]]:
         """Remove and return every node's held items, indexed by node."""
         return [self.nodes[user].take_all() for user in range(self.num_users)]
+
+    def drain_tokens(self) -> np.ndarray:
+        """Remove every held token id, grouped by ascending holder."""
+        return np.asarray(
+            [token for held in self.drain_held() for token in held],
+            dtype=np.int64,
+        )
 
     def held_counts(self) -> np.ndarray:
         """Current items held per user — the allocation vector ``L``."""

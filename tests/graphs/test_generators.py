@@ -154,3 +154,43 @@ class TestFromNetworkx:
         nx_graph.add_edges_from([(0, 0), (0, 1)])
         graph = from_networkx(nx_graph)
         assert graph.num_edges == 1
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("random_regular_graph", lambda: random_regular_graph(4, 60, rng=1)),
+        ("fast_gnp_random_graph", lambda: erdos_renyi_graph(60, 0.1, rng=1)),
+        ("barabasi_albert_graph", lambda: barabasi_albert_graph(60, 2, rng=1)),
+        (
+            "connected_watts_strogatz_graph",
+            lambda: watts_strogatz_graph(60, 4, 0.2, rng=1),
+        ),
+    ],
+)
+def test_generated_networkx_graph_is_freed_without_a_collection(
+    name, build, monkeypatch
+):
+    """The intermediate networkx graph must not outlive the conversion
+    in a reference cycle (its cached views point back at it): with the
+    cyclic collector off, reference counting alone frees it."""
+    import gc
+    import weakref
+
+    import networkx as nx
+
+    made = []
+    generate = getattr(nx, name)
+
+    def recording(*args, **kwargs):
+        graph = generate(*args, **kwargs)
+        made.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(nx, name, recording)
+    gc.disable()
+    try:
+        assert build().num_nodes == 60
+        assert made and made[0]() is None
+    finally:
+        gc.enable()

@@ -231,6 +231,122 @@ class TestSeededEquivalence:
         np.testing.assert_array_equal(lazy.allocation, dropout.allocation)
 
 
+def _meter_rows(network, num_users):
+    """Every user meter and the server meter, as plain tuples."""
+    return [
+        (m.messages_sent, m.messages_received, m.current_items, m.peak_items)
+        for m in map(network.meters.meter, range(-1, num_users))
+    ]
+
+
+class TestTokenLevelEquivalence:
+    """The token-level interface the protocols run on — ``seed_tokens``,
+    ``deliver_tokens`` and ``drain_tokens`` — on all three variants, with
+    dropout, on a static irregular graph and on a schedule, seeded with
+    several out-of-order tokens per origin over two calls."""
+
+    GRAPHS = {
+        "static": lambda: barabasi_albert_graph(50, 2, rng=3),
+        "schedule": lambda: _three_phase_schedule(),
+    }
+
+    @staticmethod
+    def _origins(num_users):
+        rng = np.random.default_rng(4)
+        first = rng.permutation(np.repeat(np.arange(num_users), 2))
+        return first, rng.integers(0, num_users, size=num_users // 2)
+
+    def _seeded(self, network_on, graph_kind, seed):
+        graph = self.GRAPHS[graph_kind]()
+        nets = []
+        for variant in VARIANTS:
+            net = network_on(
+                variant, graph, faults=IndependentDropout(0.3), rng=seed
+            )
+            for origins in self._origins(graph.num_nodes):
+                net.seed_tokens(origins)
+            nets.append(net)
+        return graph.num_nodes, nets
+
+    @pytest.mark.parametrize("graph_kind", sorted(GRAPHS))
+    @pytest.mark.parametrize("rounds", [0, 1, 7])
+    def test_deliver_tokens(self, network_on, graph_kind, rounds):
+        num_users, nets = self._seeded(network_on, graph_kind, rounds + 5)
+        delivered = []
+        for net in nets:
+            net.run_exchange(rounds)
+            counts = net.held_counts()
+            tokens, senders = net.deliver_tokens()
+            np.testing.assert_array_equal(
+                np.bincount(senders, minlength=num_users), counts
+            )
+            delivered.append((tokens, senders, _meter_rows(net, num_users)))
+        (tokens, senders, meters), *others = delivered
+        assert tokens.dtype == senders.dtype == np.int64
+        np.testing.assert_array_equal(np.sort(tokens), np.arange(tokens.size))
+        assert np.all(np.diff(senders) >= 0)
+        for other_tokens, other_senders, other_meters in others:
+            np.testing.assert_array_equal(tokens, other_tokens)
+            np.testing.assert_array_equal(senders, other_senders)
+            assert meters == other_meters
+        assert meters[0][1:] == (tokens.size, tokens.size, tokens.size)
+
+    @pytest.mark.parametrize("graph_kind", sorted(GRAPHS))
+    def test_drain_tokens_and_reseed(self, network_on, graph_kind):
+        """Drain in holder order, then a second campaign whose token
+        ids restart from 0, crossing more swaps on the schedule."""
+        num_users, nets = self._seeded(network_on, graph_kind, 9)
+        drained = []
+        for net in nets:
+            net.run_exchange(5)
+            counts = net.held_counts()
+            first = net.drain_tokens()
+            assert net.held_counts().sum() == 0
+            net.seed_tokens(np.arange(num_users)[::-1])
+            net.run_exchange(4)
+            drained.append(
+                (first, counts, net.deliver_tokens(),
+                 _meter_rows(net, num_users))
+            )
+        (first, counts, (tokens, senders), meters), *others = drained
+        np.testing.assert_array_equal(np.sort(tokens), np.arange(num_users))
+        for other in others:
+            np.testing.assert_array_equal(first, other[0])
+            np.testing.assert_array_equal(counts, other[1])
+            np.testing.assert_array_equal(tokens, other[2][0])
+            np.testing.assert_array_equal(senders, other[2][1])
+            assert meters == other[3]
+
+
+#: ``seed_items``/``drain_held``/``deliver_to_server`` outputs on a
+#: seeded 5-cycle with IndependentDropout(0.3), captured before the
+#: item methods became adapters over the token-level ones.
+_ADAPTER_HELD = [[], ["d", 2, 3.0, "e", "b"], [None], [], ["a", "c"]]
+_ADAPTER_DELIVERY = (
+    ["p", "s", "q", "r", "u", "t"], [0, 0, 2, 2, 4, 4],
+)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_item_adapters_keep_their_outputs(network_on, variant):
+    net = network_on(
+        variant, cycle_graph(5), faults=IndependentDropout(0.3), rng=8
+    )
+    net.seed_items({4: list("abc"), 1: ["d", 2, 3.0], 0: [None]})
+    net.seed_items({1: ["e"]})
+    net.run_exchange(3)
+    assert net.held_counts().tolist() == [0, 5, 1, 0, 2]
+    assert net.drain_held() == _ADAPTER_HELD
+    net.seed_items({2: list("pqrst"), 0: ["u"]})
+    net.run_exchange(2)
+    net.deliver_to_server()
+    assert (net.server.reports, net.server.delivered_by) == _ADAPTER_DELIVERY
+    assert _meter_rows(net, 5) == [
+        (0, 6, 6, 6), (11, 9, 0, 7), (7, 8, 0, 5), (7, 3, 0, 5),
+        (3, 3, 0, 3), (5, 4, 0, 3),
+    ]
+
+
 class TestDistributionMatch:
     """Every variant must match the exact walk-engine marginals."""
 
@@ -364,6 +480,15 @@ class TestVectorizedEngineApi:
         flat = [p for held in network.drain_held() for p in held]
         assert len(flat) == 4
         assert all(tag == "second" for tag, _ in flat)
+
+    def test_bare_tokens_carry_no_item(self, k4):
+        """Tokens seeded through ``seed_tokens`` read back as ``None``
+        through the item adapters, before and after seeded items."""
+        network = RoundBasedNetwork(k4, rng=0, backend="vectorized")
+        network.seed_tokens(np.array([0, 1]))
+        network.seed_items({2: ["A"]})
+        network.seed_tokens(np.array([3]))
+        assert network.drain_held() == [[None], [None], ["A"], [None]]
 
     def test_rejected_seed_leaves_payload_mapping_intact(self, k4):
         """A failed seed must not orphan payloads (token-id alignment)."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import ValidationError
 from repro.netsim.metrics import EntityMeter
 from repro.netsim.server import Server
 from repro.testing.oracle import Node
@@ -64,6 +65,21 @@ class TestNode:
 
 
 class TestServer:
+    def test_deliver_many_length_mismatch_is_typed(self):
+        server = Server(EntityMeter())
+        with pytest.raises(ValueError) as caught:
+            server.deliver_many([0, 1], ["x"])
+        assert type(caught.value) is ValidationError
+        assert server.reports == []
+        assert server.meter.messages_received == 0
+
+    def test_receive_meters_without_keeping(self):
+        server = Server(EntityMeter())
+        server.receive(3)
+        assert len(server) == 0
+        assert server.meter.messages_received == 3
+        assert server.meter.peak_items == 3
+
     def test_delivery_order_preserved(self):
         server = Server(EntityMeter())
         server.deliver(2, "x")

@@ -147,5 +147,6 @@ class TestAdversaryView:
 
     def test_posterior_rejects_bad_shape(self, k4):
         view = run_all_protocol(k4, 1, rng=0).adversary_view()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             view.posterior_guess(np.ones((2, 2)) / 2)
+        assert type(caught.value) is ValidationError

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import ValidationError
 from repro.protocols.reports import ProtocolResult, Report
 
 
@@ -14,7 +15,8 @@ def _result(reports, protocol="all", num_users=None):
         protocol=protocol,
         num_users=n,
         rounds=3,
-        server_reports=list(reports),
+        origins=np.array([report.origin for report in reports], dtype=np.int64),
+        delivered_payloads=[report.payload for report in reports],
         delivered_by=np.arange(len(reports)),
         allocation=np.ones(n, dtype=np.int64),
     )
@@ -69,5 +71,6 @@ class TestProtocolResult:
 
     def test_adversary_linkage_shape_mismatch(self):
         view = _result([Report(0, "a")], num_users=1).adversary_view()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             view.linkage_accuracy(np.array([0, 1]))
+        assert type(caught.value) is ValidationError
