@@ -15,6 +15,7 @@ from repro.exceptions import (
     AccountingError,
     BackendUnavailableError,
     BudgetExceededError,
+    GraphError,
     InvalidScenarioError,
     JobNotFoundError,
     ReproError,
@@ -154,6 +155,31 @@ class TestRoundsOverride:
         not a raw ``ValueError`` from the spectral bound."""
         with pytest.raises(ValidationError, match="rounds"):
             api.bound(api.parse_scenario(SCENARIO_DICT), rounds=rounds)
+
+
+def _watts_strogatz_scenario(nearest_neighbors):
+    return dict(SCENARIO_DICT, graph={
+        "kind": "watts_strogatz",
+        "params": {"num_nodes": 10, "nearest_neighbors": nearest_neighbors,
+                   "rewire_probability": 0.2},
+    })
+
+
+class TestGeneratorErrors:
+    @pytest.mark.parametrize(
+        "nearest_neighbors", [1, 11], ids=["edgeless-ring", "above-num-nodes"])
+    def test_impossible_watts_strogatz_is_a_typed_400(self, nearest_neighbors):
+        scenario = api.parse_scenario(_watts_strogatz_scenario(nearest_neighbors))
+        with pytest.raises(ValidationError, match="nearest_neighbors") as info:
+            api.run(scenario)
+        assert http_status_for(info.value) == 400
+
+    def test_no_connected_draw_is_a_graph_error(self, monkeypatch):
+        from repro.graphs import generators
+
+        monkeypatch.setattr(generators, "is_connected", lambda graph: False)
+        with pytest.raises(GraphError, match="no connected Watts-Strogatz"):
+            api.run(api.parse_scenario(_watts_strogatz_scenario(4)))
 
 
 class TestCacheTelemetry:

@@ -344,6 +344,26 @@ class TestErrorTaxonomy:
         assert "integer node index" in finished["error"]["message"]
 
     @pytest.mark.parametrize(
+        "nearest_neighbors", [1, 11], ids=["edgeless-ring", "above-num-nodes"])
+    def test_impossible_watts_strogatz_run_is_a_typed_400(
+        self, client, nearest_neighbors
+    ):
+        """A ring that can never connect fails its job as a validation
+        error from the generator, not a last-resort 500."""
+        scenario = dict(SCENARIO, graph={
+            "kind": "watts_strogatz",
+            "params": {"num_nodes": 10, "nearest_neighbors": nearest_neighbors,
+                       "rewire_probability": 0.2},
+        })
+        status, job = request(client, "POST", "/run", {"scenario": scenario})
+        assert status == 202, job
+        finished = wait_for_job(client, job["id"])
+        assert finished["status"] == "error", finished
+        assert finished["error"]["error"] == "ValidationError"
+        assert finished["error"]["status"] == 400
+        assert "nearest_neighbors" in finished["error"]["message"]
+
+    @pytest.mark.parametrize(
         ("option", "value", "fragment"),
         [
             ("trials", 0, "'trials' must be >= 1"),
