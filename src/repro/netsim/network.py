@@ -196,6 +196,16 @@ class RoundBasedNetwork:
         """
         return self._engine.drain()
 
+    def send_one_each(self) -> None:
+        """Meter a final round in which every user sends exactly one
+        report to the server (``A_single``'s: a held pick or a dummy).
+
+        Charges each user one send and the server ``num_users``
+        receipts; the protocol keeps the reports themselves.
+        """
+        self.meters.messages_sent += 1
+        self.server.receive(self.num_users)
+
     def drain_held(self) -> List[List[Any]]:
         """Remove and return every node's held items, indexed by node,
         each node's items in inbox-arrival order (an adapter over

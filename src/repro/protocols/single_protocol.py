@@ -103,6 +103,8 @@ def run_single_protocol(
     # order: user u's held reports are order[starts[u]:][:allocation[u]].
     order = network.drain_tokens()
     starts = np.cumsum(allocation) - allocation
+    # The final round: every user sends exactly one report to the server.
+    network.send_one_each()
 
     # Line 9 of Algorithm 2, batched: one vectorized draw selects the
     # uniform index for every non-empty holder at once; dummy draws

@@ -235,6 +235,12 @@ class FaithfulNetwork:
             np.asarray(senders, dtype=np.int64),
         )
 
+    def send_one_each(self) -> None:
+        """Meter a final round of one report per user to the server."""
+        for node_id in range(self.num_users):
+            self.nodes[node_id].meter.record_send()
+        self.server.receive(self.num_users)
+
     def drain_held(self) -> List[List[Any]]:
         """Remove and return every node's held items, indexed by node."""
         return [self.nodes[user].take_all() for user in range(self.num_users)]

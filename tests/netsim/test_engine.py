@@ -292,6 +292,20 @@ class TestTokenLevelEquivalence:
         assert meters[0][1:] == (tokens.size, tokens.size, tokens.size)
 
     @pytest.mark.parametrize("graph_kind", sorted(GRAPHS))
+    def test_drain_then_send_one_each(self, network_on, graph_kind):
+        """A_single's final round: drain, then one metered send per user."""
+        num_users, nets = self._seeded(network_on, graph_kind, 6)
+        metered = []
+        for net in nets:
+            net.run_exchange(3)
+            net.drain_tokens()
+            net.send_one_each()
+            metered.append(_meter_rows(net, num_users))
+        meters, *others = metered
+        assert all(other == meters for other in others)
+        assert meters[0][1:] == (num_users, num_users, num_users)
+
+    @pytest.mark.parametrize("graph_kind", sorted(GRAPHS))
     def test_drain_tokens_and_reseed(self, network_on, graph_kind):
         """Drain in holder order, then a second campaign whose token
         ids restart from 0, crossing more swaps on the schedule."""

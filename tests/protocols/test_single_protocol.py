@@ -8,6 +8,8 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.graphs.spectral import stationary_distribution
 from repro.ldp.randomized_response import BinaryRandomizedResponse
+from repro.netsim.message import SERVER_ID
+from repro.protocols.all_protocol import run_all_protocol
 from repro.protocols.single_protocol import (
     expected_empty_handed_stationary,
     run_single_protocol,
@@ -73,6 +75,19 @@ class TestSingleProtocol:
             result = run_single_protocol(small_regular, 5, rng=0)
         assert len(result.server_reports) == small_regular.num_nodes
         assert result.meters is not None
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["engine", "oracle"])
+    def test_final_round_is_metered(self, small_regular, on_oracle, oracle):
+        """Every user sends one report to the server: with no faults each
+        user sends once per round plus once at the end, as under A_all."""
+        num_users = small_regular.num_nodes
+        with on_oracle(oracle):
+            single = run_single_protocol(small_regular, 5, rng=0)
+            every = run_all_protocol(small_regular, 5, rng=0)
+        server = single.meters.meter(SERVER_ID)
+        assert (server.messages_received, server.current_items) == (num_users, num_users)
+        assert single.meters.total_messages_sent() == 6 * num_users
+        assert single.meters.total_messages_sent() == every.meters.total_messages_sent()
 
     def test_rejects_unknown_engine(self, small_regular):
         with pytest.raises(ValidationError):
