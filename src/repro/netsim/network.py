@@ -10,10 +10,11 @@ Its working interface is token-level:
 :meth:`~RoundBasedNetwork.seed_tokens` (one token per origin entry),
 :meth:`~RoundBasedNetwork.deliver_tokens` (``(token ids, senders)`` in
 delivery order) and :meth:`~RoundBasedNetwork.drain_tokens` (token ids
-in holder order).  The protocols keep each token's payload in their own
-arrays, indexed by token id.  ``seed_items``/``deliver_to_server``/
-``drain_held`` carry arbitrary items as thin adapters over those three
-methods.
+in holder order), plus :meth:`~RoundBasedNetwork.send_one_each`, which
+meters ``A_single``'s one-report-per-user final round.  The protocols
+keep each token's payload in their own arrays, indexed by token id.
+``seed_items``/``deliver_to_server``/``drain_held`` carry arbitrary
+items as thin adapters over the first three methods.
 
 With numba installed it runs the fused JIT kernels of
 :mod:`repro.netsim.kernels`, otherwise NumPy — an install-time detail

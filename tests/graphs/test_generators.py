@@ -10,6 +10,7 @@ import textwrap
 
 import pytest
 
+import repro
 from repro.exceptions import GraphError, ValidationError
 from repro.graphs import generators
 from repro.graphs.connectivity import is_bipartite, is_connected
@@ -278,7 +279,7 @@ def test_runtime_never_imports_networkx():
         assert "networkx" not in sys.modules, "networkx was imported"
         """
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(generators.__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", code],

@@ -13,9 +13,10 @@ the protocols as ``(origin, payload)`` arrays and must not move: any
 change to a seeded stream, a delivery order or a payload type shows up
 here.  The ``*-single-*`` digests were re-captured once, when
 ``A_single``'s final round started to be metered (one send per user,
-``n`` receipts at the server); nothing else in those runs moved.  Both epsilons enter at 10 significant digits, because the
-spectral gap behind the central one comes from LAPACK/ARPACK, whose
-last bits differ between BLAS builds; everything else is hashed exact.
+``n`` receipts at the server); nothing else in those runs moved.
+Both epsilons enter at 10 significant digits, because the spectral gap
+behind the central one comes from LAPACK/ARPACK, whose last bits differ
+between BLAS builds; everything else is hashed exact.
 """
 
 from __future__ import annotations
