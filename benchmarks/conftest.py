@@ -3,7 +3,7 @@
 Each benchmark regenerates one paper table/figure, prints it (run with
 ``-s`` to see the ASCII artifact), and asserts the paper's qualitative
 *shapes* — who wins, trend directions, crossovers — not absolute
-numbers (DESIGN.md explains the substitutions).
+numbers (README.md, "Substitutions", explains the stand-in graphs).
 """
 
 from __future__ import annotations

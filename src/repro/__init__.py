@@ -18,7 +18,8 @@ Quick start — the declarative Scenario API::
     result = run(scenario)                  # simulate + account in one call
     print(result.central_epsilon)           # amplified central epsilon
 
-or imperatively, via the :class:`NetworkShuffler` facade::
+or, for a graph you built yourself, through :class:`NetworkShuffler`,
+a view over the same runner::
 
     from repro import NetworkShuffler
     from repro.graphs import random_regular_graph
@@ -29,10 +30,11 @@ or imperatively, via the :class:`NetworkShuffler` facade::
     print(shuffler.central_guarantee())     # amplified central epsilon
     result = shuffler.run([0, 1] * 500, BinaryRandomizedResponse(1.0), rng=1)
 
-Package map (see DESIGN.md for the full inventory):
+Package map (README.md, "Substitutions", explains the stand-in datasets):
 
 ========================  ==============================================
-``repro.core``            NetworkShuffler facade, privacy accountant
+``repro.core``            NetworkShuffler (``repro.run`` on a caller-built
+                          graph), campaigns, privacy accountant
 ``repro.graphs``          graph substrate, spectra, random walks
 ``repro.datasets``        calibrated Table 4 stand-in graphs
 ``repro.ldp``             local randomizers (RR, Laplace, PrivUnit, ...)

@@ -339,6 +339,36 @@ def epsilon_single_symmetric(
     )
 
 
+def theorem_bound(
+    protocol: str,
+    epsilon0: float,
+    n: int,
+    delta: float,
+    delta2: float,
+    *,
+    sum_squared: Optional[float] = None,
+    distribution: Optional[np.ndarray] = None,
+    delta0: float = 0.0,
+) -> NetworkShuffleBound:
+    """The one dispatch to Theorems 5.3-5.6.
+
+    ``protocol`` (``"all"`` or ``"single"``) picks the algorithm; passing
+    the exact position ``distribution`` selects the symmetric analysis
+    (5.4/5.6), a collision mass ``sum_squared`` the stationary one
+    (5.3/5.5).  ``delta2`` reaches the ``A_single`` theorems only on
+    their approximate-DP path, the one place they consume it.
+    """
+    symmetric = distribution is not None
+    mass = distribution if symmetric else sum_squared
+    if protocol == "all":
+        theorem = epsilon_all_symmetric if symmetric else epsilon_all_stationary
+        return theorem(epsilon0, n, mass, delta, delta2, delta0=delta0)
+    if protocol == "single":
+        theorem = epsilon_single_symmetric if symmetric else epsilon_single_stationary
+        return theorem(epsilon0, n, mass, delta, delta0=delta0, delta2=delta2)
+    raise ValidationError(f"unknown protocol {protocol!r}")
+
+
 def epsilon_single_small_eps0(
     epsilon0: float, sum_squared: float, delta: float
 ) -> float:

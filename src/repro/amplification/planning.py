@@ -17,11 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.amplification.network_shuffle import (
-    epsilon_all_stationary,
-    epsilon_single_stationary,
-    sum_squared_bound,
-)
+from repro.amplification.network_shuffle import sum_squared_bound, theorem_bound
 from repro.exceptions import ValidationError
 from repro.utils.mathutils import binary_search_monotone
 from repro.utils.validation import check_delta, check_epsilon, check_positive_int
@@ -39,15 +35,9 @@ def _central_epsilon(
     delta: float,
     delta2: float,
 ) -> float:
-    if protocol == "all":
-        return epsilon_all_stationary(
-            epsilon0, n, sum_squared, delta, delta2
-        ).epsilon
-    if protocol == "single":
-        return epsilon_single_stationary(
-            epsilon0, n, sum_squared, delta
-        ).epsilon
-    raise ValidationError(f"unknown protocol {protocol!r}")
+    return theorem_bound(
+        protocol, epsilon0, n, delta, delta2, sum_squared=sum_squared
+    ).epsilon
 
 
 def minimum_central_epsilon(

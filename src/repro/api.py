@@ -6,7 +6,9 @@ into private modules:
 
 Operations
     :func:`run`, :func:`bound`, :func:`stationary_bound`, :func:`audit`,
-    :func:`sweep` — the five scenario entry points.
+    :func:`sweep` — the five scenario entry points; :func:`build_graph`
+    materializes a scenario's (memoized) graph, e.g. for a
+    :class:`~repro.core.shuffler.NetworkShuffler`.
 Payloads
     :func:`parse_scenario` (dict/JSON -> :class:`Scenario`, typed
     errors), :func:`bound_payload` / :func:`audit_payload` /
@@ -93,6 +95,7 @@ from repro.scenario.profile import (
 from repro.scenario.runner import (
     RunResult,
     bound,
+    build_graph,
     clear_graph_cache,
     run,
     spill_graph,
@@ -137,6 +140,7 @@ __all__ = [
     "backend_info",
     "bound",
     "bound_payload",
+    "build_graph",
     "cache_stats",
     "clear_graph_cache",
     "code_version",

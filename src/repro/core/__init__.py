@@ -1,8 +1,11 @@
-"""High-level public API.
+"""Caller-built graphs and budgets: the shuffler view, campaigns, accounting.
 
-:class:`~repro.core.shuffler.NetworkShuffler` bundles the whole stack —
-graph analysis, protocol choice, round selection, privacy accounting —
-behind a few calls:
+:class:`~repro.core.shuffler.NetworkShuffler` is :func:`repro.run` /
+:func:`repro.bound` for a graph the caller already holds: it wraps the
+graph in a bundle and drives the scenario runner with it.
+:class:`~repro.core.campaign.Campaign` and
+:class:`~repro.core.accounting.PrivacyAccountant` compose its guarantee
+across repeated collections.
 
     >>> from repro.core import NetworkShuffler
     >>> from repro.graphs import random_regular_graph

@@ -17,8 +17,7 @@ from repro.estimation.metrics import max_absolute_error
 from repro.exceptions import ValidationError
 from repro.graphs.graph import Graph
 from repro.ldp.randomized_response import KaryRandomizedResponse
-from repro.protocols.all_protocol import run_all_protocol
-from repro.protocols.single_protocol import run_single_protocol
+from repro.protocols import run_protocol
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -90,26 +89,18 @@ def run_frequency_estimation(
     randomized = randomizer.randomize_batch(symbols, generator)
     truth = np.bincount(symbols, minlength=num_symbols) / symbols.size
 
-    if protocol == "all":
-        result = run_all_protocol(
-            graph, rounds, values=list(randomized), rng=generator
-        )
-        dummy_count = 0
-    elif protocol == "single":
-        result = run_single_protocol(
-            graph,
-            rounds,
-            values=list(randomized),
-            dummy_factory=lambda g: randomizer.randomize(0, g),
-            rng=generator,
-        )
-        dummy_count = result.dummy_count
-    else:
-        raise ValidationError(f"unknown protocol {protocol!r}")
-
+    result = run_protocol(
+        protocol,
+        graph,
+        rounds,
+        values=list(randomized),
+        dummy_factory=lambda g: randomizer.randomize(0, g),
+        rng=generator,
+    )
+    dummy_count = result.dummy_count
     payloads = np.asarray(result.payloads(), dtype=np.int64)
     estimate = randomizer.estimate_frequencies(payloads)
-    if protocol == "single" and dummy_count:
+    if dummy_count:
         estimate = correct_for_dummies(estimate, dummy_count / symbols.size)
     return FrequencyEstimationResult(
         protocol=protocol,

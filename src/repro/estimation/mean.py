@@ -29,8 +29,7 @@ from repro.estimation.metrics import squared_l2_error
 from repro.exceptions import ValidationError
 from repro.graphs.graph import Graph
 from repro.ldp.privunit import PrivUnit
-from repro.protocols.all_protocol import run_all_protocol
-from repro.protocols.single_protocol import run_single_protocol
+from repro.protocols import run_protocol
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -175,26 +174,15 @@ def run_mean_estimation(
     reports = randomizer.randomize_batch(values, generator)
     truth = true_mean(values)
 
-    if protocol == "all":
-        result = run_all_protocol(
-            graph, rounds, values=list(reports), rng=generator
-        )
-        payloads = np.asarray(result.payloads(), dtype=np.float64)
-        dummy_count = 0
-    elif protocol == "single":
-        dummy_factory = make_dummy_factory(randomizer)
-        result = run_single_protocol(
-            graph,
-            rounds,
-            values=list(reports),
-            dummy_factory=dummy_factory,
-            rng=generator,
-        )
-        payloads = np.asarray(result.payloads(), dtype=np.float64)
-        dummy_count = result.dummy_count
-    else:
-        raise ValidationError(f"unknown protocol {protocol!r}")
-
+    result = run_protocol(
+        protocol,
+        graph,
+        rounds,
+        values=list(reports),
+        dummy_factory=make_dummy_factory(randomizer),
+        rng=generator,
+    )
+    payloads = np.asarray(result.payloads(), dtype=np.float64)
     estimate = payloads.mean(axis=0)
     return MeanEstimationResult(
         protocol=protocol,
@@ -202,6 +190,6 @@ def run_mean_estimation(
         estimate=estimate,
         truth=truth,
         squared_error=squared_l2_error(estimate, truth),
-        dummy_count=dummy_count,
+        dummy_count=result.dummy_count,
         num_reports=payloads.shape[0],
     )

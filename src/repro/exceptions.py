@@ -101,7 +101,11 @@ class StoreVersionError(StoreError):
 
 
 class GraphError(ReproError):
-    """Base class for graph-substrate errors."""
+    """Base class for graph-substrate errors.
+
+    Mapped to HTTP 422: the error describes the requested graph, not a
+    server fault.
+    """
 
 
 class DisconnectedGraphError(GraphError):
@@ -186,6 +190,7 @@ HTTP_STATUS_MAP = (
     (JobNotFoundError, 404),
     (ServiceBusyError, 429),
     (ScheduleRefusedError, 422),
+    (GraphError, 422),
     (InvalidScenarioError, 400),
     (ValidationError, 400),
     (BudgetExceededError, 409),

@@ -19,19 +19,40 @@ are token-id vectors, and :class:`ProtocolResult` holds the delivered
 origins and payloads, building its :class:`Report` list only when
 ``server_reports`` is read.  Their ``engine=`` spellings all select
 this one exchange; :class:`repro.testing.oracle.FaithfulNetwork` is the
-per-message reference the tests hold it to.
+per-message reference the tests hold it to.  :func:`run_protocol` is the
+one place a protocol name (``"all"``/``"single"``) selects its runner.
 """
 
+from repro.exceptions import ValidationError
 from repro.protocols.reports import Report, ProtocolResult
 from repro.protocols.all_protocol import run_all_protocol
 from repro.protocols.single_protocol import run_single_protocol
 from repro.protocols.fixed_size import fixed_size_responses, swap_first_element
 from repro.protocols.secure import SecureRunResult, run_secure_protocol
 
+
+def run_protocol(
+    protocol: str, graph, rounds: int, *, dummy_factory=None, **kwargs
+) -> ProtocolResult:
+    """Run Algorithm 1 (``"all"``) or 2 (``"single"``) on ``graph``.
+
+    ``kwargs`` go to the runner as they are.  ``dummy_factory`` feeds
+    Algorithm 2's empty-handed users; ``A_all`` has none and ignores it.
+    """
+    if protocol == "all":
+        return run_all_protocol(graph, rounds, **kwargs)
+    if protocol == "single":
+        return run_single_protocol(
+            graph, rounds, dummy_factory=dummy_factory, **kwargs
+        )
+    raise ValidationError(f"unknown protocol {protocol!r}")
+
+
 __all__ = [
     "Report",
     "ProtocolResult",
     "run_all_protocol",
+    "run_protocol",
     "run_single_protocol",
     "fixed_size_responses",
     "swap_first_element",

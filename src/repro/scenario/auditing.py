@@ -59,7 +59,7 @@ def _audit_epsilon0(scenario: Scenario) -> float:
             f"game; mechanism {scenario.mechanism.kind!r} cannot be audited "
             "— use mechanism 'rr' or drop the mechanism and set epsilon0"
         )
-    epsilon0 = _resolve_epsilon0(scenario, mechanism)
+    epsilon0 = _resolve_epsilon0(scenario.epsilon0, mechanism)
     if epsilon0 is None:
         raise ValidationError(
             "auditing requires a mechanism or an explicit epsilon0"
@@ -97,7 +97,7 @@ def audit(
         )
     epsilon0 = _audit_epsilon0(scenario)
     bundle = _bundle_for(scenario)
-    steps = _resolve_rounds(scenario, bundle, rounds)
+    steps = _resolve_rounds(bundle, scenario.rounds if rounds is None else rounds)
     laziness = _accounting_laziness(scenario)
 
     spec = scenario.audit if scenario.audit is not None else AuditSpec(

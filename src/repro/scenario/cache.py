@@ -40,6 +40,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ScheduleRefusedError, ValidationError
+from repro.graphs.connectivity import require_ergodic
 from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
 from repro.graphs.io import load_spill, save_graph_npz, save_schedule_npz
@@ -112,6 +113,7 @@ class GraphBundle:
     def __init__(self, graph: Union[Graph, DynamicGraphSchedule]):
         self.graph = graph
         self._summary: Optional[SpectralSummary] = None
+        self._ergodic = False
         # Per-laziness walk cache: laziness -> (steps, distribution).
         # Ascending `rounds` sweeps evolve incrementally (O(T) total
         # mat-vecs instead of O(T^2)); chained evolution applies the
@@ -163,6 +165,13 @@ class GraphBundle:
             if self._summary is None:
                 self._summary = spectral_summary(self.graph)
             return self._summary
+
+    def require_ergodic(self) -> None:
+        """Raise NotErgodicError unless the walk mixes (checked once)."""
+        with self._derive_lock:
+            if self._summary is None and not self._ergodic:
+                require_ergodic(self.graph)
+                self._ergodic = True
 
     def schedule_collision(
         self, steps: int, laziness: float, *,

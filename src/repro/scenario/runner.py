@@ -27,11 +27,8 @@ import numpy as np
 
 from repro.amplification.network_shuffle import (
     NetworkShuffleBound,
-    epsilon_all_stationary,
-    epsilon_all_symmetric,
     epsilon_from_report_sizes,
-    epsilon_single_stationary,
-    epsilon_single_symmetric,
+    theorem_bound,
 )
 from repro.exceptions import ScheduleRefusedError, ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule
@@ -39,9 +36,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.spectral import SpectralSummary
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel, NoFaults
-from repro.protocols.all_protocol import run_all_protocol
-from repro.protocols.reports import ProtocolResult
-from repro.protocols.single_protocol import run_single_protocol
+from repro.protocols import ProtocolResult, run_protocol
 from repro.scenario.builders import (
     DUMMIES,
     FAULTS,
@@ -161,67 +156,63 @@ def spill_graph(scenario: Scenario):
 
 
 # ----------------------------------------------------------------------
-# Accounting
+# Accounting.  ``bound``/``run`` resolve a Scenario to a bundle and plain
+# _Settings; _preflight, _bound_on and _simulate then work on those alone,
+# which is all NetworkShuffler needs for a caller-built graph.
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Settings:
+    """A scenario's accounting inputs as plain values.  ``epsilon0`` is
+    None when the run does not account; ``laziness`` is the one accounting
+    assumes (:func:`_accounting_laziness`), not the simulated one."""
+
+    protocol: str
+    analysis: str
+    epsilon0: Optional[float]
+    delta: float
+    delta2: float
+    delta0: float = 0.0
+    laziness: float = 0.0
+    rounds: Optional[int] = None
+    truncation: Optional[float] = None
+
+
 def _resolve_epsilon0(
-    scenario: Scenario, mechanism: Optional[LocalRandomizer]
+    epsilon0: Optional[float], mechanism: Optional[LocalRandomizer]
 ) -> Optional[float]:
     """The local budget accounting should use, or None when unknown."""
-    if mechanism is not None:
-        if (
-            scenario.epsilon0 is not None
-            and abs(mechanism.epsilon - scenario.epsilon0) > 1e-12
-        ):
-            raise ValidationError(
-                f"mechanism epsilon ({mechanism.epsilon}) != scenario "
-                f"epsilon0 ({scenario.epsilon0})"
-            )
-        return mechanism.epsilon
-    return scenario.epsilon0
+    if mechanism is None:
+        return epsilon0
+    if epsilon0 is not None and abs(mechanism.epsilon - epsilon0) > 1e-12:
+        raise ValidationError(
+            f"mechanism epsilon ({mechanism.epsilon}) != epsilon0 ({epsilon0})"
+        )
+    return mechanism.epsilon
 
 
-def _theorem_bound(
-    scenario: Scenario,
-    epsilon0: float,
-    n: int,
-    *,
-    sum_squared: Optional[float] = None,
-    distribution: Optional[np.ndarray] = None,
-    delta0: float = 0.0,
-) -> NetworkShuffleBound:
-    """Dispatch to the theorem matching (protocol, analysis)."""
-    all_kwargs: Dict[str, Any] = {}
-    single_kwargs: Dict[str, Any] = {}
-    if delta0 > 0.0:
-        all_kwargs["delta0"] = delta0
-        # The single-protocol theorems only consume delta2 on the
-        # approximate-DP path; forward it there so the scenario's
-        # accounting knobs always take effect.
-        single_kwargs["delta0"] = delta0
-        single_kwargs["delta2"] = scenario.delta2
-    if distribution is not None:
-        if scenario.protocol == "all":
-            return epsilon_all_symmetric(
-                epsilon0, n, distribution, scenario.delta, scenario.delta2,
-                **all_kwargs,
-            )
-        return epsilon_single_symmetric(
-            epsilon0, n, distribution, scenario.delta, **single_kwargs
-        )
-    if scenario.protocol == "all":
-        return epsilon_all_stationary(
-            epsilon0, n, sum_squared, scenario.delta, scenario.delta2,
-            **all_kwargs,
-        )
-    return epsilon_single_stationary(
-        epsilon0, n, sum_squared, scenario.delta, **single_kwargs
+def _settings(scenario: Scenario, mechanism: Optional[LocalRandomizer]) -> _Settings:
+    epsilon0 = _resolve_epsilon0(scenario.epsilon0, mechanism)
+    return _Settings(
+        protocol=scenario.protocol,
+        analysis=scenario.analysis,
+        epsilon0=epsilon0,
+        delta=scenario.delta,
+        delta2=scenario.delta2,
+        delta0=getattr(mechanism, "delta", 0.0) or 0.0,
+        # Only a run that accounts needs a walk-equivalent fault model.
+        laziness=0.0 if epsilon0 is None else _accounting_laziness(scenario),
+        rounds=scenario.rounds,
+        truncation=scenario.truncation,
     )
 
 
-def _mechanism_delta0(mechanism: Optional[LocalRandomizer]) -> float:
-    if mechanism is None:
-        return 0.0
-    return getattr(mechanism, "delta", 0.0) or 0.0
+def _accounting_settings(scenario: Scenario) -> _Settings:
+    settings = _settings(scenario, build_mechanism(scenario))
+    if settings.epsilon0 is None:
+        raise ValidationError(
+            "accounting requires a mechanism or an explicit epsilon0"
+        )
+    return settings
 
 
 def _accounting_laziness(scenario: Scenario) -> float:
@@ -270,26 +261,49 @@ def _require_regular(graph: Union[Graph, DynamicGraphSchedule]) -> None:
         )
 
 
-def _resolve_rounds(
-    scenario: Scenario, bundle: GraphBundle, override: Optional[int] = None
-) -> int:
+def _resolve_rounds(bundle: GraphBundle, rounds: Optional[int]) -> int:
     """The exchange round count to account/simulate at.
 
     Static graphs default to the mixing time (the paper's operating
     point); a dynamic schedule has no mixing time, so it requires the
     scenario (or the caller) to fix ``rounds`` explicitly.
     """
-    if override is not None:
-        return check_non_negative_int(override, "rounds")
-    steps = scenario.rounds
-    if steps is None:
-        if bundle.is_schedule:
-            raise ScheduleRefusedError(
-                "a schedule scenario has no default round count (no "
-                "mixing time on a time-varying topology); set "
-                "scenario.rounds explicitly"
-            )
-        steps = bundle.summary.mixing_time
+    if rounds is not None:
+        return check_non_negative_int(rounds, "rounds")
+    if bundle.is_schedule:
+        raise ScheduleRefusedError(
+            "a schedule scenario has no default round count (no "
+            "mixing time on a time-varying topology); set "
+            "scenario.rounds explicitly"
+        )
+    return bundle.summary.mixing_time
+
+
+def _preflight(bundle: GraphBundle, settings: _Settings, rounds: Optional[int] = None) -> int:
+    """Resolve the round count and refuse what accounting cannot price.
+
+    Runs before any simulation; ``rounds`` overrides the settings'.  The
+    refusals of a run that accounts do not depend on its rounds: the
+    symmetric analysis needs a regular graph, and every static graph an
+    ergodic one.  Ergodicity comes from the memoized spectral summary
+    when the bound reads it anyway, else from the connectivity check.
+    """
+    accounts = settings.epsilon0 is not None
+    if accounts and settings.truncation is not None and not bundle.is_schedule:
+        raise ValidationError(
+            "truncation applies only to schedule accounting (it prices "
+            "dropped profile mass on a time-varying topology); static "
+            "graphs are exact — remove the truncation field"
+        )
+    if accounts and settings.analysis == "symmetric":
+        _require_regular(bundle.graph)
+    steps = _resolve_rounds(bundle, settings.rounds if rounds is None else rounds)
+    if not accounts or bundle.is_schedule:
+        return steps
+    if settings.analysis == "stationary":
+        bundle.summary  # the bound reads it; computing it checks ergodicity
+    else:
+        bundle.require_ergodic()
     return steps
 
 
@@ -301,12 +315,62 @@ def _lazy_sum_squared(summary: SpectralSummary, steps: int, laziness: float) -> 
     bounds the lazy gap for both eigenvalue edges, so using it in the
     ``(1 - alpha)^{2t}`` decay is conservative (never understates eps).
     """
-    if laziness == 0.0:
-        return summary.sum_squared_bound(steps)
     lazy_gap = (1.0 - laziness) * summary.spectral_gap
     return min(
         1.0,
         summary.stationary_collision + (1.0 - lazy_gap) ** (2 * steps),
+    )
+
+
+def _theorem(settings: _Settings, n: int, **mass: Any) -> NetworkShuffleBound:
+    return theorem_bound(
+        settings.protocol, settings.epsilon0, n, settings.delta,
+        settings.delta2, delta0=settings.delta0, **mass,
+    )
+
+
+def _bound_on(bundle: GraphBundle, settings: _Settings, steps: int) -> NetworkShuffleBound:
+    """The Theorem 5.3-5.6 guarantee of a pre-flighted bundle at ``steps``.
+
+    The symmetric analysis reads the exact walk from node 0, memoized
+    per laziness on the bundle.  A schedule is accounted exactly: every
+    user's position distribution is evolved through the per-round
+    topologies in column panels kept by the bundle's
+    :class:`~repro.scenario.profile.ProfileStore`, and the worst user's
+    collision mass feeds the Theorem 5.3/5.5 bounds — no stationarity
+    assumption, which a time-varying walk could not honor.
+    """
+    n = bundle.graph.num_nodes
+    if settings.analysis == "symmetric":
+        distribution = bundle.walk_distribution(steps, settings.laziness)
+        return _theorem(settings, n, distribution=distribution)
+    if bundle.is_schedule:
+        accounting = bundle.schedule_collision(
+            steps, settings.laziness, truncation=settings.truncation
+        )
+        result = _theorem(settings, n, sum_squared=accounting.sum_squared)
+        return dataclasses.replace(result, accounting=accounting.payload())
+    sum_squared = _lazy_sum_squared(bundle.summary, steps, settings.laziness)
+    return _theorem(settings, n, sum_squared=sum_squared)
+
+
+def _simulate(
+    bundle: GraphBundle, settings: _Settings, steps: int, *,
+    randomizer: Optional[LocalRandomizer], **protocol_kwargs: Any,
+) -> ProtocolResult:
+    """Run the settings' protocol on the bundle's graph for ``steps``
+    rounds, once the randomizer's budget matches the accounted one."""
+    _resolve_epsilon0(settings.epsilon0, randomizer)
+    return run_protocol(
+        settings.protocol, bundle.graph, steps,
+        randomizer=randomizer, **protocol_kwargs,
+    )
+
+
+def _empirical_epsilon(settings: _Settings, result: ProtocolResult) -> float:
+    """Theorem 6.1 on a realized run's allocation."""
+    return epsilon_from_report_sizes(
+        settings.epsilon0, result.allocation, settings.delta
     )
 
 
@@ -316,51 +380,12 @@ def bound(scenario: Scenario, *, rounds: Optional[int] = None) -> NetworkShuffle
     ``analysis="stationary"`` evaluates the Equation 7 collision bound
     at ``rounds``; ``analysis="symmetric"`` tracks the exact per-user
     position distribution (with the scenario's laziness, Section 4.5).
-    ``rounds`` overrides the scenario's (resolved) round count.
-
-    A ``schedule`` graph spec is accounted *exactly*: every user's
-    position distribution is evolved through the per-round topologies
-    in column panels kept by the bundle's
-    :class:`~repro.scenario.profile.ProfileStore`, and the worst user's
-    collision mass feeds the Theorem 5.3/5.5 bounds — no stationarity
-    assumption, which a time-varying walk could not honor.
+    ``rounds`` overrides the scenario's (resolved) round count.  A
+    ``schedule`` graph spec is accounted exactly (see :func:`_bound_on`).
     """
     bundle = _bundle_for(scenario)
-    mechanism = build_mechanism(scenario)
-    epsilon0 = _resolve_epsilon0(scenario, mechanism)
-    if epsilon0 is None:
-        raise ValidationError(
-            "accounting requires a mechanism or an explicit epsilon0"
-        )
-    n = bundle.graph.num_nodes
-    steps = _resolve_rounds(scenario, bundle, rounds)
-    delta0 = _mechanism_delta0(mechanism)
-    laziness = _accounting_laziness(scenario)
-    if scenario.truncation is not None and not bundle.is_schedule:
-        raise ValidationError(
-            "truncation applies only to schedule accounting (it prices "
-            "dropped profile mass on a time-varying topology); static "
-            "graphs are exact — remove the truncation field"
-        )
-    if scenario.analysis == "symmetric":
-        _require_regular(bundle.graph)
-        distribution = bundle.walk_distribution(steps, laziness)
-        return _theorem_bound(
-            scenario, epsilon0, n, distribution=distribution, delta0=delta0
-        )
-    if bundle.is_schedule:
-        accounting = bundle.schedule_collision(
-            steps, laziness, truncation=scenario.truncation
-        )
-        result = _theorem_bound(
-            scenario, epsilon0, n,
-            sum_squared=accounting.sum_squared, delta0=delta0,
-        )
-        return dataclasses.replace(result, accounting=accounting.payload())
-    sum_squared = _lazy_sum_squared(bundle.summary, steps, laziness)
-    return _theorem_bound(
-        scenario, epsilon0, n, sum_squared=sum_squared, delta0=delta0
-    )
+    settings = _accounting_settings(scenario)
+    return _bound_on(bundle, settings, _preflight(bundle, settings, rounds))
 
 
 def stationary_bound(
@@ -378,16 +403,10 @@ def stationary_bound(
     stand-in studies (Figure 4's asymptote, ``use_standins`` curves)
     want the achieved ``Gamma``, not the published one.
     """
-    mechanism = build_mechanism(scenario)
-    epsilon0 = _resolve_epsilon0(scenario, mechanism)
-    if epsilon0 is None:
-        raise ValidationError(
-            "accounting requires a mechanism or an explicit epsilon0"
-        )
-    # Refuse unaccountable fault models, like bound()/run() do.  The
-    # returned laziness itself is irrelevant here: a lazy walk keeps the
+    # The settings refuse unaccountable fault models, like bound()/run()
+    # do.  Their laziness is irrelevant here: a lazy walk keeps the
     # stationary distribution, so the at-stationarity price is unchanged.
-    _accounting_laziness(scenario)
+    settings = _accounting_settings(scenario)
     if scenario.graph.kind == "schedule":
         raise ScheduleRefusedError(
             "stationary_bound prices the walk *at stationarity*; a "
@@ -402,13 +421,7 @@ def stationary_bound(
         bundle = _bundle_for(scenario)
         n = bundle.graph.num_nodes
         collision = bundle.summary.stationary_collision
-    return _theorem_bound(
-        scenario,
-        epsilon0,
-        n,
-        sum_squared=collision,
-        delta0=_mechanism_delta0(mechanism),
-    )
+    return _theorem(settings, n, sum_squared=collision)
 
 
 # ----------------------------------------------------------------------
@@ -529,55 +542,41 @@ def run(scenario: Scenario) -> RunResult:
     started = time.perf_counter()
     streams = seed_streams(scenario.seed)
     bundle = _bundle_for(scenario)
-    graph = bundle.graph
-    rounds = _resolve_rounds(scenario, bundle)
     mechanism = build_mechanism(scenario)
-    # Resolve the budget (and any mechanism/epsilon0 mismatch,
-    # unaccountable fault model, or symmetric-on-irregular-graph
-    # misuse) before paying for the simulation.
-    epsilon0 = _resolve_epsilon0(scenario, mechanism)
-    if epsilon0 is not None:
-        _accounting_laziness(scenario)
-        if scenario.analysis == "symmetric":
-            _require_regular(graph)
+    settings = _settings(scenario, mechanism)
+    # Resolve the rounds and refuse what accounting cannot price before
+    # paying for the simulation.
+    rounds = _preflight(bundle, settings)
     faults = build_faults(scenario)
-    values = build_values(scenario, graph.num_nodes, streams.values)
-
-    protocol_kwargs: Dict[str, Any] = dict(
+    values = build_values(scenario, bundle.graph.num_nodes, streams.values)
+    protocol_result = _simulate(
+        bundle,
+        settings,
+        rounds,
         values=values,
         randomizer=mechanism,
         engine=scenario.engine,
         faults=faults,
         laziness=scenario.laziness,
+        dummy_factory=(
+            build_dummy_factory(scenario, mechanism)
+            if scenario.protocol == "single" else None
+        ),
         rng=streams.protocol,
     )
-    if scenario.protocol == "all":
-        protocol_result = run_all_protocol(graph, rounds, **protocol_kwargs)
-    else:
-        protocol_result = run_single_protocol(
-            graph,
-            rounds,
-            dummy_factory=build_dummy_factory(scenario, mechanism),
-            **protocol_kwargs,
-        )
 
     run_bound: Optional[NetworkShuffleBound] = None
     empirical: Optional[float] = None
-    if epsilon0 is not None:
-        # Same dispatch as a standalone accounting call, at the
-        # resolved round count (the graph bundle is memoized, the
-        # mechanism rebuild is cheap).
-        run_bound = bound(scenario, rounds=rounds)
+    if settings.epsilon0 is not None:
+        run_bound = _bound_on(bundle, settings, rounds)
         # Theorem 6.1 accounts the A_all adversary, who observes the
         # realized allocation; A_single hides it (that is the protocol's
         # point), so its guarantee stays the closed-form bound only.
-        if scenario.protocol == "all" and _mechanism_delta0(mechanism) == 0.0:
-            empirical = epsilon_from_report_sizes(
-                epsilon0, protocol_result.allocation, scenario.delta
-            )
+        if settings.protocol == "all" and settings.delta0 == 0.0:
+            empirical = _empirical_epsilon(settings, protocol_result)
     return RunResult(
         scenario=scenario,
-        graph=graph,
+        graph=bundle.graph,
         rounds=rounds,
         mechanism=mechanism,
         values=values,

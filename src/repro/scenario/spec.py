@@ -33,6 +33,11 @@ _PROTOCOLS = ("all", "single")
 _ANALYSES = ("stationary", "symmetric")
 
 
+def _check_choice(value: Any, choices: tuple, name: str) -> None:
+    if value not in choices:
+        raise ValidationError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def _number(value: Any, cast: type, name: str):
     """Coerce with the API's error type instead of a raw ValueError.
 
@@ -324,18 +329,9 @@ class Scenario:
             object.__setattr__(self, name, coerced)
         if self.graph is None:
             raise ValidationError("a scenario requires a graph spec")
-        if self.protocol not in _PROTOCOLS:
-            raise ValidationError(
-                f"protocol must be one of {_PROTOCOLS}, got {self.protocol!r}"
-            )
-        if self.engine not in _ENGINES:
-            raise ValidationError(
-                f"engine must be one of {_ENGINES}, got {self.engine!r}"
-            )
-        if self.analysis not in _ANALYSES:
-            raise ValidationError(
-                f"analysis must be one of {_ANALYSES}, got {self.analysis!r}"
-            )
+        _check_choice(self.protocol, _PROTOCOLS, "protocol")
+        _check_choice(self.engine, _ENGINES, "engine")
+        _check_choice(self.analysis, _ANALYSES, "analysis")
         if self.rounds is not None:
             rounds = _number(self.rounds, int, "rounds")
             if rounds < 0:

@@ -14,10 +14,13 @@ from repro import api
 from repro.exceptions import (
     AccountingError,
     BackendUnavailableError,
+    BipartiteGraphError,
     BudgetExceededError,
+    DisconnectedGraphError,
     GraphError,
     InvalidScenarioError,
     JobNotFoundError,
+    NotErgodicError,
     ReproError,
     ScheduleRefusedError,
     ValidationError,
@@ -118,6 +121,10 @@ class TestHttpContract:
             (ValidationError("bad arg"), 400),
             (BudgetExceededError("spent"), 409),
             (BackendUnavailableError("no jit"), 501),
+            (DisconnectedGraphError("two components"), 422),
+            (BipartiteGraphError("two colours"), 422),
+            (NotErgodicError("never mixes"), 422),
+            (GraphError("no connected Watts-Strogatz draw"), 422),
             (AccountingError("no convergence"), 500),
             (ReproError("boom"), 500),
             (RuntimeError("not ours"), 500),
@@ -173,6 +180,26 @@ class TestGeneratorErrors:
         with pytest.raises(ValidationError, match="nearest_neighbors") as info:
             api.run(scenario)
         assert http_status_for(info.value) == 400
+
+    def test_non_ergodic_graph_fails_alike_for_any_rounds(self):
+        """A disconnected draw is refused before the simulation with one
+        typed 422, whether the rounds are explicit or the mixing time."""
+        payloads = []
+        for rounds in (4, None):
+            for operation in (api.run, api.bound):
+                api.clear_graph_cache()
+                scenario = api.parse_scenario({
+                    "graph": {"kind": "erdos_renyi", "params": {
+                        "num_nodes": 64, "edge_probability": 0.01}},
+                    "mechanism": {"kind": "rr", "params": {"epsilon": 1.0}},
+                    "rounds": rounds,
+                    "seed": 3,
+                })
+                with pytest.raises(NotErgodicError) as info:
+                    operation(scenario)
+                payloads.append(error_payload(info.value))
+        assert payloads[0]["status"] == 422
+        assert all(payload == payloads[0] for payload in payloads)
 
     def test_no_connected_draw_is_a_graph_error(self, monkeypatch):
         from repro.graphs import generators

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core.shuffler import NetworkShuffler
 from repro.exceptions import NotErgodicError, ValidationError
 from repro.graphs.generators import cycle_graph, random_regular_graph
@@ -120,3 +121,50 @@ class TestRun:
         assert result.meters is not None
         np.testing.assert_array_equal(result.allocation, fast.allocation)
         assert result.payloads() == fast.payloads()
+
+
+class TestMatchesRunner:
+    """The shuffler is a view over the scenario runner: on the same graph
+    and settings it prices and simulates exactly like ``repro.bound`` and
+    ``repro.run``."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        api.clear_graph_cache()
+        yield
+        api.clear_graph_cache()
+
+    @pytest.mark.parametrize("rounds", [None, 1], ids=["mixing-time", "one-round"])
+    @pytest.mark.parametrize(
+        "protocol, analysis",
+        [("all", "stationary"), ("all", "symmetric"),
+         ("single", "stationary"), ("single", "symmetric")],
+    )
+    def test_guarantee_and_run_match(self, protocol, analysis, rounds):
+        scenario = api.parse_scenario({
+            "graph": {"kind": "k_regular", "params": {"degree": 4, "num_nodes": 64}},
+            "mechanism": {"kind": "rr", "params": {"epsilon": 1.0}},
+            "values": {"kind": "bernoulli", "params": {"rate": 0.3}},
+            "protocol": protocol,
+            "analysis": analysis,
+            "rounds": rounds,
+            "delta": 1e-6,
+            "delta2": 1e-6,
+            "seed": 3,
+        })
+        shuffler = NetworkShuffler(
+            api.build_graph(scenario), 1.0, scenario.delta,
+            protocol=protocol, analysis=analysis, rounds=rounds,
+        )
+        assert shuffler.central_guarantee() == api.bound(scenario)
+
+        expected = api.run(scenario)
+        assert shuffler.rounds == expected.rounds
+        result = shuffler.run(
+            expected.values, expected.mechanism,
+            rng=api.seed_streams(scenario.seed).protocol,
+        )
+        np.testing.assert_array_equal(
+            result.allocation, expected.protocol_result.allocation
+        )
+        assert result.payloads() == expected.protocol_result.payloads()

@@ -349,7 +349,7 @@ class TestAccountingSoundness:
         def _boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("simulation ran before validation")
 
-        monkeypatch.setattr(runner_module, "run_all_protocol", _boom)
+        monkeypatch.setattr(runner_module, "run_protocol", _boom)
         with pytest.raises(ValidationError, match="epsilon0"):
             run(_scenario("all", "fast", epsilon0=2.0))
 
