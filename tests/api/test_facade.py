@@ -121,13 +121,13 @@ class TestHttpContract:
             (ValidationError("bad arg"), 400),
             (BudgetExceededError("spent"), 409),
             (BackendUnavailableError("no jit"), 501),
+            (AccountingError("no convergence"), 500),
+            (ReproError("boom"), 500),
+            (RuntimeError("not ours"), 500),
             (DisconnectedGraphError("two components"), 422),
             (BipartiteGraphError("two colours"), 422),
             (NotErgodicError("never mixes"), 422),
             (GraphError("no connected Watts-Strogatz draw"), 422),
-            (AccountingError("no convergence"), 500),
-            (ReproError("boom"), 500),
-            (RuntimeError("not ours"), 500),
         ],
     )
     def test_status_mapping(self, error, status):
