@@ -33,6 +33,7 @@ a view over the same runner::
 Package map (README.md, "Substitutions", explains the stand-in datasets):
 
 ========================  ==============================================
+``repro.config``          the shared delta/seed defaults (a leaf module)
 ``repro.core``            NetworkShuffler (``repro.run`` on a caller-built
                           graph), campaigns, privacy accountant
 ``repro.graphs``          graph substrate, spectra, random walks

@@ -193,7 +193,7 @@ def _runall(args: argparse.Namespace) -> dict:
 
 def _plan(args: argparse.Namespace) -> None:
     from repro.amplification.planning import required_epsilon0
-    from repro.core.config import DEFAULT_CONFIG
+    from repro.config import DEFAULT_CONFIG
 
     n, target = args.n, args.target_eps
     if n < 1:

@@ -42,7 +42,12 @@ import numpy as np
 
 from repro.amplification.composition import heterogeneous_advanced_composition
 from repro.exceptions import ValidationError
-from repro.utils.validation import check_delta, check_epsilon, check_positive_int
+from repro.utils.validation import (
+    check_delta,
+    check_epsilon,
+    check_positive_int,
+    check_probability,
+)
 
 #: Lemma 5.2 blows the local budget up by this factor when converting an
 #: approximate-DP randomizer into a pure-DP "clone".
@@ -53,9 +58,19 @@ _CLONE_FACTOR = 8.0
 # Shared ingredients
 # ----------------------------------------------------------------------
 def sum_squared_bound(
-    stationary_collision: float, spectral_gap: float, steps: int
+    stationary_collision: float,
+    spectral_gap: float,
+    steps: int,
+    laziness: float = 0.0,
 ) -> float:
-    """Equation 7: ``sum_i P_i(t)^2 <= sum_i pi_i^2 + (1 - alpha)^{2t}``."""
+    """Equation 7: ``sum_i P_i(t)^2 <= sum_i pi_i^2 + (1 - alpha)^{2t}``.
+
+    A lazy walk ``p I + (1 - p) M`` keeps the stationary distribution
+    but shrinks the gap; ``(1 - p) alpha`` lower-bounds the lazy gap at
+    both eigenvalue edges, so the decay uses it (conservative: never
+    understates the collision mass).  At ``laziness = 1`` nothing moves
+    and the bound is 1.
+    """
     if not 0.0 < stationary_collision <= 1.0:
         raise ValidationError(
             f"stationary collision must lie in (0, 1], got {stationary_collision}"
@@ -66,7 +81,9 @@ def sum_squared_bound(
         )
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
-    return min(1.0, stationary_collision + (1.0 - spectral_gap) ** (2 * steps))
+    check_probability(laziness, "laziness")
+    lazy_gap = (1.0 - laziness) * spectral_gap
+    return min(1.0, stationary_collision + (1.0 - lazy_gap) ** (2 * steps))
 
 
 def report_load_l2_bound(n: int, sum_squared: float, delta2: float) -> float:

@@ -73,7 +73,7 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from repro.core.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule, GraphLike
 from repro.graphs.graph import Graph

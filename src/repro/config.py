@@ -4,8 +4,8 @@ The paper does not print its ``delta`` choices in the figures; we fix
 ``delta = delta2 = 1e-6`` throughout (comfortably below ``1/n`` for all
 evaluated graphs, the paper's stated requirement) and record that choice
 here so every layer — scenarios, experiments, auditing, the CLI —
-agrees.  ``repro.experiments.config`` re-exports these names for the
-experiment drivers.
+agrees.  It imports nothing from the package, so any layer may read it;
+``repro.experiments.config`` re-exports it for the experiment drivers.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ across repeated collections.
 
 from repro.core.accounting import PrivacyAccountant
 from repro.core.campaign import Campaign, CampaignSummary, CollectionRecord
-from repro.core.config import DEFAULT_CONFIG, ExperimentConfig
+from repro.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.core.shuffler import NetworkShuffler
 
 __all__ = [

@@ -20,6 +20,15 @@ from repro.graphs.graph import Graph
 from repro.graphs.spectral import SpectralSummary
 from repro.ldp.base import LocalRandomizer
 from repro.protocols.reports import ProtocolResult
+from repro.scenario.cache import GraphBundle
+from repro.scenario.runner import (
+    _bound_on,
+    _empirical_epsilon,
+    _preflight,
+    _Settings,
+    _simulate,
+)
+from repro.scenario.spec import _ANALYSES, _PROTOCOLS, _check_choice
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_delta, check_epsilon
 
@@ -69,12 +78,6 @@ class NetworkShuffler:
         rounds: Optional[int] = None,
         analysis: str = "stationary",
     ):
-        # The runner is imported per call: repro.scenario imports
-        # repro.core.config, and repro.core's package imports this module.
-        from repro.scenario.cache import GraphBundle
-        from repro.scenario.runner import _preflight, _Settings
-        from repro.scenario.spec import _ANALYSES, _PROTOCOLS, _check_choice
-
         _check_choice(protocol, _PROTOCOLS, "protocol")
         _check_choice(analysis, _ANALYSES, "analysis")
         self.graph = graph
@@ -112,8 +115,6 @@ class NetworkShuffler:
     ) -> NetworkShuffleBound:
         """The central-DP guarantee of this deployment (paper theorems),
         at ``rounds`` (default: the configured rounds)."""
-        from repro.scenario.runner import _bound_on, _preflight
-
         steps = _preflight(self._bundle, self._settings, rounds)
         return _bound_on(self._bundle, self._settings, steps)
 
@@ -123,8 +124,6 @@ class NetworkShuffler:
         Tighter than :meth:`central_guarantee` because it skips the
         Lemma 5.1 concentration slack; valid for the observed run.
         """
-        from repro.scenario.runner import _empirical_epsilon
-
         return _empirical_epsilon(self._settings, result)
 
     def run(
@@ -139,8 +138,6 @@ class NetworkShuffler:
         ``randomizer.epsilon`` must match the configured ``epsilon0`` —
         a mismatch would make :meth:`central_guarantee` meaningless.
         """
-        from repro.scenario.runner import _simulate
-
         return _simulate(
             self._bundle, self._settings, self.rounds,
             values=values, randomizer=randomizer, rng=rng,

@@ -29,13 +29,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.amplification.network_shuffle import sum_squared_bound
 from repro.exceptions import AccountingError, GraphError, ValidationError
 from repro.graphs.connectivity import require_ergodic
 from repro.graphs.graph import Graph
 from repro.utils.validation import check_probability
 
-#: Below this node count we use dense eigendecomposition (exact, simple);
-#: above it, sparse Lanczos for the extreme eigenvalues only.
+#: Up to this node count we use dense eigendecomposition (exact, simple);
+#: above it, one deflated Lanczos solve.
 _DENSE_EIGEN_LIMIT = 1500
 
 #: Relative eigenvalue tolerance of the sparse solve.  Ritz values
@@ -110,26 +111,24 @@ def stationary_distribution(graph: Graph) -> np.ndarray:
     return degrees / total
 
 
-def normalized_adjacency_eigenvalues(
-    graph: Graph, *, num_extreme: int = 2
-) -> np.ndarray:
-    """Extreme eigenvalues of the normalized adjacency, descending.
+def normalized_adjacency_eigenvalues(graph: Graph) -> np.ndarray:
+    """The full spectrum of the normalized adjacency, descending, from a
+    dense ``eigvalsh`` — the oracle behind :func:`spectral_gap` up to
+    ``_DENSE_EIGEN_LIMIT`` nodes.
 
-    For small graphs the full spectrum is returned (dense path).  For
-    large graphs only the ``num_extreme`` largest-magnitude eigenvalues
-    from each end are computed with Lanczos iteration — enough to derive
-    the spectral gap.
+    Raises
+    ------
+    ValidationError
+        Above ``_DENSE_EIGEN_LIMIT`` nodes, where a dense solve is too
+        costly; :func:`spectral_gap` solves those sparsely.
     """
-    n = graph.num_nodes
-    matrix = normalized_adjacency(graph)
-    if n <= _DENSE_EIGEN_LIMIT:
-        eigenvalues = np.linalg.eigvalsh(matrix.toarray())
-        return eigenvalues[::-1]
-    k = min(max(num_extreme, 2), n - 2)
-    largest = spla.eigsh(matrix, k=k, which="LA", return_eigenvectors=False)
-    smallest = spla.eigsh(matrix, k=k, which="SA", return_eigenvectors=False)
-    combined = np.unique(np.concatenate([largest, smallest]))
-    return combined[::-1]
+    if graph.num_nodes > _DENSE_EIGEN_LIMIT:
+        raise ValidationError(
+            f"normalized_adjacency_eigenvalues is dense-only (at most "
+            f"{_DENSE_EIGEN_LIMIT} nodes, got {graph.num_nodes}); use "
+            f"spectral_gap for the gap of a larger graph"
+        )
+    return np.linalg.eigvalsh(normalized_adjacency(graph).toarray())[::-1]
 
 
 def deflated_spectral_gap(graph: Graph) -> float:
@@ -236,15 +235,9 @@ class SpectralSummary:
     """``Gamma_G = n * sum_i pi_i^2`` (Table 2); 1 for regular graphs."""
 
     def sum_squared_bound(self, steps: int) -> float:
-        """Equation 7 upper bound: ``sum P_i(t)^2 <= sum pi_i^2 + (1-alpha)^{2t}``."""
-        if steps < 0:
-            raise ValidationError(f"steps must be non-negative, got {steps}")
-        # A sum of squared probabilities never exceeds 1 (it is 1 exactly
-        # when the distribution is a point mass at t=0).
-        return min(
-            1.0,
-            self.stationary_collision + (1.0 - self.spectral_gap) ** (2 * steps),
-        )
+        """Equation 7 upper bound: ``sum P_i(t)^2 <= sum pi_i^2 + (1-alpha)^{2t}``
+        (:func:`repro.amplification.network_shuffle.sum_squared_bound`)."""
+        return sum_squared_bound(self.stationary_collision, self.spectral_gap, steps)
 
 
 def spectral_summary(graph: Graph) -> SpectralSummary:

@@ -28,6 +28,7 @@ import numpy as np
 from repro.amplification.network_shuffle import (
     NetworkShuffleBound,
     epsilon_from_report_sizes,
+    sum_squared_bound,
     theorem_bound,
 )
 from repro.exceptions import ScheduleRefusedError, ValidationError
@@ -307,21 +308,6 @@ def _preflight(bundle: GraphBundle, settings: _Settings, rounds: Optional[int] =
     return steps
 
 
-def _lazy_sum_squared(summary: SpectralSummary, steps: int, laziness: float) -> float:
-    """Equation 7 collision bound, adjusted for a lazy walk.
-
-    The lazy chain ``p I + (1 - p) M`` keeps the stationary
-    distribution but shrinks the spectral gap; ``(1 - p) alpha`` lower-
-    bounds the lazy gap for both eigenvalue edges, so using it in the
-    ``(1 - alpha)^{2t}`` decay is conservative (never understates eps).
-    """
-    lazy_gap = (1.0 - laziness) * summary.spectral_gap
-    return min(
-        1.0,
-        summary.stationary_collision + (1.0 - lazy_gap) ** (2 * steps),
-    )
-
-
 def _theorem(settings: _Settings, n: int, **mass: Any) -> NetworkShuffleBound:
     return theorem_bound(
         settings.protocol, settings.epsilon0, n, settings.delta,
@@ -350,7 +336,10 @@ def _bound_on(bundle: GraphBundle, settings: _Settings, steps: int) -> NetworkSh
         )
         result = _theorem(settings, n, sum_squared=accounting.sum_squared)
         return dataclasses.replace(result, accounting=accounting.payload())
-    sum_squared = _lazy_sum_squared(bundle.summary, steps, settings.laziness)
+    summary = bundle.summary
+    sum_squared = sum_squared_bound(
+        summary.stationary_collision, summary.spectral_gap, steps, settings.laziness
+    )
     return _theorem(settings, n, sum_squared=sum_squared)
 
 

@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.core.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ValidationError
 from repro.protocols.all_protocol import ENGINES as _ENGINES
 from repro.utils.validation import check_delta, check_epsilon, check_probability

@@ -32,7 +32,7 @@ from repro.auditing.auditor import (
     epsilon_lower_bound,
     weighted_evidence_statistic,
 )
-from repro.core.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG
 from repro.exceptions import SimulationError, ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule, GraphLike, panel_collisions
 from repro.graphs.graph import Graph

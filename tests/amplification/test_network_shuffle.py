@@ -51,6 +51,22 @@ class TestSumSquaredBound:
         with pytest.raises(ValidationError):
             sum_squared_bound(0.001, 0.3, -1)
 
+    @pytest.mark.parametrize("laziness", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("steps", [0, 1, 7, 40])
+    def test_lazy_gap_matches_the_runner_formula(self, laziness, steps):
+        """The lazy walk decays at ``(1 - p) alpha``: bit-identical to the
+        formula the scenario runner used to carry, including ``p = 1``
+        (no decay), which a zero-gap check would have refused."""
+        collision, gap = 0.0123, 0.2718
+        lazy_gap = (1.0 - laziness) * gap
+        assert sum_squared_bound(collision, gap, steps, laziness) == min(
+            1.0, collision + (1.0 - lazy_gap) ** (2 * steps)
+        )
+
+    def test_rejects_bad_laziness(self):
+        with pytest.raises(ValidationError, match="laziness"):
+            sum_squared_bound(0.001, 0.3, 3, 1.5)
+
 
 class TestLemma51:
     def test_formula(self):

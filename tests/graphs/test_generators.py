@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -211,79 +210,6 @@ def test_generated_networkx_graph_is_freed_without_a_collection(name, build):
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def _csr_digest(graph) -> str:
-    sha = hashlib.sha256()
-    sha.update(graph.indptr.astype("<i8").tobytes())
-    sha.update(b"|")
-    sha.update(graph.indices.astype("<i8").tobytes())
-    return sha.hexdigest()
-
-
-#: sha256 of ``(indptr, indices)`` for seeded random graphs, captured
-#: while the generators still called networkx.  They pin each generator's
-#: stream independently of the installed networkx version.
-FROZEN_GRAPHS = {
-    "k_regular-3-20-0": (
-        lambda: random_regular_graph(3, 20, rng=0),
-        "721edbb5a0182080d9a559bd91afcd8bfe056b17f9cf6c3bacc31de251aa4213",
-    ),
-    "k_regular-5-12-0": (
-        lambda: random_regular_graph(5, 12, rng=0),
-        "d82be9042b1bec8a1012437f97972d9b3b6940d384a604828d794e4aaaa85744",
-    ),
-    "k_regular-7-8-2": (
-        lambda: random_regular_graph(7, 8, rng=2),
-        "a8aa096dbdb7dbe19991ef004a962660aa571f58e00c3f67ddf4434c43b19736",
-    ),
-    "k_regular-8-1000-1": (
-        lambda: random_regular_graph(8, 1000, rng=1),
-        "296e90101ca23bd530cc4612035be63eb60c4863b927586457048b90bfb2f3cf",
-    ),
-    "erdos_renyi-200-0.05-3": (
-        lambda: erdos_renyi_graph(200, 0.05, rng=3),
-        "f5f6b8a6d3c1b730d7ed31bad166aa9a9e4abea0ebe30b86019c6ed25d32023c",
-    ),
-    "erdos_renyi-50-0.5-1": (
-        lambda: erdos_renyi_graph(50, 0.5, rng=1),
-        "2c446fdf5438571cc2f019c1d60e64ccb54584370fcc5fbaf81261c96bbcf9f7",
-    ),
-    "erdos_renyi-2000-0.002-5": (
-        lambda: erdos_renyi_graph(2000, 0.002, rng=5),
-        "d40f540fa78af27d59d7f92649b156fc3204a8a312d217e55d5f89e20af92af3",
-    ),
-    "barabasi_albert-96-3-20240": (
-        lambda: barabasi_albert_graph(96, 3, rng=20240),
-        "335a1411c1d593af0fe85bf6fdcdd8199c3cfdedc8b7cd6ff416a143c9904ed1",
-    ),
-    "barabasi_albert-300-2-4": (
-        lambda: barabasi_albert_graph(300, 2, rng=4),
-        "d96c148eb7ea87241b6945252d086f1f944ba1cb57cc1b4d19a09500710ae86e",
-    ),
-    "barabasi_albert-50-49-0": (
-        lambda: barabasi_albert_graph(50, 49, rng=0),
-        "de048e8c62066c02ba64c36f7120d5d466d604df1032600f0b29bb10c4446054",
-    ),
-    "watts_strogatz-100-6-0.3-0": (
-        lambda: watts_strogatz_graph(100, 6, 0.3, rng=0),
-        "f488003e1aa3dd0a7223e9bbcfa5f30d0a72455d36873b83f3609f637179d7d1",
-    ),
-    "watts_strogatz-64-5-0.2-1": (
-        lambda: watts_strogatz_graph(64, 5, 0.2, rng=1),
-        "8eb7c753eb929771fea722f84f703eb4b205f3862dfc5bedeb6a6ae5839d8e97",
-    ),
-    "watts_strogatz-30-4-0.9-2": (
-        lambda: watts_strogatz_graph(30, 4, 0.9, rng=2),
-        "2607e58aabaed99a6e3c8941d3d8afa80e4a57874d42ef531aaa3d0f10dd9b5d",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(FROZEN_GRAPHS))
-def test_seeded_graph_matches_frozen_digest(case):
-    build, expected = FROZEN_GRAPHS[case]
-    assert _csr_digest(build()) == expected
 
 
 def test_runtime_never_imports_networkx():

@@ -91,102 +91,8 @@ class TestSecureProtocol:
         assert result.meters.meter(SERVER_ID).messages_received == 8
 
 
-#: Seeded outputs of ``run_secure_protocol`` at ``rounds >= 1``, keyed
-#: by case: ``(decrypted_payloads, delivered_by, messages_sent,
-#: messages_received, peak_items)``, the last three per user.
-FROZEN = {
-    (8, 1, 1): (
-        [1, 0, 3, 6, 7, 2, 4, 5],
-        [0, 2, 4, 4, 4, 5, 6, 7],
-        [2, 1, 2, 1, 4, 2, 2, 2],
-        [1, 0, 1, 0, 3, 1, 1, 1],
-        [1, 0, 1, 0, 3, 1, 1, 1],
-    ),
-    (12, 4, 2): (
-        [7, 8, 11, 1, 5, 9, 4, 10, 0, 2, 6, 3],
-        [1, 3, 3, 4, 4, 4, 5, 5, 6, 8, 8, 11],
-        [4, 5, 4, 5, 5, 5, 8, 5, 7, 4, 4, 4],
-        [3, 4, 3, 4, 4, 4, 7, 4, 6, 3, 3, 3],
-        [2, 2, 2, 2, 3, 2, 3, 3, 3, 2, 3, 2],
-    ),
-    (20, 7, 3): (
-        [18, 10, 17, 15, 5, 19, 11, 16, 13, 6,
-         8, 4, 14, 12, 0, 9, 3, 1, 7, 2],
-        [2, 3, 3, 4, 6, 7, 8, 8, 9, 11, 12, 12, 12, 13, 13, 15, 15, 16, 16, 17],
-        [11, 7, 5, 11, 7, 7, 6, 10, 7, 9, 9, 7, 9, 10, 6, 10, 9, 13, 4, 3],
-        [10, 6, 4, 10, 6, 6, 5, 9, 6, 8, 8, 6, 8, 9, 5, 9, 8, 12, 3, 2],
-        [3, 2, 1, 2, 3, 3, 2, 2, 2, 3, 3, 4, 3, 5, 2, 3, 4, 8, 2, 2],
-    ),
-    "meters-1": (
-        [6, 7, 8, 0, 1, 4, 13, 2, 11, 5, 10, 9, 14, 3, 15, 12],
-        [1, 4, 4, 6, 6, 7, 7, 8, 8, 9, 9, 10, 11, 13, 14, 15],
-        [1, 2, 1, 1, 3, 1, 3, 3, 3, 3, 2, 2, 1, 2, 2, 2],
-        [0, 1, 0, 0, 2, 0, 2, 2, 2, 2, 1, 1, 0, 1, 1, 1],
-        [0, 1, 0, 0, 2, 0, 2, 2, 2, 2, 1, 1, 0, 1, 1, 1],
-    ),
-    "meters-5": (
-        [6, 8, 1, 15, 5, 13, 10, 9, 0, 3, 7, 14, 2, 11, 12, 4],
-        [1, 2, 2, 2, 3, 4, 6, 6, 6, 9, 11, 12, 12, 13, 13, 15],
-        [6, 8, 6, 6, 6, 3, 10, 4, 8, 4, 3, 7, 8, 9, 4, 4],
-        [5, 7, 5, 5, 5, 2, 9, 3, 7, 3, 2, 6, 7, 8, 3, 3],
-        [2, 3, 3, 4, 2, 2, 4, 2, 4, 2, 1, 3, 3, 4, 2, 1],
-    ),
-    "randomizer": (
-        [0, 1, 1, 0, 1, 0, 1, 0, 0, 1],
-        [1, 2, 2, 3, 4, 4, 4, 7, 7, 7],
-        [3, 2, 3, 5, 8, 3, 2, 6, 3, 5],
-        [2, 1, 2, 4, 7, 2, 1, 5, 2, 4],
-        [1, 1, 2, 3, 4, 2, 1, 3, 2, 4],
-    ),
-}
-
-
-def _assert_frozen(result, case):
-    payloads, delivered_by, sent, received, peak = FROZEN[case]
-    users = range(len(payloads))
-    meters = [result.meters.meter(user) for user in users]
-    assert result.decrypted_payloads == payloads
-    assert result.delivered_by.tolist() == delivered_by
-    assert [meter.messages_sent for meter in meters] == sent
-    assert [meter.messages_received for meter in meters] == received
-    assert [meter.peak_items for meter in meters] == peak
-    assert all(meter.current_items == 0 for meter in meters)
-    server = result.meters.meter(SERVER_ID)
-    assert server.messages_received == len(payloads)
-
-
 class TestBatchedParity:
-    """The per-message driver reproduces the frozen seeded outputs of
-    the trajectory-first batched driver it replaced, message for
-    message and meter for meter.
-
-    Only the throwaway encryption ephemerals differ between the two,
-    and no output depends on them.
-    """
-
-    @pytest.mark.parametrize(
-        ("num_nodes", "rounds", "seed"),
-        [(8, 1, 1), (12, 4, 2), (20, 7, 3)],
-    )
-    def test_outputs_identical(self, num_nodes, rounds, seed):
-        graph = random_regular_graph(4, num_nodes, rng=seed)
-        result = run_secure_protocol(
-            graph, rounds, list(range(num_nodes)), rng=seed
-        )
-        _assert_frozen(result, (num_nodes, rounds, seed))
-
-    @pytest.mark.parametrize("rounds", [1, 5])
-    def test_meters_identical(self, rounds):
-        graph = random_regular_graph(4, 16, rng=7)
-        result = run_secure_protocol(graph, rounds, list(range(16)), rng=11)
-        _assert_frozen(result, f"meters-{rounds}")
-
-    def test_randomizer_draws_in_same_order(self):
-        graph = complete_graph(10)
-        result = run_secure_protocol(
-            graph, 3, [0] * 10, BinaryRandomizedResponse(0.6), rng=5
-        )
-        _assert_frozen(result, "randomizer")
+    """Seeded runs repeat exactly; ``tests/vectors`` pins their outputs."""
 
     def test_batched_deterministic(self):
         graph = random_regular_graph(4, 12, rng=1)

@@ -285,6 +285,10 @@ class TestAccountingSoundness:
         assert lazy.sum_squared > healthy.sum_squared
         assert lazy.epsilon > healthy.epsilon
 
+    def test_fully_lazy_walk_keeps_the_point_mass(self):
+        """At ``laziness = 1`` no report moves: the collision bound is 1."""
+        assert bound(_scenario("all", "fast", laziness=1.0)).sum_squared == 1.0
+
     def test_independent_faults_priced_like_laziness(self):
         lazy = bound(_scenario("all", "fast", laziness=0.3))
         faulty = bound(_scenario(
