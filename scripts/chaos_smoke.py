@@ -1,7 +1,8 @@
 """CI smoke test for the sweep engine's fault tolerance (ISSUE 8).
 
-Drives ``python -m repro sweep`` as a real subprocess through two
-injected disasters and asserts the recovery contracts hold end-to-end:
+Drives ``python -m repro sweep`` and ``python -m repro serve`` as real
+subprocesses through three injected disasters and asserts the recovery
+contracts hold end-to-end:
 
 1. **Killed worker** — a pooled, store-backed sweep whose grid point 1
    ``os._exit``\\ s its worker process once.  Under ``--on-error collect
@@ -13,6 +14,11 @@ injected disasters and asserts the recovery contracts hold end-to-end:
    keeps the two checkpointed points and a campaign stuck ``running``;
    a fault-free re-run computes only the missing tail and finishes
    ``complete``.
+3. **Hung served job** — ``serve --workers 1 --job-timeout 2`` whose
+   job 1 (a served job's point index is its job number) hangs for two
+   minutes.  Job 1 answers ``ExecutionTimeoutError``/504, job 2 —
+   queued behind it on the only worker — finishes within 30 s, which
+   only a killed worker allows, and the server exits 0 on SIGINT.
 
 Fault plans travel to the subprocesses via the ``REPRO_FAULTS``
 environment variable (see :mod:`repro.testing.faults`); firing counters
@@ -24,11 +30,15 @@ Usage: python scripts/chaos_smoke.py
 
 from __future__ import annotations
 
+import http.client
 import json
+import signal
+import socket
 import sqlite3
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -125,10 +135,81 @@ def interrupted_sweep_resumes(directory: Path) -> None:
     print("chaos smoke phase 2 (interrupted sweep resumed): OK")
 
 
+def request(connection, method: str, path: str, body=None):
+    connection.request(
+        method, path, body=None if body is None else json.dumps(body),
+        headers={"Content-Type": "application/json"},
+    )
+    response = connection.getresponse()
+    return response.status, json.loads(response.read())
+
+
+def wait_for_job(connection, job_id: str, seconds: float) -> dict:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        _, payload = request(connection, "GET", f"/jobs/{job_id}")
+        if payload["status"] in ("done", "error"):
+            return payload
+        time.sleep(0.2)
+    raise SystemExit(f"{job_id} did not finish within {seconds}s")
+
+
+def hung_served_job_is_killed(directory: Path) -> None:
+    """Phase 3: a served job past --job-timeout has its worker killed."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with inject(
+        [FaultRule(point=1, action="hang", seconds=120)],
+        directory=directory / "counters-serve",
+    ) as plan:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", str(port),
+             "--workers", "1", "--job-timeout", "2"],
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", port, timeout=10)
+                try:
+                    request(connection, "GET", "/healthz")
+                    break
+                except OSError:
+                    connection.close()
+                    if time.monotonic() > deadline:
+                        raise SystemExit("server never came up")
+                    time.sleep(0.1)
+            for expected in ("job-1", "job-2"):
+                status, job = request(
+                    connection, "POST", "/run", {"scenario": SCENARIO})
+                assert status == 202 and job["id"] == expected, (status, job)
+            hung = wait_for_job(connection, "job-1", 30)
+            print(f"job-1: {hung['status']} {hung.get('error')}")
+            assert hung["status"] == "error", hung
+            assert hung["error"]["error"] == "ExecutionTimeoutError", hung
+            assert hung["error"]["status"] == 504, hung
+            queued = wait_for_job(connection, "job-2", 30)
+            print(f"job-2: {queued['status']}")
+            assert queued["status"] == "done", queued
+            assert plan.fired(0) == 1, "the hang fault never fired"
+            connection.close()
+        finally:
+            server.send_signal(signal.SIGINT)
+            try:
+                server.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                raise SystemExit("server did not exit on SIGINT")
+    assert server.returncode == 0, f"server exited {server.returncode}"
+    print("chaos smoke phase 3 (hung served job killed): OK")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-chaos-smoke-") as tmp:
         killed_worker_is_retried(Path(tmp))
         interrupted_sweep_resumes(Path(tmp))
+        hung_served_job_is_killed(Path(tmp))
     print("chaos smoke: OK")
 
 

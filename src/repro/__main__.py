@@ -66,11 +66,13 @@ Commands
     Boot the HTTP serving tier (:mod:`repro.serve`): synchronous
     closed-form ``POST /bound`` / ``POST /stationary_bound`` queries
     against the process-wide graph cache, enqueue-able ``POST /run`` /
-    ``POST /audit`` jobs with ``GET /jobs/<id>`` polling, and
-    ``GET /healthz`` / ``GET /stats`` introspection.  ``--store``
-    persists job outcomes across restarts and serves ``GET /results``;
-    ``--max-queue`` turns on 429 back-pressure; ``--job-timeout``
-    fails jobs that outlive their wall-clock budget with a 504;
+    ``POST /audit`` jobs (run in ``--workers`` processes) with
+    ``GET /jobs/<id>`` polling, and ``GET /healthz`` / ``GET /stats``
+    introspection.  ``--store`` keeps finished jobs as campaigns (they
+    answer after a restart; a stored point answers without running)
+    and serves ``GET /results``; ``--max-queue`` turns on 429
+    back-pressure; ``--job-timeout`` kills a job's worker once the job
+    outlives its wall-clock budget and answers 504;
     ``--require-jit`` works as on ``run`` (``GET /stats`` reports which
     kernels the array engine runs).
 

@@ -67,6 +67,29 @@ def _audit_epsilon0(scenario: Scenario) -> float:
     return epsilon0
 
 
+def fold_audit_options(
+    scenario: Scenario,
+    *,
+    trials: Optional[int] = None,
+    rounds: Optional[int] = None,
+) -> Scenario:
+    """The scenario with :func:`audit`'s overrides folded in.
+
+    ``trials`` lands in ``audit.params.trials`` (adding the default
+    statistic's spec when there is none) and ``rounds`` in the
+    scenario's own ``rounds`` — which is how :func:`audit` applies them,
+    so the folded scenario audits identically and carries the overrides
+    in its identity (its store hash, its pool payload).
+    """
+    changes: Dict[str, Any] = {}
+    if trials is not None:
+        changes["audit"] = scenario.audit or AuditSpec(kind=_DEFAULT_STATISTIC)
+        changes["audit.trials"] = trials
+    if rounds is not None:
+        changes["rounds"] = rounds
+    return scenario.updated(**changes) if changes else scenario
+
+
 def audit(
     scenario: Scenario,
     *,
@@ -90,6 +113,7 @@ def audit(
         explicit generator to draw audit replicas without re-deriving
         seeds.
     """
+    scenario = fold_audit_options(scenario, trials=trials, rounds=rounds)
     if scenario.protocol != "all":
         raise ValidationError(
             "the audited adversary observes the full A_all allocation; "
@@ -97,7 +121,7 @@ def audit(
         )
     epsilon0 = _audit_epsilon0(scenario)
     bundle = _bundle_for(scenario)
-    steps = _resolve_rounds(bundle, scenario.rounds if rounds is None else rounds)
+    steps = _resolve_rounds(bundle, scenario.rounds)
     laziness = _accounting_laziness(scenario)
 
     spec = scenario.audit if scenario.audit is not None else AuditSpec(
@@ -107,9 +131,7 @@ def audit(
     reserved = {
         key: params.pop(key) for key in AuditSpec.RESERVED if key in params
     }
-    game_trials = int(
-        trials if trials is not None else reserved.get("trials", _DEFAULT_TRIALS)
-    )
+    game_trials = int(reserved.get("trials", _DEFAULT_TRIALS))
     confidence = float(reserved.get("confidence", _DEFAULT_CONFIDENCE))
     # ``victim`` parameterizes both the statistic (whose position
     # distribution to weigh) and the game itself (whose bit the worlds

@@ -31,7 +31,8 @@ What makes it an *engine* rather than a loop:
   in-flight points with exponential backoff up to ``retries`` times —
   a point that keeps killing the pool is *quarantined* as failed
   rather than retried forever — and ``point_timeout`` reclaims hung
-  points by killing the worker pool and retrying on a fresh one.
+  points by killing the worker pool and retrying on a fresh one — all
+  in :class:`PointPool`, which also runs the serving tier's jobs.
 * **Completed points checkpoint immediately.**  ``sweep(store=...)``
   records each point as it finishes (not in one batch at the end), so
   a crash at point 999/1000 persists 998 results and the re-run
@@ -45,6 +46,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import shutil
+import signal
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -54,13 +56,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -75,6 +76,7 @@ from repro.exceptions import (
     WorkerCrashError,
     error_payload,
 )
+from repro.netsim.kernels import require_jit_enabled, set_require_jit
 from repro.scenario.auditing import audit
 from repro.scenario.builders import REPLAYABLE_REGISTRIES
 from repro.scenario.cache import (
@@ -94,6 +96,7 @@ from repro.scenario.runner import (
     _bundle_for,
     bound,
     run,
+    spill_graph,
     stationary_bound,
 )
 from repro.scenario.spec import Scenario
@@ -457,268 +460,333 @@ def _execute(scenario: Scenario, mode: str, results: str) -> Outcome:
 
 def _initialize_worker(
     registrations: List[_RecordedRegistration],
-    spill_dir: Optional[str],
-    profile_policy: Optional[Dict[str, Any]] = None,
+    spill_dir: Union[str, Path, None],
+    profile_policy: Optional[Dict[str, Any]],
+    require_jit: bool,
 ) -> None:
-    """Pool-worker initializer: replay registrations, attach the spill.
+    """Pool-worker initializer: replay the parent's process-wide setup.
 
-    Runs once per worker process (not per grid point), so the recorded
-    registrations and cache configuration cross the pool exactly once.
-    ``profile_policy`` carries the parent's schedule-accounting policy
-    with the memory budget divided by the worker count, so ``workers``
-    concurrent profile evolutions respect the *host's* budget (the
-    panel width changes, the resulting bits never do).
+    Runs once per worker process: runtime registrations, the graph disk
+    tier, the schedule-accounting policy (its memory budget already
+    divided by the worker count, so concurrent profile evolutions
+    respect the *host's* budget) and the JIT requirement, which spawn
+    and forkserver workers would otherwise start without.  Workers
+    ignore SIGINT: a terminal's Ctrl-C reaches the whole process group,
+    and the parent, which owns their lifetime, shuts them down.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _replay_registrations(registrations)
     if spill_dir is not None:
         GRAPH_CACHE.spill_dir = Path(spill_dir)
     if profile_policy is not None:
         set_profile_policy(ProfilePolicy(**profile_policy))
+    set_require_jit(require_jit)
 
 
 def _execute_serialized(
-    payload: Tuple[int, str, str, str, Optional[str]],
-) -> Tuple[Outcome, CacheCounters]:
-    """Process-pool entry point (module-level for pickling).
-
-    Executes one grid point and returns the outcome together with the
-    cache-counter delta this call produced — the parent sums the
-    deltas into ``SweepResult.cache_stats``.  Before executing, the
-    worker drops a start marker into ``marker_dir``: if the pool dies,
-    the parent reads the markers to attribute the crash to the points
-    that were actually in flight (queued bystanders retry for free).
-    """
+    payload: Tuple[int, str, str, str, str],
+) -> Tuple[Outcome, CacheCounters, Dict[str, int]]:
+    """Process-pool entry point: one point, with the graph-cache and
+    kernel-sampler counts it added.  Its start marker in ``marker_dir``
+    lets the parent attribute a pool death to the points executing;
+    with a disk tier attached, the point's graph is left there."""
     index, scenario_json, mode, results, marker_dir = payload
-    if marker_dir is not None:
-        try:
-            Path(marker_dir, f"started-{index}").touch()
-        except OSError:
-            pass  # marker loss degrades crash attribution, not results
+    try:
+        Path(marker_dir, f"started-{index}").touch()
+    except OSError:
+        pass  # marker loss degrades crash attribution, not results
     maybe_fire(index)
-    before = GRAPH_CACHE.stats()
-    outcome = _execute(Scenario.from_json(scenario_json), mode, results)
-    return outcome, GRAPH_CACHE.stats().delta(before)
+    before, kernels_before = GRAPH_CACHE.stats(), GRAPH_CACHE.kernel_stats()
+    scenario = Scenario.from_json(scenario_json)
+    outcome = _execute(scenario, mode, results)
+    graph_delta = GRAPH_CACHE.stats().delta(before)
+    kernel_delta = {
+        name: count - kernels_before[name]
+        for name, count in GRAPH_CACHE.kernel_stats().items()
+    }
+    if GRAPH_CACHE.spill_dir is not None and mode != "stationary_bound":
+        spill_graph(scenario)
+    return outcome, graph_delta, kernel_delta
 
 
-def _shutdown_pool(pool: ProcessPoolExecutor, *, kill: bool) -> None:
-    """Shut a pool down; ``kill=True`` terminates the workers.
+@dataclass(frozen=True)
+class PointResult:
+    """A finished point: ``outcome`` (and a worker's counter deltas), or
+    the final ``error`` with its :class:`PointFailure` kind/attempts."""
 
-    Killing is the only way to reclaim a hung point — cancelling a
-    running future is a no-op — and the safe way to dismantle a pool
-    that is already broken.
+    index: int
+    outcome: Optional[Outcome] = None
+    error: Optional[BaseException] = None
+    kind: str = "exception"
+    attempts: int = 1
+    graph_delta: CacheCounters = field(default_factory=CacheCounters)
+    sampler_delta: Dict[str, int] = field(default_factory=dict)
+
+
+class PointPool:
+    """One long-lived process pool that survives its workers' deaths.
+
+    :meth:`submit` queues a point and :meth:`poll` is one supervision
+    step, returning the points finished since the last one.  The pool
+    runs in *generations* of workers and watches for the two failures
+    no future reports politely — a broken pool (worker death) and a
+    hung point (``point_timeout``).  Either one kills the generation:
+    the points that were executing are charged an attempt (start
+    markers tell them from queued bystanders, which retry for free),
+    those past ``retries`` come back quarantined (``crash``/``timeout``),
+    and the rest go to a fresh generation after an exponential backoff.
+    :func:`sweep` drains one pool per call; the serving tier keeps one
+    for its lifetime and polls it from its event loop (``poll()`` does
+    not block at the default ``timeout=0``).
     """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=not kill, cancel_futures=True)
-    if kill:
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=5)
 
-
-def _run_pooled(
-    todo: List[int],
-    scenario_json: Dict[int, str],
-    *,
-    mode: str,
-    results: str,
-    workers: int,
-    context,
-    registrations: List[_RecordedRegistration],
-    spill_path: Optional[str],
-    worker_policy: Optional[Dict[str, Any]],
-    on_error: str,
-    retries: int,
-    point_timeout: Optional[float],
-    backoff: float,
-    checkpoint: Callable[[int, Outcome], None],
-) -> Tuple[Dict[int, Outcome], Dict[int, PointFailure], CacheCounters]:
-    """Execute grid points on a pool that survives its workers' deaths.
-
-    The loop owns a *generation* of the pool at a time: submit the
-    outstanding points, harvest completions (checkpointing each as it
-    lands), and watch for the two failure modes no future can report
-    politely — a broken pool (worker death) and a hung point.  Either
-    one ends the generation: the pool is rebuilt, the affected points'
-    attempt budgets are charged (crashes are attributed via the start
-    markers, so queued bystanders retry for free), points past
-    ``retries`` are quarantined, and the survivors go around again
-    after an exponential backoff.
-    """
-    outcomes: Dict[int, Outcome] = {}
-    failures: Dict[int, PointFailure] = {}
-    attempts: Dict[int, int] = {index: 0 for index in todo}
-    stats = CacheCounters()
-    rebuilds = 0
-    barren_rebuilds = 0
-
-    def _final(index: int, error: BaseException, kind: str) -> None:
-        """Record (or raise) one point's final failure."""
-        if on_error == "raise":
-            raise error
-        failures[index] = PointFailure.from_error(
-            error,
-            kind=kind,
-            attempts=attempts[index],
-            quarantined=kind in ("crash", "timeout"),
-        )
-
-    while todo:
-        marker_dir = tempfile.mkdtemp(prefix="repro-sweep-markers-")
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
+    def __init__(
+        self,
+        workers: int,
+        *,
+        context,
+        registrations: Optional[Sequence[_RecordedRegistration]] = None,
+        spill_path: Union[str, Path, None] = None,
+        retries: int = 0,
+        point_timeout: Optional[float] = None,
+        backoff: float = 0.1,
+    ):
+        # Workers replay this process's setup as it stands now (by
+        # default with every picklable runtime registration).
+        if registrations is None:
+            registrations = _runtime_registrations({})
+        self._options = dict(
+            max_workers=int(workers),
             mp_context=context,
             initializer=_initialize_worker,
-            initargs=(registrations, spill_path, worker_policy),
+            initargs=(
+                list(registrations), spill_path,
+                _worker_profile_policy(workers), require_jit_enabled(),
+            ),
         )
-        futures = {
-            pool.submit(
-                _execute_serialized,
-                (index, scenario_json[index], mode, results, marker_dir),
-            ): index
-            for index in todo
-        }
-        todo = []
-        pending: Set[Any] = set(futures)
-        crashed: List[int] = []
-        hung_indices: Set[int] = set()
-        first_running: Dict[Any, float] = {}
-        broke = False
+        self._retries = int(retries)
+        self._point_timeout = point_timeout
+        self._backoff = backoff
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._marker_dir: Optional[str] = None
+        self._futures: Dict[Any, int] = {}  # this generation's points
+        self._waiting: List[int] = []  # points not on a generation yet
+        self._payloads: Dict[int, Tuple[str, str, str]] = {}
+        self._attempts: Dict[int, int] = {}
+        self._rebuilds = 0  # in a row; a completed point resets it
+        self._barren_rebuilds = 0
+        self._completed_any = False
+        self._resume_at = 0.0
+
+    def __len__(self) -> int:
+        """Points submitted and not yet returned by :meth:`poll`."""
+        return len(self._payloads)
+
+    def submit(
+        self, index: int, scenario_json: str, mode: str,
+        results: str = "digest",
+    ) -> None:
+        """Queue point ``index`` (also its fault-injection index)."""
+        self._payloads[index] = (scenario_json, mode, results)
+        self._attempts[index] = 0
+        self._waiting.append(index)
+        self._dispatch()
+
+    def started_at(self, index: int) -> Optional[float]:
+        """When point ``index`` started on the current generation
+        (epoch seconds, its start marker's mtime), else ``None``."""
+        if self._marker_dir is None:
+            return None
         try:
-            while pending:
-                done, pending = wait(
-                    pending, timeout=_POLL_SECONDS,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    index = futures[future]
-                    try:
-                        outcome, delta = future.result()
-                    except BrokenProcessPool:
-                        broke = True
-                        crashed.append(index)
-                    except Exception as error:
-                        # The point itself raised: deterministic, so
-                        # retrying would fail identically — final now.
-                        attempts[index] += 1
-                        _final(index, error, "exception")
-                    else:
-                        attempts[index] += 1
-                        outcomes[index] = outcome
-                        stats.merge(delta)
-                        checkpoint(index, outcome)
-                if broke:
-                    break
-                if point_timeout is not None and pending:
-                    now = time.monotonic()
-                    for future in pending:
-                        marker = Path(
-                            marker_dir, f"started-{futures[future]}"
-                        )
-                        if future not in first_running and marker.exists():
-                            first_running[future] = now
-                    hung_indices = {
-                        futures[future]
-                        for future in pending
-                        if future in first_running
-                        and now - first_running[future] > point_timeout
-                    }
-                    if hung_indices:
-                        break
+            return Path(self._marker_dir, f"started-{index}").stat().st_mtime
+        except OSError:
+            return None
 
-            if broke:
-                # A broken pool fails every in-flight future, but some
-                # pending futures may have *finished* (successfully or
-                # not) just before the break — drain their real state
-                # so a completed point is never charged as a crash.
-                unfinished = list(crashed)
-                for future in pending:
-                    index = futures[future]
-                    try:
-                        outcome, delta = future.result(timeout=5)
-                    except (BrokenProcessPool, _FuturesTimeout):
-                        unfinished.append(index)
-                    except Exception as error:
-                        attempts[index] += 1
-                        _final(index, error, "exception")
-                    else:
-                        attempts[index] += 1
-                        outcomes[index] = outcome
-                        stats.merge(delta)
-                        checkpoint(index, outcome)
-                _shutdown_pool(pool, kill=True)
-                charged = False
-                for index in unfinished:
-                    if Path(marker_dir, f"started-{index}").exists():
-                        # This point was executing when the pool died.
-                        charged = True
-                        attempts[index] += 1
-                        if attempts[index] > retries:
-                            _final(
-                                index,
-                                WorkerCrashError(
-                                    f"grid point {index} killed its worker "
-                                    f"process {attempts[index]} time(s); "
-                                    "quarantined as a poison point "
-                                    f"(retries={retries})"
-                                ),
-                                "crash",
-                            )
-                        else:
-                            todo.append(index)
-                    else:
-                        # Queued bystander: retries for free.
-                        todo.append(index)
-                barren_rebuilds = 0 if (charged or outcomes) else (
-                    barren_rebuilds + 1
-                )
-                if barren_rebuilds >= _MAX_BARREN_REBUILDS:
-                    raise WorkerCrashError(
-                        f"worker pool died {barren_rebuilds} times in a row "
-                        "before any grid point started executing — the pool "
-                        "itself (not a poison point) is broken; check the "
-                        "worker initializer and available memory"
-                    )
-            elif hung_indices:
-                survivors = [
-                    futures[future]
-                    for future in pending
-                    if futures[future] not in hung_indices
-                ]
-                _shutdown_pool(pool, kill=True)
-                for index in sorted(hung_indices):
-                    attempts[index] += 1
-                    if attempts[index] > retries:
-                        _final(
-                            index,
-                            ExecutionTimeoutError(
-                                f"grid point {index} exceeded "
-                                f"point_timeout={point_timeout}s "
-                                f"{attempts[index]} time(s); its worker was "
-                                f"killed (retries={retries})"
-                            ),
-                            "timeout",
-                        )
-                    else:
-                        todo.append(index)
-                todo.extend(survivors)
-                barren_rebuilds = 0
-            else:
-                _shutdown_pool(pool, kill=False)
-        except BaseException:
-            _shutdown_pool(pool, kill=True)
-            raise
-        finally:
-            shutil.rmtree(marker_dir, ignore_errors=True)
+    def drain(self) -> Iterator[PointResult]:
+        """Poll until every submitted point has finished."""
+        while self:
+            yield from self.poll(_POLL_SECONDS)
 
-        if todo:
-            rebuilds += 1
-            if backoff > 0:
+    def close(self) -> None:
+        """Release the workers, killing any point still executing."""
+        self._waiting.clear()
+        self._payloads.clear()
+        self._attempts.clear()
+        self._end_generation(kill=bool(self._futures))
+        self._futures.clear()
+
+    def poll(self, timeout: float = 0.0) -> List[PointResult]:
+        """Wait up to ``timeout`` seconds; return the finished points.
+
+        Finished means completed, failed with an exception (final: a
+        deterministic failure is never retried), or quarantined after a
+        crash or timeout.  Raises :class:`WorkerCrashError`, dropping
+        every point, when the pool keeps dying before any point starts:
+        then the pool itself, not a poison point, is broken.
+        """
+        self._dispatch()
+        if not self._futures:
+            if self._waiting and timeout > 0:  # backing off
                 time.sleep(
-                    min(backoff * (2 ** (rebuilds - 1)), _MAX_BACKOFF_SECONDS)
+                    min(timeout, max(0.0, self._resume_at - time.monotonic()))
                 )
-    return outcomes, failures, stats
+            return []
+        done, _ = wait(
+            list(self._futures), timeout=timeout, return_when=FIRST_COMPLETED
+        )
+        finished: List[PointResult] = []
+        crashed = self._harvest(done, finished)
+        if crashed:
+            # A broken pool fails every in-flight future, but some may
+            # have finished just before the break: drain their real
+            # state so a completed point is never charged as a crash.
+            crashed += self._harvest(list(self._futures), finished, 5)
+            charged = {i for i in crashed if self.started_at(i) is not None}
+            self._barren_rebuilds = (
+                0 if charged or self._completed_any
+                else self._barren_rebuilds + 1
+            )
+            self._requeue(
+                crashed, charged, finished, WorkerCrashError, "crash",
+                "grid point {index} killed its worker process {attempts} "
+                "time(s); quarantined as a poison point (retries={retries})",
+            )
+            if self._barren_rebuilds >= _MAX_BARREN_REBUILDS:
+                self.close()
+                raise WorkerCrashError(
+                    f"worker pool died {_MAX_BARREN_REBUILDS} times in a "
+                    "row before any grid point started executing — the "
+                    "pool itself (not a poison point) is broken; check the "
+                    "worker initializer and available memory"
+                )
+        elif self._point_timeout is not None:
+            now = time.time()
+            hung = {
+                index for index in self._futures.values()
+                if now - (self.started_at(index) or now) > self._point_timeout
+            }
+            if hung:
+                self._barren_rebuilds = 0
+                self._requeue(
+                    sorted(hung) + [
+                        index for index in self._futures.values()
+                        if index not in hung
+                    ],
+                    hung, finished, ExecutionTimeoutError, "timeout",
+                    "grid point {index} exceeded point_timeout={timeout}s "
+                    "{attempts} time(s); its worker was killed "
+                    "(retries={retries})",
+                )
+        return finished
+
+    # -- internals -----------------------------------------------------
+    def _dispatch(self) -> None:
+        """Put waiting points on a generation once any backoff elapsed."""
+        if not self._waiting or time.monotonic() < self._resume_at:
+            return
+        if self._pool is None:
+            self._marker_dir = tempfile.mkdtemp(prefix="repro-sweep-markers-")
+            self._pool = ProcessPoolExecutor(**self._options)
+        for position, index in enumerate(self._waiting):
+            try:
+                future = self._pool.submit(
+                    _execute_serialized,
+                    (index, *self._payloads[index], self._marker_dir),
+                )
+            except BrokenProcessPool:
+                # Died between polls.  In-flight points report it on the
+                # next poll; with none, a fresh generation starts now.
+                del self._waiting[:position]
+                if not self._futures:
+                    self._end_generation(kill=True)
+                return
+            self._futures[future] = index
+        self._waiting.clear()
+
+    def _harvest(
+        self, futures, finished: List[PointResult],
+        timeout: Optional[float] = None,
+    ) -> List[int]:
+        """Retire settled ``futures`` into ``finished``; return the
+        indices a broken pool took down."""
+        broken: List[int] = []
+        for future in futures:
+            index = self._futures.pop(future)
+            try:
+                outcome, graph_delta, sampler_delta = future.result(timeout)
+            except (BrokenProcessPool, _FuturesTimeout):
+                broken.append(index)
+                continue
+            except Exception as error:
+                result = dict(error=error)
+            else:
+                self._completed_any, self._rebuilds = True, 0
+                result = dict(
+                    outcome=outcome, graph_delta=graph_delta,
+                    sampler_delta=sampler_delta,
+                )
+            self._attempts[index] += 1
+            finished.append(self._retire(index, **result))
+        return broken
+
+    def _retire(self, index: int, **result: Any) -> PointResult:
+        self._payloads.pop(index)
+        return PointResult(index, attempts=self._attempts.pop(index), **result)
+
+    def _requeue(
+        self, indices, charged, finished: List[PointResult],
+        error_type, kind: str, message: str,
+    ) -> None:
+        """End this generation: charge the ``charged`` points an attempt
+        (quarantining those past ``retries``), requeue the rest."""
+        for index in indices:
+            if index in charged:
+                self._attempts[index] += 1
+                if self._attempts[index] > self._retries:
+                    finished.append(self._retire(
+                        index, kind=kind, error=error_type(message.format(
+                            index=index, attempts=self._attempts[index],
+                            retries=self._retries,
+                            timeout=self._point_timeout,
+                        )),
+                    ))
+                    continue
+            self._waiting.append(index)
+        self._futures.clear()
+        self._end_generation(kill=True)
+
+    def _end_generation(self, *, kill: bool) -> None:
+        """Shut this generation down (``kill`` terminates its workers:
+        cancelling a running future is a no-op, so killing is the only
+        way to reclaim a hung point); back off before the next one."""
+        if self._pool is not None:
+            processes = list((self._pool._processes or {}).values())
+            self._pool.shutdown(wait=not kill, cancel_futures=True)
+            if kill:
+                for process in processes:
+                    if process.is_alive():
+                        process.terminate()
+                for process in processes:
+                    process.join(timeout=5)
+            shutil.rmtree(self._marker_dir, ignore_errors=True)
+        self._pool = self._marker_dir = None
+        if self._waiting:
+            self._rebuilds += 1
+            self._resume_at = time.monotonic() + min(
+                self._backoff * 2 ** (self._rebuilds - 1),
+                _MAX_BACKOFF_SECONDS,
+            )
+
+
+def _execute_inline(
+    index: int, scenario: Scenario, mode: str, results: str
+) -> PointResult:
+    """Execute one point in this process (sequential sweeps)."""
+    try:
+        maybe_fire(index)
+        return PointResult(index, outcome=_execute(scenario, mode, results))
+    except Exception as error:
+        return PointResult(index, error=error)
 
 
 def _materializing_grid(
@@ -899,8 +967,8 @@ def sweep(
         disables the watchdog.  Pooled sweeps only.
     backoff:
         Base of the exponential sleep between pool rebuilds
-        (``backoff * 2**k`` seconds after the ``k``-th rebuild, capped
-        at {max_backoff}s).  Lower it in tests; raise it when crashes
+        (``backoff * 2**(k-1)`` seconds after the ``k``-th rebuild in a
+        row, capped at {max_backoff}s; a completed point resets ``k``).  Lower it in tests; raise it when crashes
         come from resource exhaustion that needs time to clear.
     """
     if mode not in _MODES:
@@ -1007,17 +1075,25 @@ def sweep(
         pending_grid = [grid[index] for index in pending]
 
         parent_before = GRAPH_CACHE.stats()
-        persistent_spill: Optional[Path] = None
+        spill_path: Optional[Path] = None
         if spill_dir is not None:
             # A persistent spill directory is a cache tier for THIS
             # process too: point the parent cache at it before any
             # materialization, so a fresh process re-running the sweep
             # loads yesterday's .npz instead of re-running the generator.
-            persistent_spill = Path(spill_dir)
-            persistent_spill.mkdir(parents=True, exist_ok=True)
-            GRAPH_CACHE.spill_dir = persistent_spill
+            spill_path = Path(spill_dir)
+            spill_path.mkdir(parents=True, exist_ok=True)
+            GRAPH_CACHE.spill_dir = spill_path
         failures: Dict[int, PointFailure] = {}
-        pending_outcomes: Dict[int, Outcome] = {}
+        outcomes: Dict[int, Outcome] = dict(reused_outcomes)
+        worker_stats = CacheCounters()
+        pool: Optional[PointPool] = None
+        temp: Optional[tempfile.TemporaryDirectory] = None
+        # Warm exactly what this mode will materialize: closed-form
+        # stationary points need no graph (and stats-only kinds have
+        # none to build); fallback kinds get the one-build-per-host
+        # treatment as usual.
+        warm_grid = _materializing_grid(pending_grid, mode)
         if pending_grid and workers and workers > 1:
             context = multiprocessing.get_context(mp_context)
             # Fork workers inherit the live registries (and any closure
@@ -1031,77 +1107,52 @@ def sweep(
                 registrations = _runtime_registrations(
                     _used_kinds(pending_grid, mode)
                 )
-            temp: Optional[tempfile.TemporaryDirectory] = None
-            spill_path: Optional[Path] = None
-            # Warm exactly what this mode will materialize: closed-form
-            # stationary points need no graph (and stats-only kinds have
-            # none to build); fallback kinds get the one-build-per-host
-            # treatment as usual.
-            warm_grid = _materializing_grid(pending_grid, mode)
-            if warm_grid:
-                if persistent_spill is None:
-                    temp = tempfile.TemporaryDirectory(
-                        prefix="repro-graphs-"
-                    )
-                    spill_path = Path(temp.name)
-                else:
-                    spill_path = persistent_spill
-            scenario_json = {
-                index: grid[index][1].to_json() for index in pending
-            }
-            try:
-                if warm_grid:
-                    _prepare_pool_graphs(warm_grid, spill_path)
-                pending_outcomes, failures, worker_stats = _run_pooled(
-                    list(pending),
-                    scenario_json,
-                    mode=mode,
-                    results=results,
-                    workers=workers,
-                    context=context,
-                    registrations=registrations,
-                    spill_path=(
-                        None if spill_path is None else str(spill_path)
-                    ),
-                    worker_policy=_worker_profile_policy(workers),
-                    on_error=on_error,
-                    retries=retries,
-                    point_timeout=point_timeout,
-                    backoff=backoff,
-                    checkpoint=_checkpoint,
+            if warm_grid and spill_path is None:
+                temp = tempfile.TemporaryDirectory(prefix="repro-graphs-")
+                spill_path = Path(temp.name)
+            pool = PointPool(
+                workers,
+                context=context,
+                registrations=registrations,
+                spill_path=spill_path,
+                retries=retries,
+                point_timeout=point_timeout,
+                backoff=backoff,
+            )
+        try:
+            if warm_grid and spill_path is not None:
+                # Sequential sweeps honor a persistent tier too: load
+                # what exists, spill what doesn't, so the next process
+                # reuses it.
+                _prepare_pool_graphs(warm_grid, spill_path)
+            if pool is None:
+                finished = (
+                    _execute_inline(index, grid[index][1], mode, results)
+                    for index in pending
                 )
-            finally:
-                if temp is not None:
-                    temp.cleanup()
-            cache_stats = GRAPH_CACHE.stats().delta(parent_before)
-            cache_stats.merge(worker_stats)
-        else:
-            if persistent_spill is not None:
-                warm_grid = _materializing_grid(pending_grid, mode)
-                if warm_grid:
-                    # Sequential sweeps honor the persistent tier too:
-                    # load what exists, spill what doesn't, so the next
-                    # process reuses it.
-                    _prepare_pool_graphs(warm_grid, persistent_spill)
-            for index in pending:
-                _, scenario = grid[index]
-                try:
-                    maybe_fire(index)
-                    outcome = _execute(scenario, mode, results)
-                except Exception as error:
-                    if on_error == "raise":
-                        raise
-                    failures[index] = PointFailure.from_error(error)
+            else:
+                for index in pending:
+                    pool.submit(index, grid[index][1].to_json(), mode, results)
+                finished = pool.drain()
+            for point in finished:
+                if point.error is None:
+                    outcomes[point.index] = point.outcome
+                    worker_stats.merge(point.graph_delta)
+                    _checkpoint(point.index, point.outcome)
+                elif on_error == "raise":
+                    raise point.error
                 else:
-                    pending_outcomes[index] = outcome
-                    _checkpoint(index, outcome)
-            cache_stats = GRAPH_CACHE.stats().delta(parent_before)
-
-        merged: List[Any] = [None] * len(grid)
-        for index, outcome in pending_outcomes.items():
-            merged[index] = outcome
-        for index, outcome in reused_outcomes.items():
-            merged[index] = outcome
+                    failures[point.index] = PointFailure.from_error(
+                        point.error, kind=point.kind, attempts=point.attempts,
+                        quarantined=point.kind != "exception",
+                    )
+        finally:
+            if pool is not None:
+                pool.close()
+            if temp is not None:
+                temp.cleanup()
+        cache_stats = GRAPH_CACHE.stats().delta(parent_before)
+        cache_stats.merge(worker_stats)
         completed = True
     finally:
         if store_obj is not None and campaign_id is not None:
@@ -1127,7 +1178,7 @@ def sweep(
         SweepPoint(
             coordinates=coordinates,
             scenario=scenario,
-            outcome=merged[index],
+            outcome=outcomes.get(index),
             failure=failures.get(index),
         )
         for index, (coordinates, scenario) in enumerate(grid)

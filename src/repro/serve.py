@@ -5,16 +5,18 @@ An asyncio HTTP/1.1 service (stdlib only) on top of the public
 *synchronously* on the event loop — the GRAPH_STATS paths run in
 microseconds, and materializing paths hit the process-wide hot
 :class:`~repro.scenario.cache.GraphCache` shared across every request —
-while simulation and audit jobs execute on a bounded thread pool with
-``GET /jobs/<id>`` polling.
+while simulation and audit jobs run as points on the sweep engine's
+supervised process pool (:class:`~repro.scenario.sweep.PointPool`;
+the point index is the job number) with ``GET /jobs/<id>`` polling.
 
 Endpoints (JSON in, JSON out):
 
 ``GET /healthz``
     Liveness: version + uptime.
 ``GET /stats``
-    Cache-tier telemetry: graph-cache counters (builds vs hits),
-    kernel-sampler memo counters, per-route request latencies, and job
+    Cache-tier telemetry: graph-cache counters (builds vs hits) and
+    kernel-sampler memo counters (this process plus the deltas jobs
+    bring back from the workers), per-route request latencies, and job
     counts.
 ``POST /bound``
     Body ``{"scenario": {...}, "rounds": 8?}`` — the Theorem 5.3-5.6
@@ -25,9 +27,10 @@ Endpoints (JSON in, JSON out):
     GRAPH_STATS kinds), synchronously.
 ``POST /run`` / ``POST /audit``
     Body ``{"scenario": {...}}`` (audit also accepts ``trials >= 1`` and
-    ``rounds >= 0``, each checked before enqueueing; the auditor picks
-    its own Monte Carlo engine, so like any other unknown member a
-    ``method`` is ignored) — enqueue a job; returns ``202`` with a job
+    ``rounds >= 0``, each checked before enqueueing and folded into the
+    scenario as ``audit.params.trials`` and ``rounds``; the auditor
+    picks its own Monte Carlo engine, so like any other unknown member
+    a ``method`` is ignored) — enqueue a job; returns ``202`` with a job
     id immediately.
 ``GET /jobs/<id>``
     Job status; ``result`` appears when done, ``error`` (the canonical
@@ -43,15 +46,17 @@ Operational behaviors:
   jobs; past the cap, ``POST /run``/``POST /audit`` answer ``429`` with
   a ``Retry-After`` header instead of accepting unbounded work.  The
   live queue depth is in ``GET /stats``.
-* **Job persistence** — with ``--store``, finished job outcomes are
-  written to the results store and replayed on restart, so
-  ``GET /jobs/<id>`` keeps answering for jobs an earlier process ran.
-  Persistence is best-effort: a store write failure is logged, counted
-  as ``store_errors`` in ``GET /stats``, and never fails the job.
-* **Job timeouts** — ``--job-timeout S`` arms a watchdog per enqueued
-  job: one that exceeds its budget is marked failed with the canonical
-  504 :class:`~repro.exceptions.ExecutionTimeoutError` payload, and a
-  late result from its (unkillable) worker thread is discarded.
+* **Job persistence** — with ``--store``, a finished job is kept as a
+  campaign named after it plus the point it computed, so
+  ``GET /jobs/<id>`` answers for jobs an earlier process ran, and a job
+  whose ``(scenario hash, mode, code version)`` point is stored answers
+  without running.  Persistence is best-effort: a store write failure
+  is logged, counted as ``store_errors`` in ``GET /stats``, and never
+  fails the job.
+* **Job timeouts** — ``--job-timeout S`` is the pool's point timeout:
+  a job that runs longer has its worker killed and answers the
+  canonical 504 :class:`~repro.exceptions.ExecutionTimeoutError`
+  payload; jobs queued behind it run on a fresh worker.
 
 Errors map through the typed taxonomy in :mod:`repro.exceptions` —
 invalid scenarios are 400s, schedule refusals 422s, unknown jobs 404s,
@@ -64,11 +69,11 @@ import asyncio
 import itertools
 import json
 import logging
+import multiprocessing
 import signal
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -82,6 +87,10 @@ from repro.exceptions import (
     ValidationError,
     error_payload,
 )
+from repro.scenario.auditing import fold_audit_options
+from repro.scenario.cache import CacheCounters
+from repro.scenario.sweep import PointPool, PointResult
+from repro.store import outcome_from_payload, outcome_payload
 
 _LOG = logging.getLogger("repro.serve")
 
@@ -105,6 +114,17 @@ _REASONS = {
 #: Largest accepted request body; scenarios are small JSON documents,
 #: so anything bigger is a client error, not a workload.
 _MAX_BODY_BYTES = 4_000_000
+
+#: Start method of the job pool.  Not fork: this process runs threads,
+#: and forking a threaded process is unsafe.  Spawned workers inherit
+#: the environment (so fault plans reach them), and a spawn pool starts
+#: workers on demand and reuses an idle one, so sequential jobs on one
+#: graph share one worker's memoized bundle and kernel sampler.  The
+#: price is a cold import (about a second) per new worker.
+_START_METHOD = "spawn"
+
+#: How often the event loop polls the job pool.
+_POLL_SECONDS = 0.05
 
 
 class _BadRequest(Exception):
@@ -140,21 +160,17 @@ class _RouteMetrics:
 
 @dataclass
 class _Job:
-    """One enqueued run/audit execution."""
+    """One enqueued run/audit execution (pool point = job number)."""
 
     id: str
     kind: str
     scenario: Any
-    options: Dict[str, Any] = field(default_factory=dict)
     status: str = "queued"
     submitted: float = field(default_factory=time.time)
     started: Optional[float] = None
     finished: Optional[float] = None
     result: Optional[Dict[str, Any]] = None
     error: Optional[Dict[str, Any]] = None
-    #: Set by the --job-timeout watchdog; a worker thread cannot be
-    #: killed, so an expired job's eventual result is discarded instead.
-    expired: bool = False
 
     def payload(self) -> Dict[str, Any]:
         body: Dict[str, Any] = {
@@ -172,13 +188,15 @@ class _Job:
 
 
 class ReproService:
-    """Request dispatch, the job store, and the bounded worker pool.
+    """Request dispatch, the job table, and the job worker pool.
 
     One instance per process: every request shares the process-wide
     graph cache and memoized kernel samplers through :mod:`repro.api`,
     which is what turns the PR 5 caches into a cache *tier* — repeated
     bound queries for the same graph spec cost a cache hit plus theorem
-    arithmetic.
+    arithmetic.  Jobs run on one long-lived pool of ``workers``
+    processes; the job table, the pool and the store are touched only
+    from the event loop, so none of them needs a lock.
     """
 
     def __init__(
@@ -205,66 +223,53 @@ class ReproService:
         self.started = time.time()
         self._job_timeout = job_timeout
         self._store_errors = 0
-        self._executor = ThreadPoolExecutor(
-            max_workers=int(workers), thread_name_prefix="repro-job"
-        )
         self._jobs: "OrderedDict[str, _Job]" = OrderedDict()
-        self._jobs_lock = threading.Lock()
+        #: Jobs on the pool, by job number (their point index).
+        self._running: Dict[int, _Job] = {}
         self._retain_jobs = int(retain_jobs)
         self._max_queue = None if max_queue is None else int(max_queue)
         self._metrics: Dict[str, _RouteMetrics] = {}
-        self._spill_attached = spill_dir is not None
+        #: Cache-counter deltas finished jobs brought back from workers.
+        self._worker_graph = CacheCounters()
+        self._worker_sampler = {"builds": 0, "hits": 0}
         if spill_dir is not None:
-            api.attach_spill(spill_dir)
+            spill_dir = str(api.attach_spill(spill_dir))
         if profile_budget is not None:
-            # Schedule-accounting memory cap for every job this process
-            # runs; with a spill tier attached, profile blocks land
-            # under it and survive restarts alongside the graphs.
+            # Schedule-accounting memory cap for every job; with a spill
+            # tier attached, profile blocks land under it and survive
+            # restarts alongside the graphs.
             api.set_profile_policy(
                 api.ProfilePolicy(memory_budget=int(profile_budget))
             )
+        self._pool = PointPool(
+            workers,
+            context=multiprocessing.get_context(_START_METHOD),
+            spill_path=spill_dir,
+            point_timeout=job_timeout,
+        )
         self._store = None
-        next_job_number = 1
+        last_job_number = 0
         if store is not None:
-            # Imported lazily: the store is optional serving equipment.
-            from repro.store import open_store
-
-            self._store = open_store(store)
-            next_job_number = 1 + self._restore_jobs()
-        self._job_ids = itertools.count(next_job_number)
+            self._store = api.open_store(store)
+            last_job_number = max(
+                (
+                    int(entry["name"][len("job-"):])
+                    for entry in self._store.campaigns()
+                    if "job" in (entry["meta"] or {})
+                ),
+                default=0,
+            )
+        self._job_ids = itertools.count(last_job_number + 1)
         self._server: Optional[asyncio.AbstractServer] = None
+        self._poller: Optional[asyncio.TimerHandle] = None
         #: Open client connections: handler task -> its stream writer.
         self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
-
-    def _restore_jobs(self) -> int:
-        """Replay persisted job outcomes; returns the highest job number.
-
-        Only *finished* jobs are persisted (see :meth:`_run_job`), so a
-        restart replays completed history — it never resurrects work
-        that was still queued when the previous process died.
-        """
-        highest = 0
-        for row in self._store.load_jobs():
-            job = _Job(
-                id=row["id"],
-                kind=row["kind"],
-                scenario=row["scenario"],
-                status=row["status"],
-                submitted=row["submitted"] or time.time(),
-                finished=row["finished"],
-                result=row["result"],
-                error=row["error"],
-            )
-            self._jobs[job.id] = job
-            prefix, _, number = job.id.partition("-")
-            if prefix == "job" and number.isdigit():
-                highest = max(highest, int(number))
-        return highest
 
     # -- lifecycle -----------------------------------------------------
     async def start(self, host: str, port: int) -> asyncio.AbstractServer:
         """Bind and start serving; returns the asyncio server."""
         self._server = await asyncio.start_server(self._handle, host, port)
+        self._poll_jobs()
         return self._server
 
     @property
@@ -283,6 +288,8 @@ class ReproService:
         """
         if self._server is None:
             return
+        if self._poller is not None:
+            self._poller.cancel()
         self._server.close()
         handlers = list(self._connections)
         for writer in self._connections.values():
@@ -292,8 +299,8 @@ class ReproService:
         await self._server.wait_closed()
 
     def close(self) -> None:
-        """Stop accepting jobs and release the worker pool."""
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        """Release the worker pool (killing running jobs) and the store."""
+        self._pool.close()
         if self._store is not None:
             self._store.close()
 
@@ -498,13 +505,19 @@ class ReproService:
         return api.parse_scenario(body["scenario"])
 
     @staticmethod
-    def _int_option(body: Mapping[str, Any], name: str) -> Optional[int]:
+    def _int_option(
+        body: Mapping[str, Any], name: str, least: Optional[int] = None
+    ) -> Optional[int]:
         value = body.get(name)
         if value is None:
             return None
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidScenarioError(
                 f"{name!r} must be an integer, got {value!r}"
+            )
+        if least is not None and value < least:
+            raise InvalidScenarioError(
+                f"{name!r} must be >= {least}, got {value}"
             )
         return int(value)
 
@@ -526,51 +539,119 @@ class ReproService:
         )
 
     # -- jobs ----------------------------------------------------------
-    def _queue_depth_locked(self) -> int:
+    def _queue_depth(self) -> int:
         return sum(
-            1 for job in self._jobs.values() if job.status == "queued"
+            1 for job in self._running.values() if job.status == "queued"
         )
 
     def _enqueue(self, kind: str, body: Mapping[str, Any]) -> Dict[str, Any]:
         scenario = self._scenario_of(body)
-        options: Dict[str, Any] = {}
         if kind == "audit":
-            for name, least in (("trials", 1), ("rounds", 0)):
-                value = self._int_option(body, name)
-                if value is None:
-                    continue
-                if value < least:
-                    raise InvalidScenarioError(
-                        f"{name!r} must be >= {least}, got {value}"
-                    )
-                options[name] = value
-        job = _Job(
-            id=f"job-{next(self._job_ids)}",
-            kind=kind,
-            scenario=scenario,
-            options=options,
-        )
-        with self._jobs_lock:
-            # Back-pressure: admission control happens under the same
-            # lock that records the job, so the cap cannot be raced past.
-            depth = self._queue_depth_locked()
-            if self._max_queue is not None and depth >= self._max_queue:
-                raise ServiceBusyError(
-                    f"job queue is full ({depth} queued, cap "
-                    f"{self._max_queue}); retry shortly",
-                    retry_after=1,
-                )
-            self._jobs[job.id] = job
-            self._evict_finished_locked()
-        loop = asyncio.get_running_loop()
-        loop.run_in_executor(self._executor, self._run_job, job)
-        if self._job_timeout is not None:
-            # The watchdog fires on the event loop; a job that finished
-            # in time makes it a no-op.
-            loop.call_later(self._job_timeout, self._expire_job, job.id)
+            scenario = fold_audit_options(
+                scenario,
+                trials=self._int_option(body, "trials", least=1),
+                rounds=self._int_option(body, "rounds", least=0),
+            )
+        depth = self._queue_depth()
+        if self._max_queue is not None and depth >= self._max_queue:
+            raise ServiceBusyError(
+                f"job queue is full ({depth} queued, cap "
+                f"{self._max_queue}); retry shortly",
+                retry_after=1,
+            )
+        number = next(self._job_ids)
+        job = _Job(id=f"job-{number}", kind=kind, scenario=scenario)
+        self._jobs[job.id] = job
+        self._evict_finished()
+        stored = None
+        if self._store is not None:
+            try:
+                stored = self._store.point_payload(scenario, kind)
+            except Exception as error:  # noqa: BLE001 — then run it
+                self._store_failed(job.id, error)
+        if stored is not None:
+            outcome = outcome_from_payload(kind, stored)
+            self._finish(job, PointResult(number, outcome=outcome), True)
+        else:
+            self._running[number] = job
+            self._pool.submit(number, scenario.to_json(), kind)
         return job.payload()
 
-    def _evict_finished_locked(self) -> None:
+    def _poll_jobs(self) -> None:
+        """Every ``_POLL_SECONDS`` on the event loop: harvest finished
+        jobs from the pool and mark the started ones ``running``."""
+        self._poller = asyncio.get_running_loop().call_later(
+            _POLL_SECONDS, self._poll_jobs
+        )
+        try:
+            results = self._pool.poll()
+        except ReproError as error:
+            # The pool itself is broken: every job on it fails.
+            results = [
+                PointResult(number, error=error) for number in self._running
+            ]
+        for result in results:
+            job = self._running.pop(result.index)
+            job.started = job.started or self._pool.started_at(result.index)
+            self._finish(job, result)
+        for number, job in self._running.items():
+            if job.status == "queued":
+                started = self._pool.started_at(number)
+                if started is not None:
+                    job.status, job.started = "running", started
+
+    def _finish(
+        self, job: _Job, result: PointResult, reused: bool = False
+    ) -> None:
+        """Record a job's outcome or error, and checkpoint it to the
+        store (if attached) as a campaign named after the job plus the
+        point it computed.  Checkpointing is best-effort — a store
+        hiccup must not turn a finished job into an error — but not
+        silent: each failure is logged and counted in ``GET /stats``."""
+        job.finished = time.time()
+        if result.error is None:
+            job.status = "done"
+            render = api.run_payload if job.kind == "run" else api.audit_payload
+            job.result = render(result.outcome)
+            self._worker_graph.merge(result.graph_delta)
+            for name, count in result.sampler_delta.items():
+                self._worker_sampler[name] += count
+        else:
+            error = result.error
+            if result.kind == "timeout":
+                error = ExecutionTimeoutError(
+                    f"job {job.id} exceeded --job-timeout="
+                    f"{self._job_timeout}s; its worker was killed"
+                )
+            job.status = "error"
+            job.error = error_payload(error)
+        if self._store is None:
+            return
+        try:
+            campaign = self._store.begin_campaign(
+                job.id,
+                meta={"job": job.payload()},
+                status="complete" if job.error is None else "interrupted",
+            )
+            if job.error is None:
+                self._store.record_point(
+                    job.scenario,
+                    job.kind,
+                    outcome_payload(result.outcome),
+                    campaign_id=campaign,
+                    elapsed_seconds=getattr(
+                        result.outcome, "elapsed_seconds", None
+                    ),
+                    reused=reused,
+                )
+        except Exception as error:  # noqa: BLE001 — persistence is best-effort
+            self._store_failed(job.id, error)
+
+    def _store_failed(self, job_id: str, error: BaseException) -> None:
+        self._store_errors += 1
+        _LOG.warning("results store write failed for job %s: %s", job_id, error)
+
+    def _evict_finished(self) -> None:
         """Drop the oldest finished jobs past the retention cap."""
         excess = len(self._jobs) - self._retain_jobs
         if excess <= 0:
@@ -582,105 +663,18 @@ class ReproService:
         ][:excess]:
             del self._jobs[job_id]
 
-    def _run_job(self, job: _Job) -> None:
-        """Worker-thread body: execute and record one job.
-
-        Status transitions happen under the jobs lock so they compose
-        with the ``--job-timeout`` watchdog: a job the watchdog expired
-        while queued never starts, and one it expired mid-run keeps the
-        watchdog's 504 record — the late result is discarded (a thread
-        cannot be killed, so discarding is the strongest guarantee a
-        thread-pool job can offer).
-        """
-        with self._jobs_lock:
-            if job.status != "queued":
-                return  # expired (or otherwise finalized) while queued
-            job.started = time.time()
-            job.status = "running"
-        result: Optional[Dict[str, Any]] = None
-        error: Optional[Dict[str, Any]] = None
-        try:
-            if job.kind == "run":
-                outcome = api.run(job.scenario)
-                result = api.run_payload(api.digest_run(outcome))
-            else:
-                outcome = api.audit(job.scenario, **job.options)
-                result = api.audit_payload(outcome)
-            if self._spill_attached:
-                # Persist the materialization so a restarted service
-                # warms from disk instead of re-running the generator.
-                api.spill_graph(job.scenario)
-        except Exception as exc:  # noqa: BLE001 — recorded, not raised
-            error = error_payload(exc)
-        with self._jobs_lock:
-            if job.expired:
-                return  # the watchdog already recorded (and persisted) 504
-            if error is not None:
-                job.error = error
-                job.status = "error"
-            else:
-                job.result = result
-                job.status = "done"
-            job.finished = time.time()
-        self._persist_job(job)
-
-    def _expire_job(self, job_id: str) -> None:
-        """``--job-timeout`` watchdog: fail a job that outlived its budget."""
-        with self._jobs_lock:
-            job = self._jobs.get(job_id)
-            if job is None or job.status in ("done", "error"):
-                return
-            job.expired = True
-            job.error = error_payload(
-                ExecutionTimeoutError(
-                    f"job {job_id} exceeded --job-timeout="
-                    f"{self._job_timeout}s; its eventual result is discarded"
-                )
-            )
-            job.status = "error"
-            job.finished = time.time()
-        self._persist_job(job)
-
-    def _persist_job(self, job: _Job) -> None:
-        """Write a finished job's outcome to the store (if attached).
-
-        Persistence is best-effort — a store hiccup must not turn a
-        finished job into an error; the in-memory record stays
-        authoritative for this process — but not silent: each failure
-        is logged (once per job, since a job persists once) and counted
-        as ``store_errors`` in ``GET /stats``.
-        """
-        if self._store is None:
-            return
-        try:
-            scenario_json = (
-                job.scenario.to_json()
-                if hasattr(job.scenario, "to_json")
-                else None
-            )
-            self._store.save_job(
-                job_id=job.id,
-                kind=job.kind,
-                status=job.status,
-                scenario_json=scenario_json,
-                result=job.result,
-                error=job.error,
-                submitted=job.submitted,
-                finished=job.finished,
-            )
-        except Exception as error:  # noqa: BLE001 — persistence is best-effort
-            with self._jobs_lock:
-                self._store_errors += 1
-            _LOG.warning(
-                "results store write failed for job %s: %s", job.id, error
-            )
-
     def _job_status(self, job_id: str) -> Dict[str, Any]:
-        with self._jobs_lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise JobNotFoundError(f"no job {job_id!r} (expired or never existed)")
-        return job.payload()
+        job = self._jobs.get(job_id)
+        if job is not None:
+            return job.payload()
+        for entry in [] if self._store is None else self._store.campaigns(
+            job_id
+        ):
+            # Checkpointed by an earlier process (or evicted from this
+            # one's table).
+            if "job" in (entry["meta"] or {}):
+                return entry["meta"]["job"]
+        raise JobNotFoundError(f"no job {job_id!r} (expired or never existed)")
 
     # -- introspection -------------------------------------------------
     def _healthz(self) -> Dict[str, Any]:
@@ -693,22 +687,23 @@ class ReproService:
         }
 
     def _stats(self) -> Dict[str, Any]:
-        with self._jobs_lock:
-            jobs = list(self._jobs.values())
-            depth = self._queue_depth_locked()
         by_status: Dict[str, int] = {}
-        for job in jobs:
+        for job in self._jobs.values():
             by_status[job.status] = by_status.get(job.status, 0) + 1
-        from repro.netsim.kernels import backend_info
-
+        graph_cache = api.cache_stats()
+        for name in ("builds", "memory_hits", "disk_hits", "requests"):
+            graph_cache[name] += getattr(self._worker_graph, name)
+        kernel_sampler = api.sampler_stats()
+        for name, count in self._worker_sampler.items():
+            kernel_sampler[name] += count
         return {
             "uptime_seconds": round(time.time() - self.started, 3),
-            "graph_cache": api.cache_stats(),
-            "kernel_sampler": api.sampler_stats(),
+            "graph_cache": graph_cache,
+            "kernel_sampler": kernel_sampler,
             "profile_store": api.profile_stats(),
-            "exchange_backend": backend_info(),
-            "jobs": {"retained": len(jobs), **by_status},
-            "queue": {"depth": depth, "max": self._max_queue},
+            "exchange_backend": api.backend_info(),
+            "jobs": {"retained": len(self._jobs), **by_status},
+            "queue": {"depth": self._queue_depth(), "max": self._max_queue},
             "store_errors": self._store_errors,
             "requests": {
                 route: metrics.payload()

@@ -22,8 +22,8 @@ Tables
     One row per paper artifact a campaign regenerated.
 ``bench_samples``
     The CI benchmark trajectory (mean seconds per bench per run).
-``jobs``
-    Serving-tier job outcomes, persisted across restarts.
+(Versions 2 and 3 also kept served jobs in ``jobs``; version 4 keeps
+each as a campaign plus its point, and drops that table.)
 
 Versioning lives in ``PRAGMA user_version``.  Opening a store written
 by a newer schema refuses loudly; an older version with a registered
@@ -41,7 +41,7 @@ from repro.exceptions import StoreVersionError
 __all__ = ["SCHEMA_VERSION", "ensure_schema"]
 
 #: Current on-disk schema version (PRAGMA user_version).
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: DDL for a fresh store at :data:`SCHEMA_VERSION`.
 _DDL = """
@@ -99,38 +99,7 @@ CREATE TABLE IF NOT EXISTS bench_samples (
     created_at      TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_bench_name ON bench_samples (name);
-
-CREATE TABLE IF NOT EXISTS jobs (
-    id              TEXT PRIMARY KEY,
-    kind            TEXT NOT NULL,
-    status          TEXT NOT NULL,
-    scenario        TEXT,
-    result          TEXT,
-    error           TEXT,
-    submitted       REAL,
-    finished        REAL,
-    code_version    TEXT
-);
 """
-
-
-def _migrate_1_to_2(connection: sqlite3.Connection) -> None:
-    """v1 predates serving-tier job persistence: add the ``jobs`` table."""
-    connection.execute(
-        """
-        CREATE TABLE IF NOT EXISTS jobs (
-            id              TEXT PRIMARY KEY,
-            kind            TEXT NOT NULL,
-            status          TEXT NOT NULL,
-            scenario        TEXT,
-            result          TEXT,
-            error           TEXT,
-            submitted       REAL,
-            finished        REAL,
-            code_version    TEXT
-        )
-        """
-    )
 
 
 def _migrate_2_to_3(connection: sqlite3.Connection) -> None:
@@ -152,10 +121,17 @@ def _migrate_2_to_3(connection: sqlite3.Connection) -> None:
         )
 
 
+def _migrate_3_to_4(connection: sqlite3.Connection) -> None:
+    """v4 keeps a finished serving-tier job as a campaign plus its
+    point: drop the ``jobs`` table that held them before."""
+    connection.execute("DROP TABLE IF EXISTS jobs")
+
+
 #: version -> in-place migration to version + 1, applied successively.
 MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
-    1: _migrate_1_to_2,
+    1: lambda connection: None,  # v2's jobs table: v4 drops it again
     2: _migrate_2_to_3,
+    3: _migrate_3_to_4,
 }
 
 

@@ -3,7 +3,8 @@
 One SQLite file holds every result a host has ever computed: sweep
 points keyed by ``(scenario_hash, mode, code_version)``, the campaigns
 that produced or reused them, regenerated paper artifacts, the CI
-benchmark trajectory, and serving-tier job outcomes.  The store is the
+benchmark trajectory.  The serving tier keeps each finished job as a
+campaign named after it plus the point it computed.  The store is the
 substrate for three behaviors the JSON-pile output format could not
 support:
 
@@ -112,8 +113,8 @@ class ResultsStore:
     """A SQLite-backed results database (see the module docstring).
 
     Open with a path (created on first use) and close explicitly or via
-    ``with``; one instance is safe to share across threads (the serving
-    tier's job workers write through one store under a lock).
+    ``with``; one instance is safe to share across threads (reads and
+    writes serialize under an in-process lock).
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -258,8 +259,9 @@ class ResultsStore:
             (status, int(campaign_id)),
         )
 
-    def campaigns(self) -> List[Dict[str, Any]]:
-        """Every campaign, newest first, with its observed point count."""
+    def campaigns(self, name: Optional[str] = None) -> List[Dict[str, Any]]:
+        """Every campaign (or every one named ``name``), newest first,
+        with its observed point count."""
         rows = self._read(
             """
             SELECT c.id, c.name, c.preset, c.code_version, c.created_at,
@@ -268,8 +270,10 @@ class ResultsStore:
                      WHERE cp.campaign_id = c.id) AS points,
                    (SELECT count(*) FROM artifacts a
                      WHERE a.campaign_id = c.id) AS artifacts
-            FROM campaigns c ORDER BY c.id DESC
-            """
+            FROM campaigns c WHERE ? IS NULL OR c.name = ?
+            ORDER BY c.id DESC
+            """,
+            (name, name),
         )
         result = []
         for row in rows:
@@ -468,50 +472,6 @@ class ResultsStore:
             )
         return [dict(row) for row in rows]
 
-    # -- serving-tier jobs ---------------------------------------------
-    def save_job(
-        self,
-        *,
-        job_id: str,
-        kind: str,
-        status: str,
-        scenario_json: Optional[str] = None,
-        result: Optional[Mapping[str, Any]] = None,
-        error: Optional[Mapping[str, Any]] = None,
-        submitted: Optional[float] = None,
-        finished: Optional[float] = None,
-    ) -> None:
-        """Upsert one job outcome (the serving tier calls this on
-        completion, so restarts replay finished jobs, not queued ones)."""
-        self._write(
-            "INSERT OR REPLACE INTO jobs (id, kind, status, scenario,"
-            " result, error, submitted, finished, code_version)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                str(job_id),
-                str(kind),
-                str(status),
-                scenario_json,
-                None if result is None else json.dumps(dict(result)),
-                None if error is None else json.dumps(dict(error)),
-                submitted if submitted is not None else time.time(),
-                finished,
-                code_version(),
-            ),
-        )
-
-    def load_jobs(self) -> List[Dict[str, Any]]:
-        """Every persisted job, oldest first, JSON members decoded."""
-        rows = self._read("SELECT * FROM jobs ORDER BY submitted, id")
-        jobs = []
-        for row in rows:
-            entry = dict(row)
-            for member in ("result", "error"):
-                if entry[member] is not None:
-                    entry[member] = json.loads(entry[member])
-            jobs.append(entry)
-        return jobs
-
     # -- garbage collection --------------------------------------------
     def gc(
         self,
@@ -544,10 +504,6 @@ class ResultsStore:
                 "SELECT count(*) AS n FROM bench_samples WHERE"
                 " code_version != ? AND id NOT IN"
                 " (SELECT max(id) FROM bench_samples GROUP BY name)",
-                (keep,),
-            )[0]["n"]),
-            "jobs": int(self._read(
-                "SELECT count(*) AS n FROM jobs WHERE code_version != ?",
                 (keep,),
             )[0]["n"]),
         }
@@ -583,9 +539,6 @@ class ResultsStore:
                 " id NOT IN (SELECT max(id) FROM bench_samples"
                 " GROUP BY name)",
                 (keep,),
-            )
-            connection.execute(
-                "DELETE FROM jobs WHERE code_version != ?", (keep,)
             )
 
         self._transaction(body)

@@ -22,6 +22,7 @@ import pytest
 import repro
 from repro.scenario import clear_graph_cache
 from repro.serve import ReproService, ServerHandle
+from repro.testing import FaultRule, inject
 
 SCENARIO = {
     "graph": {"kind": "k_regular", "params": {"degree": 4, "num_nodes": 128}},
@@ -198,6 +199,30 @@ class TestJobs:
             api.digest_run(api.run(api.parse_scenario(SCENARIO)))
         )
         assert list(finished["result"]) == list(local)
+
+    def test_served_outputs_equal_the_library_values(self, client):
+        """Value for value: a served /run is the library's digest summary
+        (bar its wall-clock ``elapsed_seconds``), and a served /audit
+        with ``trials`` and ``rounds`` — folded into the scenario before
+        it reaches the pool — is the library's audit of those options."""
+        from repro import api
+
+        scenario = api.parse_scenario(SCENARIO)
+        status, job = request(client, "POST", "/run", {"scenario": SCENARIO})
+        assert status == 202
+        served = wait_for_job(client, job["id"])["result"]
+        local = api.run_payload(api.digest_run(api.run(scenario)))
+        served.pop("elapsed_seconds")
+        local.pop("elapsed_seconds")
+        assert served == local
+
+        status, job = request(client, "POST", "/audit",
+                              {"scenario": SCENARIO, "trials": 150,
+                               "rounds": 6})
+        assert status == 202
+        served = wait_for_job(client, job["id"])["result"]
+        assert served == api.audit_payload(
+            api.audit(scenario, trials=150, rounds=6))
 
     def test_failing_job_records_error_payload(self, client):
         # Auditing a Laplace scenario is refused (not pure-DP); the job
@@ -412,8 +437,7 @@ class TestServiceInternals:
                     status="done")
             service._jobs["job-4"] = _Job(
                 id="job-4", kind="run", scenario=None, status="running")
-            with service._jobs_lock:
-                service._evict_finished_locked()
+            service._evict_finished()
             # excess = 5 - 2 = 3; the three oldest *finished* jobs go.
             assert list(service._jobs) == ["job-3", "job-4"]
         finally:
@@ -466,6 +490,22 @@ class TestBackPressure:
                 {"scenario": SCENARIO},
             )
             assert status == 200 and payload["epsilon"] > 0
+
+    def test_rejected_jobs_consume_no_job_number(self):
+        with ServerHandle.start(max_queue=0) as handle:
+            for _ in range(2):
+                status, _, _ = request_with_headers(
+                    handle.host, handle.port, "POST", "/run",
+                    {"scenario": SCENARIO},
+                )
+                assert status == 429
+            handle.service._max_queue = None
+            status, job, _ = request_with_headers(
+                handle.host, handle.port, "POST", "/run",
+                {"scenario": SCENARIO},
+            )
+            assert status == 202
+            assert job["id"] == "job-1"
 
     def test_queue_depth_in_stats(self, tmp_path):
         with ServerHandle.start(max_queue=3) as handle:
@@ -536,6 +576,65 @@ class TestJobPersistence:
             )
             assert status == 202 and new_job["id"] != job["id"]
 
+    def test_error_jobs_survive_restart_and_stored_points_answer(
+        self, tmp_path
+    ):
+        store = str(tmp_path / "serve.sqlite")
+        laplace = dict(SCENARIO, mechanism={
+            "kind": "laplace", "params": {"epsilon": 1.0}})
+        with ServerHandle.start(store=store, workers=1) as handle:
+            connection = http.client.HTTPConnection(
+                handle.host, handle.port, timeout=30)
+            try:
+                _, failed = request(
+                    connection, "POST", "/audit", {"scenario": laplace})
+                failed = wait_for_job(connection, failed["id"])
+                _, done = request(connection, "POST", "/audit",
+                                  {"scenario": SCENARIO, "trials": 60})
+                done = wait_for_job(connection, done["id"])
+            finally:
+                connection.close()
+        assert failed["status"] == "error" and done["status"] == "done"
+        with ServerHandle.start(store=store, workers=1) as handle:
+            status, payload, _ = request_with_headers(
+                handle.host, handle.port, "GET", f"/jobs/{failed['id']}")
+            assert status == 200
+            assert payload["status"] == "error"
+            assert payload["error"] == failed["error"]
+            # The same (scenario, mode, code version) point is already
+            # stored: the job answers from the store without running.
+            status, again, _ = request_with_headers(
+                handle.host, handle.port, "POST", "/audit",
+                {"scenario": SCENARIO, "trials": 60},
+            )
+            assert status == 202
+            assert again["id"] == "job-3"
+            assert again["status"] == "done"
+            assert again["result"] == done["result"]
+            _, stats, _ = request_with_headers(
+                handle.host, handle.port, "GET", "/stats")
+            assert stats["store_errors"] == 0
+
+    def test_spill_dir_keeps_a_served_jobs_graph(self, tmp_path):
+        from repro.scenario import GRAPH_CACHE
+
+        tier = tmp_path / "tier"
+        try:
+            with ServerHandle.start(spill_dir=str(tier), workers=1) as handle:
+                connection = http.client.HTTPConnection(
+                    handle.host, handle.port, timeout=30)
+                try:
+                    _, job = request(
+                        connection, "POST", "/run", {"scenario": SCENARIO})
+                    assert wait_for_job(connection, job["id"])["status"] == (
+                        "done")
+                finally:
+                    connection.close()
+            # The job ran in a worker process; its graph is on disk.
+            assert len(list(tier.glob("*.npz"))) == 1
+        finally:
+            GRAPH_CACHE.spill_dir = None
+
     def test_restart_without_store_starts_empty(self, tmp_path):
         with ServerHandle.start(workers=1) as handle:
             status, payload, _ = request_with_headers(
@@ -578,35 +677,78 @@ class TestResultsEndpoint:
 
 
 class TestJobTimeout:
-    def test_slow_job_expires_as_504_and_late_result_is_discarded(
-        self, monkeypatch
-    ):
-        import repro.api as api_module
+    def test_slow_job_expires_as_504_and_late_result_is_discarded(self):
+        # Job 1 is pool point 1: it hangs, its worker is killed at the
+        # timeout, and nothing it could still produce reaches the job.
+        with inject([FaultRule(point=1, action="hang", seconds=3)]):
+            with ServerHandle.start(workers=1, job_timeout=0.5) as handle:
+                connection = http.client.HTTPConnection(
+                    handle.host, handle.port, timeout=30)
+                try:
+                    status, job = request(
+                        connection, "POST", "/run", {"scenario": SCENARIO})
+                    assert status == 202
+                    expired = wait_for_job(connection, job["id"])
+                    assert expired["status"] == "error"
+                    assert set(expired["error"]) == {
+                        "error", "status", "message"}
+                    assert expired["error"]["error"] == "ExecutionTimeoutError"
+                    assert expired["error"]["status"] == 504
+                    assert "--job-timeout" in expired["error"]["message"]
+                    # Outlive the hang: the record stays the 504.
+                    time.sleep(3.0)
+                    _, late = request(connection, "GET", f"/jobs/{job['id']}")
+                    assert late == expired
+                finally:
+                    connection.close()
 
-        def slow_run(scenario):
-            time.sleep(1.0)
-            raise RuntimeError("the late result, which must be discarded")
-
-        monkeypatch.setattr(api_module, "run", slow_run)
-        with ServerHandle.start(workers=1, job_timeout=0.2) as handle:
-            connection = http.client.HTTPConnection(
-                handle.host, handle.port, timeout=30)
+    def test_hung_job_is_killed_and_the_next_job_runs(self, tmp_path):
+        """One worker, one hung job: the timeout kills the worker, so
+        the job queued behind it still runs (a thread pool would stay
+        blocked for the whole hang), and SIGINT still exits cleanly."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        source_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        # The firing counters must outlive the ``with``: the server
+        # process reads the plan long after it returns.
+        with inject([FaultRule(point=1, action="hang", seconds=120)],
+                    directory=tmp_path / "faults"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [source_root, env.get("PYTHONPATH")])
+            )
+            # Its own session, so a failed run can kill the workers too.
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", str(port),
+                 "--workers", "1", "--job-timeout", "2"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env=env, start_new_session=True,
+            )
+        try:
+            connection = _connect_when_up(port)
             try:
-                status, job = request(
+                _, hung = request(
                     connection, "POST", "/run", {"scenario": SCENARIO})
-                assert status == 202
-                expired = wait_for_job(connection, job["id"])
-                assert expired["status"] == "error"
-                assert expired["error"]["error"] == "ExecutionTimeoutError"
-                assert expired["error"]["status"] == 504
-                assert "--job-timeout" in expired["error"]["message"]
-                # The worker thread finishes long after the watchdog;
-                # its outcome must not overwrite the recorded 504.
-                time.sleep(1.1)
-                _, late = request(connection, "GET", f"/jobs/{job['id']}")
-                assert late["error"]["error"] == "ExecutionTimeoutError"
+                _, queued = request(
+                    connection, "POST", "/run", {"scenario": SCENARIO})
+                assert (hung["id"], queued["id"]) == ("job-1", "job-2")
+                hung = wait_for_job(connection, "job-1", timeout=30)
+                assert hung["error"]["error"] == "ExecutionTimeoutError"
+                assert hung["error"]["status"] == 504
+                assert wait_for_job(
+                    connection, "job-2", timeout=30)["status"] == "done"
             finally:
                 connection.close()
+            # A terminal's Ctrl-C: SIGINT to the server and its worker.
+            os.killpg(process.pid, signal.SIGINT)
+            _, stderr = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.communicate()
+        assert process.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
 
     def test_fast_job_is_untouched_by_the_watchdog(self):
         with ServerHandle.start(workers=1, job_timeout=30.0) as handle:
@@ -642,23 +784,44 @@ class TestStoreErrorAccounting:
         import logging
 
         from repro.exceptions import StoreError
+        from repro.scenario.sweep import PointResult
         from repro.serve import _Job
 
         service = ReproService(
             workers=1, store=str(tmp_path / "serve.sqlite"))
         try:
-            def refuse(**_kwargs):
+            def refuse(*_args, **_kwargs):
                 raise StoreError("disk full")
 
-            service._store.save_job = refuse
-            job = _Job(id="job-1", kind="run", scenario=None, status="done")
+            service._store.begin_campaign = refuse
+            job = _Job(id="job-1", kind="run", scenario=None)
+            failed = PointResult(1, error=RuntimeError("boom"))
             with caplog.at_level(logging.WARNING, logger="repro.serve"):
-                service._persist_job(job)
-                service._persist_job(job)
+                service._finish(job, failed)
+                service._finish(job, failed)
+            # The job itself still finished, with its own error.
+            assert job.status == "error"
+            assert job.error["message"] == "boom"
             assert service._stats()["store_errors"] == 2
             assert "results store write failed for job job-1" in caplog.text
         finally:
             service.close()
+
+
+def _connect_when_up(port, deadline_seconds=60):
+    """A keep-alive connection to a server that is still booting."""
+    deadline = time.monotonic() + deadline_seconds
+    while True:
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        try:
+            status, _ = request(connection, "GET", "/healthz")
+        except OSError:
+            connection.close()
+            assert time.monotonic() < deadline, "server never came up"
+            time.sleep(0.1)
+            continue
+        assert status == 200
+        return connection
 
 
 class TestShutdown:

@@ -11,49 +11,56 @@ from repro.store import SCHEMA_VERSION, ResultsStore
 from repro.store.schema import _DDL
 
 
-def _historic_ddl(*, jobs: bool) -> str:
-    """Today's DDL rewound: no campaigns.status, optionally no jobs."""
-    ddl = _DDL.replace(
-        "meta            TEXT,\n"
-        "    status          TEXT NOT NULL DEFAULT 'complete'",
-        "meta            TEXT",
-    )
-    assert "DEFAULT 'complete'" not in ddl, "v2 rewind failed to apply"
-    if not jobs:
-        ddl = ";".join(
-            statement
-            for statement in ddl.split(";")
-            if "jobs" not in statement
+#: The serving-tier job table versions 2 and 3 had.
+_JOBS_DDL = """
+CREATE TABLE jobs (
+    id TEXT PRIMARY KEY, kind TEXT NOT NULL, status TEXT NOT NULL,
+    scenario TEXT, result TEXT, error TEXT, submitted REAL, finished REAL,
+    code_version TEXT
+);
+"""
+
+
+def _make_store(path, version: int) -> None:
+    """Write a store as schema ``version`` (1, 2 or 3) left it."""
+    ddl = _DDL
+    if version < 3:
+        # v1/v2 campaigns had no lifecycle status.
+        ddl = ddl.replace(
+            "meta            TEXT,\n"
+            "    status          TEXT NOT NULL DEFAULT 'complete'",
+            "meta            TEXT",
         )
-    return ddl
-
-
-def _make_v1_store(path) -> None:
-    """Write a version-1 store: no jobs table, no campaign status."""
+        assert "DEFAULT 'complete'" not in ddl, "status rewind failed"
+    if version >= 2:
+        ddl += _JOBS_DDL
     connection = sqlite3.connect(path)
-    connection.executescript(_historic_ddl(jobs=False))
-    connection.execute("PRAGMA user_version = 1")
+    connection.executescript(ddl)
+    connection.execute(f"PRAGMA user_version = {version}")
     connection.commit()
     connection.close()
 
 
-def _make_v2_store(path) -> None:
-    """Write a version-2 store: jobs table, but no campaign status."""
+def _tables(path) -> set:
     connection = sqlite3.connect(path)
-    connection.executescript(_historic_ddl(jobs=True))
-    connection.execute("PRAGMA user_version = 2")
-    connection.commit()
-    connection.close()
+    try:
+        return {
+            row[0] for row in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'")
+        }
+    finally:
+        connection.close()
 
 
 class TestMigration:
     def test_v1_upgrades_in_place(self, tmp_path):
         path = tmp_path / "old.sqlite"
-        _make_v1_store(path)
+        _make_store(path, 1)
         with ResultsStore(path) as store:
-            # The migration added the jobs table and stamped the version.
-            store.save_job(job_id="job-1", kind="run", status="done")
-            assert len(store.load_jobs()) == 1
+            store.begin_campaign("post-migration")
+            assert store.campaigns()[0]["status"] == "running"
+        # No jobs table on the way through; the version is stamped.
+        assert "jobs" not in _tables(path)
         connection = sqlite3.connect(path)
         assert (
             connection.execute("PRAGMA user_version").fetchone()[0]
@@ -63,7 +70,7 @@ class TestMigration:
 
     def test_v1_rows_survive_migration(self, tmp_path):
         path = tmp_path / "old.sqlite"
-        _make_v1_store(path)
+        _make_store(path, 1)
         connection = sqlite3.connect(path)
         connection.execute(
             "INSERT INTO points (scenario_hash, mode, code_version,"
@@ -77,7 +84,7 @@ class TestMigration:
 
     def test_v2_gains_campaign_status(self, tmp_path):
         path = tmp_path / "v2.sqlite"
-        _make_v2_store(path)
+        _make_store(path, 2)
         connection = sqlite3.connect(path)
         connection.execute(
             "INSERT INTO campaigns (name, code_version, created_at)"
@@ -100,9 +107,29 @@ class TestMigration:
         )
         connection.close()
 
+    def test_v3_drops_the_jobs_table(self, tmp_path):
+        # v4 keeps served jobs as campaigns plus points; the old job
+        # rows go, every other row stays.
+        path = tmp_path / "v3.sqlite"
+        _make_store(path, 3)
+        connection = sqlite3.connect(path)
+        connection.execute(
+            "INSERT INTO jobs (id, kind, status) VALUES ('job-1', 'run', 'done')"
+        )
+        connection.execute(
+            "INSERT INTO campaigns (name, code_version, created_at, status)"
+            " VALUES ('old-sweep', '1.0.0+x', 'now', 'interrupted')"
+        )
+        connection.commit()
+        connection.close()
+        with ResultsStore(path) as store:
+            assert store.campaigns()[0]["status"] == "interrupted"
+        assert "jobs" not in _tables(path)
+        assert SCHEMA_VERSION == 4
+
     def test_v1_campaigns_gain_status_too(self, tmp_path):
         path = tmp_path / "old.sqlite"
-        _make_v1_store(path)
+        _make_store(path, 1)
         with ResultsStore(path) as store:
             campaign = store.begin_campaign("post-migration")
             store.finish_campaign(campaign, status="interrupted")

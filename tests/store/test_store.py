@@ -138,6 +138,16 @@ class TestCampaigns:
         assert store.campaign_id(str(old)) == old
         assert store.campaign_id("nightly") == new
 
+    def test_listing_filters_by_name(self, store):
+        store.begin_campaign("job-1", meta={"job": {"id": "job-1"}})
+        store.begin_campaign("job-10")
+        latest = store.begin_campaign("job-1", meta={"job": {"id": "job-1"}})
+        entries = store.campaigns("job-1")
+        assert [entry["id"] for entry in entries] == [latest, latest - 2]
+        assert entries[0]["meta"] == {"job": {"id": "job-1"}}
+        assert store.campaigns("job-2") == []
+        assert len(store.campaigns()) == 3
+
     def test_campaign_id_miss_raises(self, store):
         with pytest.raises(ValidationError, match="no campaign"):
             store.campaign_id("never-ran")
@@ -154,24 +164,6 @@ class TestBenchSamples:
         store.record_bench_samples({"a": 1.5})
         means = [row["mean_seconds"] for row in store.bench_trajectory("a")]
         assert means == [1.0, 1.5]
-
-
-class TestJobs:
-    def test_round_trip_and_upsert(self, store):
-        store.save_job(
-            job_id="job-1", kind="run", status="done",
-            scenario_json=_scenario().to_json(),
-            result={"central_epsilon": 1.0},
-            submitted=100.0, finished=101.0,
-        )
-        store.save_job(
-            job_id="job-1", kind="run", status="error",
-            error={"message": "boom"}, submitted=100.0, finished=102.0,
-        )
-        jobs = store.load_jobs()
-        assert len(jobs) == 1
-        assert jobs[0]["status"] == "error"
-        assert jobs[0]["error"] == {"message": "boom"}
 
 
 class TestGc:

@@ -5,6 +5,8 @@ The four Theorem 5.3-5.6 functions are called only inside
 two protocol runners only inside ``repro.protocols``, whose
 ``run_protocol`` picks between them.  Every other layer goes through
 those two functions, so a change to either choice lands in one place.
+Likewise one job runtime: worker pools are constructed only in
+``repro.scenario.sweep``.
 """
 
 from __future__ import annotations
@@ -50,3 +52,20 @@ def test_called_only_inside_their_package(package):
         if name in names
     ]
     assert not stray, f"call outside repro.{package}: {stray}"
+
+
+#: Worker-pool classes constructed only in the sweep engine: served
+#: jobs and pooled sweeps share its one supervised pool.
+POOL_CLASSES = {"ProcessPoolExecutor", "ThreadPoolExecutor"}
+POOL_SITE = Path("scenario", "sweep.py")
+
+
+def test_worker_pools_are_built_only_by_the_sweep_engine():
+    stray = [
+        f"{path.relative_to(SOURCE)}:{line} constructs {name}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        if path.relative_to(SOURCE) != POOL_SITE
+        for name, line in _called_names(path)
+        if name in POOL_CLASSES
+    ]
+    assert not stray, f"worker pool outside {POOL_SITE}: {stray}"
