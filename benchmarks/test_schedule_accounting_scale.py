@@ -28,7 +28,6 @@ from repro.api import (
     parse_scenario,
     profile_policy,
     profile_stats,
-    reset_profile_stats,
 )
 from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.generators import random_regular_graph
@@ -63,16 +62,22 @@ def _churn_scenario():
     })
 
 
+def _counted_since(before):
+    """Profile counters' growth since ``before`` (they never reset)."""
+    after = profile_stats()
+    return {name: after[name] - before[name] for name in after}
+
+
 @pytest.fixture(autouse=True)
 def _fresh():
     clear_graph_cache()
-    reset_profile_stats()
     yield
     clear_graph_cache()
 
 
 def test_100k_node_churn_bound_within_memory_budget(memory_watch):
     scenario = _churn_scenario()
+    before = profile_stats()
     started = time.perf_counter()
     with memory_watch() as watch:
         with profile_policy(memory_budget=_PROFILE_BUDGET):
@@ -95,7 +100,7 @@ def test_100k_node_churn_bound_within_memory_budget(memory_watch):
     assert accounting["exact"] is True
     assert accounting["truncation_bound"] == 0.0
     assert np.isfinite(result.epsilon) and result.epsilon > 0
-    stats = profile_stats()
+    stats = _counted_since(before)
     assert stats["blocked_profiles"] == 1
     assert stats["blocks_evolved"] == accounting["blocks"]
 
@@ -125,7 +130,7 @@ def spilled_store_directory(tmp_path_factory):
 
 def test_warm_resume_reuses_every_block(spilled_store_directory):
     schedule, directory, cold = spilled_store_directory
-    reset_profile_stats()
+    before = profile_stats()
     store = ProfileStore(
         schedule,
         identity="bench-resume",
@@ -133,7 +138,7 @@ def test_warm_resume_reuses_every_block(spilled_store_directory):
         directory=directory,
     )
     warm, _ = store.collisions(_RESUME_STEPS)
-    stats = profile_stats()
+    stats = _counted_since(before)
     assert stats["blocks_resumed"] == store.num_blocks
     assert stats["blocks_evolved"] == 0
     np.testing.assert_array_equal(warm, cold)

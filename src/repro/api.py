@@ -25,10 +25,12 @@ Error taxonomy
     payload mapping shared by the CLI and the service;
     :class:`AccountingError` when the spectral-gap solve fails.
 Cache telemetry
-    :func:`cache_stats` / :func:`sampler_stats` — the process-wide
-    graph cache and kernel-sampler memo counters the serving tier's
-    ``/stats`` reports; :func:`clear_graph_cache` to reset between
-    tests.
+    :func:`cache_stats` / :func:`sampler_stats` — views of the
+    graph-cache and kernel-sampler counters in :mod:`repro.obs`, the
+    ones the serving tier's ``/stats`` reports.  They count this
+    process's work plus what its pooled sweep points and served jobs
+    did in workers, and never go down, so compare two readings;
+    :func:`clear_graph_cache` drops resident graphs (not counts).
 Exchange backends
     :func:`backend_info` — which kernels the array engine runs in
     this process (numba JIT vs NumPy);
@@ -41,8 +43,8 @@ Schedule accounting
     process-wide memory budget that sets the panel width of
     dynamic-schedule collision profiles (one in-memory block when the
     profile fits, spilled column blocks otherwise);
-    :func:`profile_stats` / :func:`reset_profile_stats` for the
-    out-of-core engine's counters.
+    :func:`profile_stats`, the same kind of view of the out-of-core
+    engine's counters.
 Auditor planning
     :func:`resolve_method` — which Monte Carlo engine (``kernel`` or
     ``tiled``) an audit of a graph at a round count will run; the
@@ -64,6 +66,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Mapping, Union
 
+from repro import obs
 from repro.amplification.network_shuffle import NetworkShuffleBound
 from repro.auditing.auditor import AuditResult, resolve_method
 from repro.exceptions import (
@@ -89,7 +92,6 @@ from repro.scenario.profile import (
     parse_memory_budget,
     profile_policy,
     profile_stats,
-    reset_profile_stats,
     set_profile_policy,
 )
 from repro.scenario.runner import (
@@ -153,7 +155,6 @@ __all__ = [
     "parse_scenario",
     "profile_policy",
     "profile_stats",
-    "reset_profile_stats",
     "resolve_method",
     "run",
     "run_payload",
@@ -235,26 +236,28 @@ def audit_payload(result: AuditResult) -> Dict[str, Any]:
     return result.summary()
 
 
+def _counters(prefix: str, *names: str) -> Dict[str, int]:
+    counts = obs.snapshot()
+    return {name: counts.get(f"{prefix}.{name}", 0) for name in names}
+
+
 def cache_stats() -> Dict[str, int]:
-    """Process-wide graph-cache counters (plus resident bundle count).
+    """Graph-cache counters (plus this process's resident bundle count).
 
     ``builds`` counts generator runs, ``memory_hits``/``disk_hits`` the
     tiers that answered instead; under the single-flight contract a
     warm, repeated workload shows ``hits > builds``.
     """
-    counters = GRAPH_CACHE.stats()
-    return {
-        "builds": counters.builds,
-        "memory_hits": counters.memory_hits,
-        "disk_hits": counters.disk_hits,
-        "requests": counters.requests,
-        "resident": len(GRAPH_CACHE),
-    }
+    stats = _counters("graph_cache", "builds", "memory_hits", "disk_hits")
+    stats["requests"] = sum(stats.values())
+    stats["resident"] = len(GRAPH_CACHE)
+    return stats
 
 
 def sampler_stats() -> Dict[str, int]:
-    """Kernel-sampler memo counters summed over resident bundles."""
-    return GRAPH_CACHE.kernel_stats()
+    """Kernel-sampler counters: dense ``M^t`` sampler ``builds`` and
+    the ``hits`` a memoized sampler answered instead."""
+    return _counters("kernel_sampler", "builds", "hits")
 
 
 def attach_spill(directory: Union[str, Path]) -> Path:

@@ -54,7 +54,6 @@ from repro.scenario.profile import (
     plan_profile,
     profile_policy,
     profile_stats,
-    reset_profile_stats,
     set_profile_policy,
 )
 from repro.scenario.registry import Registration, Registry
@@ -144,7 +143,6 @@ __all__ = [
     "plan_profile",
     "profile_policy",
     "profile_stats",
-    "reset_profile_stats",
     "run",
     "seed_streams",
     "set_profile_policy",

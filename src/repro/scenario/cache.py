@@ -14,9 +14,9 @@ pair:
   file (:func:`repro.graphs.io.save_graph_npz`) that workers load
   instead of re-running the generator.
 
-Every path is counted (:class:`CacheCounters`), so a sweep can assert
-the contract the engine exists for: **each distinct graph is built
-exactly once per host**.
+Every path is counted (``graph_cache.*`` in :mod:`repro.obs`), so a
+sweep can assert the contract the engine exists for: **each distinct
+graph is built exactly once per host**.
 
 The bundle also memoizes the two expensive per-graph derivatives the
 accounting and auditing layers keep asking for — the spectral summary /
@@ -39,6 +39,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from repro import obs
 from repro.exceptions import ScheduleRefusedError, ValidationError
 from repro.graphs.connectivity import require_ergodic
 from repro.graphs.dynamic import DynamicGraphSchedule
@@ -50,7 +51,6 @@ from repro.scenario.profile import (
     ProfilePlan,
     ProfileStore,
     ScheduleAccounting,
-    _count,
     get_profile_policy,
     plan_profile,
     store_identity,
@@ -137,15 +137,12 @@ class GraphBundle:
             OrderedDict()
         )
         self._kernel_powers: Dict[float, Dict[int, np.ndarray]] = {}
-        #: Kernel memo telemetry (tests assert reuse through these).
-        self.kernel_builds = 0
-        self.kernel_hits = 0
         #: Whether the build provably ignored the seed-derived graph
         #: stream (set by the cache; drives spec-keyed sharing/spill).
         self.seed_independent = False
-        # Derivative memos are filled lazily; the serving tier shares
-        # one bundle between the event loop (sync bound queries) and
-        # job-pool threads (run/audit), so fills must be serialized.
+        # Derivative memos are filled lazily; the serving tier's event
+        # loop (sync bound queries) and a caller's own threads may share
+        # one bundle, so fills must be serialized.
         self._derive_lock = threading.RLock()
 
     @property
@@ -200,13 +197,13 @@ class GraphBundle:
         with self._derive_lock:
             store = self._profile_store(laziness, truncation, plan)
         collisions, dropped = store.collisions(steps)
-        _count(
-            "dense_profiles"
+        obs.count(
+            "profile_store.dense_profiles"
             if plan.blocks == 1 and truncation is None
-            else "blocked_profiles"
+            else "profile_store.blocked_profiles"
         )
         if truncation is not None:
-            _count("truncated_profiles")
+            obs.count("profile_store.truncated_profiles")
         sum_squared, truncation_bound = worst_user_mass(
             collisions, dropped, truncation
         )
@@ -319,13 +316,13 @@ class GraphBundle:
             sampler = self._kernel_samplers.get(key)
             if sampler is not None:
                 self._kernel_samplers.move_to_end(key)
-                self.kernel_hits += 1
+                obs.count("kernel_sampler.hits")
                 return sampler
             powers = self._kernel_powers.setdefault(key[1], {})
             sampler = _KernelSampler(
                 self.graph, key[0], key[1], power_cache=powers
             )
-            self.kernel_builds += 1
+            obs.count("kernel_sampler.builds")
             self._kernel_samplers[key] = sampler
             while len(self._kernel_samplers) > self._KERNEL_SAMPLER_CAP:
                 self._kernel_samplers.popitem(last=False)
@@ -338,30 +335,14 @@ class GraphBundle:
             return sampler
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheCounters:
-    """How the graph cache satisfied requests (monotone counts)."""
+    """How the graph cache satisfied a sweep's requests: the
+    ``graph_cache.<field>`` counts it added to :mod:`repro.obs`."""
 
     builds: int = 0
     memory_hits: int = 0
     disk_hits: int = 0
-
-    def snapshot(self) -> "CacheCounters":
-        return CacheCounters(self.builds, self.memory_hits, self.disk_hits)
-
-    def delta(self, since: "CacheCounters") -> "CacheCounters":
-        """Counts accumulated after the ``since`` snapshot."""
-        return CacheCounters(
-            builds=self.builds - since.builds,
-            memory_hits=self.memory_hits - since.memory_hits,
-            disk_hits=self.disk_hits - since.disk_hits,
-        )
-
-    def merge(self, other: "CacheCounters") -> None:
-        """Fold another process's counter deltas into this one."""
-        self.builds += other.builds
-        self.memory_hits += other.memory_hits
-        self.disk_hits += other.disk_hits
 
     @property
     def requests(self) -> int:
@@ -427,8 +408,8 @@ class GraphCache:
 
     The cache is thread-safe with *single-flight* builds: concurrent
     requests for the same key (the serving tier's simultaneous bound
-    queries, job-pool threads) run the generator exactly once — one
-    caller builds, the rest wait on the pending slot and count as
+    queries, a caller's own threads) run the generator exactly once —
+    one caller builds, the rest wait on the pending slot and count as
     memory hits, so ``cache_stats`` keeps meaning "one build per host"
     under concurrency too.
     """
@@ -441,7 +422,6 @@ class GraphCache:
         # sweep over a pinned-wiring-seed spec shares one bundle
         # instead of building per replica.
         self._spec_bundles: OrderedDict[str, GraphBundle] = OrderedDict()
-        self.counters = CacheCounters()
         self.spill_dir: Optional[Path] = None
         self._lock = threading.RLock()
         self._pending: Dict[str, _PendingBuild] = {}
@@ -481,13 +461,13 @@ class GraphCache:
             cached = self._bundles.get(key)
             if cached is not None:
                 self._bundles.move_to_end(key)
-                self.counters.memory_hits += 1
+                obs.count("graph_cache.memory_hits")
                 return cached
             if spec_key is not None:
                 shared = self._spec_bundles.get(spec_key)
                 if shared is not None:
                     self._spec_bundles.move_to_end(spec_key)
-                    self.counters.memory_hits += 1
+                    obs.count("graph_cache.memory_hits")
                     return shared
             pending = self._pending.get(key)
             if pending is None:
@@ -500,8 +480,7 @@ class GraphCache:
             pending.event.wait()
             if pending.error is not None:
                 raise pending.error
-            with self._lock:
-                self.counters.memory_hits += 1
+            obs.count("graph_cache.memory_hits")
             return pending.bundle
         try:
             graph = None
@@ -540,10 +519,9 @@ class GraphCache:
             pending.event.set()
             raise
         with self._lock:
-            if from_disk:
-                self.counters.disk_hits += 1
-            else:
-                self.counters.builds += 1
+            obs.count(
+                "graph_cache.disk_hits" if from_disk else "graph_cache.builds"
+            )
             self._bundles[key] = bundle
             while len(self._bundles) > self.maxsize:
                 self._bundles.popitem(last=False)
@@ -581,30 +559,6 @@ class GraphCache:
             else:
                 save_graph_npz(bundle.graph, path)
         return path
-
-    def stats(self) -> CacheCounters:
-        """A snapshot of the counters."""
-        with self._lock:
-            return self.counters.snapshot()
-
-    def kernel_stats(self) -> Dict[str, int]:
-        """Kernel-sampler memo telemetry summed over resident bundles.
-
-        ``builds`` counts dense ``M^t`` sampler constructions, ``hits``
-        the times a memoized sampler was handed back — the serving
-        tier's ``/stats`` reports this so audit-heavy traffic can see
-        its sampler reuse.  Counts live on the bundles, so evicting a
-        bundle retires its history with it.
-        """
-        with self._lock:
-            bundles = list(self._bundles.values()) + list(
-                self._spec_bundles.values()
-            )
-        builds = hits = 0
-        for bundle in {id(b): b for b in bundles}.values():
-            builds += bundle.kernel_builds
-            hits += bundle.kernel_hits
-        return {"builds": builds, "hits": hits}
 
     def clear(self, *, detach_spill: bool = True) -> None:
         """Drop memoized bundles (tests, or after changing builders).

@@ -51,6 +51,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.exceptions import ValidationError
 from repro.graphs.dynamic import (
     DynamicGraphSchedule,
@@ -72,7 +73,6 @@ __all__ = [
     "profile_policy",
     "plan_profile",
     "profile_stats",
-    "reset_profile_stats",
     "profile_spill_root",
     "parse_memory_budget",
 ]
@@ -227,39 +227,26 @@ def plan_profile(
 # ----------------------------------------------------------------------
 # Telemetry
 # ----------------------------------------------------------------------
-_STATS_LOCK = threading.Lock()
-
-
-def _zero_stats() -> Dict[str, int]:
-    return {
-        "dense_profiles": 0,
-        "blocked_profiles": 0,
-        "blocks_evolved": 0,
-        "blocks_resumed": 0,
-        "blocks_spilled": 0,
-        "spill_bytes": 0,
-        "truncated_profiles": 0,
-    }
-
-
-_STATS = _zero_stats()
-
-
-def _count(name: str, amount: int = 1) -> None:
-    with _STATS_LOCK:
-        _STATS[name] += amount
+#: The engine's counters, kept in :mod:`repro.obs` as
+#: ``profile_store.<name>``.
+PROFILE_COUNTERS = (
+    "dense_profiles",
+    "blocked_profiles",
+    "blocks_evolved",
+    "blocks_resumed",
+    "blocks_spilled",
+    "spill_bytes",
+    "truncated_profiles",
+)
 
 
 def profile_stats() -> Dict[str, int]:
     """Process-wide profile-store counters (serve reports these)."""
-    with _STATS_LOCK:
-        return dict(_STATS)
-
-
-def reset_profile_stats() -> None:
-    """Zero the counters (tests assert deltas from a clean slate)."""
-    with _STATS_LOCK:
-        _STATS.update(_zero_stats())
+    counts = obs.snapshot()
+    return {
+        name: counts.get(f"profile_store.{name}", 0)
+        for name in PROFILE_COUNTERS
+    }
 
 
 # ----------------------------------------------------------------------
@@ -548,8 +535,8 @@ class ProfileStore:
         written = _write_panel(
             self.block_path(start), panel, dropped, steps, start
         )
-        _count("blocks_spilled")
-        _count("spill_bytes", written)
+        obs.count("profile_store.blocks_spilled")
+        obs.count("profile_store.spill_bytes", written)
 
     def collisions(self, steps: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-user ``(collision mass, dropped mass)`` after ``steps`` rounds.
@@ -574,7 +561,7 @@ class ProfileStore:
             kept = self._kept(start, stop - start)
             if kept is not None and kept[2] <= steps:
                 panel, dropped, done = kept
-                _count("blocks_resumed")
+                obs.count("profile_store.blocks_resumed")
             else:
                 panel = identity_panel(n, start, stop)
                 dropped = np.zeros(stop - start, dtype=np.float64)
@@ -590,7 +577,7 @@ class ProfileStore:
                     truncation=self.truncation,
                     dropped=dropped,
                 )
-                _count("blocks_evolved")
+                obs.count("profile_store.blocks_evolved")
                 if kept is None or kept[2] < steps:
                     self._keep(start, panel, dropped, steps)
             out[start:stop] = panel_collisions(panel)

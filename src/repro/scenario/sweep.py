@@ -11,8 +11,9 @@ What makes it an *engine* rather than a loop:
   :data:`~repro.scenario.cache.GRAPH_CACHE`; pooled sweeps
   pre-materialize each distinct graph once in the parent, spill it to
   an on-disk ``.npz`` cache that spawn-started workers load (fork
-  workers inherit the warmed cache outright), and return cache-hit
-  counters so the contract is assertable (``SweepResult.cache_stats``).
+  workers inherit the warmed cache outright), and bring their
+  :mod:`repro.obs` counts back so the contract is assertable
+  (``SweepResult.cache_stats``).
 * **Digest returns by default.**  ``mode="run"`` points come back as
   slim :class:`RunDigest` values (summary scalars + meter aggregates) —
   a million-user grid no longer pickles graphs and report lists across
@@ -44,15 +45,17 @@ What makes it an *engine* rather than a loop:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import shutil
 import signal
 import tempfile
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import (
     Any,
@@ -68,6 +71,7 @@ from typing import (
 
 import itertools
 
+from repro import obs
 from repro.amplification.network_shuffle import NetworkShuffleBound
 from repro.auditing.auditor import AuditResult
 from repro.exceptions import (
@@ -122,6 +126,9 @@ _POLL_SECONDS = 0.05
 
 #: Ceiling on the exponential crash/timeout backoff sleep.
 _MAX_BACKOFF_SECONDS = 5.0
+
+#: How often a pool worker checks that the process owning it still lives.
+_ORPHAN_POLL_SECONDS = 1.0
 
 #: Consecutive pool deaths with no point ever observed starting before
 #: the engine gives up (a broken initializer, not a poison point).
@@ -297,8 +304,9 @@ class SweepResult:
 
     axis: Dict[str, List[Any]]
     points: List[SweepPoint]
-    #: How the graph cache served the sweep, summed over the parent and
-    #: every worker: ``builds`` counts generator runs, so a pooled sweep
+    #: How the graph cache served the sweep: the ``graph_cache.*``
+    #: counts :mod:`repro.obs` gained while it ran, which include every
+    #: worker's.  ``builds`` counts generator runs, so a pooled sweep
     #: over G distinct graphs should report ``builds == G`` per host.
     cache_stats: CacheCounters = field(default_factory=CacheCounters)
     #: How the campaign store served the sweep: ``computed`` points were
@@ -472,9 +480,14 @@ def _initialize_worker(
     respect the *host's* budget) and the JIT requirement, which spawn
     and forkserver workers would otherwise start without.  Workers
     ignore SIGINT: a terminal's Ctrl-C reaches the whole process group,
-    and the parent, which owns their lifetime, shuts them down.
+    and the parent, which owns their lifetime, shuts them down; a
+    parent killed outright cannot, so a watchdog thread exits the
+    worker once its parent is gone.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
     _replay_registrations(registrations)
     if spill_dir is not None:
         GRAPH_CACHE.spill_dir = Path(spill_dir)
@@ -483,44 +496,49 @@ def _initialize_worker(
     set_require_jit(require_jit)
 
 
+def _exit_when_orphaned(parent: int) -> None:
+    """Exit this worker once ``parent`` is no longer its parent.
+
+    An idle worker blocks on a call queue whose write end it holds
+    too, so a hard-killed parent (SIGKILL, OOM) leaves it no EOF to
+    notice; the reparenting is the one sign it gets.
+    """
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_POLL_SECONDS)
+    os._exit(1)
+
+
 def _execute_serialized(
     payload: Tuple[int, str, str, str, str],
-) -> Tuple[Outcome, CacheCounters, Dict[str, int]]:
-    """Process-pool entry point: one point, with the graph-cache and
-    kernel-sampler counts it added.  Its start marker in ``marker_dir``
-    lets the parent attribute a pool death to the points executing;
-    with a disk tier attached, the point's graph is left there."""
+) -> Tuple[Outcome, Dict[str, int]]:
+    """Process-pool entry point: one point, with the :mod:`repro.obs`
+    counts it added.  Its start marker in ``marker_dir`` lets the
+    parent attribute a pool death to the points executing; with a disk
+    tier attached, the point's graph is left there."""
     index, scenario_json, mode, results, marker_dir = payload
     try:
         Path(marker_dir, f"started-{index}").touch()
     except OSError:
         pass  # marker loss degrades crash attribution, not results
     maybe_fire(index)
-    before, kernels_before = GRAPH_CACHE.stats(), GRAPH_CACHE.kernel_stats()
+    before = obs.snapshot()
     scenario = Scenario.from_json(scenario_json)
     outcome = _execute(scenario, mode, results)
-    graph_delta = GRAPH_CACHE.stats().delta(before)
-    kernel_delta = {
-        name: count - kernels_before[name]
-        for name, count in GRAPH_CACHE.kernel_stats().items()
-    }
     if GRAPH_CACHE.spill_dir is not None and mode != "stationary_bound":
         spill_graph(scenario)
-    return outcome, graph_delta, kernel_delta
+    return outcome, obs.since(before)
 
 
 @dataclass(frozen=True)
 class PointResult:
-    """A finished point: ``outcome`` (and a worker's counter deltas), or
-    the final ``error`` with its :class:`PointFailure` kind/attempts."""
+    """A finished point: ``outcome``, or the final ``error`` with its
+    :class:`PointFailure` kind/attempts."""
 
     index: int
     outcome: Optional[Outcome] = None
     error: Optional[BaseException] = None
     kind: str = "exception"
     attempts: int = 1
-    graph_delta: CacheCounters = field(default_factory=CacheCounters)
-    sampler_delta: Dict[str, int] = field(default_factory=dict)
 
 
 class PointPool:
@@ -708,12 +726,13 @@ class PointPool:
         timeout: Optional[float] = None,
     ) -> List[int]:
         """Retire settled ``futures`` into ``finished``; return the
-        indices a broken pool took down."""
+        indices a broken pool took down.  A completed point's counts
+        enter this process's :mod:`repro.obs` registry here."""
         broken: List[int] = []
         for future in futures:
             index = self._futures.pop(future)
             try:
-                outcome, graph_delta, sampler_delta = future.result(timeout)
+                outcome, counts = future.result(timeout)
             except (BrokenProcessPool, _FuturesTimeout):
                 broken.append(index)
                 continue
@@ -721,10 +740,8 @@ class PointPool:
                 result = dict(error=error)
             else:
                 self._completed_any, self._rebuilds = True, 0
-                result = dict(
-                    outcome=outcome, graph_delta=graph_delta,
-                    sampler_delta=sampler_delta,
-                )
+                obs.add(counts)
+                result = dict(outcome=outcome)
             self._attempts[index] += 1
             finished.append(self._retire(index, **result))
         return broken
@@ -1074,7 +1091,7 @@ def sweep(
         ]
         pending_grid = [grid[index] for index in pending]
 
-        parent_before = GRAPH_CACHE.stats()
+        counts_before = obs.snapshot()
         spill_path: Optional[Path] = None
         if spill_dir is not None:
             # A persistent spill directory is a cache tier for THIS
@@ -1086,7 +1103,6 @@ def sweep(
             GRAPH_CACHE.spill_dir = spill_path
         failures: Dict[int, PointFailure] = {}
         outcomes: Dict[int, Outcome] = dict(reused_outcomes)
-        worker_stats = CacheCounters()
         pool: Optional[PointPool] = None
         temp: Optional[tempfile.TemporaryDirectory] = None
         # Warm exactly what this mode will materialize: closed-form
@@ -1137,7 +1153,6 @@ def sweep(
             for point in finished:
                 if point.error is None:
                     outcomes[point.index] = point.outcome
-                    worker_stats.merge(point.graph_delta)
                     _checkpoint(point.index, point.outcome)
                 elif on_error == "raise":
                     raise point.error
@@ -1151,8 +1166,11 @@ def sweep(
                 pool.close()
             if temp is not None:
                 temp.cleanup()
-        cache_stats = GRAPH_CACHE.stats().delta(parent_before)
-        cache_stats.merge(worker_stats)
+        counts = obs.since(counts_before)
+        cache_stats = CacheCounters(**{
+            entry.name: counts.get(f"graph_cache.{entry.name}", 0)
+            for entry in fields(CacheCounters)
+        })
         completed = True
     finally:
         if store_obj is not None and campaign_id is not None:

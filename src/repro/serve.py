@@ -14,10 +14,11 @@ Endpoints (JSON in, JSON out):
 ``GET /healthz``
     Liveness: version + uptime.
 ``GET /stats``
-    Cache-tier telemetry: graph-cache counters (builds vs hits) and
-    kernel-sampler memo counters (this process plus the deltas jobs
-    bring back from the workers), per-route request latencies, and job
-    counts.
+    Cache-tier telemetry: the graph-cache (builds vs hits),
+    kernel-sampler and profile-store counters of :mod:`repro.obs`,
+    which count this process's work and every finished job's (each
+    brings its counts back from its worker) and never go down;
+    per-route request latencies; and job counts.
 ``POST /bound``
     Body ``{"scenario": {...}, "rounds": 8?}`` — the Theorem 5.3-5.6
     guarantee of the scenario, synchronously.
@@ -88,7 +89,6 @@ from repro.exceptions import (
     error_payload,
 )
 from repro.scenario.auditing import fold_audit_options
-from repro.scenario.cache import CacheCounters
 from repro.scenario.sweep import PointPool, PointResult
 from repro.store import outcome_from_payload, outcome_payload
 
@@ -229,9 +229,6 @@ class ReproService:
         self._retain_jobs = int(retain_jobs)
         self._max_queue = None if max_queue is None else int(max_queue)
         self._metrics: Dict[str, _RouteMetrics] = {}
-        #: Cache-counter deltas finished jobs brought back from workers.
-        self._worker_graph = CacheCounters()
-        self._worker_sampler = {"builds": 0, "hits": 0}
         if spill_dir is not None:
             spill_dir = str(api.attach_spill(spill_dir))
         if profile_budget is not None:
@@ -613,9 +610,6 @@ class ReproService:
             job.status = "done"
             render = api.run_payload if job.kind == "run" else api.audit_payload
             job.result = render(result.outcome)
-            self._worker_graph.merge(result.graph_delta)
-            for name, count in result.sampler_delta.items():
-                self._worker_sampler[name] += count
         else:
             error = result.error
             if result.kind == "timeout":
@@ -690,16 +684,10 @@ class ReproService:
         by_status: Dict[str, int] = {}
         for job in self._jobs.values():
             by_status[job.status] = by_status.get(job.status, 0) + 1
-        graph_cache = api.cache_stats()
-        for name in ("builds", "memory_hits", "disk_hits", "requests"):
-            graph_cache[name] += getattr(self._worker_graph, name)
-        kernel_sampler = api.sampler_stats()
-        for name, count in self._worker_sampler.items():
-            kernel_sampler[name] += count
         return {
             "uptime_seconds": round(time.time() - self.started, 3),
-            "graph_cache": graph_cache,
-            "kernel_sampler": kernel_sampler,
+            "graph_cache": api.cache_stats(),
+            "kernel_sampler": api.sampler_stats(),
             "profile_store": api.profile_stats(),
             "exchange_backend": api.backend_info(),
             "jobs": {"retained": len(self._jobs), **by_status},

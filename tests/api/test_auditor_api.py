@@ -37,6 +37,7 @@ def fresh_cache():
 
 def _audit_builds(graph_spec) -> int:
     """Kernel samplers built by one 12-round scenario audit."""
+    before = api.sampler_stats()["builds"]
     audit(
         Scenario(
             graph=graph_spec,
@@ -46,7 +47,7 @@ def _audit_builds(graph_spec) -> int:
         ),
         trials=40,
     )
-    return api.sampler_stats()["builds"]
+    return api.sampler_stats()["builds"] - before
 
 
 class TestResolveMethod:

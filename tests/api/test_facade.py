@@ -226,14 +226,28 @@ class TestCacheTelemetry:
         )
 
     def test_sampler_stats_counts_kernel_memoization(self):
-        # Sampler counts live on the bundles, so the autouse clear
-        # zeroes them; two audits of one scenario share one sampler.
+        # Counters are monotone, so assert on deltas: two audits of one
+        # scenario share one sampler.
+        before = api.sampler_stats()
         scenario = api.parse_scenario(SCENARIO_DICT | {"rounds": 8})
         api.audit(scenario, trials=100)
         api.audit(scenario, trials=100)
         stats = api.sampler_stats()
-        assert stats["builds"] == 1
-        assert stats["hits"] >= 1
+        assert stats["builds"] - before["builds"] == 1
+        assert stats["hits"] - before["hits"] >= 1
+
+    def test_sampler_stats_do_not_fall_when_bundles_go(self):
+        # Dropping the audited graph's bundle, by LRU eviction or by a
+        # clear, changes residency, not the count of builds behind it.
+        scenario = api.parse_scenario(SCENARIO_DICT | {"rounds": 10})
+        api.audit(scenario, trials=50)
+        counted = api.sampler_stats()
+        assert counted["builds"] >= 1
+        for seed in range(100, 109):  # nine more graphs: LRU of eight
+            api.bound(scenario.updated(seed=seed))
+        assert api.sampler_stats() == counted
+        api.clear_graph_cache()
+        assert api.sampler_stats() == counted
 
     def test_attach_spill_and_spill_graph(self, tmp_path):
         from repro.scenario import GRAPH_CACHE

@@ -13,8 +13,8 @@ import threading
 
 import pytest
 
-from repro import api
-from repro.scenario import GRAPH_CACHE, clear_graph_cache
+from repro import api, obs
+from repro.scenario import clear_graph_cache
 from repro.scenario.cache import GraphCache
 from repro.graphs.generators import cycle_graph
 
@@ -74,6 +74,7 @@ class TestSingleFlight:
         assert stats["memory_hits"] - before["memory_hits"] == 7
 
     def test_waiters_share_the_identical_bundle(self):
+        before = obs.snapshot()
         cache = GraphCache()
         built = []
         bundles = []
@@ -103,8 +104,9 @@ class TestSingleFlight:
         assert len(built) == 1
         assert len(bundles) == 4
         assert all(bundle is bundles[0] for bundle in bundles)
-        assert cache.stats().builds == 1
-        assert cache.stats().memory_hits == 3
+        assert obs.since(before) == {
+            "graph_cache.builds": 1, "graph_cache.memory_hits": 3,
+        }
 
     def test_build_failure_propagates_to_waiters_then_clears(self):
         cache = GraphCache()
@@ -126,6 +128,7 @@ class TestSingleFlight:
         assert len(attempts) >= 2
 
     def test_distinct_keys_build_independently(self):
+        before = obs.snapshot()
         cache = GraphCache()
 
         def builder():
@@ -136,7 +139,7 @@ class TestSingleFlight:
             lambda: [cache.bundle(f"k{i}", builder) for i in range(4)],
         )
         assert not errors
-        assert cache.stats().builds == 4
+        assert obs.since(before)["graph_cache.builds"] == 4
         assert len(cache) == 4
 
 
@@ -155,7 +158,9 @@ class TestDerivativeLocking:
         assert len({round(r.epsilon, 12) for r in results}) == 1
 
     def test_kernel_stats_counts_resident_bundles_once(self):
+        # One audit, one sampler build, however many keys its bundle is
+        # resident under.
+        before = api.sampler_stats()
         scenario = api.parse_scenario(SCENARIO | {"rounds": 8})
         api.audit(scenario, trials=50)
-        stats = GRAPH_CACHE.kernel_stats()
-        assert stats["builds"] == 1
+        assert api.sampler_stats()["builds"] - before["builds"] == 1

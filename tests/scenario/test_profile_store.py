@@ -32,7 +32,6 @@ from repro.scenario.profile import (
     plan_profile,
     profile_policy,
     profile_stats,
-    reset_profile_stats,
     set_profile_policy,
 )
 from repro.testing import faults
@@ -52,10 +51,15 @@ def _schedule() -> DynamicGraphSchedule:
 @pytest.fixture(autouse=True)
 def _fresh_state():
     clear_graph_cache()
-    reset_profile_stats()
     yield
     clear_graph_cache()
-    reset_profile_stats()
+
+
+def _counted_since(before):
+    """The profile counters' growth since the ``before`` reading (they
+    are monotone, so tests assert on differences)."""
+    after = profile_stats()
+    return {name: after[name] - before[name] for name in after}
 
 
 class TestPolicy:
@@ -148,9 +152,9 @@ class TestProfileStore:
 
     def test_second_store_resumes_from_disk(self, tmp_path):
         self._store(tmp_path).collisions(STEPS)
-        reset_profile_stats()
+        before = profile_stats()
         warm, _ = self._store(tmp_path).collisions(STEPS)
-        stats = profile_stats()
+        stats = _counted_since(before)
         assert stats["blocks_resumed"] == 4
         assert stats["blocks_evolved"] == 0
         np.testing.assert_array_equal(
@@ -172,10 +176,10 @@ class TestProfileStore:
             shorter, collision_profile_on_schedule(_schedule(), 2)
         )
         # The spilled blocks still hold the longer evolution.
-        reset_profile_stats()
+        before = profile_stats()
         fresh = self._store(tmp_path)
         resumed, _ = fresh.collisions(STEPS)
-        stats = profile_stats()
+        stats = _counted_since(before)
         assert stats["blocks_resumed"] == fresh.num_blocks
         assert stats["blocks_evolved"] == 0
         np.testing.assert_array_equal(
@@ -185,16 +189,16 @@ class TestProfileStore:
     def test_resident_store_resumes_and_keeps_longest(self, tmp_path):
         store = self._store(tmp_path, spill=False)
         store.collisions(3)
-        reset_profile_stats()
+        before = profile_stats()
         resumed, _ = store.collisions(STEPS)
-        assert profile_stats()["blocks_resumed"] == store.num_blocks
+        assert _counted_since(before)["blocks_resumed"] == store.num_blocks
         np.testing.assert_array_equal(
             resumed, collision_profile_on_schedule(_schedule(), STEPS)
         )
         store.collisions(2)
-        reset_profile_stats()
+        before = profile_stats()
         store.collisions(STEPS + 1)
-        stats = profile_stats()
+        stats = _counted_since(before)
         assert stats["blocks_resumed"] == store.num_blocks
         assert stats["blocks_evolved"] == store.num_blocks
 
@@ -268,13 +272,13 @@ class TestBoundAccounting:
         GRAPH_CACHE.spill_dir = tmp_path
         try:
             short = bound(parse_scenario({**SCHEDULE_SCENARIO, "rounds": 3}))
-            reset_profile_stats()
+            before = profile_stats()
             longer = bound(parse_scenario(SCHEDULE_SCENARIO))
         finally:
             GRAPH_CACHE.spill_dir = None
         assert short.accounting["blocks"] == longer.accounting["blocks"] == 1
         assert not list(tmp_path.rglob("*.npz"))
-        stats = profile_stats()
+        stats = _counted_since(before)
         assert stats["blocks_resumed"] == 1
         assert stats["dense_profiles"] == 1
         clear_graph_cache()
@@ -349,6 +353,21 @@ class TestPooledSweepBudget:
             assert point_a.outcome.accounting["strategy"] == "dense"
             assert point_b.outcome.accounting["strategy"] == "blocked"
             assert point_b.outcome.accounting["blocks"] == 2
+
+    def test_pooled_sweep_brings_worker_counts_to_the_parent(self):
+        # Every point profiles in a worker; the parent only builds the
+        # graph, yet its counters gain one dense profile per point.
+        before = profile_stats()
+        pooled = sweep(
+            parse_scenario(SCHEDULE_SCENARIO), axis={"rounds": [2, 4]},
+            mode="bound", workers=2,
+        )
+        assert [point.outcome.accounting["strategy"] for point in pooled] == [
+            "dense", "dense",
+        ]
+        counted = _counted_since(before)
+        assert counted["dense_profiles"] == 2
+        assert counted["blocks_evolved"] + counted["blocks_resumed"] >= 2
 
 
 _CHAOS_CHILD = textwrap.dedent(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import api
 from repro.exceptions import ValidationError
 from repro.graphs.generators import cycle_graph
 from repro.graphs.io import load_graph_npz, save_graph_npz
@@ -424,13 +425,19 @@ class TestKernelSamplerMemo:
             seed=5,
         )
 
+    @staticmethod
+    def _sampler_counts_since(before):
+        """Sampler (builds, hits) since ``before`` (counters are monotone)."""
+        after = api.sampler_stats()
+        return after["builds"] - before["builds"], after["hits"] - before["hits"]
+
     def test_repeated_audits_reuse_the_sampler(self):
         scenario = self._audit_scenario()
+        before = api.sampler_stats()
         first = audit(scenario)
-        bundle = _bundle_for(scenario)
-        assert (bundle.kernel_builds, bundle.kernel_hits) == (1, 0)
+        assert self._sampler_counts_since(before) == (1, 0)
         second = audit(scenario)
-        assert (bundle.kernel_builds, bundle.kernel_hits) == (1, 1)
+        assert self._sampler_counts_since(before) == (1, 1)
         assert first == second
 
     def test_cached_audit_bit_identical_to_cold(self):
@@ -463,20 +470,19 @@ class TestKernelSamplerMemo:
 
     def test_audit_sweep_over_trials_builds_one_kernel(self):
         scenario = self._audit_scenario()
+        before = api.sampler_stats()
         result = sweep(
             scenario, axis={"audit.trials": [40, 60, 80]}, mode="audit"
         )
-        bundle = _bundle_for(scenario)
         assert len(result) == 3
-        assert bundle.kernel_builds == 1
-        assert bundle.kernel_hits == 2
+        assert self._sampler_counts_since(before) == (1, 2)
 
     def test_distinct_laziness_builds_distinct_samplers(self):
         scenario = self._audit_scenario()
+        before = api.sampler_stats()
         audit(scenario)
         audit(scenario.updated(laziness=0.2))
-        bundle = _bundle_for(scenario)
-        assert bundle.kernel_builds == 2
+        assert self._sampler_counts_since(before)[0] == 2
 
     def test_laziness_axis_does_not_pin_unbounded_power_chains(self):
         """Each power chain holds a dense (n, n) matrix; evicting a

@@ -12,7 +12,18 @@ interruption.
 
 from __future__ import annotations
 
+import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.exceptions import (
     ExecutionTimeoutError,
@@ -244,3 +255,75 @@ class TestCheckpointResume:
         with ResultsStore(store) as opened:
             assert opened.point_count() == 4
             assert campaign_status(opened, "chaos") == "complete"
+
+
+#: A process that owns a spawn pool, runs one point on it, prints its
+#: worker pids and idles (until the test SIGKILLs it).
+_POOL_OWNER = textwrap.dedent(
+    """
+    import multiprocessing
+    import time
+
+    from repro.scenario import GraphSpec, MechanismSpec, Scenario
+    from repro.scenario.sweep import PointPool
+
+    if __name__ == "__main__":
+        pool = PointPool(1, context=multiprocessing.get_context("spawn"))
+        scenario = Scenario(
+            graph=GraphSpec.of("k_regular", degree=4, num_nodes=64),
+            mechanism=MechanismSpec.of("rr", epsilon=1.0),
+            rounds=2,
+            seed=1,
+        )
+        pool.submit(0, scenario.to_json(), "bound")
+        assert all(point.error is None for point in pool.drain())
+        print(*pool._pool._processes, flush=True)
+        time.sleep(600)
+    """
+)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (an exited, not yet reaped zombie does not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        script = tmp_path / "owner.py"
+        script.write_text(_POOL_OWNER)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(repro.__file__).resolve().parents[1]),
+            env.get("PYTHONPATH"),
+        ]))
+        owner = subprocess.Popen(
+            [sys.executable, str(script)], stdout=subprocess.PIPE,
+            text=True, env=env,
+        )
+        workers = []
+        try:
+            ready, _, _ = select.select([owner.stdout], [], [], 120)
+            assert ready, "the pool owner did not finish its point"
+            workers = [int(pid) for pid in owner.stdout.readline().split()]
+            assert workers, "the pool owner reported no worker"
+            owner.send_signal(signal.SIGKILL)
+            owner.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            owner.kill()
+            owner.wait(timeout=10)
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -177,6 +177,20 @@ class TestJobs:
         assert result["rounds"] == 4
         assert "central_epsilon" in result
 
+    def test_served_schedule_run_counts_its_profile(self, client):
+        # The job profiles the schedule in a worker process; its count
+        # comes back with the job and shows in /stats.
+        _, before = request(client, "GET", "/stats")
+        status, job = request(client, "POST", "/run",
+                              {"scenario": {**SCHEDULE_SCENARIO, "rounds": 4}})
+        assert status == 202
+        assert wait_for_job(client, job["id"])["status"] == "done"
+        _, after = request(client, "GET", "/stats")
+        assert (
+            after["profile_store"]["dense_profiles"]
+            == before["profile_store"]["dense_profiles"] + 1
+        )
+
     def test_audit_job_round_trip(self, client):
         status, job = request(client, "POST", "/audit",
                               {"scenario": SCENARIO, "trials": 200})

@@ -6,7 +6,8 @@ two protocol runners only inside ``repro.protocols``, whose
 ``run_protocol`` picks between them.  Every other layer goes through
 those two functions, so a change to either choice lands in one place.
 Likewise one job runtime: worker pools are constructed only in
-``repro.scenario.sweep``.
+``repro.scenario.sweep``; and one counter site: counts are raised only
+through ``repro.obs``.
 """
 
 from __future__ import annotations
@@ -69,3 +70,42 @@ def test_worker_pools_are_built_only_by_the_sweep_engine():
         if name in POOL_CLASSES
     ]
     assert not stray, f"worker pool outside {POOL_SITE}: {stray}"
+
+
+#: Counter names no module but :mod:`repro.obs` may ``+=``: the graph
+#: cache, kernel sampler and profile store count through ``obs.count``.
+COUNTER_NAMES = {
+    "builds", "hits", "memory_hits", "disk_hits", "kernel_builds",
+    "kernel_hits", "dense_profiles", "blocked_profiles", "blocks_evolved",
+    "blocks_resumed", "blocks_spilled", "spill_bytes", "truncated_profiles",
+}
+COUNTER_SITE = Path("obs.py")
+
+
+def _incremented_names(path: Path):
+    """Names, attributes and string keys that a ``+=`` raises."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)):
+            continue
+        target = node.target
+        if isinstance(target, ast.Name):
+            yield target.id, node.lineno
+        elif isinstance(target, ast.Attribute):
+            yield target.attr, node.lineno
+        elif (
+            isinstance(target, ast.Subscript)
+            and isinstance(target.slice, ast.Constant)
+            and isinstance(target.slice.value, str)
+        ):
+            yield target.slice.value, node.lineno
+
+
+def test_counters_are_raised_only_in_obs():
+    stray = [
+        f"{path.relative_to(SOURCE)}:{line} raises {name}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        if path.relative_to(SOURCE) != COUNTER_SITE
+        for name, line in _incremented_names(path)
+        if name in COUNTER_NAMES
+    ]
+    assert not stray, f"counter raised outside repro/{COUNTER_SITE}: {stray}"
