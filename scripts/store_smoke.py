@@ -4,7 +4,9 @@ Runs the same small sweep twice through ``python -m repro sweep --store``
 against a temporary store, asserts the second pass computed 0 points
 (everything reused), checks ``results diff`` of the two campaigns is
 empty, and answers a cross-campaign aggregate through ``results query``
-as a real subprocess.  Exits non-zero on any failure.
+as a real subprocess.  It does so for a ``--mode bound`` grid and for a
+``--mode run`` grid, whose points the store keeps as run digests.
+Exits non-zero on any failure.
 
 Usage: python scripts/store_smoke.py
 """
@@ -30,6 +32,12 @@ SWEEP_ARGS = [
     "--mode", "bound",
 ]
 
+RUN_SWEEP_ARGS = [
+    "--axis", "rounds=2,4",
+    "--axis", "protocol=all,single",
+    "--mode", "run",
+]
+
 
 def run_cli(*arguments: str) -> str:
     result = subprocess.run(
@@ -51,30 +59,35 @@ def main() -> None:
         scenario_path.write_text(json.dumps(SCENARIO))
         store = str(directory / "results.sqlite")
 
-        first = run_cli(
-            "sweep", str(scenario_path), *SWEEP_ARGS,
-            "--store", store, "--campaign", "pass-one",
-        )
-        print(first)
-        assert "6 computed, 0 reused" in first, first
+        def stored_twice(sweep_args, points, campaign):
+            first = run_cli(
+                "sweep", str(scenario_path), *sweep_args,
+                "--store", store, "--campaign", f"{campaign}-one",
+            )
+            print(first)
+            assert f"{points} computed, 0 reused" in first, first
 
-        second = run_cli(
-            "sweep", str(scenario_path), *SWEEP_ARGS,
-            "--store", store, "--campaign", "pass-two",
-        )
-        print(second)
-        assert "0 computed, 6 reused" in second, second
+            second = run_cli(
+                "sweep", str(scenario_path), *sweep_args,
+                "--store", store, "--campaign", f"{campaign}-two",
+            )
+            print(second)
+            assert f"0 computed, {points} reused" in second, second
 
-        diff = run_cli(
-            "results", "diff", "pass-one", "pass-two", "--store", store
-        )
-        print(diff)
-        assert "no differences" in diff, diff
+            diff = run_cli(
+                "results", "diff", f"{campaign}-one", f"{campaign}-two",
+                "--store", store,
+            )
+            print(diff)
+            assert "no differences" in diff, diff
+
+        stored_twice(SWEEP_ARGS, 6, "pass")
+        stored_twice(RUN_SWEEP_ARGS, 4, "run")
 
         query = run_cli(
             "results", "query", "--store", store,
             "--x", "rounds", "--y", "epsilon",
-            "--group-by", "mechanism.epsilon", "--json",
+            "--group-by", "mechanism.epsilon", "--mode", "bound", "--json",
         )
         rows = json.loads(query)
         # 2 mechanism epsilons x 3 rounds values, one point per cell.

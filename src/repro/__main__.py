@@ -247,45 +247,45 @@ def _scenario(args: argparse.Namespace) -> "repro.Scenario":
     return _load_scenario(args.scenario)
 
 
-def _print_digest(digest: dict, as_json: bool) -> None:
+def _print_payload(payload: dict, as_json: bool) -> None:
+    """Print a ``run``/``bound``/``audit`` payload: as JSON, or as
+    aligned ``key : value`` lines in which a mapping value is an
+    indented block and a block the payload lacks (``None``, such as a
+    single-graph bound's ``accounting``) is left out."""
     if as_json:
         import json
 
-        print(json.dumps(digest, indent=2))
+        print(json.dumps(payload, indent=2))
         return
-    width = max(len(key) for key in digest)
-    for key, value in digest.items():
-        print(f"  {key:<{width}} : {value}")
+    _print_lines({k: v for k, v in payload.items() if v is not None}, "  ")
+
+
+def _print_lines(mapping: dict, indent: str) -> None:
+    width = max(len(key) for key in mapping)
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            print(f"{indent}{key}:")
+            _print_lines(value, indent + "  ")
+        else:
+            print(f"{indent}{key:<{width}} : {value}")
 
 
 def _run(args: argparse.Namespace) -> None:
     from repro.scenario import run
 
-    _print_digest(run(_scenario(args)).summary(), args.json)
+    _print_payload(run(_scenario(args)).summary(), args.json)
 
 
 def _bound(args: argparse.Namespace) -> None:
     from repro.api import bound, bound_payload
 
-    payload = bound_payload(bound(_scenario(args)))
-    if args.json:
-        import json
-
-        print(json.dumps(payload, indent=2))
-        return
-    accounting = payload.pop("accounting", None)
-    _print_digest(payload, as_json=False)
-    if accounting is not None:
-        print("  accounting:")
-        width = max(len(key) for key in accounting)
-        for key, value in accounting.items():
-            print(f"    {key:<{width}} : {value}")
+    _print_payload(bound_payload(bound(_scenario(args))), args.json)
 
 
 def _audit(args: argparse.Namespace) -> None:
     from repro.scenario import audit
 
-    _print_digest(audit(_scenario(args), trials=args.trials).summary(), args.json)
+    _print_payload(audit(_scenario(args), trials=args.trials).summary(), args.json)
 
 
 def _sweep(args: argparse.Namespace) -> None:

@@ -11,10 +11,10 @@ Operations
     :class:`~repro.core.shuffler.NetworkShuffler`.
 Payloads
     :func:`parse_scenario` (dict/JSON -> :class:`Scenario`, typed
-    errors), :func:`bound_payload` / :func:`audit_payload` /
-    :func:`run_payload` (outcome -> JSON-able dict), and
-    :func:`run_summary_payload`, the one builder behind
-    ``RunResult.summary()`` and ``RunDigest.summary()``.
+    errors) and :func:`bound_payload` (a bound -> JSON-able dict).  A
+    run or an audit renders itself: ``.summary()`` on a
+    :class:`RunDigest`, a :class:`RunResult` (the summary of its
+    :func:`digest_run`) or an :class:`AuditResult`.
 Types
     :class:`Scenario`, :class:`RunResult`, :class:`RunDigest`,
     :class:`SweepResult`, :class:`AuditResult`,
@@ -95,23 +95,18 @@ from repro.scenario.profile import (
     set_profile_policy,
 )
 from repro.scenario.runner import (
+    RunDigest,
     RunResult,
     bound,
     build_graph,
     clear_graph_cache,
+    digest_run,
     run,
     spill_graph,
     stationary_bound,
 )
 from repro.scenario.spec import Scenario
-from repro.scenario.summary import run_summary_payload
-from repro.scenario.sweep import (
-    PointFailure,
-    RunDigest,
-    SweepResult,
-    digest_run,
-    sweep,
-)
+from repro.scenario.sweep import PointFailure, SweepResult, sweep
 from repro.store import ResultsStore, code_version, open_store
 from repro.store import aggregate as store_aggregate
 from repro.store import diff as store_diff
@@ -138,7 +133,6 @@ __all__ = [
     "WorkerCrashError",
     "attach_spill",
     "audit",
-    "audit_payload",
     "backend_info",
     "bound",
     "bound_payload",
@@ -157,8 +151,6 @@ __all__ = [
     "profile_stats",
     "resolve_method",
     "run",
-    "run_payload",
-    "run_summary_payload",
     "sampler_stats",
     "seed_streams",
     "set_profile_policy",
@@ -220,20 +212,6 @@ def bound_payload(result: NetworkShuffleBound) -> Dict[str, Any]:
             None if result.accounting is None else dict(result.accounting)
         ),
     }
-
-
-def run_payload(result: Union[RunResult, RunDigest]) -> Dict[str, Any]:
-    """JSON-able rendering of a run (full result or slim digest).
-
-    Both shapes share one summary builder
-    (:func:`run_summary_payload`), so this is the same dict either way.
-    """
-    return result.summary()
-
-
-def audit_payload(result: AuditResult) -> Dict[str, Any]:
-    """JSON-able rendering of a distinguishing-game audit."""
-    return result.summary()
 
 
 def _counters(prefix: str, *names: str) -> Dict[str, int]:

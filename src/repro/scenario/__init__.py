@@ -58,6 +58,7 @@ from repro.scenario.profile import (
 )
 from repro.scenario.registry import Registration, Registry
 from repro.scenario.runner import (
+    RunDigest,
     RunResult,
     SeedStreams,
     bound,
@@ -67,6 +68,7 @@ from repro.scenario.runner import (
     build_mechanism,
     build_values,
     clear_graph_cache,
+    digest_run,
     graph_summary,
     run,
     seed_streams,
@@ -86,10 +88,8 @@ from repro.scenario.spec import (
 )
 from repro.scenario.sweep import (
     PointFailure,
-    RunDigest,
     SweepPoint,
     SweepResult,
-    digest_run,
     sweep,
     sweep_scenarios,
 )

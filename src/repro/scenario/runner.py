@@ -55,10 +55,10 @@ from repro.scenario.cache import (
     spec_cache_key,
 )
 from repro.scenario.spec import Scenario
-from repro.scenario.summary import run_summary_payload
 from repro.utils.validation import check_non_negative_int
 
 __all__ = [
+    "RunDigest",
     "RunResult",
     "SeedStreams",
     "bound",
@@ -68,6 +68,7 @@ __all__ = [
     "build_mechanism",
     "build_values",
     "clear_graph_cache",
+    "digest_run",
     "graph_summary",
     "run",
     "seed_streams",
@@ -499,31 +500,110 @@ class RunResult:
         return self.protocol_result.payloads(include_dummies)
 
     def summary(self) -> Dict[str, Any]:
-        """JSON-able digest (one code path with ``RunDigest.summary``)."""
-        result = self.protocol_result
-        meters = result.meters
-        return run_summary_payload(
-            protocol=result.protocol,
-            engine=self.scenario.engine,
-            num_users=result.num_users,
-            rounds=self.rounds,
-            dummy_count=result.dummy_count,
-            elapsed_seconds=self.elapsed_seconds,
-            central_epsilon=None if self.bound is None else self.bound.epsilon,
-            central_delta=None if self.bound is None else self.bound.delta,
-            theorem=None if self.bound is None else self.bound.theorem,
-            epsilon0=None if self.bound is None else self.bound.epsilon0,
-            empirical_epsilon=self.empirical_epsilon,
-            total_messages_sent=(
-                None if meters is None else int(meters.total_messages_sent())
-            ),
-            max_peak_items=(
-                None if meters is None else int(meters.max_peak_items())
-            ),
-            schedule_accounting=(
-                None if self.bound is None else self.bound.accounting
-            ),
-        )
+        """JSON-able digest: the summary of this run's :class:`RunDigest`."""
+        return digest_run(self).summary()
+
+
+@dataclass(frozen=True)
+class RunDigest:
+    """The one record of a run: summary scalars + meter totals.
+
+    Everything heavy — the graph, the server reports, the values, the
+    per-user meter board — stays behind; a digest is a few hundred
+    bytes regardless of ``n``, which is what lets pooled sweeps scale to
+    million-user grids, and it is what the campaign store keeps.
+    :meth:`summary` is the one rendering of a run: ``repro run``, the
+    serving tier's job results and :meth:`RunResult.summary` all print
+    it.
+    """
+
+    protocol: str
+    engine: str
+    num_users: int
+    rounds: int
+    dummy_count: int
+    elapsed_seconds: float
+    central_epsilon: Optional[float] = None
+    central_delta: Optional[float] = None
+    theorem: Optional[str] = None
+    epsilon0: Optional[float] = None
+    empirical_epsilon: Optional[float] = None
+    total_messages_sent: Optional[int] = None
+    max_peak_items: Optional[int] = None
+    schedule_accounting: Optional[Dict[str, Any]] = None
+
+    def summary(self) -> Dict[str, Any]:
+        """JSON-able summary, keys in a fixed order.
+
+        * The execution scalars (protocol, engine, backend, num_users,
+          rounds, dummy_count, elapsed_seconds) are always present.
+          ``engine`` echoes the scenario's spelling; ``backend`` is
+          always ``vectorized``, the one exchange every spelling runs.
+        * The four accounting fields appear together iff a central bound
+          was computed (``central_epsilon is not None``).
+        * ``empirical_epsilon`` appears iff the Theorem 6.1 estimate
+          exists (``A_all`` with a pure-DP mechanism).
+        * The meter aggregates appear together iff the run was metered.
+        * ``schedule_accounting`` appears iff the bound came from
+          dynamic-schedule accounting (strategy, block geometry,
+          truncation bound).
+        """
+        payload: Dict[str, Any] = {
+            "protocol": self.protocol,
+            "engine": self.engine,
+            "backend": "vectorized",
+            "num_users": int(self.num_users),
+            "rounds": int(self.rounds),
+            "dummy_count": int(self.dummy_count),
+            "elapsed_seconds": round(float(self.elapsed_seconds), 6),
+        }
+        if self.central_epsilon is not None:
+            payload.update(
+                central_epsilon=self.central_epsilon,
+                central_delta=self.central_delta,
+                theorem=self.theorem,
+                epsilon0=self.epsilon0,
+            )
+        if self.empirical_epsilon is not None:
+            payload["empirical_epsilon"] = self.empirical_epsilon
+        if self.total_messages_sent is not None:
+            payload["total_messages_sent"] = int(self.total_messages_sent)
+            payload["max_peak_items"] = (
+                None if self.max_peak_items is None
+                else int(self.max_peak_items)
+            )
+        if self.schedule_accounting is not None:
+            payload["schedule_accounting"] = dict(self.schedule_accounting)
+        return payload
+
+
+def digest_run(result: RunResult) -> RunDigest:
+    """Condense a :class:`RunResult` into its :class:`RunDigest`."""
+    bound_ = result.bound
+    meters = result.protocol_result.meters
+    return RunDigest(
+        protocol=result.protocol_result.protocol,
+        engine=result.scenario.engine,
+        num_users=result.protocol_result.num_users,
+        rounds=result.rounds,
+        dummy_count=result.protocol_result.dummy_count,
+        elapsed_seconds=round(result.elapsed_seconds, 6),
+        central_epsilon=None if bound_ is None else bound_.epsilon,
+        central_delta=None if bound_ is None else bound_.delta,
+        theorem=None if bound_ is None else bound_.theorem,
+        epsilon0=None if bound_ is None else bound_.epsilon0,
+        empirical_epsilon=result.empirical_epsilon,
+        total_messages_sent=(
+            None if meters is None else int(meters.total_messages_sent())
+        ),
+        max_peak_items=(
+            None if meters is None else int(meters.max_peak_items())
+        ),
+        schedule_accounting=(
+            None if bound_ is None or bound_.accounting is None
+            else dict(bound_.accounting)
+        ),
+    )
 
 
 def run(scenario: Scenario) -> RunResult:

@@ -96,15 +96,16 @@ from repro.scenario.profile import (
 )
 from repro.scenario.registry import Registration
 from repro.scenario.runner import (
+    RunDigest,
     RunResult,
     _bundle_for,
     bound,
+    digest_run,
     run,
     spill_graph,
     stationary_bound,
 )
 from repro.scenario.spec import Scenario
-from repro.scenario.summary import run_summary_payload
 from repro.testing.faults import maybe_fire
 
 #: Execution modes: simulate + account, account on the materialized
@@ -133,85 +134,6 @@ _ORPHAN_POLL_SECONDS = 1.0
 #: Consecutive pool deaths with no point ever observed starting before
 #: the engine gives up (a broken initializer, not a poison point).
 _MAX_BARREN_REBUILDS = 3
-
-
-@dataclass(frozen=True)
-class RunDigest:
-    """What a ``run`` grid point keeps: summary scalars + meter totals.
-
-    Everything heavy — the graph, the server reports, the values, the
-    per-user meter board — stays in the worker; a digest is a few
-    hundred bytes regardless of ``n``, which is what lets pooled sweeps
-    scale to million-user grids.  The field names mirror
-    :meth:`RunResult.summary`.
-    """
-
-    protocol: str
-    engine: str
-    num_users: int
-    rounds: int
-    dummy_count: int
-    elapsed_seconds: float
-    central_epsilon: Optional[float] = None
-    central_delta: Optional[float] = None
-    theorem: Optional[str] = None
-    epsilon0: Optional[float] = None
-    empirical_epsilon: Optional[float] = None
-    total_messages_sent: Optional[int] = None
-    max_messages_sent: Optional[int] = None
-    max_peak_items: Optional[int] = None
-    schedule_accounting: Optional[Dict[str, Any]] = None
-
-    def summary(self) -> Dict[str, Any]:
-        """JSON-able digest (one code path with ``RunResult.summary``)."""
-        return run_summary_payload(
-            protocol=self.protocol,
-            engine=self.engine,
-            num_users=self.num_users,
-            rounds=self.rounds,
-            dummy_count=self.dummy_count,
-            elapsed_seconds=self.elapsed_seconds,
-            central_epsilon=self.central_epsilon,
-            central_delta=self.central_delta,
-            theorem=self.theorem,
-            epsilon0=self.epsilon0,
-            empirical_epsilon=self.empirical_epsilon,
-            total_messages_sent=self.total_messages_sent,
-            max_peak_items=self.max_peak_items,
-            schedule_accounting=self.schedule_accounting,
-        )
-
-
-def digest_run(result: RunResult) -> RunDigest:
-    """Condense a :class:`RunResult` into its :class:`RunDigest`."""
-    bound_ = result.bound
-    meters = result.protocol_result.meters
-    return RunDigest(
-        protocol=result.protocol_result.protocol,
-        engine=result.scenario.engine,
-        num_users=result.protocol_result.num_users,
-        rounds=result.rounds,
-        dummy_count=result.protocol_result.dummy_count,
-        elapsed_seconds=round(result.elapsed_seconds, 6),
-        central_epsilon=None if bound_ is None else bound_.epsilon,
-        central_delta=None if bound_ is None else bound_.delta,
-        theorem=None if bound_ is None else bound_.theorem,
-        epsilon0=None if bound_ is None else bound_.epsilon0,
-        empirical_epsilon=result.empirical_epsilon,
-        total_messages_sent=(
-            None if meters is None else int(meters.total_messages_sent())
-        ),
-        max_messages_sent=(
-            None if meters is None else int(meters.max_messages_sent())
-        ),
-        max_peak_items=(
-            None if meters is None else int(meters.max_peak_items())
-        ),
-        schedule_accounting=(
-            None if bound_ is None or bound_.accounting is None
-            else dict(bound_.accounting)
-        ),
-    )
 
 
 Outcome = Union[RunResult, RunDigest, NetworkShuffleBound, AuditResult]
@@ -1021,8 +943,8 @@ def sweep(
                 'store-backed sweeps require results="digest" — full '
                 "RunResult objects do not round-trip through the store"
             )
-        # Imported lazily: repro.store's outcome codec imports RunDigest
-        # from this module.
+        # Imported lazily: repro.store imports repro.scenario, whose
+        # package init imports this module.
         from repro.store import (
             code_version,
             open_store,

@@ -608,8 +608,7 @@ class ReproService:
         job.finished = time.time()
         if result.error is None:
             job.status = "done"
-            render = api.run_payload if job.kind == "run" else api.audit_payload
-            job.result = render(result.outcome)
+            job.result = result.outcome.summary()
         else:
             error = result.error
             if result.kind == "timeout":

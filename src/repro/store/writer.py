@@ -39,8 +39,8 @@ from repro.amplification.network_shuffle import NetworkShuffleBound
 from repro.auditing.auditor import AuditResult
 from repro.exceptions import StoreError, ValidationError
 from repro.scenario.cache import scenario_hash
+from repro.scenario.runner import RunDigest
 from repro.scenario.spec import Scenario
-from repro.scenario.sweep import RunDigest
 from repro.store.fingerprint import code_version
 from repro.store.schema import ensure_schema
 

@@ -32,7 +32,7 @@ from repro.netsim.faults import (
     NoFaults,
 )
 from repro.netsim.kernels import backend_info, set_require_jit
-from repro.scenario.summary import run_summary_payload
+from repro.scenario import RunDigest
 
 
 def _assert_engines_identical(a, b):
@@ -230,10 +230,10 @@ class TestImplementationResolution:
         kernels ran is :func:`backend_info`'s business."""
 
         def label(engine):
-            return run_summary_payload(
+            return RunDigest(
                 protocol="all", engine=engine, num_users=1, rounds=0,
                 dummy_count=0, elapsed_seconds=0.0,
-            )["backend"]
+            ).summary()["backend"]
 
         for implementation in ("numpy", "broken"):
             monkeypatch.setitem(

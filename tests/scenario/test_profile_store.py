@@ -14,10 +14,12 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import parse_scenario
 from repro.exceptions import ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule
@@ -406,15 +408,15 @@ class TestChaosResume:
             # The child inherits the fault plan through the environment,
             # exactly like a pool worker would.
             env = dict(os.environ)
-            env["PYTHONPATH"] = (
-                "src" + os.pathsep + env.get("PYTHONPATH", "")
-            )
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+                str(Path(repro.__file__).resolve().parents[1]),
+                env.get("PYTHONPATH"),
+            ]))
             return subprocess.run(
                 [sys.executable, "-c", _CHAOS_CHILD, str(spill)],
                 capture_output=True,
                 text=True,
                 env=env,
-                cwd="/root/repo",
                 timeout=120,
             )
 

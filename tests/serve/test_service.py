@@ -209,9 +209,9 @@ class TestJobs:
         status, job = request(client, "POST", "/run", {"scenario": SCENARIO})
         assert status == 202
         finished = wait_for_job(client, job["id"])
-        local = api.run_payload(
-            api.digest_run(api.run(api.parse_scenario(SCENARIO)))
-        )
+        local = api.digest_run(
+            api.run(api.parse_scenario(SCENARIO))
+        ).summary()
         assert list(finished["result"]) == list(local)
 
     def test_served_outputs_equal_the_library_values(self, client):
@@ -225,7 +225,7 @@ class TestJobs:
         status, job = request(client, "POST", "/run", {"scenario": SCENARIO})
         assert status == 202
         served = wait_for_job(client, job["id"])["result"]
-        local = api.run_payload(api.digest_run(api.run(scenario)))
+        local = api.digest_run(api.run(scenario)).summary()
         served.pop("elapsed_seconds")
         local.pop("elapsed_seconds")
         assert served == local
@@ -235,8 +235,7 @@ class TestJobs:
                                "rounds": 6})
         assert status == 202
         served = wait_for_job(client, job["id"])["result"]
-        assert served == api.audit_payload(
-            api.audit(scenario, trials=150, rounds=6))
+        assert served == api.audit(scenario, trials=150, rounds=6).summary()
 
     def test_failing_job_records_error_payload(self, client):
         # Auditing a Laplace scenario is refused (not pure-DP); the job

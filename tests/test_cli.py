@@ -118,6 +118,32 @@ class TestScenarioCommands:
         assert "central_epsilon" in output
         assert "rounds" in output
 
+    def test_run_schedule_scenario_indents_accounting(
+        self, schedule_scenario_file, capsys
+    ):
+        # The one printer renders a mapping value as an indented block,
+        # as ``bound`` does its ``accounting``, never as a dict repr.
+        main(["run", schedule_scenario_file])
+        lines = capsys.readouterr().out.splitlines()
+        block = lines[lines.index("  schedule_accounting:") + 1:]
+        assert block and all(line.startswith("    ") for line in block)
+        assert "strategy" in [line.split()[0] for line in block]
+        assert not any("{" in line for line in lines)
+
+    def test_run_schedule_json_is_the_summary(
+        self, schedule_scenario_file, capsys
+    ):
+        import json
+
+        from repro.api import parse_scenario, run
+
+        main(["run", schedule_scenario_file, "--json"])
+        printed = capsys.readouterr().out
+        with open(schedule_scenario_file, encoding="utf-8") as handle:
+            summary = run(parse_scenario(handle.read())).summary()
+        summary["elapsed_seconds"] = json.loads(printed)["elapsed_seconds"]
+        assert printed == json.dumps(summary, indent=2) + "\n"
+
     def test_audit_schedule_scenario(self, schedule_scenario_file, capsys):
         main(["audit", schedule_scenario_file, "--trials", "100"])
         output = capsys.readouterr().out
