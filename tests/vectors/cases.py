@@ -80,6 +80,15 @@ BOUND_CASES: Dict[str, Case] = {
         mechanism={"kind": "rr", "params": {"epsilon": 1.0}},
         seed=0,
     )),
+    # The symmetric analysis: the exact walk from node 0 (no eigensolve).
+    **{
+        f"bound/symmetric-k_regular-4-256-{rounds}-0.3": ("bound", dict(
+            graph={"kind": "k_regular", "params": {"degree": 4, "num_nodes": 256}},
+            mechanism={"kind": "rr", "params": {"epsilon": 1.0}},
+            analysis="symmetric", rounds=rounds, laziness=0.3, seed=0,
+        ))
+        for rounds in (5, 20)
+    },
 }
 
 # -- audit: default-path distinguishing games -------------------------------

@@ -113,10 +113,15 @@ def run_case(inputs) -> List[bytes]:
 
 
 def bound_case(inputs) -> List[bytes]:
-    """The spectral summary (gap, mixing time, collision) and the bound."""
+    """The spectral summary (gap, mixing time, collision) and the bound.
+
+    A symmetric bound reads no eigensolve, so it is pinned bit for bit."""
     with _fresh_graph_cache():
         scenario = Scenario(**inputs)
-        return [token(graph_summary(scenario), figures=True), token(bound(scenario), figures=True)]
+        return [
+            token(graph_summary(scenario), figures=True),
+            token(bound(scenario), figures=scenario.analysis != "symmetric"),
+        ]
 
 
 def audit_case(inputs) -> List[bytes]:
