@@ -39,9 +39,9 @@ distribution):
   reduces to per-trial statistics with one segmented (axis-1)
   reduction.  Cost scales with ``rounds``.  It walks a static graph
   and a dynamic schedule alike.
-* ``kernel`` computes the ``t``-step transition kernel
-  ``M^t`` once (``t`` sparse-dense products, shared by both worlds)
-  and samples every token's final holder directly from its kernel row
+* ``kernel`` reads the ``t``-step transition kernel ``M^t`` once
+  (one :class:`~repro.scenario.profile.ProfileStore` panel, shared by
+  both worlds) and samples every token's final holder directly from its kernel row
   by vectorized rejection against a scaled-uniform proposal — after
   mixing the rows are nearly flat, so a couple of passes settle all
   ``trials x n`` tokens and the sampling cost is *independent of*
@@ -75,9 +75,8 @@ import numpy as np
 
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ValidationError
-from repro.graphs.dynamic import DynamicGraphSchedule, GraphLike
+from repro.graphs.dynamic import DynamicGraphSchedule, GraphLike, dense_panel
 from repro.graphs.graph import Graph
-from repro.graphs.spectral import lazy_transition_matrix
 from repro.graphs.walks import position_distribution, simulate_trial_walks
 from repro.ldp.base import LocalRandomizer
 from repro.ldp.randomized_response import BinaryRandomizedResponse
@@ -432,8 +431,8 @@ class _KernelTable:
 class _KernelSampler:
     """Endpoint sampler from the dense ``t``-step walk kernel.
 
-    Builds ``K = M^t`` (row ``i`` = the exact law of a walk from ``i``
-    after ``t`` rounds) with sparse-dense products, then samples final
+    Reads ``K = M^t`` (row ``i`` = the exact law of a walk from ``i``
+    after ``t`` rounds) from the ``t``-step profile, then samples final
     holders by rejection: propose a uniform node ``j``, accept with
     probability ``K[i, j] / max_j K[i, j]``.  The acceptance table is
     exact, so the sampled law is exactly ``K[i, :]`` — the estimator is
@@ -446,22 +445,21 @@ class _KernelSampler:
 
     Deeply mixed chains exploit Chapman-Kolmogorov composition:
     ``M^t = M^(q_1) ... M^(q_s)`` with ``sum q_i = t``, so the walk is
-    sampled as ``s`` short-kernel draws from powers the chain passes
-    through anyway — the build does ``~t/s`` products instead of ``t``
-    for the same exact law.  The chain probes its mean rejection
-    constant at doubling exponents and stops as soon as composition is
+    sampled as ``s`` short-kernel draws from powers the evolution passes
+    through anyway — the build evolves ``~t/s`` rounds instead of ``t``
+    for the same exact law.  The build probes its mean rejection
+    constant at t/4, t/3 and t/2 and stops as soon as composition is
     viable (every stage kernel must itself be mixed, or its rejection
     passes would dominate what the shorter build saves).
 
-    ``power_cache`` (scenario sweeps pass the graph bundle's) maps
-    ``step -> (M^step)^T`` across sampler builds for the same
-    ``(graph, laziness)``: a build seeds its chain from the largest
-    cached power below its target and records its own largest power
-    back, so an ascending rounds-axis audit sweep pays ``O(t_max)``
-    sparse-dense products in total instead of rebuilding each ``M^t``
-    from scratch.  Every cached power was produced by the identical
-    sequential product chain a cold build would execute, so warm and
-    cold builds are bit-identical.
+    Every stage kernel ``(M^e)^T`` is the one-block panel of a
+    :class:`~repro.scenario.profile.ProfileStore`, read through
+    ``panel(steps)``.  The scenario layer hands in its graph bundle's
+    store, so an ascending rounds-axis audit sweep continues the
+    longest evolution so far instead of restarting it; standalone
+    builds keep a private store.  A resumed panel applies exactly the
+    products a cold build would, so warm and cold builds are
+    bit-identical.
     """
 
     _MAX_REJECTION_PASSES = 48
@@ -478,56 +476,40 @@ class _KernelSampler:
         rounds: int,
         laziness: float,
         *,
-        power_cache: Optional[Dict[int, np.ndarray]] = None,
+        panel: Optional[Callable[[int], tuple]] = None,
     ):
         n = graph.num_nodes
-        matrix_t = lazy_transition_matrix(graph, laziness).T.tocsr()
-        kernel_t = np.eye(n)
-        step = 0
+        if panel is None:
+            from repro.scenario.profile import ProfileStore
 
-        def advance(target: int) -> None:
-            nonlocal kernel_t, step
-            if power_cache:
-                # Fast-forward through the largest cached power in
-                # (step, target]; cached powers come from the identical
-                # sequential chain, so the result is bit-identical.
-                best = max(
-                    (s for s in power_cache if step < s <= target),
-                    default=None,
-                )
-                if best is not None:
-                    kernel_t, step = power_cache[best], best
-            while step < target:
-                kernel_t = matrix_t @ kernel_t
-                step += 1
+            panel = ProfileStore(
+                graph, identity="kernel", block_size=n, laziness=laziness,
+                spill=False,
+            ).panel
 
-        # Probe mixedness at the useful split exponents (t/4, t/3, t/2,
-        # all on the chain's way anyway) and stop at the first power
-        # that supports composition — the more stages, the shorter the
-        # dominant build.
+        def power(exponent: int) -> np.ndarray:
+            """``(M^exponent)^T``: column ``i`` is the walk from ``i``."""
+            return dense_panel(panel(exponent)[0])
+
+        # Probe mixedness at the useful split exponents (t/4, t/3, t/2)
+        # and stop at the first power that supports composition — the
+        # more stages, the shorter the dominant build.
         num_stages = 1
         for candidate in range(self._MAX_STAGES, 1, -1):
             base_exponent = rounds // candidate
             if base_exponent < 8:
                 continue
-            advance(base_exponent)
-            # kernel_t holds (M^step)^T, so K's per-row maxima are the
-            # per-column maxima here.
-            if n * kernel_t.max(axis=0).mean() <= self._MIXED_REJECTION_MEAN:
+            # K's per-row maxima are the panel's per-column maxima.
+            maxima = power(base_exponent).max(axis=0)
+            if n * maxima.mean() <= self._MIXED_REJECTION_MEAN:
                 num_stages = candidate
                 break
         base, extra = divmod(rounds, num_stages)
         exponents = [base + 1] * extra + [base] * (num_stages - extra)
-        tables: Dict[int, _KernelTable] = {}
-        for exponent in sorted(set(exponents)):
-            advance(exponent)
-            tables[exponent] = _KernelTable(kernel_t)
-        if power_cache is not None and step >= max(power_cache, default=0):
-            # Keep only the longest power: ascending sweeps (the common
-            # shape) extend it incrementally, and one dense (n, n)
-            # matrix bounds the cache's memory.
-            power_cache.clear()
-            power_cache[step] = kernel_t
+        tables = {
+            exponent: _KernelTable(power(exponent))
+            for exponent in sorted(set(exponents))
+        }
         self.num_nodes = n
         self._stages = [tables[exponent] for exponent in exponents]
         self._tiled_base: Optional[np.ndarray] = None

@@ -183,6 +183,11 @@ def identity_panel(num_nodes: int, start: int, stop: int) -> sp.csc_matrix:
     )
 
 
+def dense_panel(panel: Panel) -> np.ndarray:
+    """``panel`` as a dense array: a sparse panel's values, zeros filled in."""
+    return panel.toarray() if sp.issparse(panel) else panel
+
+
 def _sequential_sum(values: np.ndarray) -> float:
     """Strictly left-to-right IEEE sum (no pairwise trees, no SIMD lanes).
 

@@ -144,7 +144,7 @@ def audit(
     # When the kernel engine will run (only on static graphs within
     # KERNEL_MAX_NODES), hand it the bundle's memoized sampler: repeated
     # audits (eps0/trials axes) reuse it outright and a rounds axis
-    # extends the cached matrix power chain — both bit-identical to a
+    # continues the bundle's t-step profile — both bit-identical to a
     # cold build (the sampler build is deterministic; only sampling
     # consumes randomness).
     sampler = None

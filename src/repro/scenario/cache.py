@@ -18,13 +18,17 @@ Every path is counted (``graph_cache.*`` in :mod:`repro.obs`), so a
 sweep can assert the contract the engine exists for: **each distinct
 graph is built exactly once per host**.
 
-The bundle also memoizes the two expensive per-graph derivatives the
-accounting and auditing layers keep asking for — the spectral summary /
-walk profiles (as before), and now the auditor's dense ``M^t`` endpoint
-sampler (:class:`repro.auditing.auditor._KernelSampler`), keyed by
-``(rounds, laziness)`` with an incremental power cache so a
-rounds-axis audit sweep extends the longest kernel computed so far
-instead of rebuilding ``M^t`` from scratch.
+The bundle also memoizes the expensive per-graph derivatives the
+accounting and auditing layers keep asking for: the spectral summary,
+the auditor's ``M^t`` endpoint samplers
+(:class:`repro.auditing.auditor._KernelSampler`, keyed by ``(rounds,
+laziness)``), and the one ``t``-step profile every exact consumer reads
+— the rows of ``M^t`` (or of a schedule's product), kept by
+:class:`~repro.scenario.profile.ProfileStore` panels.  Schedule
+accounting reads every column block, the kernel sampler the whole
+``(n, n)`` panel, and the symmetric analysis the single column of node
+0; each store continues its longest evolution so far, so ascending
+``rounds`` sweeps never restart a walk.
 """
 
 from __future__ import annotations
@@ -46,9 +50,7 @@ from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
 from repro.graphs.io import load_spill, save_graph_npz, save_schedule_npz
 from repro.graphs.spectral import SpectralSummary, spectral_summary
-from repro.graphs.walks import evolve_distribution, position_distribution
 from repro.scenario.profile import (
-    ProfilePlan,
     ProfileStore,
     ScheduleAccounting,
     get_profile_policy,
@@ -103,26 +105,20 @@ class GraphBundle:
     #: hundreds of megabytes.
     _KERNEL_SAMPLER_CAP = 2
 
-    #: How many profile stores stay cached per schedule bundle (one per
-    #: distinct (laziness, truncation, block size)).  Spilling stores
-    #: hold only their last collision vector between calls; at most
-    #: one in-memory store is kept (see :meth:`_profile_store`), so
-    #: the cap guards dict growth, not memory.
+    #: How many profile stores stay cached per bundle (one per distinct
+    #: (laziness, truncation, block size)).  Spilling stores hold only
+    #: their last collision vector between calls, and an in-memory
+    #: store holds at most one ``(n, n)`` panel, so at most two such
+    #: panels stay resident per bundle.
     _PROFILE_STORE_CAP = 2
 
     def __init__(self, graph: Union[Graph, DynamicGraphSchedule]):
         self.graph = graph
         self._summary: Optional[SpectralSummary] = None
         self._ergodic = False
-        # Per-laziness walk cache: laziness -> (steps, distribution).
-        # Ascending `rounds` sweeps evolve incrementally (O(T) total
-        # mat-vecs instead of O(T^2)); chained evolution applies the
-        # same matrix-vector sequence as a from-scratch walk, so the
-        # result is bit-identical.
-        self._walks: Dict[float, tuple] = {}
-        # Schedule-accounting stores keyed by the knobs that change a
-        # panel's bits (laziness, truncation, block size) plus the
-        # spill root they write under.
+        # Profile stores keyed by the knobs that change a panel's bits
+        # (laziness, truncation, block size) plus the spill root they
+        # write under.
         self._profile_stores: "OrderedDict[tuple, ProfileStore]" = (
             OrderedDict()
         )
@@ -131,12 +127,10 @@ class GraphBundle:
         #: identity from it, so every process resolving the same
         #: resolved spec shares one block directory.
         self.cache_key: Optional[str] = None
-        # Auditor kernel samplers keyed (rounds, laziness), plus the
-        # per-laziness power cache the samplers extend incrementally.
+        # Auditor kernel samplers keyed (rounds, laziness).
         self._kernel_samplers: OrderedDict[Tuple[int, float], Any] = (
             OrderedDict()
         )
-        self._kernel_powers: Dict[float, Dict[int, np.ndarray]] = {}
         #: Whether the build provably ignored the seed-derived graph
         #: stream (set by the cache; drives spec-keyed sharing/spill).
         self.seed_independent = False
@@ -194,8 +188,9 @@ class GraphBundle:
         provable additive bound on the mass that error can hide.
         """
         plan = plan_profile(self.graph.num_nodes, get_profile_policy())
-        with self._derive_lock:
-            store = self._profile_store(laziness, truncation, plan)
+        store = self.profile_store(
+            laziness, plan.block_size, truncation=truncation, spill=plan.spill
+        )
         collisions, dropped = store.collisions(steps)
         obs.count(
             "profile_store.dense_profiles"
@@ -218,91 +213,71 @@ class GraphBundle:
             exact=truncation is None,
         )
 
-    def _profile_store(
+    def profile_store(
         self,
         laziness: float,
-        truncation: Optional[float],
-        plan: ProfilePlan,
+        block_size: int,
+        *,
+        truncation: Optional[float] = None,
+        spill: bool = False,
     ) -> ProfileStore:
-        """The (memoized) block store for one set of accounting knobs.
+        """The (memoized) ``t``-step profile store of ``block_size`` columns.
 
-        A one-block plan gets an in-memory store; only one of those is
-        kept per bundle, since its panel is the whole ``(n, n)``
-        profile.  The spill root of a multi-block plan is resolved at
-        call time from the process-wide cache, so attaching a spill
-        directory mid-session (sweep setup, serve ``--spill-dir``)
-        redirects subsequent profiles without rebuilding bundles.
+        Schedule accounting passes its planned width, the kernel sampler
+        ``n`` and the symmetric analysis ``1``.  A new in-memory store
+        replaces any other of the same width, so the whole-profile
+        panels of two lazinesses never pile up.  The spill root of a
+        spilling store is resolved at call time from the process-wide
+        cache, so attaching a spill directory mid-session (sweep setup,
+        serve ``--spill-dir``) redirects subsequent profiles without
+        rebuilding bundles.
         """
-        root = GRAPH_CACHE.spill_dir if plan.spill else None
+        block_size = int(block_size)
+        root = GRAPH_CACHE.spill_dir if spill else None
         key = (
             float(laziness),
             None if truncation is None else float(truncation),
-            plan.block_size,
+            block_size,
             None if root is None else str(root),
         )
-        store = self._profile_stores.get(key)
-        if store is None:
-            if not plan.spill:
+        with self._derive_lock:
+            store = self._profile_stores.get(key)
+            if store is not None:
+                self._profile_stores.move_to_end(key)
+                return store
+            if not spill:
                 for stale in [
                     other for other, kept in self._profile_stores.items()
-                    if not kept.spill
+                    if not kept.spill and kept.block_size == block_size
                 ]:
                     del self._profile_stores[stale]
             store = ProfileStore(
                 self.graph,
                 identity=store_identity(
-                    self.cache_key, float(laziness), truncation,
-                    plan.block_size,
+                    self.cache_key, float(laziness), truncation, block_size
                 ),
-                block_size=plan.block_size,
+                block_size=block_size,
                 laziness=laziness,
                 truncation=truncation,
                 directory=root,
-                spill=plan.spill,
+                spill=spill,
             )
             self._profile_stores[key] = store
             while len(self._profile_stores) > self._PROFILE_STORE_CAP:
                 self._profile_stores.popitem(last=False)
-        else:
-            self._profile_stores.move_to_end(key)
-        return store
-
-    def walk_distribution(self, steps: int, laziness: float) -> np.ndarray:
-        """Exact ``P(t)`` from node 0, memoized per laziness.
-
-        The cache keeps the *longest* walk computed so far, so a
-        descending-rounds request recomputes from scratch without
-        downgrading the cache for later, longer requests.
-        """
-        with self._derive_lock:
-            key = float(laziness)
-            cached = self._walks.get(key)
-            if cached is not None and cached[0] <= steps:
-                done, distribution = cached
-                distribution = evolve_distribution(
-                    self.graph, distribution, steps - done, laziness=laziness
-                )
-            else:
-                distribution = position_distribution(
-                    self.graph, 0, steps, laziness=laziness
-                )
-            if cached is None or steps >= cached[0]:
-                self._walks[key] = (steps, distribution)
-            return distribution
+            return store
 
     def kernel_sampler(self, rounds: int, laziness: float):
         """The auditor's dense ``M^t`` endpoint sampler, memoized.
 
         Keyed by ``(rounds, laziness)`` — together with the bundle's own
         spec+seed identity that is the full (graph spec, rounds,
-        laziness) key of the ROADMAP follow-up.  Repeated audits of the
-        same configuration (eps0/trials axes) reuse the sampler object
-        outright; a new ``rounds`` value seeds its kernel build from
-        the longest matrix power already computed for this laziness, so
-        an ascending rounds-axis sweep pays ``O(t_max)`` sparse-dense
-        products in total instead of ``O(sum t_i)``.  Both reuse paths
-        are bit-identical to a cold build (the power cache replays the
-        exact same product sequence).
+        laziness) key.  Repeated audits of the same configuration
+        (eps0/trials axes) reuse the sampler object outright; a new
+        ``rounds`` value reads its stage kernels from the bundle's
+        ``n``-wide profile store, so an ascending rounds-axis sweep
+        evolves ``O(t_max)`` rounds in total instead of ``O(sum t_i)``.
+        Both reuse paths are bit-identical to a cold build.
         """
         from repro.auditing.auditor import _KernelSampler
 
@@ -318,20 +293,14 @@ class GraphBundle:
                 self._kernel_samplers.move_to_end(key)
                 obs.count("kernel_sampler.hits")
                 return sampler
-            powers = self._kernel_powers.setdefault(key[1], {})
+            store = self.profile_store(key[1], self.graph.num_nodes)
             sampler = _KernelSampler(
-                self.graph, key[0], key[1], power_cache=powers
+                self.graph, key[0], key[1], panel=store.panel
             )
             obs.count("kernel_sampler.builds")
             self._kernel_samplers[key] = sampler
             while len(self._kernel_samplers) > self._KERNEL_SAMPLER_CAP:
                 self._kernel_samplers.popitem(last=False)
-            # Drop power chains for laziness values no retained sampler
-            # uses: each chain pins a dense (n, n) matrix, and a
-            # laziness-axis sweep would otherwise accumulate one per value.
-            live = {retained for _, retained in self._kernel_samplers}
-            for stale in [lz for lz in self._kernel_powers if lz not in live]:
-                del self._kernel_powers[stale]
             return sampler
 
 

@@ -1,7 +1,14 @@
-"""Out-of-core schedule accounting: policy, planning, and block store.
+"""The one ``t``-step profile: policy, planning, and block store.
 
-Exact per-user accounting on a dynamic schedule evolves every user's
-position distribution — an ``(n, n)`` profile that dominated memory and
+Every user's position distribution after ``t`` rounds, ``P_i(t)``, is
+a row of ``M^t`` (or of a schedule's round-by-round product) — the
+``(n, n)`` profile.  :class:`ProfileStore` is the one memoized
+evolution of it, for a static graph (a one-graph schedule) as for a
+schedule: exact schedule accounting reads every column block, the
+auditor's kernel sampler the whole panel, and the symmetric analysis
+the one column of node 0.
+
+For schedule accounting the whole profile dominated memory and once
 capped schedules at 4096 nodes.  This module lifts the ceiling with one
 panel engine governed by one knob, the **profile memory budget**: the
 profile evolves in column blocks of ``B`` users, ``B`` being the widest
@@ -54,12 +61,13 @@ import scipy.sparse as sp
 from repro import obs
 from repro.exceptions import ValidationError
 from repro.graphs.dynamic import (
-    DynamicGraphSchedule,
+    GraphLike,
     _TransitionCache,
     evolve_panel_on_schedule,
     identity_panel,
     panel_collisions,
 )
+from repro.graphs.walks import _as_schedule
 from repro.testing import faults
 
 __all__ = [
@@ -456,13 +464,15 @@ def _read_panel(
 # The block store
 # ----------------------------------------------------------------------
 class ProfileStore:
-    """Block-granular evolve/keep/resume for one schedule's profile.
+    """Block-granular evolve/keep/resume for one ``t``-step profile.
 
-    One store binds a schedule to one set of result-affecting knobs
-    (laziness, truncation, block size).  :meth:`collisions` walks the
-    column blocks: each block resumes from its kept evolution when one
-    exists at fewer (or equal) rounds, evolves the remainder, is kept,
-    and is reduced to per-user collision mass.  ``spill=True`` keeps
+    One store binds a schedule (or a static graph, walked as a
+    one-graph schedule) to one set of result-affecting knobs (laziness,
+    truncation, block size).  :meth:`panel` evolves one column block:
+    it resumes from the block's kept evolution when one exists at fewer
+    (or equal) rounds, evolves the remainder, and keeps the result.
+    :meth:`collisions` walks every block through :meth:`panel` and
+    reduces each to per-user collision mass.  ``spill=True`` keeps
     blocks as ``.npz`` files and **releases** each panel before the next
     block starts — the memory high-water is one panel.  ``spill=False``
     keeps the evolved panels in memory instead (what a one-block profile
@@ -477,7 +487,7 @@ class ProfileStore:
 
     def __init__(
         self,
-        schedule: DynamicGraphSchedule,
+        schedule: GraphLike,
         *,
         identity: str,
         block_size: int,
@@ -490,7 +500,7 @@ class ProfileStore:
             raise ValidationError(
                 f"block_size must be >= 1, got {block_size!r}"
             )
-        self.schedule = schedule
+        self.schedule = _as_schedule(schedule)
         self.identity = str(identity)
         self.block_size = int(block_size)
         self.laziness = float(laziness)
@@ -500,6 +510,7 @@ class ProfileStore:
         self._last: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
         # spill=False: block start -> (panel, dropped, steps).
         self._resident: Dict[int, Tuple[Any, np.ndarray, int]] = {}
+        self._transitions = _TransitionCache(self.schedule, self.laziness)
         self._lock = threading.Lock()
 
     @property
@@ -538,16 +549,54 @@ class ProfileStore:
         obs.count("profile_store.blocks_spilled")
         obs.count("profile_store.spill_bytes", written)
 
+    def panel(self, steps: int, start: int = 0) -> Tuple[Any, np.ndarray]:
+        """The block starting at user ``start`` after ``steps`` rounds.
+
+        Returns ``(panel, dropped)``: the ``(n, B)`` column panel —
+        sparse while its columns are still mostly one-hot, else dense —
+        and each column's dropped mass (all zeros without truncation).
+        The block resumes from its kept evolution when one exists at
+        fewer (or equal) rounds, else starts from one-hot; a longer
+        evolution is kept.  Callers must not modify the panel: an
+        in-memory store hands out the kept array itself.
+        """
+        if int(steps) < 0:
+            raise ValidationError(
+                f"steps must be non-negative, got {steps}"
+            )
+        steps = int(steps)
+        n = self.schedule.num_nodes
+        stop = min(start + self.block_size, n)
+        kept = self._kept(start, stop - start)
+        if kept is not None and kept[2] <= steps:
+            panel, dropped, done = kept
+            obs.count("profile_store.blocks_resumed")
+        else:
+            panel = identity_panel(n, start, stop)
+            dropped = np.zeros(stop - start, dtype=np.float64)
+            done = 0
+        if done < steps:
+            panel, dropped = evolve_panel_on_schedule(
+                self.schedule,
+                panel,
+                steps - done,
+                laziness=self.laziness,
+                start_round=done,
+                transitions=self._transitions,
+                truncation=self.truncation,
+                dropped=dropped,
+            )
+            obs.count("profile_store.blocks_evolved")
+            if kept is None or kept[2] < steps:
+                self._keep(start, panel, dropped, steps)
+        return panel, dropped
+
     def collisions(self, steps: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-user ``(collision mass, dropped mass)`` after ``steps`` rounds.
 
         Both arrays have shape ``(n,)``; without truncation the second
         is all zeros.
         """
-        if int(steps) < 0:
-            raise ValidationError(
-                f"steps must be non-negative, got {steps}"
-            )
         steps = int(steps)
         with self._lock:
             if self._last is not None and self._last[0] == steps:
@@ -555,31 +604,9 @@ class ProfileStore:
         n = self.schedule.num_nodes
         out = np.empty(n, dtype=np.float64)
         dropped_out = np.zeros(n, dtype=np.float64)
-        transitions = _TransitionCache(self.schedule, self.laziness)
         for index, start in enumerate(range(0, n, self.block_size)):
-            stop = min(start + self.block_size, n)
-            kept = self._kept(start, stop - start)
-            if kept is not None and kept[2] <= steps:
-                panel, dropped, done = kept
-                obs.count("profile_store.blocks_resumed")
-            else:
-                panel = identity_panel(n, start, stop)
-                dropped = np.zeros(stop - start, dtype=np.float64)
-                done = 0
-            if done < steps:
-                panel, dropped = evolve_panel_on_schedule(
-                    self.schedule,
-                    panel,
-                    steps - done,
-                    laziness=self.laziness,
-                    start_round=done,
-                    transitions=transitions,
-                    truncation=self.truncation,
-                    dropped=dropped,
-                )
-                obs.count("profile_store.blocks_evolved")
-                if kept is None or kept[2] < steps:
-                    self._keep(start, panel, dropped, steps)
+            panel, dropped = self.panel(steps, start)
+            stop = start + panel.shape[1]
             out[start:stop] = panel_collisions(panel)
             dropped_out[start:stop] = dropped
             # Chaos hook: lets tests kill this process between blocks

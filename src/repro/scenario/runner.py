@@ -32,7 +32,7 @@ from repro.amplification.network_shuffle import (
     theorem_bound,
 )
 from repro.exceptions import ScheduleRefusedError, ValidationError
-from repro.graphs.dynamic import DynamicGraphSchedule
+from repro.graphs.dynamic import DynamicGraphSchedule, dense_panel
 from repro.graphs.graph import Graph
 from repro.graphs.spectral import SpectralSummary
 from repro.ldp.base import LocalRandomizer
@@ -319,18 +319,19 @@ def _theorem(settings: _Settings, n: int, **mass: Any) -> NetworkShuffleBound:
 def _bound_on(bundle: GraphBundle, settings: _Settings, steps: int) -> NetworkShuffleBound:
     """The Theorem 5.3-5.6 guarantee of a pre-flighted bundle at ``steps``.
 
-    The symmetric analysis reads the exact walk from node 0, memoized
-    per laziness on the bundle.  A schedule is accounted exactly: every
-    user's position distribution is evolved through the per-round
-    topologies in column panels kept by the bundle's
-    :class:`~repro.scenario.profile.ProfileStore`, and the worst user's
-    collision mass feeds the Theorem 5.3/5.5 bounds — no stationarity
-    assumption, which a time-varying walk could not honor.
+    Both exact analyses read the bundle's ``t``-step profile
+    (:class:`~repro.scenario.profile.ProfileStore`, memoized per
+    laziness, continued by ascending ``rounds``).  The symmetric
+    analysis reads one column: the exact walk from node 0.  A schedule
+    is accounted exactly: every user's position distribution is evolved
+    through the per-round topologies in column panels, and the worst
+    user's collision mass feeds the Theorem 5.3/5.5 bounds — no
+    stationarity assumption, which a time-varying walk could not honor.
     """
     n = bundle.graph.num_nodes
     if settings.analysis == "symmetric":
-        distribution = bundle.walk_distribution(steps, settings.laziness)
-        return _theorem(settings, n, distribution=distribution)
+        panel, _ = bundle.profile_store(settings.laziness, 1).panel(steps)
+        return _theorem(settings, n, distribution=dense_panel(panel)[:, 0])
     if bundle.is_schedule:
         accounting = bundle.schedule_collision(
             steps, settings.laziness, truncation=settings.truncation

@@ -285,6 +285,22 @@ class TestAccountingSoundness:
         assert lazy.sum_squared > healthy.sum_squared
         assert lazy.epsilon > healthy.epsilon
 
+    @pytest.mark.parametrize("laziness", [0.0, 0.3])
+    def test_symmetric_memo_matches_cold_bounds(self, laziness):
+        """One bundle answers ascending, descending and repeated rounds
+        bit for bit as a cold cache does."""
+        from repro.scenario import clear_graph_cache
+
+        base = _scenario("all", "fast", analysis="symmetric", laziness=laziness)
+        order = [12, 4, 20, 20]
+        clear_graph_cache()
+        warm = [bound(base, rounds=steps) for steps in order]
+        cold = []
+        for steps in order:
+            clear_graph_cache()
+            cold.append(bound(base, rounds=steps))
+        assert warm == cold
+
     def test_fully_lazy_walk_keeps_the_point_mass(self):
         """At ``laziness = 1`` no report moves: the collision bound is 1."""
         assert bound(_scenario("all", "fast", laziness=1.0)).sum_squared == 1.0
@@ -356,6 +372,54 @@ class TestAccountingSoundness:
         monkeypatch.setattr(runner_module, "run_protocol", _boom)
         with pytest.raises(ValidationError, match="epsilon0"):
             run(_scenario("all", "fast", epsilon0=2.0))
+
+
+class TestWorstUserSoundness:
+    """Findings for ROADMAP direction 8, pricing every user rather than
+    node 0.  Each compares a reported bound with the exact per-user
+    truth, read from a dense ``t``-step profile panel.  When direction 8
+    makes the bound cover the worst user, these xfails flip to passes."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP direction 8: the symmetric analysis prices node 0, and a "
+        "random regular graph is not vertex-transitive"
+    ))
+    def test_symmetric_bound_covers_the_worst_user(self):
+        from repro.experiments.config import DEFAULT_CONFIG
+        from repro.graphs.dynamic import dense_panel
+        from repro.scenario.runner import _bundle_for
+
+        scenario = Scenario(
+            graph=GraphSpec.of("k_regular", degree=8, num_nodes=2048),
+            protocol="all", analysis="symmetric", epsilon0=1.0, rounds=7,
+            delta=DEFAULT_CONFIG.delta, delta2=DEFAULT_CONFIG.delta2,
+            seed=DEFAULT_CONFIG.seed,
+        )
+        reported = bound(scenario)
+        n = reported.n
+        profile = dense_panel(_bundle_for(scenario).profile_store(0.0, n).panel(7)[0])
+        worst = max(
+            epsilon_all_symmetric(
+                1.0, n, profile[:, user], scenario.delta, scenario.delta2
+            ).epsilon
+            for user in range(n)
+        )
+        assert worst <= reported.epsilon
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP direction 8: Equation 7 omits the cross term of an "
+        "irregular walk and understates the worst user"
+    ))
+    def test_stationary_collision_covers_the_worst_user(self):
+        from repro.scenario.runner import _bundle_for
+
+        scenario = Scenario(
+            graph={"kind": "dataset", "params": {"name": "facebook", "scale": 0.1}},
+            protocol="all", epsilon0=1.0, rounds=1, seed=0,
+        )
+        reported = bound(scenario)
+        store = _bundle_for(scenario).profile_store(0.0, reported.n)
+        assert store.collisions(1)[0].max() <= reported.sum_squared
 
 
 class TestWalkCache:

@@ -485,13 +485,13 @@ class TestKernelSamplerMemo:
         assert self._sampler_counts_since(before)[0] == 2
 
     def test_laziness_axis_does_not_pin_unbounded_power_chains(self):
-        """Each power chain holds a dense (n, n) matrix; evicting a
-        sampler must release its laziness's chain too."""
+        """Each kernel profile store holds a dense (n, n) panel; a
+        laziness axis must not keep one per value."""
         scenario = self._audit_scenario()
         for laziness in (0.0, 0.1, 0.2, 0.3):
             audit(scenario.updated(laziness=laziness))
         bundle = _bundle_for(scenario)
-        assert len(bundle._kernel_powers) <= bundle._KERNEL_SAMPLER_CAP
+        assert len(bundle._profile_stores) <= bundle._PROFILE_STORE_CAP
 
 
 class TestRunDigest:
