@@ -41,11 +41,11 @@ distribution):
   and a dynamic schedule alike.
 * ``kernel`` reads the ``t``-step transition kernel ``M^t`` once
   (one :class:`~repro.scenario.profile.ProfileStore` panel, shared by
-  both worlds) and samples every token's final holder directly from its kernel row
-  by vectorized rejection against a scaled-uniform proposal — after
-  mixing the rows are nearly flat, so a couple of passes settle all
-  ``trials x n`` tokens and the sampling cost is *independent of*
-  ``rounds``.  Non-victim payloads are drawn as fair coins directly
+  both worlds) and samples every token's final holder directly from
+  its kernel row by vectorized rejection against a scaled-uniform
+  proposal — after mixing the rows are nearly flat, so a couple of
+  passes settle all ``trials x n`` tokens and the sampling cost is
+  *independent of* ``rounds``.  Non-victim payloads are drawn as fair coins directly
   (binary RR applied to a uniform bit is a uniform bit — exactly the
   same law, one fewer pass over the batch).
 
