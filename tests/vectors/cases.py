@@ -72,6 +72,15 @@ RUN_CASES: Dict[str, Case] = {
     for protocol in ("all", "single")
     for laziness in ((0.0,) if kind == "schedule" else (0.0, 0.3))
 }
+# Figure 9's shape: PrivUnit at d = 200 under A_single on the twitch
+# stand-in, whose 2047 dummies span four 512-row randomization blocks.
+RUN_CASES["run/figure9-twitch-0.4-single"] = ("run", dict(
+    graph={"kind": "dataset", "params": {"name": "twitch", "scale": 0.4, "seed": 2022}},
+    protocol="single", rounds=7, seed=20240,
+    mechanism={"kind": "privunit", "params": {"epsilon": 2.0, "dimension": 200}},
+    values={"kind": "bimodal_unit_vectors", "params": {"dimension": 200}},
+    dummies={"kind": "privunit_normal", "params": {}},
+))
 
 # -- bound: the sparse (Lanczos) spectral path ------------------------------
 BOUND_CASES: Dict[str, Case] = {
