@@ -51,12 +51,17 @@ def generate_bimodal_unit_vectors(
     check_positive_int(dimension, "dimension")
     generator = ensure_rng(rng)
     half = num_users // 2
-    low = generator.normal(low_mean, 1.0, size=(half, dimension))
-    high = generator.normal(high_mean, 1.0, size=(num_users - half, dimension))
-    samples = np.vstack([low, high])
-    norms = np.linalg.norm(samples, axis=1, keepdims=True)
+    # ``normal(mean, 1)`` is ``mean + 1 * z``: standard normals plus the
+    # mean, bit for bit, drawn straight into the one result array.
+    samples = np.empty((num_users, dimension))
+    for rows, mean in ((samples[:half], low_mean), (samples[half:], high_mean)):
+        generator.standard_normal(out=rows)
+        rows += mean
+    # np.linalg.norm(samples, axis=1) for real input, one temporary fewer.
+    norms = np.sqrt(np.add.reduce(np.square(samples), axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
-    return samples / norms
+    samples /= norms
+    return samples
 
 
 def make_dummy_factory(
@@ -69,20 +74,16 @@ def make_dummy_factory(
 
     Matches the paper: "we generate dummy sample by setting
     z ~ N(5, 1)^d" (then normalized and perturbed like a real report).
-    ``factory.batch(generator, count)`` returns ``count`` dummies, bit
-    for bit ``count`` sequential ``factory(generator)`` calls.
+    ``factory.batch(generator, count)`` returns ``count`` dummies through
+    :meth:`PrivUnit.randomize_drawn`, bit for bit ``count`` sequential
+    ``factory(generator)`` calls: each dummy's input is normalized by the
+    stacked dot product that equals its 1-D ``np.linalg.norm``.
     """
-    def draw_vector(generator: np.random.Generator) -> np.ndarray:
-        z = generator.normal(dummy_mean, 1.0, size=randomizer.dimension)
-        # The 1-D norm (a dot product), not an axis=1 reduction: the two
-        # can differ in the last bit.
-        return z / np.linalg.norm(z)
+    def batch(generator: np.random.Generator, count: int) -> List[np.ndarray]:
+        return list(randomizer.randomize_drawn(dummy_mean, count, generator))
 
     def factory(generator: np.random.Generator) -> np.ndarray:
-        return randomizer.randomize_batch(draw_vector(generator)[None, :], generator)[0]
-
-    def batch(generator: np.random.Generator, count: int) -> List[np.ndarray]:
-        return list(randomizer.randomize_drawn(draw_vector, count, generator))
+        return batch(generator, 1)[0]
 
     factory.batch = batch
     return factory

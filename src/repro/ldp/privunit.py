@@ -24,7 +24,7 @@ uniform ``V`` on the sphere: ``(T + 1)/2 ~ Beta((d-1)/2, (d-1)/2)``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -40,6 +40,17 @@ _PROB_EPS = 1e-14
 #: Rows per vectorized block: the working set beyond the reports stays
 #: O(block * d) however many vectors a batch holds.
 _BLOCK_ROWS = 512
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """A 2-D block's row norms as a column, each ``np.linalg.norm(row)``.
+
+    The norm of one 1-D array is ``sqrt(dot(z, z))``; a stacked
+    ``(1, d) @ (d, 1)`` product takes that same dot product row by row,
+    where an ``axis=1`` reduction sums in another order and can differ
+    in the last bit.
+    """
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0]
 
 
 def cap_mass(gamma: float, dimension: int) -> float:
@@ -79,6 +90,11 @@ def _log_alpha(gamma: float, dimension: int) -> float:
 
 class PrivUnit(DebiasingRandomizer):
     """Exactly ``eps``-LDP unbiased randomizer for vectors on ``S^{d-1}``.
+
+    :meth:`randomize_batch` and :meth:`randomize_drawn` (Figure 9's
+    Gaussian dummy inputs) are stream-exact: row by row they draw what
+    :meth:`randomize` draws, in its order, into buffers of one
+    ``_BLOCK_ROWS`` block, and do the arithmetic in place per block.
 
     Parameters
     ----------
@@ -180,19 +196,19 @@ class PrivUnit(DebiasingRandomizer):
         return self._randomize_rows(generator, vectors.shape[0], vectors=vectors)
 
     def randomize_drawn(
-        self,
-        draw_vector: Callable[[np.random.Generator], np.ndarray],
-        count: int,
-        rng: RngLike = None,
+        self, mean: float, count: int, rng: RngLike = None
     ) -> np.ndarray:
-        """Randomize ``count`` unit vectors that are themselves random.
+        """Randomize ``count`` normalized ``N(mean, 1)^d`` draws.
 
-        Row ``i`` calls ``draw_vector(generator)`` and then draws its
-        PrivUnit randomness, so the result is bit for bit ``count``
-        calls of ``randomize(draw_vector(generator), generator)``.
+        Row ``i`` draws its ``d`` input normals and then its PrivUnit
+        randomness, so the result is bit for bit ``count`` calls of
+        ``randomize(z / np.linalg.norm(z), generator)`` with
+        ``z = generator.normal(mean, 1.0, d)``.  The inputs are
+        normalized per block by :func:`_row_norms`, which equals each
+        row's 1-D ``np.linalg.norm`` bit for bit.
         """
         generator = ensure_rng(rng)
-        return self._randomize_rows(generator, count, draw_vector=draw_vector)
+        return self._randomize_rows(generator, count, mean=float(mean))
 
     def _randomize_rows(
         self,
@@ -200,37 +216,61 @@ class PrivUnit(DebiasingRandomizer):
         count: int,
         *,
         vectors: Optional[np.ndarray] = None,
-        draw_vector: Optional[Callable[[np.random.Generator], np.ndarray]] = None,
+        mean: float = 0.0,
     ) -> np.ndarray:
-        """Per-row draws in stream order, vectorized math per row block."""
+        """Per-row draws in stream order, vectorized math per row block.
+
+        Without ``vectors`` each row first draws its own Gaussian input
+        (see :meth:`randomize_drawn`).  The draws land in buffers of at
+        most one block, reused across blocks, and ``normal(0, 1)``
+        equals ``standard_normal`` bit for bit.
+        """
         dimension = self._dimension
         reports = np.empty((count, dimension))
+        size = min(_BLOCK_ROWS, count)
+        uniforms = np.empty((size, 2))
+        raw = np.empty((size, dimension))
+        inputs = np.empty((size, dimension)) if vectors is None else None
+        random, standard_normal = generator.random, generator.standard_normal
         for start in range(0, count, _BLOCK_ROWS):
             rows = min(_BLOCK_ROWS, count - start)
-            if draw_vector is None:
-                block = vectors[start:start + rows]
+            rows_drawn = zip(uniforms[:rows], raw[:rows])
+            if vectors is None:
+                block = inputs[:rows]
+                for row_input, (row_uniforms, row_raw) in zip(block, rows_drawn):
+                    standard_normal(out=row_input)
+                    random(out=row_uniforms)
+                    standard_normal(out=row_raw)
+                block += mean
+                block /= _row_norms(block)
             else:
-                block = np.empty((rows, dimension))
-            uniforms = np.empty((rows, 2))
-            raw = np.empty((rows, dimension))
-            for row in range(rows):
-                if draw_vector is not None:
-                    block[row] = draw_vector(generator)
-                generator.random(out=uniforms[row])
-                raw[row] = generator.normal(size=dimension)
-            reports[start:start + rows] = self._perturb(block, uniforms, raw)
+                block = vectors[start:start + rows]
+                for row_uniforms, row_raw in rows_drawn:
+                    random(out=row_uniforms)
+                    standard_normal(out=row_raw)
+            self._perturb(
+                block, uniforms[:rows], raw[:rows], reports[start:start + rows]
+            )
         return reports
 
     def _perturb(
-        self, vectors: np.ndarray, uniforms: np.ndarray, raw: np.ndarray
-    ) -> np.ndarray:
-        """Debiased reports from pre-drawn randomness (``raw`` is consumed).
+        self,
+        vectors: np.ndarray,
+        uniforms: np.ndarray,
+        raw: np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        """Write debiased reports from pre-drawn randomness into ``out``.
 
         ``uniforms[:, 0]`` is the cap coin.  ``T = <V, u>`` is sampled by
         inverse CDF from ``uniforms[:, 1]`` through the Beta
         representation: if ``F`` is the CDF of ``(T+1)/2 ~ Beta(a, a)``
         and ``F(g)`` the threshold quantile, cap draws take
         ``F^{-1}(U(F(g), 1))`` and complement draws ``F^{-1}(U(0, F(g)))``.
+
+        ``raw`` is consumed and ``out`` doubles as the work buffer.  The
+        in-place ufuncs apply the operations of the plain expressions in
+        their order, so the bits are those of fresh temporaries.
         """
         a = (self._dimension - 1) / 2.0
         in_cap = uniforms[:, 0] < self._cap_probability
@@ -244,16 +284,19 @@ class PrivUnit(DebiasingRandomizer):
         dots = 2.0 * special.betaincinv(a, a, quantiles) - 1.0
 
         # Decompose V = t*u + sqrt(1-t^2)*w with w uniform on the sphere
-        # orthogonal to u.
-        raw -= (np.sum(raw * vectors, axis=1, keepdims=True)) * vectors
-        raw_norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        # orthogonal to u: w is raw minus its projection on u, normalized
+        # (np.linalg.norm's axis=1 form, sqrt(add.reduce(x * x))).
+        np.multiply(raw, vectors, out=out)
+        np.multiply(np.add.reduce(out, axis=1, keepdims=True), vectors, out=out)
+        raw -= out
+        np.multiply(raw, raw, out=out)
+        raw_norms = np.sqrt(np.add.reduce(out, axis=1, keepdims=True))
         raw_norms[raw_norms == 0.0] = 1.0
-        tangent = raw / raw_norms
-        reports = (
-            dots[:, None] * vectors
-            + np.sqrt(np.clip(1.0 - dots * dots, 0.0, 1.0))[:, None] * tangent
-        )
-        return reports / self._scale
+        raw /= raw_norms
+        raw *= np.sqrt(np.clip(1.0 - dots * dots, 0.0, 1.0))[:, None]
+        np.multiply(dots[:, None], vectors, out=out)
+        out += raw
+        out /= self._scale
 
     def debias(self, report: np.ndarray) -> np.ndarray:
         """Reports from :meth:`randomize_batch` are already debiased."""

@@ -15,6 +15,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.graphs.generators import random_regular_graph
 from repro.ldp import KaryRandomizedResponse
+from repro.ldp.privunit import _BLOCK_ROWS, _row_norms
 from repro.protocols.all_protocol import run_all_protocol
 from repro.protocols.reports import payload_list
 from repro.protocols.single_protocol import DUMMY_ORIGIN, run_single_protocol
@@ -27,9 +28,14 @@ KARY_STREAM = pytest.mark.xfail(
 )
 
 
-def _values(kind: str, count: int, rng: np.random.Generator):
+#: Figure 9's shape: PrivUnit at d = 200 over more rows than one block.
+FIGURE9 = {"epsilon": 2.0, "dimension": 200}
+FIGURE9_COUNT = _BLOCK_ROWS + 88
+
+
+def _values(kind: str, count: int, rng: np.random.Generator, params=None):
     """Valid raw inputs for a registered mechanism kind."""
-    params = MECHANISMS.example(kind)
+    params = params or MECHANISMS.example(kind)
     if kind == "rr":
         return VALUES.build("bernoulli", rng, count, rate=0.4)
     if kind in ("kary_rr", "unary"):
@@ -47,7 +53,10 @@ def _cases(counts, *, skip=()):
     """``(kind, count)`` over the registry; k-ary RR is strict-xfail
     wherever it draws at all."""
     return [
-        pytest.param(kind, count, marks=KARY_STREAM if kind == "kary_rr" and count else ())
+        pytest.param(
+            kind, count, None, id=f"{kind}-{count}",
+            marks=KARY_STREAM if kind == "kary_rr" and count else (),
+        )
         for kind in MECHANISMS.available()
         if kind not in skip
         for count in counts
@@ -69,10 +78,13 @@ def _assert_same_state(a: np.random.Generator, b: np.random.Generator):
     assert a.bit_generator.state == b.bit_generator.state
 
 
-@pytest.mark.parametrize("kind, count", _cases([0, 5, 1300]))
-def test_randomize_batch_matches_per_value_loop(kind, count):
-    mechanism = MECHANISMS.build(kind, **MECHANISMS.example(kind))
-    values = _values(kind, count, np.random.default_rng(count)) if count else []
+@pytest.mark.parametrize("kind, count, params", [
+    *_cases([0, 5, 1300]),
+    pytest.param("privunit", FIGURE9_COUNT, FIGURE9, id="privunit-figure9"),
+])
+def test_randomize_batch_matches_per_value_loop(kind, count, params):
+    mechanism = MECHANISMS.build(kind, **(params or MECHANISMS.example(kind)))
+    values = _values(kind, count, np.random.default_rng(count), params) if count else []
     looped_rng, batched_rng = np.random.default_rng(9), np.random.default_rng(9)
     looped = [mechanism.randomize(value, looped_rng) for value in values]
     batched = payload_list(mechanism.randomize_batch(values, batched_rng))
@@ -111,25 +123,49 @@ def test_protocol_run_rejects_fractional_bits(small_regular):
         )
 
 
-@pytest.mark.parametrize("count", [0, 5, 600])
-def test_privunit_dummy_batch_matches_sequential_calls(count):
-    _check_dummy_batch("privunit_normal", "privunit", count)
+@pytest.mark.parametrize("count, params", [
+    *(pytest.param(count, None, id=str(count)) for count in (0, 5, 600)),
+    pytest.param(FIGURE9_COUNT, FIGURE9, id="figure9"),
+])
+def test_privunit_dummy_batch_matches_sequential_calls(count, params):
+    """The batch is the paper's dummy drawn one at a time: ``z ~ N(5,
+    1)^d`` normalized by its 1-D norm, then randomized."""
+    mechanism = MECHANISMS.build("privunit", **(params or MECHANISMS.example("privunit")))
+
+    def dummy(rng):
+        z = rng.normal(5.0, 1.0, size=mechanism.dimension)
+        return mechanism.randomize(z / np.linalg.norm(z), rng)
+
+    factory = DUMMIES.build("privunit_normal", mechanism)
+    _check_dummy_batch(factory, count, reference=dummy)
+    _check_dummy_batch(factory, count)
 
 
 # PrivUnit cannot randomize the scalar default value.
-@pytest.mark.parametrize("kind, count", _cases([0, 5, 600], skip=("privunit",)))
-def test_mechanism_zero_dummy_batch_matches_sequential_calls(kind, count):
-    _check_dummy_batch("mechanism_zero", kind, count)
-
-
-def _check_dummy_batch(dummy, kind, count):
+@pytest.mark.parametrize("kind, count, params", _cases([0, 5, 600], skip=("privunit",)))
+def test_mechanism_zero_dummy_batch_matches_sequential_calls(kind, count, params):
     mechanism = MECHANISMS.build(kind, **MECHANISMS.example(kind))
-    factory = DUMMIES.build(dummy, mechanism)
+    _check_dummy_batch(DUMMIES.build("mechanism_zero", mechanism), count)
+
+
+def _check_dummy_batch(factory, count, *, reference=None):
+    """``factory.batch`` equals ``count`` calls of ``reference`` (by
+    default the factory itself), values and final generator state."""
+    reference = reference or factory
     looped_rng, batched_rng = np.random.default_rng(4), np.random.default_rng(4)
-    looped = [factory(looped_rng) for _ in range(count)]
+    looped = [reference(looped_rng) for _ in range(count)]
     batched = factory.batch(batched_rng, count)
     _assert_same_payloads(batched, looped)
     _assert_same_state(batched_rng, looped_rng)
+
+
+@pytest.mark.parametrize("dimension", [2, 7, 200, 201])
+def test_stacked_row_norms_match_one_dimensional_norms(dimension):
+    """Drawn PrivUnit inputs are normalized a block at a time; each row
+    norm must be ``np.linalg.norm`` of that row as a fresh 1-D array."""
+    block = np.random.default_rng(dimension).normal(5.0, 1.0, (FIGURE9_COUNT, dimension))
+    fresh = [np.linalg.norm(np.array(row)) for row in block]
+    assert _row_norms(block).tobytes() == np.array(fresh)[:, None].tobytes()
 
 
 # ----------------------------------------------------------------------
