@@ -457,9 +457,11 @@ class _KernelSampler:
     ``panel(steps)``.  The scenario layer hands in its graph bundle's
     store, so an ascending rounds-axis audit sweep continues the
     longest evolution so far instead of restarting it; standalone
-    builds keep a private store.  A resumed panel applies exactly the
-    products a cold build would, so warm and cold builds are
-    bit-identical.
+    builds keep a private store.  Below a longer kept evolution (a
+    descending sweep) the build continues from its own previous panel,
+    so it evolves no more rounds than a cold build.  A resumed panel
+    applies exactly the products a cold build would, so warm and cold
+    builds are bit-identical.
     """
 
     _MAX_REJECTION_PASSES = 48
@@ -476,7 +478,7 @@ class _KernelSampler:
         rounds: int,
         laziness: float,
         *,
-        panel: Optional[Callable[[int], tuple]] = None,
+        panel: Optional[Callable[..., tuple]] = None,
     ):
         n = graph.num_nodes
         if panel is None:
@@ -487,9 +489,17 @@ class _KernelSampler:
                 spill=False,
             ).panel
 
+        # The build asks for non-decreasing exponents; carrying the last
+        # panel lets each continue from it when the store keeps only a
+        # longer evolution (a descending rounds axis).
+        last = None
+
         def power(exponent: int) -> np.ndarray:
             """``(M^exponent)^T``: column ``i`` is the walk from ``i``."""
-            return dense_panel(panel(exponent)[0])
+            nonlocal last
+            block, dropped = panel(exponent, since=last)
+            last = (block, dropped, exponent)
+            return dense_panel(block)
 
         # Probe mixedness at the useful split exponents (t/4, t/3, t/2)
         # and stop at the first power that supports composition — the

@@ -481,7 +481,8 @@ class ProfileStore:
     Resume is bit-identical to a cold run: the kept operand bytes are
     exact (float64 ``.npz`` round-trips), and continuing a panel
     applies precisely the products a longer cold evolution would.
-    A *descending* rounds request recomputes from one-hot and never
+    A *descending* rounds request recomputes from one-hot (or from the
+    caller's own shorter evolution, see :meth:`panel`) and never
     replaces a longer kept evolution with its shorter one.
     """
 
@@ -549,16 +550,26 @@ class ProfileStore:
         obs.count("profile_store.blocks_spilled")
         obs.count("profile_store.spill_bytes", written)
 
-    def panel(self, steps: int, start: int = 0) -> Tuple[Any, np.ndarray]:
+    def panel(
+        self,
+        steps: int,
+        start: int = 0,
+        *,
+        since: Optional[Tuple[Any, np.ndarray, int]] = None,
+    ) -> Tuple[Any, np.ndarray]:
         """The block starting at user ``start`` after ``steps`` rounds.
 
         Returns ``(panel, dropped)``: the ``(n, B)`` column panel —
         sparse while its columns are still mostly one-hot, else dense —
         and each column's dropped mass (all zeros without truncation).
-        The block resumes from its kept evolution when one exists at
-        fewer (or equal) rounds, else starts from one-hot; a longer
-        evolution is kept.  Callers must not modify the panel: an
-        in-memory store hands out the kept array itself.
+        The block resumes from the closest evolution at fewer (or equal)
+        rounds — the kept one, or ``since``, a ``(panel, dropped,
+        steps)`` the caller got from this store — else starts from
+        one-hot; a longer evolution is kept.  A caller that walks up
+        several exponents below a longer kept evolution passes its last
+        panel as ``since``, so it evolves each round once.  Callers must
+        not modify the panel: an in-memory store hands out the kept
+        array itself.
         """
         if int(steps) < 0:
             raise ValidationError(
@@ -568,8 +579,13 @@ class ProfileStore:
         n = self.schedule.num_nodes
         stop = min(start + self.block_size, n)
         kept = self._kept(start, stop - start)
-        if kept is not None and kept[2] <= steps:
-            panel, dropped, done = kept
+        base = max(
+            (done for done in (kept, since) if done is not None and done[2] <= steps),
+            key=lambda done: done[2],
+            default=None,
+        )
+        if base is not None:
+            panel, dropped, done = base
             obs.count("profile_store.blocks_resumed")
         else:
             panel = identity_panel(n, start, stop)

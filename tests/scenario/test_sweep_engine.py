@@ -19,7 +19,8 @@ import pytest
 
 from repro import api
 from repro.exceptions import ValidationError
-from repro.graphs.generators import cycle_graph
+from repro.graphs.dynamic import _TransitionCache
+from repro.graphs.generators import cycle_graph, grid_graph
 from repro.graphs.io import load_graph_npz, save_graph_npz
 from repro.scenario import (
     GRAPHS,
@@ -31,6 +32,7 @@ from repro.scenario import (
     clear_graph_cache,
     sweep,
 )
+from repro.scenario.cache import GraphBundle
 from repro.scenario.runner import _bundle_for
 
 
@@ -492,6 +494,30 @@ class TestKernelSamplerMemo:
             audit(scenario.updated(laziness=laziness))
         bundle = _bundle_for(scenario)
         assert len(bundle._profile_stores) <= bundle._PROFILE_STORE_CAP
+
+    def test_descending_rounds_evolve_no_more_than_a_cold_build(self, monkeypatch):
+        """Below a longer kept evolution the build continues its own
+        panels: a rounds-32 sampler after a rounds-64 one on the same
+        bundle evolves no more rounds than a cold rounds-32 build, and
+        samples the same holders."""
+        evolved = []
+        at = _TransitionCache.at
+        monkeypatch.setattr(
+            _TransitionCache, "at",
+            lambda self, round_index: evolved.append(round_index) or at(self, round_index),
+        )
+        torus = grid_graph(25, 40, periodic=True)
+        cold = GraphBundle(torus).kernel_sampler(32, 0.0)
+        cold_rounds = len(evolved)
+        bundle = GraphBundle(torus)
+        bundle.kernel_sampler(64, 0.0)
+        evolved.clear()
+        warm = bundle.kernel_sampler(32, 0.0)
+        assert 0 < len(evolved) <= cold_rounds
+        np.testing.assert_array_equal(
+            warm.sample_tiled(3, np.random.default_rng(0)),
+            cold.sample_tiled(3, np.random.default_rng(0)),
+        )
 
 
 class TestRunDigest:
