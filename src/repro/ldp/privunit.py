@@ -190,8 +190,7 @@ class PrivUnit(DebiasingRandomizer):
                 f"vectors must have dimension {self._dimension}, "
                 f"got {vectors.shape[1]}"
             )
-        norms = np.linalg.norm(vectors, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if np.any(np.abs(_row_norms(vectors) - 1.0) > 1e-6):
             raise ValidationError("PrivUnit inputs must be unit vectors")
         return self._randomize_rows(generator, vectors.shape[0], vectors=vectors)
 
