@@ -75,9 +75,11 @@ def make_dummy_factory(
     Matches the paper: "we generate dummy sample by setting
     z ~ N(5, 1)^d" (then normalized and perturbed like a real report).
     ``factory.batch(generator, count)`` returns ``count`` dummies through
-    :meth:`PrivUnit.randomize_drawn`, bit for bit ``count`` sequential
-    ``factory(generator)`` calls: each dummy's input is normalized by the
-    stacked dot product that equals its 1-D ``np.linalg.norm``.
+    :meth:`PrivUnit.randomize_drawn`, bit for bit that draw made one
+    dummy at a time: ``z = generator.normal(dummy_mean, 1.0, d)``,
+    normalized by its 1-D ``np.linalg.norm`` (the stacked dot product
+    equals it), then randomized.  ``factory(generator)`` is a batch of
+    one.
     """
     def batch(generator: np.random.Generator, count: int) -> List[np.ndarray]:
         return list(randomizer.randomize_drawn(dummy_mean, count, generator))

@@ -579,13 +579,12 @@ class ProfileStore:
         n = self.schedule.num_nodes
         stop = min(start + self.block_size, n)
         kept = self._kept(start, stop - start)
-        base = max(
-            (done for done in (kept, since) if done is not None and done[2] <= steps),
-            key=lambda done: done[2],
-            default=None,
-        )
-        if base is not None:
-            panel, dropped, done = base
+        bases = [
+            base for base in (kept, since)
+            if base is not None and base[2] <= steps
+        ]
+        if bases:
+            panel, dropped, done = max(bases, key=lambda base: base[2])
             obs.count("profile_store.blocks_resumed")
         else:
             panel = identity_panel(n, start, stop)

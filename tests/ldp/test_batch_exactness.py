@@ -144,7 +144,7 @@ def test_privunit_dummy_batch_matches_sequential_calls(count, params):
 # PrivUnit cannot randomize the scalar default value.
 @pytest.mark.parametrize("kind, count, params", _cases([0, 5, 600], skip=("privunit",)))
 def test_mechanism_zero_dummy_batch_matches_sequential_calls(kind, count, params):
-    mechanism = MECHANISMS.build(kind, **MECHANISMS.example(kind))
+    mechanism = MECHANISMS.build(kind, **(params or MECHANISMS.example(kind)))
     _check_dummy_batch(DUMMIES.build("mechanism_zero", mechanism), count)
 
 
