@@ -276,8 +276,9 @@ class GraphBundle:
         (eps0/trials axes) reuse the sampler object outright; a new
         ``rounds`` value reads its stage kernels from the bundle's
         ``n``-wide profile store, so an ascending rounds-axis sweep
-        evolves ``O(t_max)`` rounds in total instead of ``O(sum t_i)``.
-        Both reuse paths are bit-identical to a cold build.
+        evolves ``O(t_max)`` rounds in total instead of ``O(sum t_i)``,
+        and no build evolves more rounds than a cold one.  Both reuse
+        paths are bit-identical to a cold build.
         """
         from repro.auditing.auditor import _KernelSampler
 
