@@ -81,6 +81,20 @@ RUN_CASES["run/figure9-twitch-0.4-single"] = ("run", dict(
     values={"kind": "bimodal_unit_vectors", "params": {"dimension": 200}},
     dummies={"kind": "privunit_normal", "params": {}},
 ))
+# A_single deliveries that mix None with ints: a mechanism without
+# values (None reals, randomized dummies) and values without a
+# mechanism (raw reals, None dummies).
+RUN_CASES.update({
+    f"run/{kind}-single": ("run", dict(
+        graph=_BA_96, protocol="single", rounds=7, seed=20240, **load,
+    ))
+    for kind, load in (
+        ("mechanism-only", dict(mechanism={"kind": "rr", "params": {"epsilon": 1.0}})),
+        ("values-only", dict(
+            values={"kind": "bernoulli", "params": {"rate": 0.3}}, epsilon0=1.0,
+        )),
+    )
+})
 
 # -- bound: the sparse (Lanczos) spectral path ------------------------------
 BOUND_CASES: Dict[str, Case] = {
