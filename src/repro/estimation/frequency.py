@@ -86,20 +86,18 @@ def run_frequency_estimation(
         rounds = mixing_time(graph)
 
     randomizer = KaryRandomizedResponse(epsilon0, num_symbols)
-    randomized = randomizer.randomize_batch(symbols, generator)
     truth = np.bincount(symbols, minlength=num_symbols) / symbols.size
 
+    # One randomize per dummy: k-ary RR's batch has the loop's law but not its stream.
+    def dummies(g: np.random.Generator, count: int) -> np.ndarray:
+        return np.array([randomizer.randomize(0, g) for _ in range(count)], dtype=np.int64)
+
     result = run_protocol(
-        protocol,
-        graph,
-        rounds,
-        values=list(randomized),
-        dummy_factory=lambda g: randomizer.randomize(0, g),
-        rng=generator,
+        protocol, graph, rounds, values=symbols, randomizer=randomizer,
+        dummy_factory=dummies, rng=generator,
     )
     dummy_count = result.dummy_count
-    payloads = np.asarray(result.payloads(), dtype=np.int64)
-    estimate = randomizer.estimate_frequencies(payloads)
+    estimate = randomizer.estimate_frequencies(result.delivered_payloads)
     if dummy_count:
         estimate = correct_for_dummies(estimate, dummy_count / symbols.size)
     return FrequencyEstimationResult(

@@ -21,7 +21,7 @@ network shuffling, and the server averages the debiased reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -68,27 +68,22 @@ def make_dummy_factory(
     randomizer: PrivUnit,
     *,
     dummy_mean: float = 5.0,
-    rng: RngLike = None,
-) -> Callable[[np.random.Generator], np.ndarray]:
+) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Dummy-report factory: PrivUnit of a normalized ``N(dummy_mean, 1)^d``.
 
     Matches the paper: "we generate dummy sample by setting
     z ~ N(5, 1)^d" (then normalized and perturbed like a real report).
-    ``factory.batch(generator, count)`` returns ``count`` dummies through
-    :meth:`PrivUnit.randomize_drawn`, bit for bit that draw made one
-    dummy at a time: ``z = generator.normal(dummy_mean, 1.0, d)``,
-    normalized by its 1-D ``np.linalg.norm`` (the stacked dot product
-    equals it), then randomized.  ``factory(generator)`` is a batch of
-    one.
+    ``draw(generator, count)`` returns ``count`` dummies as one
+    ``(count, d)`` array through :meth:`PrivUnit.randomize_drawn`, bit
+    for bit that draw made one dummy at a time:
+    ``z = generator.normal(dummy_mean, 1.0, d)``, normalized by its 1-D
+    ``np.linalg.norm`` (the stacked dot product equals it), then
+    randomized.
     """
-    def batch(generator: np.random.Generator, count: int) -> List[np.ndarray]:
-        return list(randomizer.randomize_drawn(dummy_mean, count, generator))
+    def draw(generator: np.random.Generator, count: int) -> np.ndarray:
+        return randomizer.randomize_drawn(dummy_mean, count, generator)
 
-    def factory(generator: np.random.Generator) -> np.ndarray:
-        return batch(generator, 1)[0]
-
-    factory.batch = batch
-    return factory
+    return draw
 
 
 def true_mean(values: np.ndarray) -> np.ndarray:
@@ -102,20 +97,25 @@ def mean_estimate_from_run(result) -> MeanEstimationResult:
     ``result`` is a :class:`repro.scenario.RunResult` whose values are
     vectors and whose mechanism debiases (PrivUnit et al.): the server
     averages the delivered payloads and is scored against the mean of
-    the raw values.  This is THE estimator — Figure 9 and the federated
-    example both consume it, so the figure can never drift from the
-    library's definition.
+    the raw values.  This is THE estimator — Figure 9, the federated
+    example and :func:`run_mean_estimation` all consume it, so the
+    figure can never drift from the library's definition.
     """
-    payloads = np.asarray(result.payloads(), dtype=np.float64)
-    truth = true_mean(result.values)
+    return _mean_estimate(result.protocol_result, result.values, result.mechanism)
+
+
+def _mean_estimate(protocol_result, values, mechanism) -> MeanEstimationResult:
+    """Average the delivered payload array; score it against ``values``."""
+    payloads = np.asarray(protocol_result.delivered_payloads, dtype=np.float64)
+    truth = true_mean(values)
     estimate = payloads.mean(axis=0)
     return MeanEstimationResult(
-        protocol=result.protocol_result.protocol,
-        epsilon0=result.mechanism.epsilon,
+        protocol=protocol_result.protocol,
+        epsilon0=mechanism.epsilon,
         estimate=estimate,
         truth=truth,
         squared_error=squared_l2_error(estimate, truth),
-        dummy_count=result.protocol_result.dummy_count,
+        dummy_count=protocol_result.dummy_count,
         num_reports=payloads.shape[0],
     )
 
@@ -174,25 +174,8 @@ def run_mean_estimation(
         rounds = mixing_time(graph)
 
     randomizer = PrivUnit(epsilon0, values.shape[1])
-    reports = randomizer.randomize_batch(values, generator)
-    truth = true_mean(values)
-
     result = run_protocol(
-        protocol,
-        graph,
-        rounds,
-        values=list(reports),
-        dummy_factory=make_dummy_factory(randomizer),
-        rng=generator,
+        protocol, graph, rounds, values=values, randomizer=randomizer,
+        dummy_factory=make_dummy_factory(randomizer), rng=generator,
     )
-    payloads = np.asarray(result.payloads(), dtype=np.float64)
-    estimate = payloads.mean(axis=0)
-    return MeanEstimationResult(
-        protocol=protocol,
-        epsilon0=epsilon0,
-        estimate=estimate,
-        truth=truth,
-        squared_error=squared_l2_error(estimate, truth),
-        dummy_count=result.dummy_count,
-        num_reports=payloads.shape[0],
-    )
+    return _mean_estimate(result, values, randomizer)

@@ -22,7 +22,7 @@ from repro.graphs.graph import Graph
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel, IndependentDropout
 from repro.netsim.network import RoundBasedNetwork
-from repro.protocols.reports import ProtocolResult, take_payloads
+from repro.protocols.reports import ProtocolResult, object_array, take_payloads
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
@@ -60,12 +60,14 @@ def _randomize_inputs(
     values: Optional[Sequence[Any]],
     num_users: int,
     rng: np.random.Generator,
-) -> Any:
+) -> Optional[np.ndarray]:
     """Line 2 of Algorithm 1: ``s_j <- A_ldp(x_j)`` for every user.
 
-    Returns the reports indexed by user (= token id): the
-    ``randomize_batch`` result itself, the raw values as a list when
-    there is no randomizer, or ``None`` for a privacy-only run.
+    Returns the reports indexed by user (= token id) as one array: the
+    ``randomize_batch`` result, or the raw values when there is no
+    randomizer; ``None`` for a privacy-only run.  This is where a
+    non-array batch (a caller's list, the base-class loop's result)
+    becomes an object array holding each item as it is.
     """
     if values is None:
         return None
@@ -73,11 +75,10 @@ def _randomize_inputs(
         raise ValidationError(
             f"need one value per user: got {len(values)} values, n={num_users}"
         )
-    if randomizer is None:
-        return list(values)
     # One stream-exact batch call: the same draws, in the same order,
     # as randomizing user by user.
-    return randomizer.randomize_batch(values, rng)
+    batch = values if randomizer is None else randomizer.randomize_batch(values, rng)
+    return batch if isinstance(batch, np.ndarray) else object_array(batch)
 
 
 def run_all_protocol(

@@ -24,26 +24,25 @@ def payload_list(batch: Any) -> List[Any]:
     """Per-value payloads of a ``randomize_batch`` result.
 
     Typed as :meth:`LocalRandomizer.randomize` returns them: a 1-D array
-    becomes Python scalars, a deeper array its list of rows, and any
-    other sequence (the base-class loop's list) is kept as is.
+    becomes Python scalars (an object array its items as they are), a
+    deeper array its list of rows, and any other sequence (the
+    base-class loop's list) is kept as is.
     """
     if isinstance(batch, np.ndarray):
         return batch.tolist() if batch.ndim == 1 else list(batch)
     return list(batch)
 
 
-def take_payloads(batch: Any, tokens: np.ndarray) -> Any:
-    """The payloads of ``tokens`` from a per-token ``batch``, in order.
+def object_array(batch: Any) -> np.ndarray:
+    """A 1-D object array of ``batch``'s :func:`payload_list` items."""
+    items = payload_list(batch)
+    return np.fromiter(items, dtype=object, count=len(items))
 
-    An array batch (a ``randomize_batch`` result) is fancy-indexed and
-    stays an array; a list is gathered into a list; ``None`` (a run
-    without values) stays ``None``.
-    """
-    if batch is None:
-        return None
-    if isinstance(batch, np.ndarray):
-        return batch[tokens]
-    return [batch[token] for token in tokens.tolist()]
+
+def take_payloads(batch: Optional[np.ndarray], tokens: np.ndarray) -> Optional[np.ndarray]:
+    """The payloads of ``tokens`` from a per-token ``batch``, in order;
+    ``None`` (a run without values) stays ``None``."""
+    return None if batch is None else batch[tokens]
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,10 @@ class ProtocolResult:
         For each server report, in delivery order, the user who
         generated it; ``-1`` marks a dummy.
     delivered_payloads:
-        The payloads of the server reports, in delivery order: a
-        ``randomize_batch`` array (read through :func:`payload_list`),
-        a list, or ``None`` when the run carried no values.
+        The payloads of the server reports, in delivery order: one
+        array whose first axis indexes the reports (typed, or an object
+        array of mixed per-report values), or ``None`` when no report
+        carried a payload.  :meth:`payloads` reads it as a list.
     delivered_by:
         For each server report, the user who delivered it.
     allocation:
@@ -126,7 +126,8 @@ class ProtocolResult:
         return [report for report in self.server_reports if not report.is_dummy]
 
     def payloads(self, include_dummies: bool = True) -> List[Any]:
-        """Payloads of the delivered reports, in delivery order."""
+        """Payloads of the delivered reports, in delivery order: Python
+        scalars where the payloads are 1-D, ndarray rows where 2-D."""
         if self.delivered_payloads is None:
             items: List[Any] = [None] * self.origins.size
         else:

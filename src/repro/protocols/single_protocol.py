@@ -14,7 +14,7 @@ gathered from the randomized batch by the picked ids.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel
 from repro.netsim.network import RoundBasedNetwork
 from repro.protocols.all_protocol import _randomize_inputs, resolve_backend
-from repro.protocols.reports import ProtocolResult, payload_list, take_payloads
+from repro.protocols.reports import ProtocolResult, object_array, take_payloads
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
@@ -35,25 +35,39 @@ DUMMY_ORIGIN = -1
 
 def _draw_dummies(
     randomizer: Optional[LocalRandomizer],
-    dummy_factory: Optional[Callable[[np.random.Generator], Any]],
+    dummy_factory: Optional[Callable[[np.random.Generator, int], Any]],
     count: int,
     rng: np.random.Generator,
-) -> List[Any]:
-    """Line 10 of Algorithm 2: ``count`` dummy payloads ``A_ldp(0)``.
-
-    A custom factory replaces ``A_ldp(0)``.  A factory with an exact
-    ``batch(rng, count)`` (the registry's) and the default both draw
-    every dummy in one call; a bare callable is called once per dummy.
-    Either way the stream is that of ``count`` sequential calls.
-    """
+) -> Any:
+    """Line 10 of Algorithm 2: ``count`` dummy payloads ``A_ldp(0)``,
+    drawn in one call; ``dummy_factory(rng, count)`` replaces them."""
     if dummy_factory is not None:
-        batch = getattr(dummy_factory, "batch", None)
-        if batch is not None:
-            return list(batch(rng, count))
-        return [dummy_factory(rng) for _ in range(count)]
+        return dummy_factory(rng, count)
     if randomizer is not None:
-        return payload_list(randomizer.randomize_batch([0] * count, rng))
-    return [None] * count
+        return randomizer.randomize_batch([0] * count, rng)
+    return None
+
+
+def _merge_deliveries(holds: np.ndarray, real: Any, dummies: Any) -> Any:
+    """One payload array: user ``u``'s pick where ``holds[u]``, else the
+    next dummy.  Typed when both sides are arrays of one dtype and row
+    shape, else an object array of the per-report values (``None`` for
+    the side a run lacks: values, or a mechanism to draw dummies)."""
+    if real is None and dummies is None:
+        return None
+    if (
+        isinstance(real, np.ndarray) and isinstance(dummies, np.ndarray)
+        and real.dtype == dummies.dtype and real.shape[1:] == dummies.shape[1:]
+    ):
+        delivered = np.empty((holds.size, *real.shape[1:]), dtype=real.dtype)
+        delivered[holds] = real
+        delivered[~holds] = dummies
+        return delivered
+    delivered = np.full(holds.size, None, dtype=object)
+    for mask, side in ((holds, real), (~holds, dummies)):
+        if side is not None:
+            delivered[mask] = object_array(side)
+    return delivered
 
 
 def run_single_protocol(
@@ -62,7 +76,7 @@ def run_single_protocol(
     *,
     values: Optional[Sequence[Any]] = None,
     randomizer: Optional[LocalRandomizer] = None,
-    dummy_factory: Optional[Callable[[np.random.Generator], Any]] = None,
+    dummy_factory: Optional[Callable[[np.random.Generator, int], Any]] = None,
     engine: str = "fast",
     faults: Optional[DropoutModel] = None,
     laziness: float = 0.0,
@@ -70,10 +84,10 @@ def run_single_protocol(
 ) -> ProtocolResult:
     """Simulate Algorithm 2 on ``graph`` for ``rounds`` exchange rounds.
 
-    ``dummy_factory(rng)`` overrides the default dummy payload
-    ``A_ldp(0)`` — the Figure 9 experiment uses a normalized
-    ``N(5, 1)^d`` draw per the paper.  A factory may carry an exact
-    ``batch(rng, count)`` to draw all its dummies in one call.
+    ``dummy_factory(rng, count)`` overrides the default dummy payloads
+    ``A_ldp(0)``, drawing all ``count`` of them in one call — the
+    Figure 9 experiment uses a normalized ``N(5, 1)^d`` draw per the
+    paper.
 
     The final selection consumes the RNG as *one batched draw* over the
     non-empty holders (in user order), then the dummies' draws in user
@@ -114,21 +128,13 @@ def run_single_protocol(
     picks = generator.integers(0, allocation[nonempty])
     chosen = order[starts[nonempty] + picks]
     dummy_count = num_users - nonempty.size
-    dummies = _draw_dummies(randomizer, dummy_factory, dummy_count, generator)
 
     origins = np.full(num_users, DUMMY_ORIGIN, dtype=np.int64)
     origins[nonempty] = chosen
     delivered = take_payloads(reports, chosen)
     if dummy_count:
-        # User u delivers her pick if she holds any report, else a dummy.
-        real = iter(
-            [None] * nonempty.size if delivered is None
-            else payload_list(delivered)
-        )
-        dummy = iter(dummies)
-        delivered = [
-            next(real) if held else next(dummy) for held in holds.tolist()
-        ]
+        dummies = _draw_dummies(randomizer, dummy_factory, dummy_count, generator)
+        delivered = _merge_deliveries(holds, delivered, dummies)
     return ProtocolResult(
         protocol="single",
         num_users=num_users,

@@ -5,8 +5,9 @@ Four registries back the Scenario API:
 * ``GRAPHS`` — ``builder(rng, **params) -> Graph``;
 * ``MECHANISMS`` — ``builder(**params) -> LocalRandomizer``;
 * ``FAULTS`` — ``builder(**params) -> DropoutModel``;
-* ``VALUES`` — ``builder(rng, num_users, **params) -> list`` of one raw
-  value per user.
+* ``VALUES`` — ``builder(rng, num_users, **params) -> ndarray`` of one
+  raw value per user: shape ``(n,)`` for scalars, ``(n, d)`` for
+  vectors.
 
 Each entry carries *example parameters* producing a small valid
 instance, which the round-trip tests enumerate.  ``GRAPH_STATS`` holds
@@ -47,7 +48,6 @@ from repro.ldp import (
     UnaryEncoding,
 )
 from repro.netsim.faults import AdversarialDropout, IndependentDropout, NoFaults
-from repro.protocols.reports import payload_list
 from repro.scenario.registry import Registry
 from repro.utils.validation import check_positive_int
 
@@ -419,25 +419,25 @@ def _adversarial(*, offline_users: List[int]) -> AdversarialDropout:
 # Workload values
 # ----------------------------------------------------------------------
 @VALUES.register("zeros", example={})
-def _zeros(rng: np.random.Generator, num_users: int) -> List[int]:
+def _zeros(rng: np.random.Generator, num_users: int) -> np.ndarray:
     """Every user holds 0 (privacy-only payloads)."""
-    return [0] * num_users
+    return np.zeros(num_users, dtype=np.int64)
 
 
 @VALUES.register("constant", example={"value": 1})
-def _constant(rng: np.random.Generator, num_users: int, *, value: Any) -> List[Any]:
-    """Every user holds the same value."""
-    return [value] * num_users
+def _constant(rng: np.random.Generator, num_users: int, *, value: Any) -> np.ndarray:
+    """Every user holds the same value (a vector value gives ``(n, d)``)."""
+    return np.full((num_users, *np.shape(value)), value)
 
 
 @VALUES.register("bernoulli", example={"rate": 0.3})
 def _bernoulli(
     rng: np.random.Generator, num_users: int, *, rate: float
-) -> List[int]:
+) -> np.ndarray:
     """One {0, 1} bit per user, i.i.d. with P(1) = rate."""
     if not 0.0 <= rate <= 1.0:
         raise ValidationError(f"rate must lie in [0, 1], got {rate}")
-    return (rng.random(num_users) < rate).astype(int).tolist()
+    return (rng.random(num_users) < rate).astype(np.int64)
 
 
 @VALUES.register("choice", example={"num_options": 5})
@@ -447,14 +447,14 @@ def _choice(
     *,
     num_options: int,
     probabilities: List[float] | None = None,
-) -> List[int]:
+) -> np.ndarray:
     """One symbol in [0, num_options) per user (uniform or weighted)."""
     check_positive_int(num_options, "num_options")
     if probabilities is not None and len(probabilities) != num_options:
         raise ValidationError(
             f"need {num_options} probabilities, got {len(probabilities)}"
         )
-    return rng.choice(num_options, size=num_users, p=probabilities).tolist()
+    return rng.choice(num_options, size=num_users, p=probabilities)
 
 
 @VALUES.register("bimodal_unit_vectors", example={"dimension": 8})
@@ -465,17 +465,16 @@ def _bimodal_unit_vectors(
     dimension: int = 200,
     low_mean: float = 1.0,
     high_mean: float = 10.0,
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """The paper's Section 5.6 population: normalized bimodal samples.
 
     First half ``N(low_mean, 1)^d``, second half ``N(high_mean, 1)^d``,
     every row normalized to the unit sphere — the Figure 9 workload
     PrivUnit perturbs.
     """
-    vectors = generate_bimodal_unit_vectors(
+    return generate_bimodal_unit_vectors(
         num_users, dimension, low_mean=low_mean, high_mean=high_mean, rng=rng
     )
-    return list(vectors)
 
 
 @VALUES.register("normal", example={"mean": 0.5, "std": 0.1})
@@ -487,24 +486,23 @@ def _normal(
     std: float,
     lower: float | None = None,
     upper: float | None = None,
-) -> List[float]:
+) -> np.ndarray:
     """One N(mean, std) draw per user, optionally clipped to [lower, upper]."""
     draws = rng.normal(mean, std, num_users)
     if lower is not None or upper is not None:
         draws = np.clip(draws, lower, upper)
-    return draws.tolist()
+    return draws
 
 
 # ----------------------------------------------------------------------
 # Dummy-report factories (A_single, Algorithm 2 line 10)
 # ----------------------------------------------------------------------
-#: Builders have signature ``builder(mechanism, **params) -> factory``
+#: Builders have signature ``builder(mechanism, **params) -> draw``
 #: where ``mechanism`` is the scenario's built ``A_ldp`` (or ``None``)
-#: and ``factory(rng)`` yields one dummy payload; ``factory.batch(rng,
-#: count)`` yields ``count`` of them in one call, bit for bit ``count``
-#: sequential calls.  The factory draws from the protocol generator
-#: exactly where the default ``A_ldp(0)`` dummy would, so swapping
-#: factories never shifts other draws.
+#: and ``draw(rng, count)`` returns ``count`` dummy payloads as one
+#: array, bit for bit ``count`` one-dummy draws.  The factory draws from
+#: the protocol generator exactly where the default ``A_ldp(0)`` dummies
+#: would, so swapping factories never shifts other draws.
 DUMMIES = Registry("dummy factory")
 
 
@@ -517,14 +515,10 @@ def _mechanism_zero(mechanism, *, value: Any = 0):
             "through the scenario mechanism; this scenario has none"
         )
 
-    def factory(rng: np.random.Generator):
-        return mechanism.randomize(value, rng)
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        return mechanism.randomize_batch([value] * count, rng)
 
-    def batch(rng: np.random.Generator, count: int) -> List[Any]:
-        return payload_list(mechanism.randomize_batch([value] * count, rng))
-
-    factory.batch = batch
-    return factory
+    return draw
 
 
 @DUMMIES.register("privunit_normal", example={"mean": 5.0})

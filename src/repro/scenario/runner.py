@@ -434,8 +434,9 @@ def build_faults(scenario: Scenario) -> Optional[DropoutModel]:
 
 def build_values(
     scenario: Scenario, num_users: int, rng: np.random.Generator
-) -> Optional[List[Any]]:
-    """Materialize one raw value per user from the values spec (or None)."""
+) -> Optional[np.ndarray]:
+    """Materialize one raw value per user from the values spec (or None):
+    an ``(n,)`` or ``(n, d)`` array."""
     if scenario.values is None:
         return None
     return VALUES.build(
@@ -480,7 +481,7 @@ class RunResult:
     graph: Union[Graph, DynamicGraphSchedule]
     rounds: int
     mechanism: Optional[LocalRandomizer]
-    values: Optional[List[Any]]
+    values: Optional[np.ndarray]
     protocol_result: ProtocolResult
     bound: Optional[NetworkShuffleBound]
     empirical_epsilon: Optional[float]

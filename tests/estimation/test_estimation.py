@@ -68,7 +68,7 @@ class TestDummyFactory:
     def test_produces_debiased_reports(self, rng):
         randomizer = PrivUnit(2.0, 20)
         factory = make_dummy_factory(randomizer)
-        dummy = factory(rng)
+        dummy, = factory(rng, 1)
         assert dummy.shape == (20,)
         # Reports are scaled by 1/m, so their norm is 1/m.
         assert np.linalg.norm(dummy) == pytest.approx(

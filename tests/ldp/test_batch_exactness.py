@@ -149,13 +149,17 @@ def test_mechanism_zero_dummy_batch_matches_sequential_calls(kind, count, params
 
 
 def _check_dummy_batch(factory, count, *, reference=None):
-    """``factory.batch`` equals ``count`` calls of ``reference`` (by
-    default the factory itself), values and final generator state."""
-    reference = reference or factory
+    """``factory(rng, count)`` is one array of ``count`` dummies equal to
+    ``count`` one-dummy draws (by default ``factory(rng, 1)``), values
+    and final generator state."""
+    if reference is None:
+        def reference(rng):
+            return payload_list(factory(rng, 1))[0]
     looped_rng, batched_rng = np.random.default_rng(4), np.random.default_rng(4)
     looped = [reference(looped_rng) for _ in range(count)]
-    batched = factory.batch(batched_rng, count)
-    _assert_same_payloads(batched, looped)
+    batch = factory(batched_rng, count)
+    assert isinstance(batch, np.ndarray) and len(batch) == count
+    _assert_same_payloads(payload_list(batch), looped)
     _assert_same_state(batched_rng, looped_rng)
 
 
@@ -193,7 +197,8 @@ def _reference_run(protocol, graph, rounds, values, randomizer, dummy_factory, s
         if held[user]:
             delivered.append(held[user][picks[user]])
         else:
-            delivered.append((DUMMY_ORIGIN, dummy_factory(generator)))
+            dummy, = payload_list(dummy_factory(generator, 1))
+            delivered.append((DUMMY_ORIGIN, dummy))
     return allocation, delivered
 
 
@@ -238,18 +243,19 @@ def test_protocol_matches_per_user_reference(
     _assert_same_payloads(result.payloads(), [p for _, p in expected])
 
 
-def test_single_protocol_keeps_per_call_loop_for_bare_factories(exchange_graph):
-    """A factory without ``batch`` is called once per dummy, in user order."""
-    calls = []
+def test_single_protocol_draws_dummies_in_one_call(exchange_graph):
+    """A factory is called once, with the dummy count; its dummies go
+    to the empty-handed users in user order."""
+    draws = []
 
-    def factory(rng):
-        calls.append(rng.random())
-        return calls[-1]
+    def factory(rng, count):
+        draws.append(rng.random(count))
+        return draws[-1]
 
     result = run_single_protocol(exchange_graph, 6, dummy_factory=factory, rng=2)
-    assert result.dummy_count == len(calls) > 0
+    assert len(draws) == 1 and draws[0].size == result.dummy_count > 0
     dummies = [r.payload for r in result.server_reports if r.is_dummy]
-    assert dummies == calls
+    assert dummies == draws[0].tolist()
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ class TestSingleProtocol:
             small_regular,
             10,
             values=list(range(small_regular.num_nodes)),
-            dummy_factory=lambda rng: "DUMMY",
+            dummy_factory=lambda rng, count: np.full(count, "DUMMY"),
             rng=0,
         )
         dummies = [r for r in result.server_reports if r.is_dummy]

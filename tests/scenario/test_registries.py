@@ -227,7 +227,7 @@ class TestDummyFactories:
         factory = DUMMIES.build(
             "mechanism_zero", BinaryRandomizedResponse(1.0)
         )
-        report = factory(np.random.default_rng(0))
+        report, = factory(np.random.default_rng(0), 1)
         assert report in (0, 1)
 
     def test_mechanism_zero_requires_a_mechanism(self):
@@ -248,8 +248,8 @@ class TestDummyFactories:
         from repro.scenario import DUMMIES
 
         factory = DUMMIES.build("privunit_normal", PrivUnit(2.0, 8))
-        dummy = factory(np.random.default_rng(0))
-        assert dummy.shape == (8,)
+        dummies = factory(np.random.default_rng(0), 3)
+        assert dummies.shape == (3, 8)
 
 
 class TestDummySpecInScenario:
