@@ -101,6 +101,13 @@ def mean_estimate_from_run(result) -> MeanEstimationResult:
     example and :func:`run_mean_estimation` all consume it, so the
     figure can never drift from the library's definition.
     """
+    if result.mechanism is None:
+        raise ValidationError("mean estimation needs the run's mechanism; this run has none")
+    if result.values is None or np.ndim(result.values) != 2:
+        raise ValidationError(
+            "mean estimation needs vector values (an (n, d) array); "
+            f"this run has {'none' if result.values is None else 'scalar values'}"
+        )
     return _mean_estimate(result.protocol_result, result.values, result.mechanism)
 
 

@@ -19,6 +19,7 @@ the Table 1 grid needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
@@ -440,6 +441,9 @@ def _bernoulli(
     return (rng.random(num_users) < rate).astype(np.int64)
 
 
+_CHOICE_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
+
+
 @VALUES.register("choice", example={"num_options": 5})
 def _choice(
     rng: np.random.Generator,
@@ -450,10 +454,15 @@ def _choice(
 ) -> np.ndarray:
     """One symbol in [0, num_options) per user (uniform or weighted)."""
     check_positive_int(num_options, "num_options")
-    if probabilities is not None and len(probabilities) != num_options:
-        raise ValidationError(
-            f"need {num_options} probabilities, got {len(probabilities)}"
-        )
+    if probabilities is not None:
+        if len(probabilities) != num_options:
+            raise ValidationError(f"need {num_options} probabilities, got {len(probabilities)}")
+        weights = np.asarray(probabilities, dtype=np.float64)
+        # NaN fails ``>= 0``; the sum tolerance is Generator.choice's own.
+        if not np.all(weights >= 0.0) or abs(math.fsum(weights) - 1.0) > _CHOICE_SUM_TOLERANCE:
+            raise ValidationError(
+                f"probabilities must be non-negative and sum to 1, got {probabilities}"
+            )
     return rng.choice(num_options, size=num_users, p=probabilities)
 
 
@@ -488,6 +497,8 @@ def _normal(
     upper: float | None = None,
 ) -> np.ndarray:
     """One N(mean, std) draw per user, optionally clipped to [lower, upper]."""
+    if std < 0:
+        raise ValidationError(f"std must be non-negative, got {std}")
     draws = rng.normal(mean, std, num_users)
     if lower is not None or upper is not None:
         draws = np.clip(draws, lower, upper)

@@ -132,6 +132,25 @@ class TestHttpContract:
     def test_status_mapping(self, error, status):
         assert http_status_for(error) == status
 
+    @pytest.mark.parametrize("values", [
+        pytest.param({"kind": "choice", "params": {
+            "num_options": 2, "probabilities": [-0.5, 1.5]}}, id="negative-probability"),
+        pytest.param({"kind": "choice", "params": {
+            "num_options": 2, "probabilities": [0.5, 0.6]}}, id="probabilities-miss-1"),
+        pytest.param({"kind": "normal", "params": {"mean": 0.5, "std": -0.1}}, id="negative-std"),
+    ])
+    def test_bad_values_params_are_a_400(self, values):
+        with pytest.raises(ValidationError, match="must be non-negative") as info:
+            api.run(api.parse_scenario({**SCENARIO_DICT, "values": values}))
+        assert error_payload(info.value)["status"] == 400
+
+    def test_probabilities_within_choice_tolerance_still_run(self):
+        # Generator.choice accepts a sum within sqrt(eps) ~ 1.5e-8 of 1.
+        values = {"kind": "choice", "params": {
+            "num_options": 2, "probabilities": [0.5, 0.5 + 1e-9]}}
+        result = api.run(api.parse_scenario({**SCENARIO_DICT, "values": values}))
+        assert set(result.values.tolist()) <= {0, 1}
+
     def test_error_payload_shape(self):
         payload = error_payload(ScheduleRefusedError("no mixing time"))
         assert payload == {

@@ -9,6 +9,7 @@ from repro.estimation.frequency import run_frequency_estimation
 from repro.estimation.mean import (
     generate_bimodal_unit_vectors,
     make_dummy_factory,
+    mean_estimate_from_run,
     run_mean_estimation,
     true_mean,
 )
@@ -20,6 +21,7 @@ from repro.estimation.metrics import (
 from repro.exceptions import ValidationError
 from repro.graphs.generators import random_regular_graph
 from repro.ldp.privunit import PrivUnit
+from repro.scenario import Scenario, run
 
 
 class TestMetrics:
@@ -74,6 +76,26 @@ class TestDummyFactory:
         assert np.linalg.norm(dummy) == pytest.approx(
             1.0 / randomizer.scale, rel=1e-9
         )
+
+
+class TestMeanEstimateFromRun:
+    @pytest.mark.parametrize("load, missing", [
+        pytest.param({"mechanism": {"kind": "rr", "params": {"epsilon": 1.0}}},
+                     "vector values.*has none", id="no-values"),
+        pytest.param({"mechanism": {"kind": "rr", "params": {"epsilon": 1.0}},
+                      "values": {"kind": "bernoulli", "params": {"rate": 0.3}}},
+                     "vector values.*scalar values", id="scalar-values"),
+        pytest.param({"values": {"kind": "bimodal_unit_vectors", "params": {"dimension": 8}},
+                      "epsilon0": 2.0},
+                     "mechanism", id="no-mechanism"),
+    ])
+    def test_refuses_runs_it_cannot_score(self, load, missing):
+        result = run(Scenario(
+            graph={"kind": "k_regular", "params": {"degree": 4, "num_nodes": 64}},
+            protocol="single", rounds=3, seed=0, **load,
+        ))
+        with pytest.raises(ValidationError, match=missing):
+            mean_estimate_from_run(result)
 
 
 class TestMeanEstimation:
