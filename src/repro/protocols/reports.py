@@ -128,16 +128,10 @@ class ProtocolResult:
     def payloads(self, include_dummies: bool = True) -> List[Any]:
         """Payloads of the delivered reports, in delivery order: Python
         scalars where the payloads are 1-D, ndarray rows where 2-D."""
-        if self.delivered_payloads is None:
-            items: List[Any] = [None] * self.origins.size
-        else:
-            items = payload_list(self.delivered_payloads)
-        if include_dummies:
-            return items
-        return [
-            item for item, origin in zip(items, self.origins.tolist())
-            if origin >= 0
-        ]
+        delivered = self.delivered_payloads
+        if delivered is None:
+            delivered = np.full(self.origins.size, None, dtype=object)
+        return payload_list(delivered if include_dummies else delivered[self.origins >= 0])
 
     def adversary_view(self) -> AdversaryView:
         """The central adversary's observation of this run."""

@@ -16,7 +16,7 @@ def _result(reports, protocol="all", num_users=None):
         num_users=n,
         rounds=3,
         origins=np.array([report.origin for report in reports], dtype=np.int64),
-        delivered_payloads=[report.payload for report in reports],
+        delivered_payloads=np.array([report.payload for report in reports], dtype=object),
         delivered_by=np.arange(len(reports)),
         allocation=np.ones(n, dtype=np.int64),
     )

@@ -10,6 +10,7 @@ from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel
+from repro.scenario.cache import seed_streams
 from repro.scenario import (
     FAULTS,
     GRAPH_STATS,
@@ -70,6 +71,20 @@ class TestUnknownKeys:
                 return 2
 
 
+#: A mechanism (and dummies) that randomizes each values kind's example.
+_VALUES_LOADS = {
+    "zeros": {"mechanism": {"kind": "rr", "params": {"epsilon": 1.0}}},
+    "constant": {"mechanism": {"kind": "rr", "params": {"epsilon": 1.0}}},
+    "bernoulli": {"mechanism": {"kind": "rr", "params": {"epsilon": 1.0}}},
+    "choice": {"mechanism": {"kind": "unary", "params": {"epsilon": 1.0, "num_symbols": 5}}},
+    "normal": {"mechanism": {"kind": "laplace", "params": {"epsilon": 1.0}}},
+    "bimodal_unit_vectors": {
+        "mechanism": {"kind": "privunit", "params": {"epsilon": 2.0, "dimension": 8}},
+        "dummies": {"kind": "privunit_normal", "params": {}},
+    },
+}
+
+
 class TestExamplesBuild:
     @pytest.mark.parametrize("kind", GRAPHS.available())
     def test_every_graph_example_builds(self, kind):
@@ -94,10 +109,38 @@ class TestExamplesBuild:
 
     @pytest.mark.parametrize("kind", VALUES.available())
     def test_every_values_example_builds(self, kind):
-        values = VALUES.build(
-            kind, np.random.default_rng(0), 20, **VALUES.example(kind)
+        """One array whose first axis is n; an A_single run through a
+        mechanism leaves it as built, and ``payloads()`` reads Python
+        scalars from 1-D payloads and ndarray rows from 2-D ones."""
+        params = VALUES.example(kind)
+        values = VALUES.build(kind, np.random.default_rng(0), 20, **params)
+        assert isinstance(values, np.ndarray) and values.shape[0] == 20
+
+        result = run(Scenario(
+            graph=GraphSpec.of("complete", num_nodes=20), protocol="single",
+            rounds=2, seed=1, values={"kind": kind, "params": params},
+            **_VALUES_LOADS.get(kind, {"epsilon0": 1.0}),
+        ))
+        fresh = VALUES.build(kind, seed_streams(1).values, 20, **params)
+        np.testing.assert_array_equal(result.values, fresh)
+        delivered = result.protocol_result.delivered_payloads
+        assert result.protocol_result.dummy_count > 0
+        for payload in result.payloads():
+            if delivered.ndim == 1:
+                assert not isinstance(payload, (np.ndarray, np.generic))
+            else:
+                assert isinstance(payload, np.ndarray)
+                assert payload.shape == delivered.shape[1:]
+
+
+def test_choice_refuses_nan_probabilities():
+    # A scenario refuses non-finite params before any builder runs, so
+    # only a direct build can hand the builder a NaN.
+    with pytest.raises(ValidationError, match="must be non-negative"):
+        VALUES.build(
+            "choice", np.random.default_rng(0), 4,
+            num_options=2, probabilities=[float("nan"), 1.0],
         )
-        assert len(values) == 20
 
 
 class TestGraphStats:
