@@ -441,9 +441,6 @@ def _bernoulli(
     return (rng.random(num_users) < rate).astype(np.int64)
 
 
-_CHOICE_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
-
-
 @VALUES.register("choice", example={"num_options": 5})
 def _choice(
     rng: np.random.Generator,
@@ -459,7 +456,8 @@ def _choice(
             raise ValidationError(f"need {num_options} probabilities, got {len(probabilities)}")
         weights = np.asarray(probabilities, dtype=np.float64)
         # NaN fails ``>= 0``; the sum tolerance is Generator.choice's own.
-        if not np.all(weights >= 0.0) or abs(math.fsum(weights) - 1.0) > _CHOICE_SUM_TOLERANCE:
+        tolerance = math.sqrt(np.finfo(np.float64).eps)
+        if not np.all(weights >= 0.0) or abs(math.fsum(weights) - 1.0) > tolerance:
             raise ValidationError(
                 f"probabilities must be non-negative and sum to 1, got {probabilities}"
             )
