@@ -18,6 +18,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
+from repro.exceptions import ValidationError
 from repro.utils.validation import check_delta, check_epsilon
 
 
@@ -42,7 +43,7 @@ def advanced_composition(
     check_delta(delta_prime)
     check_delta(delta, allow_zero=True)
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValidationError(f"k must be >= 1, got {k}")
     eps_prime = (
         math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) * epsilon
         + k * epsilon * math.expm1(epsilon)
@@ -73,7 +74,7 @@ def heterogeneous_advanced_composition(
     if eps_array.size == 0:
         return 0.0
     if np.any(eps_array < 0.0) or not np.all(np.isfinite(eps_array)):
-        raise ValueError("all epsilons must be finite and non-negative")
+        raise ValidationError("all epsilons must be finite and non-negative")
     expm1_terms = np.expm1(eps_array)
     linear = float(np.sum(expm1_terms * eps_array / (expm1_terms + 2.0)))
     quadratic = math.sqrt(2.0 * math.log(1.0 / delta) * float(np.sum(eps_array**2)))

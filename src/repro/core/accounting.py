@@ -8,14 +8,14 @@ basic or heterogeneous advanced composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
 from repro.amplification.composition import (
     basic_composition,
     heterogeneous_advanced_composition,
 )
-from repro.exceptions import BudgetExceededError
+from repro.exceptions import BudgetExceededError, ValidationError
 from repro.utils.validation import check_delta, check_epsilon
 
 
@@ -45,7 +45,7 @@ class PrivacyAccountant:
         check_epsilon(self.epsilon_budget, "epsilon_budget")
         check_delta(self.delta_budget, "delta_budget", allow_zero=True)
         if self.composition not in ("basic", "advanced"):
-            raise ValueError(
+            raise ValidationError(
                 f"composition must be 'basic' or 'advanced', "
                 f"got {self.composition!r}"
             )
@@ -76,13 +76,7 @@ class PrivacyAccountant:
 
     def can_afford(self, epsilon: float, delta: float) -> bool:
         """Whether recording ``(epsilon, delta)`` would stay in budget."""
-        trial = PrivacyAccountant(
-            epsilon_budget=self.epsilon_budget,
-            delta_budget=self.delta_budget,
-            composition=self.composition,
-            advanced_delta=self.advanced_delta,
-        )
-        trial._spent = list(self._spent) + [(epsilon, delta)]
+        trial = replace(self, _spent=[*self._spent, (epsilon, delta)])
         eps, total_delta = trial.spent()
         return eps <= self.epsilon_budget and total_delta <= self.delta_budget
 

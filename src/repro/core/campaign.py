@@ -10,7 +10,7 @@ budget would be breached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.accounting import PrivacyAccountant
@@ -67,13 +67,7 @@ class Campaign:
 
     def affordable_collections(self, limit: int = 10_000) -> int:
         """How many more collections fit in the remaining budget."""
-        trial = PrivacyAccountant(
-            epsilon_budget=self.accountant.epsilon_budget,
-            delta_budget=self.accountant.delta_budget,
-            composition=self.accountant.composition,
-            advanced_delta=self.accountant.advanced_delta,
-        )
-        trial._spent = list(self.accountant._spent)
+        trial = replace(self.accountant, _spent=list(self.accountant._spent))
         count = 0
         eps, delta = self.per_collection_guarantee
         while count < limit and trial.can_afford(eps, delta):

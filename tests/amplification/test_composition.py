@@ -12,6 +12,7 @@ from repro.amplification.composition import (
     basic_composition,
     heterogeneous_advanced_composition,
 )
+from repro.exceptions import http_status_for
 
 
 class TestBasicComposition:
@@ -53,8 +54,9 @@ class TestAdvancedComposition:
         assert delta == pytest.approx(10 * 1e-8 + 1e-6)
 
     def test_rejects_zero_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             advanced_composition(0.1, 1e-6, 0)
+        assert http_status_for(caught.value) == 400
 
 
 class TestHeterogeneousComposition:
@@ -91,8 +93,11 @@ class TestHeterogeneousComposition:
         assert strict > loose
 
     def test_rejects_negative_epsilon(self):
-        with pytest.raises(ValueError):
-            heterogeneous_advanced_composition([-0.1], 1e-6)
+        """Negative and non-finite epsilons are refused as a 400."""
+        for epsilon in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError) as caught:
+                heterogeneous_advanced_composition([0.1, epsilon], 1e-6)
+            assert http_status_for(caught.value) == 400
 
     def test_rejects_bad_delta(self):
         with pytest.raises(Exception):

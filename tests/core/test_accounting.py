@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.accounting import PrivacyAccountant
-from repro.exceptions import BudgetExceededError
+from repro.exceptions import BudgetExceededError, http_status_for
 
 
 class TestBasicAccounting:
@@ -68,8 +68,9 @@ class TestAdvancedAccounting:
         assert accountant.spent()[1] == pytest.approx(1e-6)
 
     def test_rejects_unknown_composition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             PrivacyAccountant(1.0, 1e-5, composition="renyi")
+        assert http_status_for(caught.value) == 400
 
     def test_rejects_bad_budget(self):
         with pytest.raises(Exception):
