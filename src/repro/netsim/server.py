@@ -9,7 +9,7 @@ simulator therefore records that linkage in an
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, List
 
 from repro.exceptions import ValidationError
 from repro.netsim.metrics import EntityMeter
@@ -22,15 +22,6 @@ class Server:
         self.meter = meter
         self._reports: List[Any] = []
         self._delivered_by: List[int] = []
-
-    def deliver(self, sender: int, payload: Any) -> None:
-        """Record one report delivered by ``sender``."""
-        self.deliver_many([sender], [payload])
-
-    def deliver_many(self, senders: List[int], payloads: List[Any]) -> None:
-        """Record a batch of reports (the vectorized final round)."""
-        self.store(senders, payloads)
-        self.receive(len(payloads))
 
     def receive(self, count: int) -> None:
         """Meter ``count`` arriving reports (received and stored).
@@ -60,13 +51,6 @@ class Server:
     def delivered_by(self) -> List[int]:
         """For each report, the user who delivered it (final-round link)."""
         return list(self._delivered_by)
-
-    def reports_by_sender(self) -> Dict[int, List[Any]]:
-        """Reports grouped by the delivering user."""
-        grouped: Dict[int, List[Any]] = {}
-        for sender, payload in zip(self._delivered_by, self._reports):
-            grouped.setdefault(sender, []).append(payload)
-        return grouped
 
     def __len__(self) -> int:
         return len(self._reports)

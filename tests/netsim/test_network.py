@@ -107,8 +107,8 @@ class TestRoundBasedNetwork:
         network = RoundBasedNetwork(k4, rng=0)
         network.seed_items({1: ["a", "b"]})
         network.deliver_to_server()
-        grouped = network.server.reports_by_sender()
-        assert grouped == {1: ["a", "b"]}
+        assert network.server.delivered_by == [1, 1]
+        assert network.server.reports == ["a", "b"]
 
 
 class TestFaultModels:

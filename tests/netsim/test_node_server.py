@@ -65,10 +65,10 @@ class TestNode:
 
 
 class TestServer:
-    def test_deliver_many_length_mismatch_is_typed(self):
+    def test_store_length_mismatch_is_typed(self):
         server = Server(EntityMeter())
         with pytest.raises(ValueError) as caught:
-            server.deliver_many([0, 1], ["x"])
+            server.store([0, 1], ["x"])
         assert type(caught.value) is ValidationError
         assert server.reports == []
         assert server.meter.messages_received == 0
@@ -82,30 +82,15 @@ class TestServer:
 
     def test_delivery_order_preserved(self):
         server = Server(EntityMeter())
-        server.deliver(2, "x")
-        server.deliver(0, "y")
+        server.store([2], ["x"])
+        server.store([0], ["y"])
         assert server.reports == ["x", "y"]
         assert server.delivered_by == [2, 0]
         assert len(server) == 2
 
-    def test_meter_counts_receives(self):
-        server = Server(EntityMeter())
-        for i in range(5):
-            server.deliver(i, i)
-        assert server.meter.messages_received == 5
-        assert server.meter.peak_items == 5
-
-    def test_reports_by_sender_grouping(self):
-        server = Server(EntityMeter())
-        server.deliver(1, "a")
-        server.deliver(1, "b")
-        server.deliver(2, "c")
-        grouped = server.reports_by_sender()
-        assert grouped == {1: ["a", "b"], 2: ["c"]}
-
     def test_reports_returns_copy(self):
         server = Server(EntityMeter())
-        server.deliver(0, "a")
+        server.store([0], ["a"])
         reports = server.reports
         reports.append("tampered")
         assert server.reports == ["a"]
