@@ -1,13 +1,11 @@
-"""Exchange shootout: the per-message oracle vs the array engine's kernels.
+"""Exchange shootout: the per-message oracle vs the array engine.
 
 The acceptance target for the vectorized engine is a >=10x speedup over
 the per-message oracle (:class:`repro.testing.oracle.FaithfulNetwork`)
 on a 10,000-node, 16-round exchange, while
 producing the *identical* seeded held-count vector (the shared RNG
-contract makes the comparison exact, not statistical).  The engine on
-its numba kernels must reproduce the same vector too and, with numba
-installed, beat the same engine forced onto its NumPy round by >=3x on
-the fused multi-round path.  A second shape times the NumPy round where
+contract makes the comparison exact, not statistical).  A second shape
+times the engine's NumPy round where
 per-round reordering dominates: the irregular replica-sweep graph over
 its mixing time.
 """
@@ -21,9 +19,7 @@ import pytest
 
 from repro.datasets.synthetic import build_dataset
 from repro.graphs.generators import random_regular_graph
-from repro.netsim import kernels
 from repro.netsim.engine import VectorizedExchange
-from repro.netsim.kernels import NUMBA_AVAILABLE, resolve_implementation
 from repro.netsim.network import RoundBasedNetwork
 from repro.testing.oracle import FaithfulNetwork
 
@@ -41,12 +37,6 @@ _IRREGULAR_ROUNDS = 122
 @pytest.fixture(scope="module")
 def shootout_graph():
     return random_regular_graph(_DEGREE, _NUM_NODES, rng=0)
-
-
-def _force_numpy_round(patch) -> None:
-    """Resolve the array engine onto its NumPy round (engines built
-    while ``patch`` is active)."""
-    patch.setitem(kernels._RESOLVED, "implementation", "numpy")
 
 
 def _timed_exchange(graph, network_type):
@@ -76,39 +66,6 @@ def test_vectorized_speedup_over_faithful(shootout_graph):
     )
 
 
-def test_compiled_matches_vectorized_and_is_not_slower(
-    shootout_graph, monkeypatch
-):
-    """The engine on its resolved kernels vs the same engine forced onto
-    its NumPy round: identical bits, and >=3x with numba."""
-    with monkeypatch.context() as patch:
-        _force_numpy_round(patch)
-        vectorized_time, vectorized_counts = _timed_exchange(
-            shootout_graph, RoundBasedNetwork
-        )
-    compiled_time, compiled_counts = _timed_exchange(
-        shootout_graph, RoundBasedNetwork
-    )
-    speedup = vectorized_time / compiled_time
-    implementation = resolve_implementation()
-    print(
-        f"\nnumpy round: {vectorized_time:.3f}s  "
-        f"kernels[{implementation}]: {compiled_time:.3f}s  "
-        f"speedup: {speedup:.1f}x ({_NUM_NODES} nodes, {_ROUNDS} rounds)"
-    )
-    # Same seed => bit-identical allocation whichever kernels ran.
-    np.testing.assert_array_equal(vectorized_counts, compiled_counts)
-    if NUMBA_AVAILABLE:
-        assert speedup >= 3.0, (
-            f"numba kernels only {speedup:.1f}x faster than the NumPy round"
-        )
-    else:
-        # Both legs run the NumPy round; timing-noise slack only.
-        assert compiled_time <= vectorized_time * 1.5, (
-            f"second NumPy leg {1 / speedup:.2f}x slower than the first"
-        )
-
-
 def _bench_engine(benchmark, graph):
     def exchange():
         network = RoundBasedNetwork(graph, rng=0, backend="vectorized")
@@ -120,15 +77,8 @@ def _bench_engine(benchmark, graph):
     assert counts.sum() == _NUM_NODES
 
 
-def test_bench_vectorized_exchange(benchmark, shootout_graph, monkeypatch):
+def test_bench_vectorized_exchange(benchmark, shootout_graph):
     """pytest-benchmark timing of the engine's NumPy round (JSON artifact)."""
-    _force_numpy_round(monkeypatch)
-    _bench_engine(benchmark, shootout_graph)
-
-
-def test_bench_compiled_exchange(benchmark, shootout_graph):
-    """pytest-benchmark timing of the engine on its resolved kernels —
-    numba when installed (JSON artifact)."""
     _bench_engine(benchmark, shootout_graph)
 
 
@@ -139,11 +89,10 @@ def irregular_graph():
     ).graph
 
 
-def test_bench_numpy_round_irregular(benchmark, irregular_graph, monkeypatch):
+def test_bench_numpy_round_irregular(benchmark, irregular_graph):
     """pytest-benchmark timing of the NumPy round on the irregular
     replica-sweep shape, where the per-round reorder dominates (JSON
     artifact)."""
-    _force_numpy_round(monkeypatch)
     num_nodes = irregular_graph.num_nodes
 
     def fresh_engine():

@@ -18,12 +18,10 @@ Commands
 ``plan <n> <target_eps>``
     Deployment planning: local budgets achieving a central target on a
     regular graph of ``n`` users (both protocols).
-``run <scenario.json> [--json] [--require-jit] [--profile-budget BYTES]``
+``run <scenario.json> [--json] [--profile-budget BYTES]``
     Execute one declarative scenario (simulate + account) and print the
     result digest (``--json`` emits machine-readable JSON).  ``-`` reads
-    the scenario from stdin.  ``--require-jit`` makes a process without
-    working numba kernels a hard error instead of running the exchange
-    on its NumPy round.  Time-varying topologies ride the same
+    the scenario from stdin.  Time-varying topologies ride the same
     commands via the ``schedule`` graph spec (sub-specs plus a
     round-robin/epoch selector, or ``base`` + ``phases`` churn); such
     scenarios must set ``rounds`` explicitly and are accounted via the
@@ -52,8 +50,7 @@ Commands
     reported failures instead of aborting the grid, ``--retries N``
     retries points whose worker crashed (rebuilding the pool), and
     ``--point-timeout S`` kills and retries hung points; a sweep with
-    failed points exits nonzero after printing them.  ``--require-jit``
-    works as on ``run``.
+    failed points exits nonzero after printing them.
 ``results <query|diff|gc|campaigns> --store DB ...``
     Query the campaign store: ``query`` aggregates a metric over any
     recorded axis straight from SQL (``--x``/``--y``/``--group-by``/
@@ -72,9 +69,7 @@ Commands
     answer after a restart; a stored point answers without running)
     and serves ``GET /results``; ``--max-queue`` turns on 429
     back-pressure; ``--job-timeout`` kills a job's worker once the job
-    outlives its wall-clock budget and answers 504;
-    ``--require-jit`` works as on ``run`` (``GET /stats`` reports which
-    kernels the array engine runs).
+    outlives its wall-clock budget and answers 504.
 
 Every command (and every ``results`` action) takes ``-h``/``--help``
 for its usage; ``python -m repro`` alone, ``-h`` or ``--help`` prints
@@ -489,8 +484,6 @@ def _parser() -> tuple[_Parser, dict]:
     as_json.add_argument("--json", action="store_true")
     budget = _Parser(add_help=False)
     budget.add_argument("--profile-budget", type=_memory_budget, metavar="BYTES|512M|2G")
-    jit = _Parser(add_help=False)
-    jit.add_argument("--require-jit", action="store_true")
     preset = _Parser(add_help=False)
     preset.add_argument("--fast", action="store_true")
     preset.add_argument("--full", action="store_true")
@@ -518,11 +511,11 @@ def _parser() -> tuple[_Parser, dict]:
     plan = command("plan", _plan)
     plan.add_argument("n", type=int)
     plan.add_argument("target_eps", type=float)
-    command("run", _run, scenario, as_json, jit, budget)
+    command("run", _run, scenario, as_json, budget)
     command("bound", _bound, scenario, as_json, budget)
     audit = command("audit", _audit, scenario, as_json)
     audit.add_argument("--trials", type=int, metavar="N")
-    sweep = command("sweep", _sweep, scenario, jit, budget)
+    sweep = command("sweep", _sweep, scenario, budget)
     sweep.add_argument("--axis", type=_axis, action="append", required=True,
                        metavar="path=v1,v2,...")
     sweep.add_argument("--mode", default="run",
@@ -546,7 +539,7 @@ def _parser() -> tuple[_Parser, dict]:
     gc = command("gc", _results, store, under=actions)
     gc.add_argument("--dry-run", action="store_true")
     command("campaigns", _results, store, as_json, under=actions)
-    serve = command("serve", _serve, jit, budget)
+    serve = command("serve", _serve, budget)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8777)
     serve.add_argument("--workers", type=int, default=2, metavar="N")
@@ -570,13 +563,6 @@ def main(argv: list[str] | None = None):
     args, extra = parser.parse_known_args(arguments)
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    if getattr(args, "require_jit", False):
-        # Process policy like --profile-budget: the array engine fails
-        # loudly when numba cannot JIT its kernels instead of silently
-        # running its NumPy round.
-        from repro.netsim.kernels import set_require_jit
-
-        set_require_jit(True)
     try:
         return args.handler(args)
     except ReproError as error:

@@ -31,12 +31,10 @@ Cache telemetry
     process's work plus what its pooled sweep points and served jobs
     did in workers, and never go down, so compare two readings;
     :func:`clear_graph_cache` drops resident graphs (not counts).
-Exchange backends
-    :func:`backend_info` — which kernels the array engine runs in
-    this process (numba JIT vs NumPy);
-    :func:`set_require_jit` to make a missing JIT raise
-    :class:`BackendUnavailableError` (HTTP 501) instead of silently
-    running the NumPy round.
+Exchange backend
+    :func:`backend_info` — which round the array engine runs
+    (``{"compiled_kernels": "numpy"}``: its one NumPy round), as the
+    serving tier's ``/stats`` reports it.
 Schedule accounting
     :class:`ProfilePolicy` plus :func:`get_profile_policy` /
     :func:`set_profile_policy` / :func:`profile_policy` — the
@@ -58,6 +56,10 @@ Campaign store
 The scenario registries remain extensible through
 :mod:`repro.scenario.builders`; this module is the *stable* surface, so
 additions are fine but renames and removals are breaking changes.
+Removed so far: the process-wide switch that required JIT exchange
+kernels and its HTTP 501 error type (named in CHANGES.md) went with the
+JIT kernels they guarded; the engine has one NumPy round, so there is
+no JIT to require.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from repro.amplification.network_shuffle import NetworkShuffleBound
 from repro.auditing.auditor import AuditResult, resolve_method
 from repro.exceptions import (
     AccountingError,
-    BackendUnavailableError,
     ExecutionTimeoutError,
     InvalidScenarioError,
     JobNotFoundError,
@@ -82,7 +83,7 @@ from repro.exceptions import (
     error_payload,
     http_status_for,
 )
-from repro.netsim.kernels import backend_info, set_require_jit
+from repro.netsim.engine import backend_info
 from repro.scenario.auditing import audit
 from repro.scenario.cache import GRAPH_CACHE, seed_streams
 from repro.scenario.profile import (
@@ -114,7 +115,6 @@ from repro.store import diff as store_diff
 __all__ = [
     "AccountingError",
     "AuditResult",
-    "BackendUnavailableError",
     "DEFAULT_MEMORY_BUDGET",
     "ExecutionTimeoutError",
     "InvalidScenarioError",
@@ -154,7 +154,6 @@ __all__ = [
     "sampler_stats",
     "seed_streams",
     "set_profile_policy",
-    "set_require_jit",
     "spill_graph",
     "stationary_bound",
     "store_aggregate",

@@ -166,21 +166,6 @@ class SimulationError(ReproError):
     """The network simulator reached an inconsistent state."""
 
 
-class BackendUnavailableError(SimulationError):
-    """A requested exchange backend cannot run in this environment.
-
-    Raised when the array exchange engine cannot run numba kernels
-    that this process requires (:func:`repro.api.set_require_jit`, the
-    CLI's ``--require-jit``) — the ``repro[compiled]`` extra is
-    missing — or when numba is installed but fails to compile the
-    kernels.  Without a JIT requirement a numba-less install runs the
-    engine's NumPy round silently — this error is the *loud* path for
-    deployments that asked for compiled speed and would otherwise get a
-    silent 10x regression.  Mapped to HTTP 501: the request is
-    well-formed, this deployment just cannot serve it.
-    """
-
-
 # ----------------------------------------------------------------------
 # Exception -> HTTP mapping (shared by the CLI and the serving tier)
 # ----------------------------------------------------------------------
@@ -194,7 +179,6 @@ HTTP_STATUS_MAP = (
     (InvalidScenarioError, 400),
     (ValidationError, 400),
     (BudgetExceededError, 409),
-    (BackendUnavailableError, 501),
     (ExecutionTimeoutError, 504),
     (WorkerCrashError, 500),
     (ReproError, 500),

@@ -9,12 +9,8 @@ peak queue memory) so the Table 3 complexity comparison can be
 The exchange runs on :class:`~repro.netsim.engine.VectorizedExchange`,
 which keeps every in-flight report in flat NumPy arrays and advances a
 round with a few gathers plus ``np.bincount`` metering, scaling to
-millions of tokens.  With numba installed (the ``repro[compiled]``
-extra) the same engine runs fused JIT kernels
-(:mod:`repro.netsim.kernels`); which kernels ran never changes a result
-and is reported only by :func:`repro.netsim.kernels.backend_info`.  The
-per-message reference simulator it is tested against is
-:class:`repro.testing.oracle.FaithfulNetwork`.
+millions of tokens.  The per-message reference simulator it is tested
+against is :class:`repro.testing.oracle.FaithfulNetwork`.
 
 An :class:`~repro.netsim.adversary.AdversaryView` records exactly what
 the paper's threat model grants the central adversary: the linkage of

@@ -35,32 +35,26 @@ maintains the iteration order explicitly in :attr:`_order` — kept items
 precede arrivals, arrivals land in send order — which is exactly the
 order the per-message simulator's inboxes realize.
 
-Kernels
--------
-Which code advances a round is resolved once per process by
-:func:`repro.netsim.kernels.jit_kernels`: with numba installed,
-:meth:`VectorizedExchange.run_round` calls the JIT-compiled fused round
-kernel and a fault-free static :meth:`VectorizedExchange.run` hands the
-whole span to the fused multi-round driver; without numba the NumPy
-round below runs.  The kernels order the next round by a counting sort,
-the NumPy round by one unstable sort of ``(holder << shift) | index``
-keys — no stable argsort runs on either path, yet both realize its
-permutation exactly.  Both consume the identical stream, so the choice
-is invisible in the results and reported only by
-:func:`repro.netsim.kernels.backend_info`.
+One round implementation
+------------------------
+:meth:`VectorizedExchange.run_round` is one chain of NumPy passes, and
+:meth:`VectorizedExchange.run` loops it.  The next round's order comes
+from one unstable sort of ``(holder << shift) | index`` keys
+(:func:`repro.utils.mathutils.stable_argsort`), which realizes the
+stable argsort's permutation exactly.  :func:`backend_info` names that
+round for ``/stats`` and run provenance.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import SimulationError, ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
-from repro.netsim import kernels
 from repro.netsim.faults import DropoutModel, NoFaults
 from repro.netsim.message import SERVER_ID
 from repro.netsim.metrics import VectorMeterBoard
@@ -77,30 +71,10 @@ from repro.utils.rng import RngLike, ensure_rng
 _DEGREE_CACHE_LIMIT = 64
 
 
-def _isolated_holder(round_index: int) -> SimulationError:
-    return SimulationError(
-        f"round {round_index}: a held token's node is "
-        "isolated in the current topology"
-    )
-
-
-class _RoundBuffers:
-    """Pre-allocated per-round scratch for the JIT kernels, reused across
-    rounds and rebuilt only when the token count changes (seed,
-    drain→reseed)."""
-
-    __slots__ = ("num_tokens", "sends", "receipts", "kept", "cursors",
-                 "stay", "move", "alt_order")
-
-    def __init__(self, num_nodes: int, num_tokens: int):
-        self.num_tokens = num_tokens
-        self.sends = np.zeros(num_nodes, dtype=np.int64)
-        self.receipts = np.zeros(num_nodes, dtype=np.int64)
-        self.kept = np.zeros(num_nodes, dtype=np.int64)
-        self.cursors = np.zeros(num_nodes, dtype=np.int64)
-        self.stay = np.empty(num_tokens, dtype=np.int64)
-        self.move = np.empty(num_tokens, dtype=np.int64)
-        self.alt_order = np.empty(num_tokens, dtype=np.int64)
+def backend_info() -> Dict[str, str]:
+    """Which round the array engine runs, for ``/stats`` and run
+    provenance: always its one NumPy round."""
+    return {"compiled_kernels": "numpy"}
 
 
 class VectorizedExchange:
@@ -168,9 +142,6 @@ class VectorizedExchange:
         self._drained = False
         self._campaign_start_round = 0
         self._paths: Optional[List[np.ndarray]] = [] if record_trajectories else None
-        #: JIT ``(round, rounds)`` kernels, or None for the NumPy round.
-        self._kernels = kernels.jit_kernels()
-        self._buffers: Optional[_RoundBuffers] = None
 
     # ------------------------------------------------------------------
     # Setup
@@ -295,16 +266,13 @@ class VectorizedExchange:
             # per-message reference iterating empty nodes.
             self.round_index += 1
             return
-        if self._kernels is not None:
-            self._kernel_round(offline)
-        else:
-            self._numpy_round(offline)
+        self._numpy_round(offline)
         self.round_index += 1
         if self._paths is not None:
             self._paths.append(self.token_position.copy())
 
     def _numpy_round(self, offline: np.ndarray) -> None:
-        """One round as a chain of NumPy passes (no numba installed)."""
+        """One round as a chain of NumPy passes."""
         n = self.num_users
         order = self._order
         moving_mask = ~offline[self.token_position[order]]
@@ -314,7 +282,10 @@ class VectorizedExchange:
         sources = self.token_position[movers]
         source_degrees = self._degrees[sources]
         if movers.size and source_degrees.min() == 0:
-            raise _isolated_holder(self.round_index)
+            raise SimulationError(
+                f"round {self.round_index}: a held token's node is "
+                "isolated in the current topology"
+            )
         draws = self.rng.random(movers.size)
         offsets = (draws * source_degrees).astype(np.int64)
         # floor(u * degree) lands in [0, degree) for every conforming
@@ -348,86 +319,12 @@ class VectorizedExchange:
         sequence = np.concatenate([stayers, movers])
         self._order = sequence[stable_argsort(self.token_position[sequence])]
 
-    def _ensure_buffers(self) -> _RoundBuffers:
-        buffers = self._buffers
-        if buffers is None or buffers.num_tokens != self.num_tokens:
-            buffers = _RoundBuffers(self.num_users, self.num_tokens)
-            self._buffers = buffers
-        return buffers
-
-    def _kernel_round(self, offline: np.ndarray) -> None:
-        """One round fused into one call of the JIT round kernel."""
-        meters = self.meters
-        held = meters.current_items  # == bincount(token_position)
-        if bool(np.any((self._degrees == 0) & (held > 0) & ~offline)):
-            raise _isolated_holder(self.round_index)
-        mover_count = self.num_tokens - int(held[offline].sum())
-        uniforms = self.rng.random(mover_count)
-        buffers = self._ensure_buffers()
-        status = self._kernels[0](
-            self._order, self.token_position, offline, uniforms,
-            self._degrees, self._indptr, self._indices,
-            buffers.sends, buffers.receipts, buffers.kept,
-            meters.messages_sent, meters.messages_received,
-            meters.current_items, meters.peak_items,
-            buffers.stay, buffers.move, buffers.alt_order, buffers.cursors,
-        )
-        if status < 0:
-            raise _isolated_holder(self.round_index)
-        self._order, buffers.alt_order = buffers.alt_order, self._order
-
     def run(self, rounds: int) -> None:
-        """Run ``rounds`` exchange rounds.
-
-        With JIT kernels, a fault-free static-graph span (no trajectory
-        recording) runs in the fused multi-round driver; the result is
-        identical to looping :meth:`run_round`.
-        """
+        """Run ``rounds`` exchange rounds."""
         if rounds < 0:
             raise SimulationError(f"rounds must be non-negative, got {rounds}")
-        fusable = (
-            self._kernels is not None
-            and self.schedule is None
-            and type(self.faults) is NoFaults
-            and self._paths is None
-            # Isolated nodes present: the per-round path reproduces the
-            # reference's error timing (and stream position at the raise).
-            and not bool(np.any(self._degrees == 0))
-        )
-        if not fusable:
-            for _ in range(rounds):
-                self.run_round()
-            return
-        if not self._drained and self.num_tokens:
-            self._run_fused(rounds)
-        # NoFaults draws nothing, so a drained or empty network's rounds
-        # only advance the clock (bit-identical to looping run_round).
-        self.round_index += rounds
-
-    def _run_fused(self, rounds: int) -> None:
-        meters = self.meters
-        buffers = self._ensure_buffers()
-        total = self.num_tokens
-        block_rounds = max(1, kernels._UNIFORM_BLOCK // total)
-        done = 0
-        while done < rounds:
-            chunk = min(block_rounds, rounds - done)
-            uniforms = self.rng.random(total * chunk)
-            status = self._kernels[1](
-                self._order, self.token_position, uniforms,
-                self._degrees, self._indptr, self._indices,
-                buffers.sends, buffers.receipts,
-                meters.messages_sent, meters.messages_received,
-                meters.current_items, meters.peak_items,
-                buffers.alt_order, buffers.cursors, chunk,
-            )
-            if status < 0:
-                raise _isolated_holder(self.round_index + done)
-            if chunk % 2:
-                self._order, buffers.alt_order = (
-                    buffers.alt_order, self._order
-                )
-            done += chunk
+        for _ in range(rounds):
+            self.run_round()
 
     # ------------------------------------------------------------------
     # Queries

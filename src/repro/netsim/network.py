@@ -16,10 +16,6 @@ keep each token's payload in their own arrays, indexed by token id.
 ``seed_items``/``deliver_to_server``/``drain_held`` carry arbitrary
 items as thin adapters over the first three methods.
 
-With numba installed it runs the fused JIT kernels of
-:mod:`repro.netsim.kernels`, otherwise NumPy — an install-time detail
-that never changes a result.
-
 The per-message reference simulator, which realizes the same exact RNG
 contract one Python object per user, is
 :class:`repro.testing.oracle.FaithfulNetwork`; the oracle tests in
@@ -159,12 +155,8 @@ class RoundBasedNetwork:
         self._engine.run_round()
 
     def run_exchange(self, rounds: int) -> None:
-        """Run ``rounds`` exchange rounds.
-
-        The engine takes the whole span so JIT kernels can fuse
-        multi-round execution into single kernel calls; results are
-        identical to looping :meth:`run_exchange_round`.
-        """
+        """Run ``rounds`` exchange rounds (:meth:`run_exchange_round`
+        ``rounds`` times)."""
         self._engine.run(rounds)
 
     # ------------------------------------------------------------------

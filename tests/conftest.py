@@ -74,30 +74,6 @@ def on_oracle():
 
 
 @pytest.fixture
-def use_kernels(monkeypatch):
-    """``use_kernels(mode)`` points the engine's kernel resolution at
-    ``"numpy"`` (its NumPy round) or ``"loops"`` (the numba-facing JIT
-    loops run as plain Python, so the JIT code path is testable without
-    the ``repro[compiled]`` extra); engines constructed afterwards pick
-    it up, and the resolution state is restored after the test."""
-    from repro.netsim import kernels
-
-    def use(mode: str) -> None:
-        if mode == "numpy":
-            monkeypatch.setitem(kernels._RESOLVED, "implementation", "numpy")
-        elif mode == "loops":
-            monkeypatch.setitem(kernels._RESOLVED, "implementation", "numba")
-            monkeypatch.setitem(
-                kernels._RESOLVED, "kernels",
-                (kernels._round_loop, kernels._rounds_loop),
-            )
-        else:
-            raise ValueError(f"unknown kernel mode {mode!r}")
-
-    return use
-
-
-@pytest.fixture
 def stalled_lanczos(monkeypatch):
     """Make every ARPACK solve raise ``ArpackNoConvergence``.
 

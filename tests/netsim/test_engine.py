@@ -1,16 +1,12 @@
-"""Exchange equivalence: the three-way oracle.
+"""Exchange equivalence: the array engine against the oracle.
 
 The array engine promises an *exact* RNG contract with the per-message
-simulator (:class:`repro.testing.oracle.FaithfulNetwork`), whichever
-kernels it runs — a seeded run must produce identical per-round held
-counts, meters, and server deliveries on all three variants
-(``faithful``, the oracle ≡ ``vectorized``, the engine on its NumPy
-round ≡ ``compiled``, the engine on the JIT kernel loops run
-interpreted) — plus statistical agreement with the exact distribution
-evolution of :mod:`repro.graphs.walks`.  The JIT variant is
-additionally exercised through its fused multi-round path
-(``run(rounds)`` on a static graph under ``NoFaults``), which must be
-bit-identical to the per-round loop.
+simulator (:class:`repro.testing.oracle.FaithfulNetwork`) — a seeded
+run must produce identical per-round held counts, meters, and server
+deliveries on every variant (``faithful``, the oracle ≡ ``vectorized``
+≡ ``compiled``, two engine spellings that both run the array engine's
+one NumPy round) — plus statistical agreement with the exact
+distribution evolution of :mod:`repro.graphs.walks`.
 """
 
 from __future__ import annotations
@@ -28,35 +24,36 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.walks import position_distribution, simulate_token_walks
-from repro.netsim.engine import VectorizedExchange
+from repro.netsim.engine import (
+    _DEGREE_CACHE_LIMIT,
+    VectorizedExchange,
+    backend_info,
+)
 from repro.netsim.faults import (
     AdversarialDropout,
     IndependentDropout,
     NoFaults,
 )
 from repro.netsim.network import RoundBasedNetwork
-from repro.protocols.all_protocol import run_all_protocol
+from repro.protocols.all_protocol import ENGINES, run_all_protocol
 from repro.protocols.single_protocol import run_single_protocol
+from repro.scenario import RunDigest
 from repro.testing.oracle import FaithfulNetwork
 
 
-#: The three-way oracle: the per-message simulator, then the array engine
-#: on its NumPy round and on the JIT kernel loops run interpreted.
+#: The per-message simulator, then two engine spellings that must both
+#: run the same exchange: the array engine's NumPy round.
 VARIANTS = ("faithful", "vectorized", "compiled")
-
-#: ``use_kernels`` mode behind each array-engine variant.
-KERNEL_MODES = {"vectorized": "numpy", "compiled": "loops"}
 
 
 @pytest.fixture
-def network_on(use_kernels):
+def network_on():
     """``network_on(variant, graph, **kwargs)`` builds a network on one
     oracle variant."""
 
     def build(variant, graph, **kwargs):
         if variant == "faithful":
             return FaithfulNetwork(graph, **kwargs)
-        use_kernels(KERNEL_MODES[variant])
         return RoundBasedNetwork(graph, backend="vectorized", **kwargs)
 
     return build
@@ -112,8 +109,6 @@ class TestSeededEquivalence:
         faithful, vectorized, compiled = paired_networks(
             small_regular, faults_factory, 11
         )
-        # run_exchange(8) lets the JIT loops take their fused
-        # multi-round path when the fault model permits.
         faithful.run_exchange(8)
         for other in (vectorized, compiled):
             other.run_exchange(8)
@@ -190,15 +185,15 @@ class TestSeededEquivalence:
                 assert held == reference
 
     def test_all_protocol_identical_across_engines(
-        self, small_regular, use_kernels, on_oracle
+        self, small_regular, on_oracle
     ):
-        use_kernels("numpy")
         fast = run_all_protocol(small_regular, 7, rng=9)
         with on_oracle():
             faithful = run_all_protocol(small_regular, 7, rng=9)
-        use_kernels("loops")
-        loops = run_all_protocol(small_regular, 7, rng=9)
-        for other in (faithful, loops):
+        compiled = run_all_protocol(
+            small_regular, 7, rng=9, engine="compiled"
+        )
+        for other in (faithful, compiled):
             np.testing.assert_array_equal(fast.allocation, other.allocation)
             np.testing.assert_array_equal(
                 fast.delivered_by, other.delivered_by
@@ -208,15 +203,15 @@ class TestSeededEquivalence:
             ]
 
     def test_single_protocol_identical_across_engines(
-        self, small_regular, use_kernels, on_oracle
+        self, small_regular, on_oracle
     ):
-        use_kernels("numpy")
         fast = run_single_protocol(small_regular, 7, rng=9)
         with on_oracle():
             faithful = run_single_protocol(small_regular, 7, rng=9)
-        use_kernels("loops")
-        loops = run_single_protocol(small_regular, 7, rng=9)
-        for other in (faithful, loops):
+        compiled = run_single_protocol(
+            small_regular, 7, rng=9, engine="compiled"
+        )
+        for other in (faithful, compiled):
             np.testing.assert_array_equal(fast.allocation, other.allocation)
             assert fast.dummy_count == other.dummy_count
             assert [r.origin for r in fast.server_reports] == [
@@ -540,6 +535,38 @@ class TestVectorizedEngineApi:
         network.run_exchange(1)
         assert network.held_counts().sum() == 1
 
+    def test_drained_run_only_advances_clock(self):
+        engine = VectorizedExchange(cycle_graph(8), rng=0)
+        engine.seed_tokens(np.arange(8))
+        engine.run(2)
+        engine.drain()
+        engine.run(5)
+        assert engine.round_index == 7
+        assert engine.held_counts().sum() == 0
+
+    def test_backend_info_payload(self):
+        assert backend_info() == {"compiled_kernels": "numpy"}
+
+    def test_backend_label_per_engine(self):
+        """Every engine spelling labels the one network backend."""
+        for engine in ENGINES:
+            summary = RunDigest(
+                protocol="all", engine=engine, num_users=1, rounds=0,
+                dummy_count=0, elapsed_seconds=0.0,
+            ).summary()
+            assert summary["backend"] == "vectorized"
+
+    def test_trajectories_leave_the_walk_unchanged(self):
+        graph = cycle_graph(9)
+        plain = VectorizedExchange(graph, rng=4)
+        recording = VectorizedExchange(graph, rng=4, record_trajectories=True)
+        for engine in (plain, recording):
+            engine.seed_tokens(np.arange(9))
+            engine.run(5)
+        paths = recording.trajectories()
+        assert paths.shape == (9, 6)
+        np.testing.assert_array_equal(paths[:, -1], plain.token_position)
+
     def test_reseed_after_drain_drops_old_tokens(self, small_regular):
         """Drained tokens left the network; reseeding must not revive them."""
         engine = VectorizedExchange(small_regular, rng=0)
@@ -751,6 +778,12 @@ class _PinnedRng(np.random.Generator):
         return np.full(size, self._value)
 
 
+def _holder_of_one(network) -> int:
+    """The node holding a one-token network's only token."""
+    (holder,) = np.flatnonzero(network.held_counts())
+    return int(holder)
+
+
 class TestOffsetBoundaryClamp:
     """floor(u * degree) must never index past the neighbor slice.
 
@@ -764,31 +797,29 @@ class TestOffsetBoundaryClamp:
     @pytest.mark.parametrize("variant", ["vectorized", "compiled"])
     @pytest.mark.parametrize("value", [1.0 - 2.0**-53, 1.0])
     def test_vectorized_boundary_draw_hits_last_neighbor(
-        self, variant, value, engine_on
+        self, variant, value, network_on
     ):
         graph = cycle_graph(7)
         last = graph.num_nodes - 1  # pre-fix, u=1.0 indexes past indices
-        engine = engine_on(
-            KERNEL_MODES[variant], graph, rng=_PinnedRng(value)
-        )
-        engine.seed_tokens(np.array([last]))
-        engine.run_round()
-        assert int(engine.token_position[0]) == int(graph.neighbors(last)[-1])
+        network = network_on(variant, graph, rng=_PinnedRng(value))
+        network.seed_tokens(np.array([last]))
+        network.run_exchange_round()
+        assert _holder_of_one(network) == int(graph.neighbors(last)[-1])
 
     @pytest.mark.parametrize("value", [1.0 - 2.0**-53, 1.0])
     def test_compiled_fused_boundary_draw_hits_last_neighbor(
-        self, value, engine_on
+        self, value, network_on
     ):
-        """The fused multi-round kernel applies the same clamp."""
+        """A multi-round run applies the same clamp in every round."""
         graph = cycle_graph(7)
         last = graph.num_nodes - 1
-        engine = engine_on("loops", graph, rng=_PinnedRng(value))
-        engine.seed_tokens(np.array([last]))
-        engine.run(3)  # static + NoFaults: takes the fused path
+        network = network_on("compiled", graph, rng=_PinnedRng(value))
+        network.seed_tokens(np.array([last]))
+        network.run_exchange(3)
         walked = last
         for _ in range(3):
             walked = int(graph.neighbors(walked)[-1])
-        assert int(engine.token_position[0]) == walked
+        assert _holder_of_one(network) == walked
 
     @pytest.mark.parametrize("value", [1.0 - 2.0**-53, 1.0])
     def test_faithful_boundary_draw_hits_last_neighbor(self, value):
@@ -806,3 +837,52 @@ class TestOffsetBoundaryClamp:
             graph, np.array([last]), 1, rng=_PinnedRng(value)
         )
         assert int(finals[0]) == int(graph.neighbors(last)[-1])
+
+
+class TestBoundedDegreeCache:
+    def test_static_engine_never_populates_cache(self):
+        """Manual swaps on a static engine bypass the cache entirely —
+        nothing pins the replaced graphs alive."""
+        engine = VectorizedExchange(cycle_graph(10), rng=0)
+        assert engine._degree_cache_limit == 1
+        for seed in range(6):
+            engine.set_graph(random_regular_graph(4, 10, rng=seed))
+            assert len(engine._degree_cache) == 0
+
+    def test_schedule_cache_bounded_by_distinct_graphs(self):
+        schedule = DynamicGraphSchedule([
+            random_regular_graph(4, 20, rng=0),
+            cycle_graph(20),
+            complete_graph(20),
+        ])
+        engine = VectorizedExchange(schedule, rng=0)
+        assert engine._degree_cache_limit == 3
+        engine.seed_tokens(np.arange(20))
+        engine.run(9)  # cycles through every graph three times
+        assert len(engine._degree_cache) <= 3
+
+    def test_repeated_graph_hits_cache(self):
+        schedule = DynamicGraphSchedule([
+            random_regular_graph(4, 16, rng=0),
+            cycle_graph(16),
+        ])
+        engine = VectorizedExchange(schedule, rng=0)
+        engine.seed_tokens(np.arange(16))
+        engine.run_round()  # graph 0 (bound at construction)
+        engine.run_round()  # graph 1 — cached by set_graph
+        degrees_graph_one = engine._degrees
+        engine.run_round()  # graph 0 again
+        engine.run_round()  # graph 1 — must hit, not recompute
+        assert engine._degrees is degrees_graph_one
+
+    def test_cache_limit_caps_lazy_schedules(self):
+        graphs = [random_regular_graph(4, 12, rng=seed) for seed in range(5)]
+        schedule = DynamicGraphSchedule(graphs)
+        engine = VectorizedExchange(schedule, rng=0)
+        # The bound formula: min(num_graphs, module cap).
+        assert engine._degree_cache_limit == min(
+            schedule.num_graphs, _DEGREE_CACHE_LIMIT
+        )
+        for graph in graphs * 2:
+            engine.set_graph(graph)
+        assert len(engine._degree_cache) <= engine._degree_cache_limit

@@ -131,8 +131,8 @@ class TestHandWiredEquivalence:
 
 class TestOracleParity:
     """A seeded ``repro.run`` at a few thousand users with dropout, on
-    whichever kernels the engine resolved, against the per-message
-    oracle: the same payloads, allocation, meters and epsilon."""
+    the array engine, against the per-message oracle: the same payloads,
+    allocation, meters and epsilon."""
 
     @pytest.mark.parametrize("protocol", ["all", "single"])
     def test_run_matches_oracle_with_dropout(self, protocol, on_oracle):

@@ -398,24 +398,6 @@ class TestRegistrationReplay:
         )
         assert len(result) == 2
 
-    def test_require_jit_reaches_spawn_workers(self):
-        """A spawn pool fails exactly the points a sequential sweep does:
-        both under a JIT requirement numba cannot meet, none with it."""
-        from repro.netsim.kernels import set_require_jit
-
-        axis = {"seed": [0, 1]}
-        previous = set_require_jit(True)
-        try:
-            sequential = sweep(_base(), axis=axis, mode="run",
-                               on_error="collect")
-            pooled = sweep(_base(), axis=axis, mode="run", workers=2,
-                           mp_context="spawn", on_error="collect")
-        finally:
-            set_require_jit(previous)
-        assert [point.failure for point in pooled.points] == [
-            point.failure for point in sequential.points
-        ]
-
 
 class TestKernelSamplerMemo:
     def _audit_scenario(self, rounds=10):

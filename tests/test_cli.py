@@ -567,7 +567,7 @@ class TestSweepFaultFlags:
 
 
 class TestEngineFlag:
-    """``--require-jit`` on run and sweep; ``--engine`` is gone."""
+    """``--engine`` is gone; a stored ``engine`` spelling still loads."""
 
     def test_run_default_engine_backend_recorded(self, scenario_file, capsys):
         import json
@@ -609,18 +609,6 @@ class TestEngineFlag:
         """A bare ``--engine`` is refused with the usage line."""
         with pytest.raises(SystemExit, match="usage"):
             main(["run", scenario_file, "--engine"])
-
-    def test_require_jit_fails_loudly_without_numba(
-        self, scenario_file, monkeypatch
-    ):
-        from repro.netsim import kernels
-
-        monkeypatch.setitem(kernels._RESOLVED, "implementation", "numpy")
-        try:
-            with pytest.raises(SystemExit, match="run failed"):
-                main(["run", scenario_file, "--require-jit"])
-        finally:
-            kernels.set_require_jit(False)
 
     def test_engine_is_sweepable_axis(self, scenario_file, capsys):
         main([

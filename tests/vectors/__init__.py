@@ -5,7 +5,7 @@ its handler (:mod:`tests.vectors.handlers`) runs the inputs and returns
 canonical bytes, and ``vectors.json`` holds only ``case id -> sha256``
 of those bytes.  ``test_vectors.py`` replays every case against the file
 and never writes it; ``run`` and ``bound`` cases replay on the
-per-message oracle, the engine's NumPy round and its JIT loops.
+per-message oracle and the engine's NumPy round.
 
 The file is rewritten only by::
 

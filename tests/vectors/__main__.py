@@ -1,6 +1,6 @@
 """``python -m tests.vectors [--regenerate]``: report moved vectors; rewrite the file.
 
-Computes every case on the default exchange kernels, prints the ids
+Computes every case on the array engine's exchange, prints the ids
 whose digest differs from ``vectors.json`` (and ids added or dropped),
 and exits 1 if any did.  ``--regenerate`` writes the new digests
 instead.
