@@ -15,12 +15,14 @@ stand-in (wiring seed pinned as spec data), the ``privunit`` mechanism,
 the ``bimodal_unit_vectors`` workload, and the ``privunit_normal``
 dummy factory (the paper's normalized ``N(5, 1)^d`` dummy — the spec
 kind this migration introduced).  Per ``(protocol, eps0)`` point the
-``repeats`` replications are a ``seed`` sweep in ``run`` mode with
+``repeats`` replications are ``seed`` points of a sweep in ``run`` mode with
 ``results="full"`` (the estimator needs payloads).  The stand-in's
 wiring seed is pinned spec data, so every replica resolves to the same
 calibrated graph (one expensive ``build_dataset`` for the whole
 figure), and the mixing time is derived once and pinned as ``rounds``
 before the seed axis — replicas vary only the values/protocol streams.
+Per ``eps0`` the sweep's axes are ``seed`` then ``protocol``, so each
+seed's two protocol points share one randomize-and-exchange walk.
 """
 
 from __future__ import annotations
@@ -104,28 +106,28 @@ def run_figure9(
     # through a fresh spectral summary.
     base = base.updated(rounds=graph_summary(base).mixing_time)
     seeds = [config.seed + repeat for repeat in range(repeats)]
+    protocols = ("all", "single")
     points: List[TradeoffPoint] = []
     for eps0 in eps0_values:
-        for protocol in ("all", "single"):
-            scenario = base.updated(
-                protocol=protocol, **{"mechanism.epsilon": float(eps0)}
-            )
-            replicas = sweep(
-                scenario, axis={"seed": seeds}, mode="run", results="full"
-            )
-            errors = []
-            dummies = []
-            for point in replicas:
-                estimate = mean_estimate_from_run(point.outcome)
-                errors.append(estimate.squared_error)
-                dummies.append(estimate.dummy_count)
+        # Protocol innermost: a seed's A_all and A_single points are
+        # adjacent, so the sweep runs their shared walk once.
+        replicas = sweep(
+            base.updated(**{"mechanism.epsilon": float(eps0)}),
+            axis={"seed": seeds, "protocol": list(protocols)},
+            mode="run", results="full",
+        )
+        for protocol in protocols:
+            runs = [p for p in replicas if p.scenario.protocol == protocol]
+            estimates = [mean_estimate_from_run(p.outcome) for p in runs]
             points.append(
                 TradeoffPoint(
                     protocol=protocol,
                     epsilon0=float(eps0),
-                    central_epsilon=float(replicas.epsilons()[0]),
-                    squared_error=float(np.mean(errors)),
-                    dummy_count=int(np.mean(dummies)),
+                    central_epsilon=float(runs[0].epsilon),
+                    squared_error=float(
+                        np.mean([e.squared_error for e in estimates])
+                    ),
+                    dummy_count=int(np.mean([e.dummy_count for e in estimates])),
                 )
             )
     return points

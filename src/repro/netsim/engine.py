@@ -47,6 +47,7 @@ round for ``/stats`` and run provenance.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -160,6 +161,18 @@ class VectorizedExchange:
     def drained(self) -> bool:
         """Whether a final delivery (:meth:`drain`) has emptied the network."""
         return self._drained
+
+    def __deepcopy__(self, memo: dict) -> "VectorizedExchange":
+        """Copy the token state and meters; share the topology (graphs,
+        CSR views, degree vectors), which an engine never writes."""
+        topology = [self.graph, self.schedule, self._degrees,
+                    self._indptr, self._indices]
+        for graph, degrees in self._degree_cache.values():
+            topology += [graph, degrees]
+        memo.update((id(shared), shared) for shared in topology)
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone.__dict__.update(copy.deepcopy(vars(self), memo))
+        return clone
 
     def set_graph(self, graph: Graph) -> None:
         """Swap the communication graph in place (same node count).

@@ -19,16 +19,44 @@ are token-id vectors, and :class:`ProtocolResult` holds the delivered
 origins and payloads, building its :class:`Report` list only when
 ``server_reports`` is read.  Their ``engine=`` spellings all select
 this one exchange; :class:`repro.testing.oracle.FaithfulNetwork` is the
-per-message reference the tests hold it to.  :func:`run_protocol` is the
-one place a protocol name (``"all"``/``"single"``) selects its runner.
+per-message reference the tests hold it to.
+
+Both algorithms share lines 1-8: :func:`run_walk` randomizes and
+exchanges once, and :func:`deliver` — the one place a protocol name
+(``"all"``/``"single"``) selects its final round — delivers on a fork
+of the :class:`Walk`, so one walk can feed both protocols.
+:func:`run_protocol` is a walk plus its delivery.
 """
 
 from repro.exceptions import ValidationError
 from repro.protocols.reports import Report, ProtocolResult
-from repro.protocols.all_protocol import run_all_protocol
-from repro.protocols.single_protocol import run_single_protocol
+from repro.protocols.all_protocol import (
+    Walk,
+    deliver_all,
+    run_all_protocol,
+    run_walk,
+)
+from repro.protocols.single_protocol import deliver_single, run_single_protocol
 from repro.protocols.fixed_size import fixed_size_responses, swap_first_element
 from repro.protocols.secure import SecureRunResult, run_secure_protocol
+
+
+def deliver(
+    protocol: str, walk: Walk, *, randomizer=None, dummy_factory=None
+) -> ProtocolResult:
+    """Algorithm 1's (``"all"``) or 2's (``"single"``) final round on
+    ``walk``, which stays as it was.
+
+    ``randomizer`` draws Algorithm 2's dummies ``A_ldp(0)`` unless
+    ``dummy_factory`` replaces them; ``A_all`` has none and ignores both.
+    """
+    if protocol == "all":
+        return deliver_all(walk)
+    if protocol == "single":
+        return deliver_single(
+            walk, randomizer=randomizer, dummy_factory=dummy_factory
+        )
+    raise ValidationError(f"unknown protocol {protocol!r}")
 
 
 def run_protocol(
@@ -36,24 +64,24 @@ def run_protocol(
 ) -> ProtocolResult:
     """Run Algorithm 1 (``"all"``) or 2 (``"single"``) on ``graph``.
 
-    ``kwargs`` go to the runner as they are.  ``dummy_factory`` feeds
-    Algorithm 2's empty-handed users; ``A_all`` has none and ignores it.
+    ``kwargs`` go to :func:`run_walk` as they are.  ``dummy_factory``
+    feeds Algorithm 2's empty-handed users; ``A_all`` ignores it.
     """
-    if protocol == "all":
-        return run_all_protocol(graph, rounds, **kwargs)
-    if protocol == "single":
-        return run_single_protocol(
-            graph, rounds, dummy_factory=dummy_factory, **kwargs
-        )
-    raise ValidationError(f"unknown protocol {protocol!r}")
+    return deliver(
+        protocol, run_walk(graph, rounds, **kwargs),
+        randomizer=kwargs.get("randomizer"), dummy_factory=dummy_factory,
+    )
 
 
 __all__ = [
     "Report",
     "ProtocolResult",
+    "Walk",
+    "deliver",
     "run_all_protocol",
     "run_protocol",
     "run_single_protocol",
+    "run_walk",
     "fixed_size_responses",
     "swap_first_element",
     "SecureRunResult",

@@ -7,9 +7,11 @@ hides the report-allocation vector from the adversary (stronger privacy
 at large ``eps0``) at the cost of dropped real reports and injected
 dummies (utility loss — the Figure 9 trade-off).
 
-The selection runs on token ids: the drained order groups each holder's
-reports, so every pick is one index into it, and the payloads are
-gathered from the randomized batch by the picked ids.
+The exchange is :func:`~repro.protocols.all_protocol.run_walk`, the
+prefix both protocols share.  The selection runs on token ids: the
+drained order groups each holder's reports, so every pick is one index
+into it, and the payloads are gathered from the randomized batch by the
+picked ids.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel
-from repro.netsim.network import RoundBasedNetwork
-from repro.protocols.all_protocol import _randomize_inputs, resolve_backend
+from repro.protocols.all_protocol import Walk, run_walk
 from repro.protocols.reports import ProtocolResult, object_array, take_payloads
-from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_non_negative_int
+from repro.utils.rng import RngLike
 
 #: Origin marker for dummy reports.
 DUMMY_ORIGIN = -1
@@ -70,49 +70,21 @@ def _merge_deliveries(holds: np.ndarray, real: Any, dummies: Any) -> Any:
     return delivered
 
 
-def run_single_protocol(
-    graph: Union[Graph, DynamicGraphSchedule],
-    rounds: int,
+def deliver_single(
+    walk: Walk,
     *,
-    values: Optional[Sequence[Any]] = None,
     randomizer: Optional[LocalRandomizer] = None,
     dummy_factory: Optional[Callable[[np.random.Generator, int], Any]] = None,
-    engine: str = "fast",
-    faults: Optional[DropoutModel] = None,
-    laziness: float = 0.0,
-    rng: RngLike = None,
 ) -> ProtocolResult:
-    """Simulate Algorithm 2 on ``graph`` for ``rounds`` exchange rounds.
+    """Algorithm 2's final round: every user sends exactly one report.
 
-    ``dummy_factory(rng, count)`` overrides the default dummy payloads
-    ``A_ldp(0)``, drawing all ``count`` of them in one call — the
-    Figure 9 experiment uses a normalized ``N(5, 1)^d`` draw per the
-    paper.
-
-    The final selection consumes the RNG as *one batched draw* over the
-    non-empty holders (in user order), then the dummies' draws in user
-    order.
-
-    Returns
-    -------
-    ProtocolResult
-        Exactly ``n`` reports reach the server, user ``u``'s at position
-        ``u``; ``dummy_count`` of them are dummies (users who held
-        nothing, origin ``-1``).
+    Runs on a fork, so ``walk`` stays as it was.  The selection consumes
+    the generator as *one batched draw* over the non-empty holders (in
+    user order), then the dummies' draws in user order.
     """
-    check_non_negative_int(rounds, "rounds")
-    generator = ensure_rng(rng)
-    num_users = graph.num_nodes
-    reports = _randomize_inputs(randomizer, values, num_users, generator)
-    backend, faults = resolve_backend(engine, faults, laziness)
-
-    network = RoundBasedNetwork(
-        graph, faults=faults, rng=generator, backend=backend
-    )
-    # User j seeds token j, so a token id is its report's origin.
-    network.seed_tokens(np.arange(num_users, dtype=np.int64))
-    network.run_exchange(rounds)
-    allocation = network.held_counts()
+    network, generator = walk.fork()
+    allocation = walk.allocation
+    num_users = allocation.size
     # Grouped by ascending holder, each holder's tokens in inbox-arrival
     # order: user u's held reports are order[starts[u]:][:allocation[u]].
     order = network.drain_tokens()
@@ -131,14 +103,14 @@ def run_single_protocol(
 
     origins = np.full(num_users, DUMMY_ORIGIN, dtype=np.int64)
     origins[nonempty] = chosen
-    delivered = take_payloads(reports, chosen)
+    delivered = take_payloads(walk.reports, chosen)
     if dummy_count:
         dummies = _draw_dummies(randomizer, dummy_factory, dummy_count, generator)
         delivered = _merge_deliveries(holds, delivered, dummies)
     return ProtocolResult(
         protocol="single",
         num_users=num_users,
-        rounds=rounds,
+        rounds=walk.rounds,
         origins=origins,
         delivered_payloads=delivered,
         delivered_by=np.arange(num_users, dtype=np.int64),
@@ -146,6 +118,40 @@ def run_single_protocol(
         dummy_count=dummy_count,
         meters=network.meters,
     )
+
+
+def run_single_protocol(
+    graph: Union[Graph, DynamicGraphSchedule],
+    rounds: int,
+    *,
+    values: Optional[Sequence[Any]] = None,
+    randomizer: Optional[LocalRandomizer] = None,
+    dummy_factory: Optional[Callable[[np.random.Generator, int], Any]] = None,
+    engine: str = "fast",
+    faults: Optional[DropoutModel] = None,
+    laziness: float = 0.0,
+    rng: RngLike = None,
+) -> ProtocolResult:
+    """Simulate Algorithm 2 on ``graph`` for ``rounds`` exchange rounds.
+
+    ``dummy_factory(rng, count)`` overrides the default dummy payloads
+    ``A_ldp(0)``, drawing all ``count`` of them in one call — the
+    Figure 9 experiment uses a normalized ``N(5, 1)^d`` draw per the
+    paper.  The other parameters are
+    :func:`~repro.protocols.all_protocol.run_all_protocol`'s.
+
+    Returns
+    -------
+    ProtocolResult
+        Exactly ``n`` reports reach the server, user ``u``'s at position
+        ``u``; ``dummy_count`` of them are dummies (users who held
+        nothing, origin ``-1``).
+    """
+    walk = run_walk(
+        graph, rounds, values=values, randomizer=randomizer, engine=engine,
+        faults=faults, laziness=laziness, rng=rng,
+    )
+    return deliver_single(walk, randomizer=randomizer, dummy_factory=dummy_factory)
 
 
 def expected_empty_handed_users(position_matrix: np.ndarray) -> float:

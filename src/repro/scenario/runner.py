@@ -14,17 +14,31 @@ independent child generators with the SeedSequence spawning protocol —
 them in exactly that way.  A hand-wired pipeline that draws its
 generators from the same helper reproduces a ``run`` bit for bit, on
 the engine or the per-message oracle; the scenario tests assert this.
+
+``A_all`` and ``A_single`` draw the ``protocol`` stream identically up
+to their final round: both randomize every value and run the same
+exchange (:func:`repro.protocols.run_walk`), and only the delivery
+differs.  So two scenarios that differ only in ``protocol`` or
+``dummies`` walk identically, and inside :func:`sharing_walks` — a
+sequential sweep's loop — consecutive such points run that walk once
+and deliver each protocol on a copy of it.  Their results are the
+unshared runs' bit for bit; the arrays they share (values, reports,
+allocation) are read-only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import json
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro import obs
 from repro.amplification.network_shuffle import (
     NetworkShuffleBound,
     epsilon_from_report_sizes,
@@ -37,7 +51,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.spectral import SpectralSummary
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel, NoFaults
-from repro.protocols import ProtocolResult, run_protocol
+from repro.protocols import ProtocolResult, Walk, deliver, run_protocol, run_walk
 from repro.scenario.builders import (
     DUMMIES,
     FAULTS,
@@ -72,6 +86,7 @@ __all__ = [
     "graph_summary",
     "run",
     "seed_streams",
+    "sharing_walks",
     "spill_graph",
     "stationary_bound",
 ]
@@ -608,6 +623,58 @@ def digest_run(result: RunResult) -> RunDigest:
     )
 
 
+#: The walk consecutive runs may share: ``None`` outside
+#: :func:`sharing_walks`, else a slot holding ``[key, values, walk]`` or
+#: nothing.
+_SHARED_WALK: ContextVar[Optional[list]] = ContextVar("shared_walk", default=None)
+
+
+@contextlib.contextmanager
+def sharing_walks():
+    """Let consecutive :func:`run` calls in the block share one walk.
+
+    A run whose scenario matches the previous one's in everything but
+    ``protocol`` and ``dummies`` (which only the delivery reads), at the
+    same resolved rounds, delivers on the previous run's walk.  One walk
+    is kept at a time, and none after the block.
+    """
+    token = _SHARED_WALK.set([])
+    try:
+        yield
+    finally:
+        _SHARED_WALK.reset(token)
+
+
+def _walk_for(
+    scenario: Scenario, bundle: GraphBundle, rounds: int,
+    mechanism: Optional[LocalRandomizer], streams: SeedStreams,
+) -> tuple[Optional[np.ndarray], Walk]:
+    """The scenario's raw values and walk, shared under :func:`sharing_walks`."""
+    slot = _SHARED_WALK.get()
+    if slot is not None:
+        shape = scenario.to_dict()
+        del shape["protocol"], shape["dummies"]
+        key = (json.dumps(shape, sort_keys=True), rounds)
+        if slot and slot[0] == key:
+            obs.count("runner.walks_shared")
+            return slot[1], slot[2]
+        slot.clear()  # release the old walk before building the next
+    values = build_values(scenario, bundle.graph.num_nodes, streams.values)
+    walk = run_walk(
+        bundle.graph, rounds, values=values, randomizer=mechanism,
+        engine=scenario.engine, faults=build_faults(scenario),
+        laziness=scenario.laziness, rng=streams.protocol,
+    )
+    obs.count("runner.walks_built")
+    if slot is not None:
+        # Every point that shares the walk aliases these arrays.
+        for array in (values, walk.reports, walk.allocation):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        slot[:] = [key, values, walk]
+    return values, walk
+
+
 def run(scenario: Scenario) -> RunResult:
     """Execute ``scenario`` end to end: build, exchange, deliver, account."""
     started = time.perf_counter()
@@ -618,22 +685,13 @@ def run(scenario: Scenario) -> RunResult:
     # Resolve the rounds and refuse what accounting cannot price before
     # paying for the simulation.
     rounds = _preflight(bundle, settings)
-    faults = build_faults(scenario)
-    values = build_values(scenario, bundle.graph.num_nodes, streams.values)
-    protocol_result = _simulate(
-        bundle,
-        settings,
-        rounds,
-        values=values,
-        randomizer=mechanism,
-        engine=scenario.engine,
-        faults=faults,
-        laziness=scenario.laziness,
+    values, walk = _walk_for(scenario, bundle, rounds, mechanism, streams)
+    protocol_result = deliver(
+        scenario.protocol, walk, randomizer=mechanism,
         dummy_factory=(
             build_dummy_factory(scenario, mechanism)
             if scenario.protocol == "single" else None
         ),
-        rng=streams.protocol,
     )
 
     run_bound: Optional[NetworkShuffleBound] = None

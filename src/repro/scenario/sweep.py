@@ -44,6 +44,7 @@ What makes it an *engine* rather than a loop:
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import pickle
@@ -101,6 +102,7 @@ from repro.scenario.runner import (
     bound,
     digest_run,
     run,
+    sharing_walks,
     spill_graph,
     stationary_bound,
 )
@@ -430,12 +432,13 @@ def _execute_serialized(
     payload: Tuple[int, str, str, str, str],
 ) -> Tuple[Outcome, Dict[str, int]]:
     """Process-pool entry point: one point, with the :mod:`repro.obs`
-    counts it added.  Its start marker in ``marker_dir`` lets the
-    parent attribute a pool death to the points executing; with a disk
-    tier attached, the point's graph is left there."""
+    counts it added.  Its start marker in ``marker_dir``, which names
+    this worker's pid, lets the parent attribute a pool death to the
+    point whose worker died; with a disk tier attached, the point's
+    graph is left there."""
     index, scenario_json, mode, results, marker_dir = payload
     try:
-        Path(marker_dir, f"started-{index}").touch()
+        Path(marker_dir, f"started-{index}").write_text(str(os.getpid()))
     except OSError:
         pass  # marker loss degrades crash attribution, not results
     maybe_fire(index)
@@ -467,10 +470,11 @@ class PointPool:
     runs in *generations* of workers and watches for the two failures
     no future reports politely — a broken pool (worker death) and a
     hung point (``point_timeout``).  Either one kills the generation:
-    the points that were executing are charged an attempt (start
-    markers tell them from queued bystanders, which retry for free),
-    those past ``retries`` come back quarantined (``crash``/``timeout``),
-    and the rest go to a fresh generation after an exponential backoff.
+    the point at fault — the one whose worker died, or the hung one —
+    is charged an attempt (start markers name each started point's
+    worker; the other points retry for free), one past ``retries``
+    comes back quarantined (``crash``/``timeout``), and the rest go to a
+    fresh generation after an exponential backoff.
     :func:`sweep` drains one pool per call; the serving tier keeps one
     for its lifetime and polls it from its event loop (``poll()`` does
     not block at the default ``timeout=0``).
@@ -577,7 +581,7 @@ class PointPool:
             # have finished just before the break: drain their real
             # state so a completed point is never charged as a crash.
             crashed += self._harvest(list(self._futures), finished, 5)
-            charged = {i for i in crashed if self.started_at(i) is not None}
+            charged = self._culprits(crashed)
             self._barren_rebuilds = (
                 0 if charged or self._completed_any
                 else self._barren_rebuilds + 1
@@ -616,6 +620,27 @@ class PointPool:
         return finished
 
     # -- internals -----------------------------------------------------
+    def _culprits(self, crashed: Sequence[int]) -> set:
+        """The ``crashed`` points to charge for a pool death: those whose
+        own worker died.  A broken pool's survivors end by SIGTERM (the
+        executor's teardown, then this pool's), so any other exit marks
+        a culprit.  With no started point on a culprit, every started
+        point is charged, so a poison point is still quarantined."""
+        workers = {}
+        for index in crashed:
+            try:
+                workers[index] = int(
+                    Path(self._marker_dir, f"started-{index}").read_text()
+                )
+            except (OSError, ValueError):
+                continue  # not started (or no pid): retries for free
+        exits = self._stop_workers(kill=True)
+        culprits = {
+            index for index, pid in workers.items()
+            if exits.get(pid, -signal.SIGTERM) not in (None, -signal.SIGTERM)
+        }
+        return culprits or set(workers)
+
     def _dispatch(self) -> None:
         """Put waiting points on a generation once any backoff elapsed."""
         if not self._waiting or time.monotonic() < self._resume_at:
@@ -690,21 +715,31 @@ class PointPool:
         self._futures.clear()
         self._end_generation(kill=True)
 
+    def _stop_workers(self, *, kill: bool) -> Dict[int, Optional[int]]:
+        """Shut this generation's pool down (``kill`` terminates its
+        workers: cancelling a running future is a no-op, so killing is
+        the only way to reclaim a hung point); return each worker's exit
+        code by pid."""
+        if self._pool is None:
+            return {}
+        processes = list((self._pool._processes or {}).values())
+        self._pool.shutdown(wait=not kill, cancel_futures=True)
+        if kill:
+            for process in processes:
+                if process.is_alive():
+                    process.terminate()
+            for process in processes:
+                process.join(timeout=5)
+        self._pool = None
+        return {process.pid: process.exitcode for process in processes}
+
     def _end_generation(self, *, kill: bool) -> None:
-        """Shut this generation down (``kill`` terminates its workers:
-        cancelling a running future is a no-op, so killing is the only
-        way to reclaim a hung point); back off before the next one."""
-        if self._pool is not None:
-            processes = list((self._pool._processes or {}).values())
-            self._pool.shutdown(wait=not kill, cancel_futures=True)
-            if kill:
-                for process in processes:
-                    if process.is_alive():
-                        process.terminate()
-                for process in processes:
-                    process.join(timeout=5)
+        """Shut this generation down (see :meth:`_stop_workers`); back
+        off before the next one."""
+        self._stop_workers(kill=kill)
+        if self._marker_dir is not None:
             shutil.rmtree(self._marker_dir, ignore_errors=True)
-        self._pool = self._marker_dir = None
+        self._marker_dir = None
         if self._waiting:
             self._rebuilds += 1
             self._resume_at = time.monotonic() + min(
@@ -1060,25 +1095,31 @@ def sweep(
                 # reuses it.
                 _prepare_pool_graphs(warm_grid, spill_path)
             if pool is None:
+                # Consecutive points that differ only in protocol or
+                # dummies share one walk while this loop runs.
+                sharing = sharing_walks()
                 finished = (
                     _execute_inline(index, grid[index][1], mode, results)
                     for index in pending
                 )
             else:
+                sharing = contextlib.nullcontext()
                 for index in pending:
                     pool.submit(index, grid[index][1].to_json(), mode, results)
                 finished = pool.drain()
-            for point in finished:
-                if point.error is None:
-                    outcomes[point.index] = point.outcome
-                    _checkpoint(point.index, point.outcome)
-                elif on_error == "raise":
-                    raise point.error
-                else:
-                    failures[point.index] = PointFailure.from_error(
-                        point.error, kind=point.kind, attempts=point.attempts,
-                        quarantined=point.kind != "exception",
-                    )
+            with sharing:
+                for point in finished:
+                    if point.error is None:
+                        outcomes[point.index] = point.outcome
+                        _checkpoint(point.index, point.outcome)
+                    elif on_error == "raise":
+                        raise point.error
+                    else:
+                        failures[point.index] = PointFailure.from_error(
+                            point.error, kind=point.kind,
+                            attempts=point.attempts,
+                            quarantined=point.kind != "exception",
+                        )
         finally:
             if pool is not None:
                 pool.close()

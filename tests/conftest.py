@@ -51,11 +51,11 @@ def on_oracle():
     """``with on_oracle(): ...`` exchanges every protocol run started in
     the block on the per-message oracle
     (:class:`repro.testing.oracle.FaithfulNetwork`) instead of the array
-    engine — ``run_all_protocol``/``run_single_protocol`` and everything
-    above them (``repro.run``, the shuffler).  A test runs a seed once
+    engine — ``run_walk``, so both protocols and everything above them
+    (``repro.run``, sweeps, the shuffler).  A test runs a seed once
     outside the block and once inside to compare the two exchanges;
     ``on_oracle(False)`` is a no-op block, for parametrized tests."""
-    from repro.protocols import all_protocol, single_protocol
+    from repro.protocols import all_protocol
     from repro.testing.oracle import FaithfulNetwork
 
     def network(graph, *, backend, **kwargs):
@@ -66,8 +66,8 @@ def on_oracle():
     def routed(active: bool = True):
         with pytest.MonkeyPatch.context() as patch:
             if active:
-                for module in (all_protocol, single_protocol):
-                    patch.setattr(module, "RoundBasedNetwork", network)
+                # run_walk, which both protocols share, builds the network.
+                patch.setattr(all_protocol, "RoundBasedNetwork", network)
             yield
 
     return routed

@@ -536,3 +536,153 @@ class TestRunDigest:
         parsed = json.loads(json.dumps(digest.summary()))
         assert parsed["num_users"] == 64
         assert parsed["central_epsilon"] == digest.central_epsilon
+
+
+#: One scenario per walk shape the shared-walk memo must reproduce.
+_RR = dict(mechanism={"kind": "rr", "params": {"epsilon": 1.0}},
+           values={"kind": "bernoulli", "params": {"rate": 0.3}})
+_BA = {"kind": "barabasi_albert", "params": {"num_nodes": 60, "attachment": 3}}
+_SHARING_FAMILIES = {
+    "rr-bernoulli": dict(graph=_BA, **_RR),
+    "privunit-dummies": dict(
+        graph=_BA,
+        mechanism={"kind": "privunit", "params": {"epsilon": 2.0, "dimension": 8}},
+        values={"kind": "bimodal_unit_vectors", "params": {"dimension": 8}},
+        dummies={"kind": "privunit_normal", "params": {}},
+    ),
+    "no-values": dict(graph=_BA, mechanism=_RR["mechanism"]),
+    "no-mechanism": dict(graph=_BA, values=_RR["values"], epsilon0=1.0),
+    "laziness": dict(graph=_BA, laziness=0.3, **_RR),
+    "faults": dict(
+        graph=_BA, faults={"kind": "independent", "params": {"probability": 0.2}},
+        **_RR,
+    ),
+    "schedule": dict(graph={"kind": "schedule", "params": {
+        "graphs": [
+            {"kind": "k_regular", "params": {"degree": 4, "num_nodes": 64}},
+            {"kind": "k_regular", "params": {"degree": 6, "num_nodes": 64}},
+        ],
+        "selector": "epoch", "block": 2,
+    }}, **_RR),
+}
+
+
+def _payload_key(payloads):
+    if payloads is None or payloads.dtype != object:
+        return None if payloads is None else (payloads.dtype.str, payloads.tobytes())
+    return repr([None if p is None else np.asarray(p).tolist() for p in payloads])
+
+
+def _run_key(result):
+    """Everything a run delivers and accounts, as comparable data."""
+    protocol = result.protocol_result
+    return (
+        protocol.origins.tobytes(),
+        _payload_key(protocol.delivered_payloads),
+        protocol.allocation.tobytes(),
+        np.asarray(protocol.delivered_by).tobytes(),
+        protocol.dummy_count,
+        int(protocol.meters.total_messages_sent()),
+        int(protocol.meters.max_peak_items()),
+        None if result.values is None else result.values.tobytes(),
+        result.central_epsilon,
+        result.empirical_epsilon,
+    )
+
+
+def _digest_key(digest):
+    import dataclasses
+
+    return dataclasses.replace(digest, elapsed_seconds=0.0)
+
+
+class TestSharedWalks:
+    """A sequential seed x protocol sweep runs each seed's randomize +
+    exchange once and delivers both protocols from it — bit for bit
+    what running each point alone gives."""
+
+    @pytest.mark.parametrize("results", ["full", "digest"])
+    @pytest.mark.parametrize("order", [["all", "single"], ["single", "all"]])
+    @pytest.mark.parametrize("family", sorted(_SHARING_FAMILIES))
+    def test_sweep_equals_each_point_run_alone(self, family, order, results):
+        from repro import obs
+        from repro.scenario import run
+        from repro.scenario.runner import digest_run
+
+        base = api.parse_scenario(
+            {**_SHARING_FAMILIES[family], "rounds": 5, "seed": 3}
+        )
+        before = obs.snapshot()
+        swept = sweep(
+            base, axis={"seed": [3, 4], "protocol": order}, results=results
+        )
+        counts = obs.since(before)
+        assert counts.get("runner.walks_built") == 2
+        assert counts.get("runner.walks_shared") == 2
+        for point in swept:
+            alone = run(point.scenario)
+            if results == "full":
+                assert _run_key(point.outcome) == _run_key(alone)
+            else:
+                assert _digest_key(point.outcome) == _digest_key(digest_run(alone))
+
+    def test_counters_show_the_saving(self):
+        from repro import obs
+        from repro.scenario import run
+
+        before = obs.snapshot()
+        sweep(_base(), axis={"seed": [3], "protocol": ["all", "single"]})
+        swept = obs.since(before)
+        before = obs.snapshot()
+        run(_base())
+        alone = obs.since(before)
+        assert (swept.get("runner.walks_built"), swept.get("runner.walks_shared")) == (1, 1)
+        assert (alone.get("runner.walks_built"), alone.get("runner.walks_shared", 0)) == (1, 0)
+
+    def test_other_differences_build_their_own_walk(self):
+        from repro import obs
+
+        before = obs.snapshot()
+        sweep(_base(), axis={"rounds": [3, 4], "protocol": ["all", "single"]})
+        counts = obs.since(before)
+        assert counts.get("runner.walks_built") == 2
+        assert counts.get("runner.walks_shared") == 2
+        before = obs.snapshot()
+        sweep(_base(), axis={"protocol": ["all", "single"], "seed": [3, 4]})
+        counts = obs.since(before)
+        assert counts.get("runner.walks_built") == 4
+        assert counts.get("runner.walks_shared", 0) == 0
+
+    def test_shared_arrays_are_read_only(self):
+        base = api.parse_scenario({**_SHARING_FAMILIES["rr-bernoulli"], "rounds": 4})
+        first, second = sweep(
+            base, axis={"protocol": ["all", "single"]}, results="full"
+        )
+        values, allocation = (
+            [point.outcome.values for point in (first, second)],
+            [point.outcome.protocol_result.allocation for point in (first, second)],
+        )
+        for arrays in (values, allocation):
+            assert arrays[0] is arrays[1]
+            assert not arrays[0].flags.writeable
+            with pytest.raises(ValueError):
+                arrays[0][0] = 1
+
+    def test_no_walk_outlives_the_sweep(self, monkeypatch):
+        import weakref
+
+        from repro.scenario import runner
+
+        refs = []
+        build_values = runner.build_values
+
+        def recorded(*args):
+            values = build_values(*args)
+            refs.append(weakref.ref(values))
+            return values
+
+        monkeypatch.setattr(runner, "build_values", recorded)
+        base = api.parse_scenario({**_SHARING_FAMILIES["rr-bernoulli"], "rounds": 4})
+        sweep(base, axis={"protocol": ["all", "single"]})
+        assert len(refs) == 1
+        assert refs[0]() is None

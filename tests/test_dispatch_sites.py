@@ -2,9 +2,10 @@
 
 The four Theorem 5.3-5.6 functions are called only inside
 ``repro.amplification``, whose ``theorem_bound`` picks among them; the
-two protocol runners only inside ``repro.protocols``, whose
-``run_protocol`` picks between them.  Every other layer goes through
-those two functions, so a change to either choice lands in one place.
+two protocol runners and final rounds only inside ``repro.protocols``,
+whose ``run_protocol`` and ``deliver`` pick between them.  Every other
+layer goes through those functions, so a change to either choice lands
+in one place.
 Likewise one ``t``-step kernel: ``lazy_transition_matrix`` is called
 only inside ``repro.graphs``, whose walks and profile panels every
 exact consumer reads (the reference oracle in ``repro.testing`` keeps
@@ -32,7 +33,9 @@ CONFINED = {
         "epsilon_single_stationary",
         "epsilon_single_symmetric",
     },
-    "protocols": {"run_all_protocol", "run_single_protocol"},
+    "protocols": {
+        "run_all_protocol", "run_single_protocol", "deliver_all", "deliver_single",
+    },
     "graphs": {"lazy_transition_matrix"},
 }
 

@@ -97,7 +97,11 @@ def run_case(inputs) -> List[bytes]:
     """Delivered origins and payloads (types included), ``delivered_by``,
     the allocation, every meter, the dummy count and both epsilons."""
     with _fresh_graph_cache():
-        result = run(Scenario(**inputs))
+        return run_parts(run(Scenario(**inputs)))
+
+
+def run_parts(result) -> List[bytes]:
+    """:func:`run_case`'s bytes of one :class:`~repro.scenario.RunResult`."""
     protocol = result.protocol_result
     return [
         *(token(report.origin) for report in protocol.server_reports),
