@@ -69,7 +69,9 @@ Commands
     answer after a restart; a stored point answers without running)
     and serves ``GET /results``; ``--max-queue`` turns on 429
     back-pressure; ``--job-timeout`` kills a job's worker once the job
-    outlives its wall-clock budget and answers 504.
+    outlives its wall-clock budget and answers 504.  ``--spill-dir``
+    keeps graphs and profile blocks on disk across restarts, keyed by
+    the code version (:mod:`repro.scenario.artifacts`).
 
 Every command (and every ``results`` action) takes ``-h``/``--help``
 for its usage; ``python -m repro`` alone, ``-h`` or ``--help`` prints
@@ -543,7 +545,12 @@ def _parser() -> tuple[_Parser, dict]:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8777)
     serve.add_argument("--workers", type=int, default=2, metavar="N")
-    serve.add_argument("--spill-dir", metavar="DIR")
+    serve.add_argument(
+        "--spill-dir", metavar="DIR",
+        help="standing disk tier for graphs and profile blocks; files are "
+        "named by the code version, so another version's files are "
+        "ignored (the fingerprint does not cover dependency versions)",
+    )
     serve.add_argument("--store", metavar="DB")
     serve.add_argument("--max-queue", type=int, metavar="N")
     serve.add_argument("--job-timeout", type=float, metavar="SECONDS")

@@ -386,24 +386,6 @@ def theorem_bound(
     raise ValidationError(f"unknown protocol {protocol!r}")
 
 
-def epsilon_single_small_eps0(
-    epsilon0: float, sum_squared: float, delta: float
-) -> float:
-    """Theorem 5.5's explicit ``eps0 <= 1`` approximate-DP simplification:
-
-        eps' = 800 eps0^2 S + 40 eps0 sqrt(2 log(1/delta) S).
-    """
-    epsilon0 = check_epsilon(epsilon0, "epsilon0")
-    if epsilon0 > 1.0:
-        raise ValidationError(
-            f"this simplification requires eps0 <= 1, got {epsilon0}"
-        )
-    check_delta(delta, "delta")
-    return 800.0 * epsilon0**2 * sum_squared + 40.0 * epsilon0 * math.sqrt(
-        2.0 * math.log(1.0 / delta) * sum_squared
-    )
-
-
 # ----------------------------------------------------------------------
 # Approximate-DP plumbing (Lemma 5.2)
 # ----------------------------------------------------------------------

@@ -242,8 +242,13 @@ def attach_spill(directory: Union[str, Path]) -> Path:
 
     The sweep engine's spill machinery as a cache tier: graph builds
     consult ``directory`` for ``.npz`` CSR spills before running the
-    generator, and :func:`spill_graph` writes new materializations
-    there, so graphs survive process restarts.  Returns the (created)
+    generator, :func:`spill_graph` writes new materializations there,
+    and multi-block profiles spill under ``profiles/``, so both survive
+    process restarts.  Every file is named by the code version
+    (:mod:`repro.scenario.artifacts`): files another version wrote are
+    ignored, a miss that rebuilds, and never served; a truncated or
+    corrupt file is a miss too.  The fingerprint covers the repro
+    sources only, not dependency versions.  Returns the (created)
     directory path.
     """
     path = Path(directory)

@@ -123,25 +123,10 @@ class AuditResult:
         }
 
 
-def _clopper_pearson(successes: int, trials: int, *, upper: bool,
-                     confidence: float = 0.95) -> float:
-    """One-sided Clopper-Pearson bound on a binomial proportion."""
-    from scipy import stats
-
-    alpha = 1.0 - confidence
-    if upper:
-        if successes >= trials:
-            return 1.0
-        return float(stats.beta.ppf(1.0 - alpha, successes + 1, trials - successes))
-    if successes <= 0:
-        return 0.0
-    return float(stats.beta.ppf(alpha, successes, trials - successes + 1))
-
-
 def _clopper_pearson_upper(
     successes: np.ndarray, trials: int, confidence: float
 ) -> np.ndarray:
-    """Vectorized one-sided upper bound; matches the scalar helper exactly."""
+    """One-sided Clopper-Pearson upper bound per success count."""
     from scipy import stats
 
     successes = np.asarray(successes, dtype=np.float64)
@@ -156,7 +141,7 @@ def _clopper_pearson_upper(
 def _clopper_pearson_lower(
     successes: np.ndarray, trials: int, confidence: float
 ) -> np.ndarray:
-    """Vectorized one-sided lower bound; matches the scalar helper exactly."""
+    """One-sided Clopper-Pearson lower bound per success count."""
     from scipy import stats
 
     successes = np.asarray(successes, dtype=np.float64)

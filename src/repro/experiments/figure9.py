@@ -150,29 +150,6 @@ def render_figure9(points: Sequence[TradeoffPoint]) -> str:
     )
 
 
-def interpolated_error_at_epsilon(
-    points: Sequence[TradeoffPoint], protocol: str, central_epsilon: float
-) -> float:
-    """Log-log interpolate a protocol's error at a given central eps.
-
-    Used by the benchmark to compare the two protocols at *equal*
-    central epsilon, as the paper's figure does visually.
-    """
-    subset = sorted(
-        (p for p in points if p.protocol == protocol),
-        key=lambda p: p.central_epsilon,
-    )
-    eps = np.array([p.central_epsilon for p in subset])
-    err = np.array([p.squared_error for p in subset])
-    if central_epsilon <= eps[0]:
-        return float(err[0])
-    if central_epsilon >= eps[-1]:
-        return float(err[-1])
-    return float(
-        np.exp(np.interp(np.log(central_epsilon), np.log(eps), np.log(err)))
-    )
-
-
 def main() -> None:
     """Regenerate and print Figure 9's points (table + ASCII chart)."""
     points = run_figure9()

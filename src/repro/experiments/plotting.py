@@ -12,14 +12,11 @@ log-y) and one marker character per series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.scenario.sweep import SweepResult
 
 #: Marker characters assigned to series in order.
 _MARKERS = "*o+x#@%&"
@@ -43,44 +40,6 @@ class Series:
             )
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-
-def sweep_series(
-    result: "SweepResult", x: str, *, label_prefix: str = ""
-) -> List[Series]:
-    """Slice a sweep result into chartable :class:`Series` along ``x``.
-
-    Groups the grid points by their non-``x`` coordinates (one series
-    per combination, labeled ``"name=value, ..."``) and uses each
-    point's central epsilon as the y value — the shape every
-    eps-vs-parameter figure needs straight from ``repro.sweep``.
-    Points whose outcome has no epsilon (no declared budget) are
-    dropped.
-    """
-    if x not in result.axis:
-        raise ValidationError(
-            f"{x!r} is not a sweep axis; axes: {sorted(result.axis)}"
-        )
-    others = [name for name in result.axis if name != x]
-    grouped: dict = {}
-    for point in result:
-        epsilon = point.epsilon
-        if epsilon is None:
-            continue
-        key = tuple(point.coordinates[name] for name in others)
-        grouped.setdefault(key, ([], []))
-        grouped[key][0].append(point.coordinates[x])
-        grouped[key][1].append(epsilon)
-    series = []
-    for key, (xs, ys) in grouped.items():
-        suffix = ", ".join(
-            f"{name}={value}" for name, value in zip(others, key)
-        )
-        label = f"{label_prefix}{suffix}" if suffix else (
-            label_prefix or x
-        )
-        series.append(Series(label, np.asarray(xs), np.asarray(ys)))
-    return series
 
 
 def _scale(values: np.ndarray, low: float, high: float, size: int) -> np.ndarray:

@@ -105,10 +105,3 @@ def fit_exponential_rate(x: Sequence[float], y: Sequence[float]) -> tuple[float,
         raise ValidationError("exponential fit requires positive values")
     rate, intercept = np.polyfit(x_arr, np.log(y_arr), 1)
     return float(np.exp(intercept)), float(rate)
-
-
-def geometric_range(start: float, stop: float, count: int) -> np.ndarray:
-    """``count`` geometrically spaced values in ``[start, stop]``."""
-    if start <= 0 or stop <= start or count < 2:
-        raise ValidationError("need 0 < start < stop and count >= 2")
-    return np.geomspace(start, stop, count)

@@ -19,18 +19,7 @@ stand-in, or ``--fast`` for the toy-scale CI smoke preset.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, Optional
-
-from repro.experiments import campaigns
-
-
-def artifact_generators(full: bool) -> Dict[str, Callable[[], str]]:
-    """Name -> text generator for every artifact (campaign-backed)."""
-    preset = "full" if full else "default"
-    return {
-        name: (lambda n=name: campaigns.generate(n, preset))
-        for name in campaigns.artifact_names()
-    }
+from typing import Dict, Optional
 
 
 def main(argv: Optional[list] = None) -> Dict[str, object]:

@@ -113,7 +113,7 @@ class EpochSelector:
 
     A module-level callable (not a lambda) so built schedules — and the
     RunResults that carry them — stay picklable for pooled sweeps, and
-    so :func:`repro.graphs.io.save_schedule_npz` can serialize the
+    so :func:`repro.graphs.io.to_arrays` can serialize the
     selector by its two integers.
     """
 

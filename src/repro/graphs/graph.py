@@ -90,7 +90,7 @@ class Graph:
     def from_csr(cls, num_nodes: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
         """Wrap an already canonical CSR structure without re-checking it.
 
-        Only for trusted spills written by :mod:`repro.graphs.io` from a
+        Only for trusted spills encoded by :mod:`repro.graphs.io` from a
         :class:`Graph`; everything else builds through the constructor.
         """
         graph = cls.__new__(cls)

@@ -1,280 +1,95 @@
-"""Reading and writing graphs as edge-list files.
+"""Graphs and schedules as flat dicts of NumPy arrays.
 
-The paper's datasets ship as SNAP-style edge lists (one ``u v`` pair
-per line, ``#`` comments); this module reads that format — including
-gzip-compressed files — so users can run the library on the *real*
-graphs when they have them, instead of the synthetic stand-ins.
-
-Node labels in the file may be arbitrary integers or strings; they are
-relabeled densely to ``0 .. n-1`` (first-appearance order) and the
-mapping is returned alongside the graph.
+The encoding of the graph cache's disk tier
+(:mod:`repro.scenario.artifacts` writes and reads the files): a
+materialized graph round-trips exactly (same CSR layout, hence the same
+hop draws under the exchange engine's RNG contract) without re-running
+the generator.  A :class:`DynamicGraphSchedule` stores its phase CSRs
+side by side plus its selector spec — round-robin (the
+``selector=None`` default) or an :class:`EpochSelector` (two integers).
 """
 
 from __future__ import annotations
 
-import gzip
-import os
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Mapping, Union
 
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.graphs.dynamic import DynamicGraphSchedule, EpochSelector
 from repro.graphs.graph import Graph
 
-PathLike = Union[str, Path]
 
+def to_arrays(
+    graph: Union[Graph, DynamicGraphSchedule]
+) -> Dict[str, np.ndarray]:
+    """The arrays :func:`from_arrays` rebuilds ``graph`` from.
 
-@dataclass(frozen=True)
-class LoadedGraph:
-    """A graph read from disk plus its label mapping."""
-
-    graph: Graph
-    labels: Tuple[str, ...]
-    """``labels[i]`` is the original label of node ``i``."""
-
-    def node_of(self, label: str) -> int:
-        """Dense node id of an original label."""
-        try:
-            return self.labels.index(label)
-        except ValueError as error:
-            raise ValidationError(f"unknown node label {label!r}") from error
-
-
-def _open_text(path: Path, mode: str):
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t")
-    return open(path, mode)
-
-
-def read_edge_list(
-    path: PathLike,
-    *,
-    comment: str = "#",
-    delimiter: Union[str, None] = None,
-) -> LoadedGraph:
-    """Read an undirected graph from a (possibly gzipped) edge list.
-
-    Lines starting with ``comment`` are skipped; each remaining line
-    must contain at least two fields (extra fields, e.g. weights or
-    timestamps, are ignored).  Self-loops are dropped and duplicate
-    edges collapse, matching the :class:`Graph` semantics.
-    """
-    file_path = Path(path)
-    if not file_path.exists():
-        raise ValidationError(f"no such file: {file_path}")
-    index: Dict[str, int] = {}
-    labels: List[str] = []
-    edges: List[Tuple[int, int]] = []
-
-    def node_id(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
-    with _open_text(file_path, "r") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(comment):
-                continue
-            fields = stripped.split(delimiter)
-            if len(fields) < 2:
-                raise ValidationError(
-                    f"{file_path}:{line_number}: expected at least two "
-                    f"fields, got {stripped!r}"
-                )
-            u, v = node_id(fields[0]), node_id(fields[1])
-            if u != v:
-                edges.append((u, v))
-    if not labels:
-        raise ValidationError(f"{file_path}: no edges found")
-    return LoadedGraph(
-        graph=Graph(len(labels), edges), labels=tuple(labels)
-    )
-
-
-def save_graph_npz(graph: Graph, path: PathLike) -> None:
-    """Persist a graph's CSR arrays as a compressed ``.npz`` file.
-
-    This is the binary interchange format of the sweep engine's on-disk
-    graph cache: a materialized graph round-trips exactly (same CSR
-    layout, hence the same hop draws under the exchange engine's RNG
-    contract) without re-running the generator.
-
-    The write is atomic (temp file + ``os.replace``): the cache treats
-    an existing file as a complete graph, and concurrent sweep
-    processes sharing a persistent spill directory must never observe a
-    torn archive.
-    """
-    file_path = Path(path)
-    # The temp name must keep the .npz suffix or np.savez appends one.
-    temp_path = file_path.with_name(
-        f".{file_path.stem}.tmp{os.getpid()}.npz"
-    )
-    try:
-        np.savez_compressed(
-            temp_path,
-            num_nodes=np.int64(graph.num_nodes),
-            indptr=graph.indptr,
-            indices=graph.indices,
-        )
-        os.replace(temp_path, file_path)
-    finally:
-        if temp_path.exists():
-            temp_path.unlink()
-
-
-def load_graph_npz(path: PathLike) -> Graph:
-    """Inverse of :func:`save_graph_npz`."""
-    file_path = Path(path)
-    if not file_path.exists():
-        raise ValidationError(f"no such file: {file_path}")
-    with np.load(file_path) as payload:
-        try:
-            num_nodes = int(payload["num_nodes"])
-            indptr = np.asarray(payload["indptr"], dtype=np.int64)
-            indices = np.asarray(payload["indices"], dtype=np.int64)
-        except KeyError as error:
-            raise ValidationError(
-                f"{file_path} is not a graph cache file (missing {error})"
-            ) from None
-    return Graph.from_csr(num_nodes, indptr, indices)
-
-
-#: Format marker distinguishing a schedule archive from a plain graph
-#: archive in the shared spill directory (bumped on layout changes).
-_SCHEDULE_VERSION = 1
-
-
-def save_schedule_npz(schedule, path: PathLike) -> None:
-    """Persist a :class:`DynamicGraphSchedule` as one ``.npz`` archive.
-
-    Phase CSRs are stored side by side plus the selector spec — either
-    round-robin (the ``selector=None`` default) or an
-    :class:`~repro.graphs.dynamic.EpochSelector` (two integers).  An
-    arbitrary callable selector has no declarative form and is refused:
-    spill it by switching to ``EpochSelector`` or keep the sweep on
+    A schedule with a custom selector callable has no declarative form
+    and is refused: switch it to ``EpochSelector`` or keep the sweep on
     fork workers (which inherit the object).
-
-    Same atomicity discipline as :func:`save_graph_npz` — spawn-started
-    sweep workers sharing a spill directory must never observe a torn
-    archive.
     """
-    from repro.graphs.dynamic import DynamicGraphSchedule, EpochSelector
-
-    if not isinstance(schedule, DynamicGraphSchedule):
+    if isinstance(graph, Graph):
+        return {
+            "num_nodes": np.int64(graph.num_nodes),
+            "indptr": graph.indptr,
+            "indices": graph.indices,
+        }
+    if not isinstance(graph, DynamicGraphSchedule):
         raise ValidationError(
-            f"expected a DynamicGraphSchedule, got {type(schedule).__name__}"
+            f"expected a Graph or DynamicGraphSchedule, got "
+            f"{type(graph).__name__}"
         )
-    selector = schedule.selector
-    payload: Dict[str, np.ndarray] = {
-        "schedule_version": np.int64(_SCHEDULE_VERSION),
-        "num_nodes": np.int64(schedule.num_nodes),
-        "num_graphs": np.int64(schedule.num_graphs),
+    selector = graph.selector
+    arrays: Dict[str, np.ndarray] = {
+        "num_nodes": np.int64(graph.num_nodes),
+        "num_graphs": np.int64(graph.num_graphs),
     }
     if selector is None:
-        payload["selector_kind"] = np.array("round_robin")
+        arrays["selector_kind"] = np.array("round_robin")
     elif isinstance(selector, EpochSelector):
-        payload["selector_kind"] = np.array("epoch")
-        payload["selector_block"] = np.int64(selector.block)
-        payload["selector_count"] = np.int64(selector.count)
+        arrays["selector_kind"] = np.array("epoch")
+        arrays["selector_block"] = np.int64(selector.block)
+        arrays["selector_count"] = np.int64(selector.count)
     else:
         raise ValidationError(
             "cannot serialize a schedule with a custom selector "
             f"callable ({type(selector).__name__}); use the default "
             "round-robin or an EpochSelector"
         )
-    for index, graph in enumerate(schedule.graphs):
-        payload[f"graph{index}_indptr"] = graph.indptr
-        payload[f"graph{index}_indices"] = graph.indices
-    file_path = Path(path)
-    temp_path = file_path.with_name(
-        f".{file_path.stem}.tmp{os.getpid()}.npz"
+    for index, phase in enumerate(graph.graphs):
+        arrays[f"graph{index}_indptr"] = phase.indptr
+        arrays[f"graph{index}_indices"] = phase.indices
+    return arrays
+
+
+def _csr(num_nodes: int, indptr, indices) -> Graph:
+    return Graph.from_csr(
+        num_nodes,
+        np.asarray(indptr, dtype=np.int64),
+        np.asarray(indices, dtype=np.int64),
     )
-    try:
-        np.savez_compressed(temp_path, **payload)
-        os.replace(temp_path, file_path)
-    finally:
-        if temp_path.exists():
-            temp_path.unlink()
 
 
-def load_schedule_npz(path: PathLike):
-    """Inverse of :func:`save_schedule_npz`."""
-    from repro.graphs.dynamic import DynamicGraphSchedule, EpochSelector
-
-    file_path = Path(path)
-    if not file_path.exists():
-        raise ValidationError(f"no such file: {file_path}")
-    with np.load(file_path) as payload:
-        try:
-            version = int(payload["schedule_version"])
-            num_nodes = int(payload["num_nodes"])
-            num_graphs = int(payload["num_graphs"])
-            selector_kind = str(payload["selector_kind"])
-            graphs = [
-                Graph.from_csr(
-                    num_nodes,
-                    np.asarray(payload[f"graph{i}_indptr"], dtype=np.int64),
-                    np.asarray(payload[f"graph{i}_indices"], dtype=np.int64),
-                )
-                for i in range(num_graphs)
-            ]
-            if selector_kind == "epoch":
-                selector = EpochSelector(
-                    block=int(payload["selector_block"]),
-                    count=int(payload["selector_count"]),
-                )
-            elif selector_kind == "round_robin":
-                selector = None
-            else:
-                raise ValidationError(
-                    f"{file_path}: unknown selector kind {selector_kind!r}"
-                )
-        except KeyError as error:
-            raise ValidationError(
-                f"{file_path} is not a schedule cache file (missing {error})"
-            ) from None
-    if version != _SCHEDULE_VERSION:
-        raise ValidationError(
-            f"{file_path}: schedule format v{version}, expected "
-            f"v{_SCHEDULE_VERSION}"
+def from_arrays(
+    arrays: Mapping[str, np.ndarray]
+) -> Union[Graph, DynamicGraphSchedule]:
+    """Inverse of :func:`to_arrays` (``KeyError`` on foreign arrays)."""
+    num_nodes = int(arrays["num_nodes"])
+    if "num_graphs" not in arrays:
+        return _csr(num_nodes, arrays["indptr"], arrays["indices"])
+    graphs = [
+        _csr(num_nodes, arrays[f"graph{i}_indptr"], arrays[f"graph{i}_indices"])
+        for i in range(int(arrays["num_graphs"]))
+    ]
+    selector_kind = str(arrays["selector_kind"])
+    if selector_kind == "epoch":
+        selector = EpochSelector(
+            block=int(arrays["selector_block"]),
+            count=int(arrays["selector_count"]),
         )
+    elif selector_kind == "round_robin":
+        selector = None
+    else:
+        raise ValidationError(f"unknown selector kind {selector_kind!r}")
     return DynamicGraphSchedule(graphs, selector)
-
-
-def load_spill(path: PathLike):
-    """Load a spill-directory archive: a graph or a schedule.
-
-    The graph cache's disk tier holds both kinds under one naming
-    scheme; the ``schedule_version`` marker tells them apart.
-    """
-    file_path = Path(path)
-    if not file_path.exists():
-        raise ValidationError(f"no such file: {file_path}")
-    with np.load(file_path) as payload:
-        is_schedule = "schedule_version" in payload
-    if is_schedule:
-        return load_schedule_npz(file_path)
-    return load_graph_npz(file_path)
-
-
-def write_edge_list(
-    graph: Graph,
-    path: PathLike,
-    *,
-    header: str = "",
-) -> None:
-    """Write a graph as a plain ``u v`` edge list (gzip if ``.gz``).
-
-    Each undirected edge appears once as ``u v`` with ``u < v``.
-    """
-    file_path = Path(path)
-    with _open_text(file_path, "w") as handle:
-        if header:
-            for line in header.splitlines():
-                handle.write(f"# {line}\n")
-        for u, v in graph.edges():
-            handle.write(f"{u} {v}\n")

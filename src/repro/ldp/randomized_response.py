@@ -77,6 +77,15 @@ class KaryRandomizedResponse(DebiasingRandomizer):
 
     Reports the truth with probability ``e^eps/(e^eps + k - 1)``, else a
     uniformly random *other* symbol — exactly ``eps``-LDP for any ``k``.
+
+    Each value draws two uniforms ``(u0, u1)``, in value order, whether
+    or not it keeps: ``u0`` is the keep-coin and the substitute is
+    ``floor(u1 · (k-1))``, clamped to ``k-2`` and shifted past the true
+    symbol.  So the batch and the per-value path consume one stream
+    identically.  The substitute's law is uniform up to float64
+    resolution: ``u1`` is a multiple of ``2^-53``, so each of the
+    ``k-1`` cells is hit with probability within about ``k · 2^-53`` of
+    ``1/(k-1)``.
     """
 
     def __init__(self, epsilon: float, num_symbols: int):
@@ -99,23 +108,26 @@ class KaryRandomizedResponse(DebiasingRandomizer):
 
     def _randomize(self, value: int, rng: np.random.Generator) -> int:
         symbol = self._check_symbol(value)
-        if rng.random() < self._truth_probability:
+        keep, pick = rng.random(2)
+        if keep < self._truth_probability:
             return symbol
-        # Uniform over the k-1 *other* symbols.
-        other = int(rng.integers(0, self._num_symbols - 1))
+        other = int(self._substitutes(pick))
         return other if other < symbol else other + 1
 
-    def randomize_batch(self, values, rng: RngLike = None) -> np.ndarray:
-        """Vectorized batch randomization of a symbol array.
+    def _substitutes(self, picks):
+        """Uniform picks in ``[0, 1)`` -> the ``k-1`` other-symbol slots."""
+        slots = self._num_symbols - 1
+        cells = np.floor(np.multiply(picks, slots))
+        return np.minimum(cells, slots - 1).astype(np.int64)
 
-        Draws every keep-coin, then every substitute: the same law as
-        the per-value loop, but not its stream (the loop draws a
-        substitute only after a failed coin).
-        """
+    def randomize_batch(self, values, rng: RngLike = None) -> np.ndarray:
+        """Vectorized batch randomization of a symbol array (loop-exact:
+        two uniforms per value, in order)."""
         generator = ensure_rng(rng)
         symbols = check_symbol_array(values, self._num_symbols, "k-ary RR")
-        keep = generator.random(symbols.shape) < self._truth_probability
-        others = generator.integers(0, self._num_symbols - 1, size=symbols.shape)
+        draws = generator.random(symbols.shape + (2,))
+        keep = draws[..., 0] < self._truth_probability
+        others = self._substitutes(draws[..., 1])
         others = np.where(others < symbols, others, others + 1)
         return np.where(keep, symbols, others)
 

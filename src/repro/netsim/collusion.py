@@ -25,7 +25,7 @@ degradation Section 3.3 describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,15 +59,6 @@ def simulate_walk_trajectories(
     engine.seed_tokens(np.arange(graph.num_nodes, dtype=np.int64))
     engine.run(steps)
     return engine.trajectories()
-
-
-@dataclass(frozen=True)
-class CollusionObservation:
-    """One colluder sighting of a token."""
-
-    token: int
-    round_index: int
-    sender: int
 
 
 @dataclass
@@ -109,21 +100,6 @@ def _first_observations(
     round_indices = sightings[tokens].argmax(axis=1) + 1
     senders = trajectories[tokens, round_indices - 1]
     return tokens, round_indices, senders
-
-
-def collect_observations(
-    trajectories: np.ndarray, colluders: np.ndarray
-) -> List[CollusionObservation]:
-    """Every earliest (token, round, sender) sighting by a colluder."""
-    tokens, round_indices, senders = _first_observations(
-        np.asarray(trajectories), colluders
-    )
-    return [
-        CollusionObservation(
-            token=int(token), round_index=int(round_index), sender=int(sender)
-        )
-        for token, round_index, sender in zip(tokens, round_indices, senders)
-    ]
 
 
 #: Cap on dense-block cells (num_nodes x anchor columns) evolved at

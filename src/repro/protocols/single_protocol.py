@@ -20,7 +20,6 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.exceptions import ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
 from repro.ldp.base import LocalRandomizer
@@ -152,21 +151,6 @@ def run_single_protocol(
         faults=faults, laziness=laziness, rng=rng,
     )
     return deliver_single(walk, randomizer=randomizer, dummy_factory=dummy_factory)
-
-
-def expected_empty_handed_users(position_matrix: np.ndarray) -> float:
-    """Expected number of users who end the walk holding no report.
-
-    Given the ``(n, n)`` matrix with ``position_matrix[i, j] =
-    P(report i sits at user j)``, user ``j`` is empty-handed with
-    probability ``prod_i (1 - P_ij)``; summing over ``j`` gives the
-    expected dummy count (the paper computes 7,080 for Twitch).
-    """
-    matrix = np.asarray(position_matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError("position_matrix must be square (n, n)")
-    log_empty = np.sum(np.log1p(-np.clip(matrix, 0.0, 1.0 - 1e-15)), axis=0)
-    return float(np.exp(log_empty).sum())
 
 
 def expected_empty_handed_stationary(pi: np.ndarray) -> float:

@@ -10,9 +10,9 @@ pair:
 * across *fork*-started pool workers the warmed cache is inherited
   through copy-on-write memory;
 * across *spawn*-started workers (and as a safety net under fork) the
-  parent spills each distinct static graph to an on-disk ``.npz`` CSR
-  file (:func:`repro.graphs.io.save_graph_npz`) that workers load
-  instead of re-running the generator.
+  parent spills each distinct graph to an on-disk ``.npz`` CSR file
+  (:mod:`repro.scenario.artifacts`, named by the code version) that
+  workers load instead of re-running the generator.
 
 Every path is counted (``graph_cache.*`` in :mod:`repro.obs`), so a
 sweep can assert the contract the engine exists for: **each distinct
@@ -48,8 +48,9 @@ from repro.exceptions import ScheduleRefusedError, ValidationError
 from repro.graphs.connectivity import require_ergodic
 from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
-from repro.graphs.io import load_spill, save_graph_npz, save_schedule_npz
+from repro.graphs.io import from_arrays, to_arrays
 from repro.graphs.spectral import SpectralSummary, spectral_summary
+from repro.scenario import artifacts
 from repro.scenario.profile import (
     ProfileStore,
     ScheduleAccounting,
@@ -396,18 +397,6 @@ class GraphCache:
         self._lock = threading.RLock()
         self._pending: Dict[str, _PendingBuild] = {}
 
-    # -- keying --------------------------------------------------------
-    @staticmethod
-    def _spill_name(key: str) -> str:
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()[:32] + ".npz"
-
-    def spill_path(self, key: str, directory: Optional[Path] = None) -> Path:
-        """Where ``key``'s CSR arrays live on disk (under ``directory``)."""
-        base = directory if directory is not None else self.spill_dir
-        if base is None:
-            raise ValidationError("graph cache has no spill directory")
-        return Path(base) / self._spill_name(key)
-
     # -- lookup --------------------------------------------------------
     def bundle(self, key: str, builder, *,
                spec_key: Optional[str] = None) -> GraphBundle:
@@ -457,19 +446,19 @@ class GraphCache:
             seed_independent = False
             from_disk = False
             if spill_dir is not None:
-                path = self.spill_path(key, spill_dir)
-                if path.exists():
-                    graph = load_spill(path)
-                    from_disk = True
-                elif spec_key is not None:
+                graph = artifacts.read(
+                    artifacts.graph_path(spill_dir, key), from_arrays
+                )
+                if graph is None and spec_key is not None:
                     # Spec-keyed files exist only for graphs a previous
                     # build proved seed-independent, so a hit here is
                     # safe to share across seeds.
-                    spec_path = self.spill_path(spec_key, spill_dir)
-                    if spec_path.exists():
-                        graph = load_spill(spec_path)
-                        seed_independent = True
-                        from_disk = True
+                    graph = artifacts.read(
+                        artifacts.graph_path(spill_dir, spec_key),
+                        from_arrays,
+                    )
+                    seed_independent = graph is not None
+                from_disk = graph is not None
             if graph is None:
                 graph, seed_independent = builder()
             bundle = GraphBundle(graph)
@@ -511,23 +500,20 @@ class GraphCache:
         A seed-independent bundle spills under its ``spec_key`` instead,
         so a seed axis writes (and workers load) one copy rather than
         one per seed.  Dynamic schedules spill too (phase CSRs plus the
-        selector spec, :func:`repro.graphs.io.save_schedule_npz`) —
-        except the rare schedule with a custom selector *callable*,
-        which has no declarative form and returns ``None``
-        (spawn-started workers rebuild those; fork workers inherit the
-        bundle either way).
+        selector spec, :func:`repro.graphs.io.to_arrays`) — except the
+        rare schedule with a custom selector *callable*, which has no
+        declarative form and returns ``None`` (spawn-started workers
+        rebuild those; fork workers inherit the bundle either way).
         """
         if bundle.seed_independent and spec_key is not None:
             key = spec_key
-        path = self.spill_path(key, directory)
+        path = artifacts.graph_path(directory, key)
         if not path.exists():
-            if bundle.is_schedule:
-                try:
-                    save_schedule_npz(bundle.graph, path)
-                except ValidationError:
-                    return None
-            else:
-                save_graph_npz(bundle.graph, path)
+            try:
+                arrays = to_arrays(bundle.graph)
+            except ValidationError:
+                return None
+            artifacts.write(path, arrays, compress=True)
         return path
 
     def clear(self, *, detach_spill: bool = True) -> None:

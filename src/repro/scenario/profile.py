@@ -19,9 +19,9 @@ panel plus equal headroom for the per-round product).
   between calls, so an ascending-``rounds`` sweep continues it instead
   of restarting from one-hot.
 * Several blocks: every completed block is written to an ``.npz`` under
-  the spill directory (atomic temp+replace, like the graph spill), so
-  the memory high-water is ``O(n·B)`` and an ascending-``rounds`` sweep
-  resumes each block from disk.
+  the spill root (through :mod:`repro.scenario.artifacts`, like the
+  graph spill), so the memory high-water is ``O(n·B)`` and an
+  ascending-``rounds`` sweep resumes each block from disk.
 
 Either way one-hot columns stay sparse until they mix, so early rounds
 cost ``O(nnz)`` not ``O(n·B)``, and every block width produces
@@ -43,17 +43,13 @@ feeds the theorems the conservative upper end and surfaces
 
 from __future__ import annotations
 
-import atexit
-import hashlib
 import itertools
 import os
-import shutil
-import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +64,7 @@ from repro.graphs.dynamic import (
     panel_collisions,
 )
 from repro.graphs.walks import _as_schedule
+from repro.scenario import artifacts
 from repro.testing import faults
 
 __all__ = [
@@ -81,7 +78,6 @@ __all__ = [
     "profile_policy",
     "plan_profile",
     "profile_stats",
-    "profile_spill_root",
     "parse_memory_budget",
 ]
 
@@ -258,40 +254,6 @@ def profile_stats() -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Spill root
-# ----------------------------------------------------------------------
-_FALLBACK_LOCK = threading.Lock()
-_FALLBACK_ROOT: Optional[Path] = None
-
-
-def _fallback_root() -> Path:
-    global _FALLBACK_ROOT
-    with _FALLBACK_LOCK:
-        if _FALLBACK_ROOT is None or not _FALLBACK_ROOT.exists():
-            root = Path(tempfile.mkdtemp(prefix="repro-profiles-"))
-            atexit.register(shutil.rmtree, str(root), ignore_errors=True)
-            _FALLBACK_ROOT = root
-        return _FALLBACK_ROOT
-
-
-def profile_spill_root(
-    spill_dir: Optional[Union[str, Path]] = None
-) -> Path:
-    """Where profile blocks spill: the graph spill dir, or a temp dir.
-
-    With an attached GraphCache spill directory, blocks land under
-    ``<spill_dir>/profiles/`` — the same directory pooled sweep workers
-    mount, which is how a block evolved by one worker is resumed by
-    another (and how a killed process's completed blocks survive it).
-    Without one, a per-process temporary directory (removed at exit)
-    still caps the memory high-water.
-    """
-    if spill_dir is not None:
-        return Path(spill_dir) / "profiles"
-    return _fallback_root()
-
-
-# ----------------------------------------------------------------------
 # Accounting result
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -369,24 +331,22 @@ def store_identity(
 ) -> str:
     """Stable on-disk identity of one (schedule, accounting-knobs) store.
 
-    Everything that changes the bits of a spilled panel is in the key;
-    ``steps`` is deliberately *not* — that is the resume axis.
+    Everything that changes the bits of a spilled panel is in the key
+    (the code version joins it in the artifact name); ``steps`` is
+    deliberately *not* — that is the resume axis.
     """
     if cache_key is None:
         return anonymous_identity()
-    raw = f"{cache_key}|{laziness!r}|{truncation!r}|{block_size}"
-    return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:32]
+    return f"{cache_key}|{laziness!r}|{truncation!r}|{block_size}"
 
 
-def _write_panel(
-    path: Path,
+def _panel_arrays(
     panel: Union[np.ndarray, sp.spmatrix],
     dropped: np.ndarray,
     steps: int,
     start: int,
-) -> int:
-    """Atomically persist one evolved block; returns bytes written."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+) -> Dict[str, np.ndarray]:
+    """One evolved block as the arrays its spill file holds."""
     meta = {
         "steps": np.int64(steps),
         "start": np.int64(start),
@@ -395,7 +355,7 @@ def _write_panel(
     if sp.issparse(panel):
         matrix = panel.tocsc()
         matrix.sort_indices()
-        payload = {
+        return {
             "kind": np.array("csc"),
             "data": matrix.data,
             "indices": matrix.indices,
@@ -403,55 +363,30 @@ def _write_panel(
             "shape": np.asarray(matrix.shape, dtype=np.int64),
             **meta,
         }
-    else:
-        payload = {
-            "kind": np.array("dense"),
-            # Column-major, so the per-column reductions of a resumed
-            # panel read contiguous memory.
-            "values": np.asfortranarray(panel, dtype=np.float64),
-            **meta,
-        }
-    # Same atomicity discipline as the graph spill: a unique temp name
-    # in the final directory (np.savez requires the .npz suffix), then
-    # os.replace — concurrent writers race benignly to identical bytes
-    # and readers never observe a partial file.
-    temp = path.with_name(f".{path.stem}.tmp{os.getpid()}.npz")
-    try:
-        np.savez(temp, **payload)
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
-    return path.stat().st_size
+    return {
+        "kind": np.array("dense"),
+        # Column-major, so the per-column reductions of a resumed panel
+        # read contiguous memory.
+        "values": np.asfortranarray(panel, dtype=np.float64),
+        **meta,
+    }
 
 
-def _read_panel(
-    path: Path, num_nodes: int, width: int
+def _panel_from(
+    archive: Mapping[str, np.ndarray], num_nodes: int, width: int
 ) -> Optional[Tuple[Union[np.ndarray, sp.csc_matrix], np.ndarray, int]]:
-    """Load a spilled block, or ``None`` if absent/foreign/corrupt.
-
-    A block that fails to parse is treated as a cache miss, not an
-    error — the store recomputes it from one-hot (bit-identical), so a
-    torn or stale file can slow a resume but never poison it.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            kind = str(archive["kind"])
-            steps = int(archive["steps"])
-            dropped = np.asarray(archive["dropped"], dtype=np.float64)
-            if kind == "csc":
-                panel: Union[np.ndarray, sp.csc_matrix] = sp.csc_matrix(
-                    (
-                        archive["data"],
-                        archive["indices"],
-                        archive["indptr"],
-                    ),
-                    shape=tuple(archive["shape"]),
-                )
-            elif kind == "dense":
-                panel = np.asarray(archive["values"], dtype=np.float64)
-            else:
-                return None
-    except (OSError, KeyError, ValueError):
+    """Inverse of :func:`_panel_arrays`, or ``None`` for a foreign block."""
+    kind = str(archive["kind"])
+    steps = int(archive["steps"])
+    dropped = np.asarray(archive["dropped"], dtype=np.float64)
+    if kind == "csc":
+        panel: Union[np.ndarray, sp.csc_matrix] = sp.csc_matrix(
+            (archive["data"], archive["indices"], archive["indptr"]),
+            shape=tuple(archive["shape"]),
+        )
+    elif kind == "dense":
+        panel = np.asarray(archive["values"], dtype=np.float64)
+    else:
         return None
     if panel.shape != (num_nodes, width) or dropped.shape != (width,):
         return None
@@ -517,7 +452,7 @@ class ProfileStore:
     @property
     def directory(self) -> Path:
         """Where this store's blocks live on disk."""
-        return profile_spill_root(self._spill_dir) / self.identity
+        return artifacts.panel_directory(self._spill_dir, self.identity)
 
     def block_path(self, start: int) -> Path:
         return self.directory / f"block_{int(start):08d}.npz"
@@ -531,8 +466,11 @@ class ProfileStore:
         if not self.spill:
             with self._lock:
                 return self._resident.get(start)
-        return _read_panel(
-            self.block_path(start), self.schedule.num_nodes, width
+        return artifacts.read(
+            self.block_path(start),
+            lambda archive: _panel_from(
+                archive, self.schedule.num_nodes, width
+            ),
         )
 
     def _keep(
@@ -544,8 +482,10 @@ class ProfileStore:
                 if kept is None or kept[2] < steps:
                     self._resident[start] = (panel, dropped, steps)
             return
-        written = _write_panel(
-            self.block_path(start), panel, dropped, steps, start
+        written = artifacts.write(
+            self.block_path(start),
+            _panel_arrays(panel, dropped, steps, start),
+            compress=False,
         )
         obs.count("profile_store.blocks_spilled")
         obs.count("profile_store.spill_bytes", written)

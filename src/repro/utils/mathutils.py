@@ -97,12 +97,6 @@ def binary_search_monotone(
     return 0.5 * (lo + hi)
 
 
-def l2_norm_squared(vector: np.ndarray) -> float:
-    """Squared Euclidean norm as a plain float."""
-    vector = np.asarray(vector, dtype=float)
-    return float(np.dot(vector, vector))
-
-
 def stable_argsort(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for 1-D integer keys, as one
     unstable sort of packed keys.

@@ -13,7 +13,6 @@ from repro.amplification.network_shuffle import (
     epsilon_all_symmetric,
     epsilon_from_report_sizes,
     epsilon_one,
-    epsilon_single_small_eps0,
     epsilon_single_stationary,
     epsilon_single_symmetric,
     max_delta0_for_clone,
@@ -214,27 +213,6 @@ class TestTheorem55:
         single = epsilon_single_stationary(eps0, N, UNIFORM_S, DELTA)
         both = epsilon_all_stationary(eps0, N, UNIFORM_S, DELTA, DELTA)
         assert single.epsilon < both.epsilon
-
-    def test_small_eps0_simplification_formula(self):
-        """The paper's eps0 <= 1 simplification:
-        eps' = 800 eps0^2 S + 40 eps0 sqrt(2 log(1/delta) S)."""
-        eps0, s = 0.5, 1e-5
-        value = epsilon_single_small_eps0(eps0, s, DELTA)
-        expected = 800 * eps0**2 * s + 40 * eps0 * math.sqrt(
-            2 * math.log(1 / DELTA) * s
-        )
-        assert value == pytest.approx(expected)
-
-    def test_small_eps0_simplification_monotone(self):
-        values = [
-            epsilon_single_small_eps0(e, 1e-5, DELTA)
-            for e in (0.1, 0.3, 0.6, 1.0)
-        ]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_small_eps0_rejects_large(self):
-        with pytest.raises(ValidationError):
-            epsilon_single_small_eps0(1.5, 1e-5, DELTA)
 
     def test_approximate_variant(self):
         delta1 = 1e-10

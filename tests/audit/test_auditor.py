@@ -9,7 +9,6 @@ import pytest
 
 from repro.auditing import auditor as auditor_module
 from repro.auditing.auditor import (
-    _clopper_pearson,
     _KernelSampler,
     audit_local_randomizer,
     audit_network_shuffle,
@@ -27,6 +26,21 @@ from repro.ldp.laplace import LaplaceMechanism
 from repro.ldp.randomized_response import BinaryRandomizedResponse
 from repro.testing.oracle import looped_audit
 from repro.utils.rng import ensure_rng, spawn_rngs
+
+
+def _clopper_pearson(successes: int, trials: int, *, upper: bool,
+                     confidence: float = 0.95) -> float:
+    """One-sided scalar Clopper-Pearson bound on a binomial proportion."""
+    from scipy import stats
+
+    alpha = 1.0 - confidence
+    if upper:
+        if successes >= trials:
+            return 1.0
+        return float(stats.beta.ppf(1.0 - alpha, successes + 1, trials - successes))
+    if successes <= 0:
+        return 0.0
+    return float(stats.beta.ppf(alpha, successes, trials - successes + 1))
 
 
 def _scalar_epsilon_lower_bound(statistics_d, statistics_d_prime, delta,

@@ -1,48 +1,8 @@
-"""Tests for Figure 9's interpolation helper and small-scale runs."""
+"""Tests for Figure 9's small-scale runs."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.experiments.figure9 import (
-    TradeoffPoint,
-    interpolated_error_at_epsilon,
-    run_figure9,
-)
-
-
-def _points():
-    return [
-        TradeoffPoint("all", 1.0, 1.0, 0.100, 0),
-        TradeoffPoint("all", 2.0, 10.0, 0.010, 0),
-        TradeoffPoint("all", 3.0, 100.0, 0.001, 0),
-        TradeoffPoint("single", 1.0, 0.5, 0.200, 10),
-    ]
-
-
-class TestInterpolation:
-    def test_exact_at_knots(self):
-        points = _points()
-        assert interpolated_error_at_epsilon(points, "all", 10.0) == pytest.approx(
-            0.010
-        )
-
-    def test_log_log_midpoint(self):
-        points = _points()
-        # Halfway in log-eps between 1 and 10 -> halfway in log-error
-        # between 0.1 and 0.01.
-        value = interpolated_error_at_epsilon(points, "all", np.sqrt(10.0))
-        assert value == pytest.approx(np.sqrt(0.1 * 0.01), rel=1e-9)
-
-    def test_clamps_below_range(self):
-        assert interpolated_error_at_epsilon(_points(), "all", 0.01) == 0.100
-
-    def test_clamps_above_range(self):
-        assert interpolated_error_at_epsilon(_points(), "all", 1e6) == 0.001
-
-    def test_filters_by_protocol(self):
-        assert interpolated_error_at_epsilon(_points(), "single", 0.5) == 0.200
+from repro.experiments.figure9 import run_figure9
 
 
 class TestSmallScaleRun:

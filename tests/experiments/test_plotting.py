@@ -98,45 +98,3 @@ class TestAsciiChart:
         # Top rows come first: the increasing series' top-row marker is
         # at a larger x (column) than its bottom-row marker.
         assert first_col > last_col
-
-
-class TestSweepSeries:
-    def _grid(self):
-        from repro.scenario import GraphSpec, Scenario, sweep
-
-        base = Scenario(
-            graph=GraphSpec.of("k_regular", degree=4, num_nodes=64),
-            epsilon0=1.0,
-            seed=0,
-        )
-        return sweep(
-            base,
-            axis={"graph.degree": [4, 6], "rounds": [2, 4]},
-            mode="bound",
-        )
-
-    def test_one_series_per_non_x_combination(self):
-        from repro.experiments.plotting import sweep_series
-
-        series = sweep_series(self._grid(), "rounds")
-        assert [s.label for s in series] == [
-            "graph.degree=4", "graph.degree=6"
-        ]
-        for s in series:
-            assert s.x.tolist() == [2, 4]
-            assert len(s.y) == 2
-
-    def test_unknown_axis_is_loud(self):
-        import pytest
-
-        from repro.exceptions import ValidationError
-        from repro.experiments.plotting import sweep_series
-
-        with pytest.raises(ValidationError, match="not a sweep axis"):
-            sweep_series(self._grid(), "laziness")
-
-    def test_charts_directly(self):
-        from repro.experiments.plotting import ascii_chart, sweep_series
-
-        chart = ascii_chart(sweep_series(self._grid(), "rounds"), log_y=True)
-        assert "graph.degree=4" in chart

@@ -11,7 +11,6 @@ from repro.experiments.reporting import (
     fit_exponential_rate,
     fit_power_law,
     format_table,
-    geometric_range,
 )
 
 
@@ -79,16 +78,6 @@ class TestFitExponentialRate:
     def test_rejects_non_positive_y(self):
         with pytest.raises(ValidationError):
             fit_exponential_rate([0.0, 1.0], [1.0, 0.0])
-
-
-class TestGeometricRange:
-    def test_endpoints(self):
-        values = geometric_range(1.0, 100.0, 3)
-        np.testing.assert_allclose(values, [1.0, 10.0, 100.0])
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValidationError):
-            geometric_range(10.0, 1.0, 3)
 
 
 class TestSweepTable:

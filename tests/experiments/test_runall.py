@@ -7,18 +7,12 @@ import json
 from repro.experiments import campaigns, runall
 
 
-class TestArtifactGenerators:
+class TestArtifactNames:
     def test_covers_every_artifact(self):
-        generators = runall.artifact_generators(full=False)
-        assert set(generators) == {
+        assert set(campaigns.artifact_names()) == {
             "table1", "table3", "table4",
             "figure4", "figure5", "figure6", "figure7", "figure8", "figure9",
         }
-        assert set(generators) == set(campaigns.artifact_names())
-
-    def test_generators_are_callables(self):
-        for generate in runall.artifact_generators(full=False).values():
-            assert callable(generate)
 
 
 def _stub_artifacts(monkeypatch, names=("table1", "figure9")):

@@ -22,12 +22,6 @@ from repro.protocols.single_protocol import DUMMY_ORIGIN, run_single_protocol
 from repro.scenario import DUMMIES, MECHANISMS, VALUES
 from repro.testing.oracle import FaithfulNetwork
 
-KARY_STREAM = pytest.mark.xfail(
-    strict=True,
-    reason="k-ary RR batch draws all keep-coins first: same law, not same stream",
-)
-
-
 #: Figure 9's shape: PrivUnit at d = 200 over more rows than one block.
 FIGURE9 = {"epsilon": 2.0, "dimension": 200}
 FIGURE9_COUNT = _BLOCK_ROWS + 88
@@ -50,13 +44,9 @@ def _values(kind: str, count: int, rng: np.random.Generator, params=None):
 
 
 def _cases(counts, *, skip=()):
-    """``(kind, count)`` over the registry; k-ary RR is strict-xfail
-    wherever it draws at all."""
+    """``(kind, count)`` over the registry."""
     return [
-        pytest.param(
-            kind, count, None, id=f"{kind}-{count}",
-            marks=KARY_STREAM if kind == "kary_rr" and count else (),
-        )
+        pytest.param(kind, count, None, id=f"{kind}-{count}")
         for kind in MECHANISMS.available()
         if kind not in skip
         for count in counts

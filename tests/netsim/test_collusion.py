@@ -7,10 +7,18 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.netsim.collusion import (
-    collect_observations,
+    _first_observations,
     run_collusion_attack,
     simulate_walk_trajectories,
 )
+
+
+def _sightings(trajectories, colluders):
+    """Every earliest colluder sighting as ``(token, round, sender)``."""
+    tokens, round_indices, senders = _first_observations(
+        trajectories, np.asarray(colluders)
+    )
+    return list(zip(tokens.tolist(), round_indices.tolist(), senders.tolist()))
 
 
 class TestTrajectories:
@@ -45,26 +53,25 @@ class TestTrajectories:
 class TestObservations:
     def test_no_colluders_no_observations(self, small_regular):
         trajectories = simulate_walk_trajectories(small_regular, 5, rng=0)
-        assert collect_observations(trajectories, np.array([])) == []
+        assert _sightings(trajectories, []) == []
 
     def test_all_colluders_observe_everything_round_one(self, small_regular):
         trajectories = simulate_walk_trajectories(small_regular, 5, rng=0)
         everyone = np.arange(small_regular.num_nodes)
-        observations = collect_observations(trajectories, everyone)
+        observations = _sightings(trajectories, everyone)
         assert len(observations) == small_regular.num_nodes
-        assert all(obs.round_index == 1 for obs in observations)
+        assert all(round_index == 1 for _, round_index, _ in observations)
 
     def test_earliest_sighting_recorded(self, small_regular):
         trajectories = simulate_walk_trajectories(small_regular, 8, rng=0)
         colluders = np.array([0, 1, 2])
-        observations = collect_observations(trajectories, colluders)
-        for obs in observations:
-            path = trajectories[obs.token]
+        for token, round_index, sender in _sightings(trajectories, colluders):
+            path = trajectories[token]
             # No earlier sighting exists.
-            for earlier in range(1, obs.round_index):
+            for earlier in range(1, round_index):
                 assert int(path[earlier]) not in {0, 1, 2}
-            assert int(path[obs.round_index]) in {0, 1, 2}
-            assert int(path[obs.round_index - 1]) == obs.sender
+            assert int(path[round_index]) in {0, 1, 2}
+            assert int(path[round_index - 1]) == sender
 
 
 class TestAttack:
@@ -115,11 +122,7 @@ class TestVectorizedParity:
                         (token, round_index, int(path[round_index - 1]))
                     )
                     break
-        observed = [
-            (obs.token, obs.round_index, obs.sender)
-            for obs in collect_observations(trajectories, colluders)
-        ]
-        assert observed == expected
+        assert _sightings(trajectories, colluders) == expected
 
     def test_batched_posterior_matches_scalar(self, medium_regular):
         from repro.netsim.collusion import _map_origins
@@ -152,9 +155,9 @@ class TestVectorizedParity:
             for h in trajectories[:, -1]
         ])
         guesses = baseline.copy()
-        for obs in collect_observations(trajectories, np.array(colluders)):
-            guesses[obs.token] = reverse_posterior_argmax(
-                medium_regular, obs.sender, obs.round_index - 1
+        for token, round_index, sender in _sightings(trajectories, colluders):
+            guesses[token] = reverse_posterior_argmax(
+                medium_regular, sender, round_index - 1
             )
         assert result.baseline_accuracy == float(
             np.mean(baseline == np.arange(n))
@@ -165,7 +168,7 @@ class TestVectorizedParity:
 
     def test_empty_colluders_vectorized(self, small_regular):
         trajectories = simulate_walk_trajectories(small_regular, 4, rng=1)
-        assert collect_observations(trajectories, np.array([])) == []
+        assert _sightings(trajectories, []) == []
 
     def test_chunked_posterior_matches_unchunked(self, medium_regular, monkeypatch):
         """Column chunking (the large-graph memory guard) must not

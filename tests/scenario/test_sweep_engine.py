@@ -21,7 +21,6 @@ from repro import api
 from repro.exceptions import ValidationError
 from repro.graphs.dynamic import _TransitionCache
 from repro.graphs.generators import cycle_graph, grid_graph
-from repro.graphs.io import load_graph_npz, save_graph_npz
 from repro.scenario import (
     GRAPHS,
     GraphSpec,
@@ -276,27 +275,6 @@ class TestGraphCacheSharing:
         )
         assert pooled.epsilons() == sequential.epsilons()
         assert all(isinstance(p.outcome, RunDigest) for p in pooled)
-
-
-class TestGraphNpzRoundTrip:
-    def test_round_trip_preserves_csr(self, tmp_path):
-        graph = _bundle_for(_base()).graph
-        path = tmp_path / "graph.npz"
-        save_graph_npz(graph, path)
-        loaded = load_graph_npz(path)
-        assert loaded.num_nodes == graph.num_nodes
-        np.testing.assert_array_equal(loaded.indptr, graph.indptr)
-        np.testing.assert_array_equal(loaded.indices, graph.indices)
-
-    def test_missing_file_is_loud(self, tmp_path):
-        with pytest.raises(ValidationError, match="no such file"):
-            load_graph_npz(tmp_path / "nope.npz")
-
-    def test_non_graph_npz_is_loud(self, tmp_path):
-        path = tmp_path / "other.npz"
-        np.savez(path, payload=np.arange(3))
-        with pytest.raises(ValidationError, match="not a graph cache"):
-            load_graph_npz(path)
 
 
 class TestRegistrationReplay:

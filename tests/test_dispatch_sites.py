@@ -10,8 +10,10 @@ Likewise one ``t``-step kernel: ``lazy_transition_matrix`` is called
 only inside ``repro.graphs``, whose walks and profile panels every
 exact consumer reads (the reference oracle in ``repro.testing`` keeps
 its own dense chain).  One job runtime: worker pools are constructed
-only in ``repro.scenario.sweep``; and one counter site: counts are
-raised only through ``repro.obs``.
+only in ``repro.scenario.sweep``; one counter site: counts are
+raised only through ``repro.obs``; and one artifact writer: only
+``repro.scenario.artifacts`` saves ``.npz`` files or renames them into
+place.
 """
 
 from __future__ import annotations
@@ -120,3 +122,36 @@ def test_counters_are_raised_only_in_obs():
         if name in COUNTER_NAMES
     ]
     assert not stray, f"counter raised outside repro/{COUNTER_SITE}: {stray}"
+
+
+#: File writes only :mod:`repro.scenario.artifacts` may make: its one
+#: atomic writer names every on-disk artifact by the code version.
+WRITER_FUNCTIONS = {
+    ("os", "replace"), ("np", "savez"), ("np", "savez_compressed"),
+}
+WRITER_SITE = Path("scenario", "artifacts.py")
+
+
+def _writer_references(path: Path):
+    """``os.replace``/``np.savez*`` references, called or not."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) in WRITER_FUNCTIONS:
+                yield f"{node.value.id}.{node.attr}", node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "numpy"):
+            for alias in node.names:
+                if alias.name in {name for _, name in WRITER_FUNCTIONS}:
+                    yield f"{node.module}.{alias.name}", node.lineno
+
+
+def test_artifacts_are_written_only_by_the_artifact_module():
+    assert {name for name, _ in _writer_references(SOURCE / WRITER_SITE)} == {
+        f"{module}.{name}" for module, name in WRITER_FUNCTIONS
+    }
+    stray = [
+        f"{path.relative_to(SOURCE)}:{line} uses {name}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        if path.relative_to(SOURCE) != WRITER_SITE
+        for name, line in _writer_references(path)
+    ]
+    assert not stray, f"file writer outside repro/{WRITER_SITE}: {stray}"

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from repro.exceptions import ValidationError
 from repro.utils.mathutils import (
     binary_search_monotone,
-    l2_norm_squared,
     log1mexp,
     log_add_exp,
     log_sub_exp,
@@ -92,19 +91,6 @@ class TestBinarySearchMonotone:
     def test_rejects_bad_bracket(self):
         with pytest.raises(ValueError):
             binary_search_monotone(lambda x: x, 0.0, 1.0, 1.0)
-
-
-class TestL2NormSquared:
-    def test_known(self):
-        assert l2_norm_squared(np.array([3.0, 4.0])) == pytest.approx(25.0)
-
-    @given(
-        st.lists(
-            st.floats(min_value=-100, max_value=100), min_size=1, max_size=20
-        )
-    )
-    def test_non_negative(self, values):
-        assert l2_norm_squared(np.array(values)) >= 0.0
 
 
 #: Token counts at and around the packing shift's boundaries, where
