@@ -44,6 +44,16 @@ class TestGraphArrays:
         with pytest.raises(ValidationError, match="DynamicGraphSchedule"):
             to_arrays(np.arange(3))
 
+    def test_narrow_csr_loads_as_int64(self):
+        graph = random_regular_graph(4, 16, rng=0)
+        arrays = to_arrays(graph)
+        arrays["indptr"] = arrays["indptr"].astype(np.int32)
+        arrays["indices"] = arrays["indices"].astype(np.int32)
+        loaded = from_arrays(arrays)
+        assert loaded.indptr.dtype == np.int64
+        assert loaded.indices.dtype == np.int64
+        np.testing.assert_array_equal(loaded.indices, graph.indices)
+
 
 class TestScheduleArrays:
     def test_round_robin_roundtrip(self, tmp_path):
@@ -81,3 +91,26 @@ class TestScheduleArrays:
     def test_custom_selector_refused(self):
         with pytest.raises(ValidationError, match="custom selector"):
             to_arrays(_schedule(lambda r: 0))
+
+    def test_from_arrays_dispatches_both_kinds(self):
+        graph = random_regular_graph(4, 16, rng=0)
+        assert isinstance(from_arrays(to_arrays(graph)), Graph)
+        assert isinstance(
+            from_arrays(to_arrays(_schedule())), DynamicGraphSchedule
+        )
+
+    def test_unknown_selector_kind_refused(self, tmp_path):
+        arrays = to_arrays(_schedule())
+        arrays["selector_kind"] = np.array("bogus")
+        with pytest.raises(ValidationError, match="unknown selector kind"):
+            from_arrays(arrays)
+        # On disk the same refusal is a cache miss, not an error.
+        path = tmp_path / "spill.npz"
+        artifacts.write(path, arrays, compress=True)
+        assert artifacts.read(path, from_arrays) is None
+
+    def test_missing_phase_is_a_key_error(self):
+        arrays = to_arrays(_schedule())
+        del arrays["graph1_indices"]
+        with pytest.raises(KeyError):
+            from_arrays(arrays)

@@ -112,6 +112,33 @@ class TestKaryRR:
         assert contribution.shape == (3,)
         assert contribution.sum() == pytest.approx(1.0)
 
+    def test_substitute_cells_cover_the_other_symbols(self):
+        """``floor(u1 * (k-1))`` over ``[0, 1)``, the top cell included."""
+        krr = KaryRandomizedResponse(1.0, 5)
+        picks = np.array([0.0, 0.2499, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+        np.testing.assert_array_equal(
+            krr._substitutes(picks), [0, 0, 1, 2, 3, 3]
+        )
+
+    def test_each_value_draws_two_uniforms(self):
+        """Kept or not, one value consumes exactly ``rng.random(2)``."""
+        for epsilon in (0.01, 20.0):  # nearly always lies / keeps
+            krr = KaryRandomizedResponse(epsilon, 6)
+            used, reference = np.random.default_rng(7), np.random.default_rng(7)
+            for value in range(6):
+                krr.randomize(value, used)
+                reference.random(2)
+            assert used.random() == reference.random()
+
+    def test_huge_alphabet_stays_in_range(self):
+        num_symbols = 2**40
+        krr = KaryRandomizedResponse(0.01, num_symbols)
+        symbols = np.full(10_000, num_symbols - 1, dtype=np.int64)
+        out = krr.randomize_batch(symbols, rng=0)
+        lies = out[out != num_symbols - 1]
+        assert lies.size > 0
+        assert lies.min() >= 0 and lies.max() < num_symbols - 1
+
     def test_rejects_single_symbol(self):
         with pytest.raises(ValidationError):
             KaryRandomizedResponse(1.0, 1)

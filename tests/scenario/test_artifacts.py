@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -75,21 +76,66 @@ class TestReaderWriter:
     def test_missing_file_is_a_miss(self, tmp_path):
         assert artifacts.read(tmp_path / "nope.npz", _decode) is None
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "foreign"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage", "foreign", "empty", "bit_flipped"]
+    )
     def test_damaged_file_is_a_miss_and_removed(self, tmp_path, damage):
         path = tmp_path / "a.npz"
         artifacts.write(
             path,
-            {"other" if damage == "foreign" else "values": np.arange(500)},
-            compress=False,
+            {"other" if damage == "foreign" else "values": np.arange(5000)},
+            compress=damage == "bit_flipped",
         )
         data = path.read_bytes()
         if damage == "truncated":
             path.write_bytes(data[: len(data) // 2])
         elif damage == "garbage":
             path.write_bytes(b"not an npz archive")
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "bit_flipped":
+            # Inside the deflated member: the zip directory still parses.
+            flipped = bytearray(data)
+            for index in range(100, 140):
+                flipped[index] ^= 0xFF
+            path.write_bytes(bytes(flipped))
         assert artifacts.read(path, _decode) is None
         assert not path.exists()
+
+    def test_decode_refusal_is_a_miss_that_keeps_the_file(self, tmp_path):
+        path = tmp_path / "a.npz"
+        artifacts.write(path, {"values": np.arange(5)}, compress=False)
+        assert artifacts.read(path, lambda archive: None) is None
+        assert path.exists()
+
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_compression_is_the_callers_choice(self, tmp_path, compress):
+        path = tmp_path / "a.npz"
+        artifacts.write(path, {"values": np.zeros(4096)}, compress=compress)
+        with zipfile.ZipFile(path) as archive:
+            kinds = {info.compress_type for info in archive.infolist()}
+        assert kinds == {
+            zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
+        }
+
+    def test_failed_write_keeps_the_old_file_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "a.npz"
+        artifacts.write(path, {"values": np.arange(5)}, compress=False)
+
+        def torn_save(stream, **arrays):
+            stream.write(b"PK\x03\x04 torn")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_save)
+        with pytest.raises(OSError, match="disk full"):
+            artifacts.write(path, {"values": np.arange(9)}, compress=False)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == [path]
+        np.testing.assert_array_equal(
+            artifacts.read(path, _decode), np.arange(5)
+        )
 
     def test_concurrent_writers_never_expose_a_partial_file(self, tmp_path):
         """More writers than cores rewrite one name while readers poll
@@ -133,6 +179,38 @@ class TestReaderWriter:
         _other_code_version(monkeypatch)
         assert artifacts.artifact_name("graph", "key") != name
 
+    def test_name_is_stable_within_one_code_version(self):
+        name = artifacts.artifact_name("graph", "key")
+        assert artifacts.artifact_name("graph", "key") == name
+        assert len(name) == 32
+        int(name, 16)
+
+
+class TestSpillRoot:
+    def test_graphs_live_in_the_attached_directory(self, tmp_path):
+        path = artifacts.graph_path(tmp_path, "key")
+        assert path.parent == tmp_path
+        assert path.name == f"{artifacts.artifact_name('graph', 'key')}.npz"
+
+    def test_panels_live_under_profiles(self, tmp_path):
+        directory = artifacts.panel_directory(tmp_path, "store")
+        assert directory == (
+            tmp_path / "profiles" / artifacts.artifact_name("panel", "store")
+        )
+
+    def test_fallback_is_one_temp_directory_per_process(self):
+        first = artifacts.panel_directory(None, "store").parents[1]
+        assert artifacts.panel_directory(None, "other").parents[1] == first
+        assert first.is_dir()
+        assert first.name.startswith("repro-spill-")
+
+    def test_removed_fallback_is_made_again(self, tmp_path, monkeypatch):
+        gone = tmp_path / "gone"
+        monkeypatch.setattr(artifacts, "_FALLBACK_ROOT", gone)
+        directory = artifacts.panel_directory(None, "store")
+        assert directory.parents[1] != gone
+        assert directory.parents[1].is_dir()
+
 
 class TestGraphTier:
     def test_truncated_graph_spill_rebuilds_bit_identically(self, tmp_path):
@@ -147,6 +225,35 @@ class TestGraphTier:
         again = api.run(scenario)
         assert _graph_counts() == (builds + 1, disk_hits)
         assert run_parts(again) == run_parts(first)
+
+    def test_truncated_schedule_spill_rebuilds_the_same_bound(self, tmp_path):
+        scenario = api.parse_scenario(SCHEDULE_SCENARIO)
+        api.attach_spill(tmp_path)
+        expected = api.bound(scenario).epsilon
+        path = api.spill_graph(scenario)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        clear_graph_cache(detach_spill=False)
+        builds, disk_hits = _graph_counts()
+        assert api.bound(scenario).epsilon == expected
+        assert _graph_counts() == (builds + 1, disk_hits)
+
+    def test_foreign_file_at_the_spill_name_is_replaced(self, tmp_path):
+        """A file that is not a graph is a miss; the next spill writes
+        a good one in its place, which the next process then loads."""
+        scenario = api.parse_scenario(RUN_SCENARIO)
+        api.attach_spill(tmp_path)
+        first = api.run(scenario)
+        path = api.spill_graph(scenario)
+        artifacts.write(path, {"payload": np.arange(3)}, compress=True)
+        clear_graph_cache(detach_spill=False)
+        builds, disk_hits = _graph_counts()
+        assert run_parts(api.run(scenario)) == run_parts(first)
+        assert _graph_counts() == (builds + 1, disk_hits)
+        assert api.spill_graph(scenario) == path
+        clear_graph_cache(detach_spill=False)
+        assert run_parts(api.run(scenario)) == run_parts(first)
+        assert _graph_counts() == (builds + 1, disk_hits + 1)
 
     @pytest.mark.parametrize(
         "payload", [RUN_SCENARIO, SCHEDULE_SCENARIO], ids=["graph", "schedule"]
@@ -190,6 +297,16 @@ class TestPanelTier:
             name: after[name] - before[name]
             for name in ("blocks_evolved", "blocks_resumed")
         }
+
+    def test_truncated_block_is_evolved_again(self, tmp_path):
+        expected = collision_profile_on_schedule(_schedule(), 5)
+        self._collisions(tmp_path)
+        block = next(iter(sorted((tmp_path / "profiles").rglob("*.npz"))))
+        data = block.read_bytes()
+        block.write_bytes(data[: len(data) // 2])
+        recovered, counted = self._collisions(tmp_path)
+        assert counted == {"blocks_evolved": 1, "blocks_resumed": 3}
+        np.testing.assert_array_equal(recovered, expected)
 
     def test_other_code_version_is_ignored_and_rebuilt(
         self, tmp_path, monkeypatch

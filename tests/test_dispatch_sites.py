@@ -133,11 +133,13 @@ WRITER_SITE = Path("scenario", "artifacts.py")
 
 
 def _writer_references(path: Path):
-    """``os.replace``/``np.savez*`` references, called or not."""
+    """``os.replace``/``np.savez*`` references, called or not (``numpy``
+    spelled out counts as ``np``)."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if (node.value.id, node.attr) in WRITER_FUNCTIONS:
-                yield f"{node.value.id}.{node.attr}", node.lineno
+            module = "np" if node.value.id == "numpy" else node.value.id
+            if (module, node.attr) in WRITER_FUNCTIONS:
+                yield f"{module}.{node.attr}", node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module in ("os", "numpy"):
             for alias in node.names:
                 if alias.name in {name for _, name in WRITER_FUNCTIONS}:
@@ -155,3 +157,25 @@ def test_artifacts_are_written_only_by_the_artifact_module():
         for name, line in _writer_references(path)
     ]
     assert not stray, f"file writer outside repro/{WRITER_SITE}: {stray}"
+
+
+def test_writer_scan_sees_every_spelling(tmp_path):
+    """The source check above is only as good as its scanner."""
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os\n"
+        "import numpy\n"
+        "import numpy as np\n"
+        "from numpy import savez_compressed\n"
+        "os.replace('a', 'b')\n"
+        "numpy.savez('a', x=1)\n"
+        "save = np.savez_compressed\n"
+        "os.rename('a', 'b')\n",
+        encoding="utf-8",
+    )
+    assert sorted(_writer_references(probe)) == [
+        ("np.savez", 6),
+        ("np.savez_compressed", 7),
+        ("numpy.savez_compressed", 4),
+        ("os.replace", 5),
+    ]
