@@ -1,10 +1,12 @@
 """Spectral stage: ``spectral_summary`` on k=8 random-regular graphs.
 
-Above the dense limit the spectral gap is one deflated Lanczos solve
-(``eigsh(k=1, which="LM")`` with ``sqrt(pi)`` projected out).  These
-time the whole summary — ergodicity check, stationary distribution,
-solve, mixing time — at 10^4 and 5x10^4 nodes; the 10^4 graph is the
-``run_cold`` perfbench workload's size.
+Above the dense limit the spectral gap is a loose deflated Lanczos solve
+(``eigsh(k=1, which="LM")`` with ``sqrt(pi)`` projected out), priced as
+the certified ``alpha_lo = 1 - |theta| - ||r||``.  These time the whole
+summary — ergodicity check, stationary distribution, solve, mixing
+time — at 10^4, 5x10^4 and 2x10^5 nodes; the 10^4 graph is the
+``run_cold`` perfbench workload's size.  The 2x10^5 solve is printed
+against its under-3 s target but not asserted: it reads host load.
 """
 
 from __future__ import annotations
@@ -17,13 +19,25 @@ from repro.graphs.spectral import spectral_summary
 
 _DEGREE = 8
 
+#: Wall-time target of the 2x10^5-node summary, in seconds.
+_TARGET_200K_S = 3.0
 
-@pytest.mark.parametrize("num_nodes", [10_000, 50_000])
+
+@pytest.mark.parametrize("num_nodes", [10_000, 50_000, 200_000])
 def test_bench_spectral_summary(benchmark, num_nodes):
     graph = random_regular_graph(_DEGREE, num_nodes, rng=0)
     summary = benchmark.pedantic(
         spectral_summary, args=(graph,), rounds=3, iterations=1
     )
+    if num_nodes == 200_000:
+        print(
+            f"\n2x10^5-node spectral summary: min "
+            f"{benchmark.stats.stats.min:.2f} s (target < {_TARGET_200K_S:g} s)"
+        )
+    # The priced gap is certified: below the Ritz estimate by the
+    # residual, and the residual is small against it.
+    assert summary.spectral_gap <= summary.ritz_gap
+    assert summary.gap_residual <= summary.spectral_gap / 10
     # A random k-regular graph is a near-Ramanujan expander:
     # max(a_2, |a_n|) ~= 2 sqrt(k-1) / k.
     ramanujan = 1.0 - 2.0 * np.sqrt(_DEGREE - 1) / _DEGREE

@@ -110,7 +110,8 @@ class TestEigenvalues:
         graph = random_regular_graph(6, 2000, rng=0)
         with pytest.raises(ValidationError, match="spectral_gap"):
             normalized_adjacency_eigenvalues(graph)
-        assert abs(spectral_gap(graph) - _dense_gap(graph)) <= 1e-12
+        assert spectral_gap(graph) == deflated_spectral_gap(graph).gap
+        _assert_brackets_dense_gap(deflated_spectral_gap(graph), graph)
 
 
 class TestSpectralGap:
@@ -142,8 +143,34 @@ def _dense_gap(graph):
     return max(min(1.0 - eigenvalues[-2], 1.0 - abs(eigenvalues[0])), 0.0)
 
 
+def _assert_brackets_dense_gap(bracket, graph):
+    """The certified claim: ``alpha_lo`` is at most the dense ``alpha``,
+    and the Ritz ``alpha`` is within the residual of it.  The 1e-12
+    slack absorbs rounding: on ``complete`` the two differ by ~1e-15
+    with a residual of ~6e-17."""
+    dense = _dense_gap(graph)
+    assert bracket.gap <= dense + 1e-12
+    assert abs(bracket.ritz_gap - dense) <= bracket.residual + 1e-12
+    assert bracket.gap == max(bracket.ritz_gap - bracket.residual, 0.0)
+
+
+@pytest.fixture
+def solve_tolerances(monkeypatch):
+    """Record the tolerance of every Lanczos solve."""
+    tolerances = []
+    eigsh = spectral.spla.eigsh
+
+    def recording(*args, **kwargs):
+        tolerances.append(kwargs["tol"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", recording)
+    return tolerances
+
+
 class TestDeflatedSolve:
-    """The sparse path: one Lanczos solve with ``sqrt(pi)`` deflated."""
+    """The sparse path: a loose Lanczos solve with ``sqrt(pi)`` deflated,
+    certified by its residual."""
 
     @pytest.mark.parametrize(
         "graph",
@@ -158,13 +185,43 @@ class TestDeflatedSolve:
         ids=["complete", "odd-cycle", "3-regular", "ba", "ws", "odd-torus"],
     )
     def test_matches_dense_oracle(self, graph):
-        assert abs(deflated_spectral_gap(graph) - _dense_gap(graph)) <= 1e-12
+        _assert_brackets_dense_gap(deflated_spectral_gap(graph), graph)
 
     def test_matches_two_sided_lanczos(self):
         """Past the dense limit the one deflated solve still finds
-        ``max(a_2, |a_n|)``: it matches a dense decomposition."""
+        ``max(a_2, |a_n|)``: its bracket holds the dense ``alpha``."""
         graph = barabasi_albert_graph(2000, 3, rng=0)
-        assert abs(deflated_spectral_gap(graph) - _dense_gap(graph)) <= 1e-12
+        _assert_brackets_dense_gap(deflated_spectral_gap(graph), graph)
+
+    def test_expander_needs_one_loose_solve(self, solve_tolerances):
+        bracket = deflated_spectral_gap(random_regular_graph(6, 2000, rng=0))
+        assert solve_tolerances == [spectral._LANCZOS_TOLS[0]]
+        assert bracket.residual <= bracket.gap / 10
+
+    def test_slow_mixing_graph_retries_tight(self, solve_tolerances):
+        """On the odd cycle (alpha ~ 5e-5) the loose residual swamps the
+        gap, so the solve restarts once at the tight tolerance."""
+        graph = cycle_graph(301)
+        bracket = deflated_spectral_gap(graph)
+        assert solve_tolerances == list(spectral._LANCZOS_TOLS)
+        assert bracket.residual <= bracket.gap / 10
+        _assert_brackets_dense_gap(bracket, graph)
+
+    def test_residual_above_tenth_of_gap_after_retry_raises(self, monkeypatch):
+        """A Ritz pair whose residual stays above ``alpha_lo / 10`` at the
+        tight tolerance is refused, not priced as a vacuous bound."""
+        calls = []
+
+        def poor_ritz_pair(*args, **kwargs):
+            calls.append(kwargs["tol"])
+            vector = np.ones((args[0].shape[0], 1))
+            vector[::2] = -1.0
+            return np.array([0.5]), vector
+
+        monkeypatch.setattr(spectral.spla, "eigsh", poor_ritz_pair)
+        with pytest.raises(AccountingError, match="residual"):
+            spectral_gap(random_regular_graph(6, 2000, rng=0))
+        assert calls == list(spectral._LANCZOS_TOLS)
 
     def test_repeat_summaries_are_identical(self):
         graph = random_regular_graph(6, 2000, rng=3)
@@ -185,7 +242,11 @@ class TestDeflatedSolve:
 
     def test_non_finite_eigenvalue_is_typed(self, monkeypatch):
         monkeypatch.setattr(
-            spectral.spla, "eigsh", lambda *args, **kwargs: np.array([np.nan])
+            spectral.spla,
+            "eigsh",
+            lambda operator, **kwargs: (
+                np.array([np.nan]), np.ones((operator.shape[0], 1))
+            ),
         )
         with pytest.raises(AccountingError, match="non-finite"):
             spectral_gap(random_regular_graph(6, 2000, rng=0))
@@ -218,6 +279,20 @@ class TestSpectralSummary:
         assert summary.irregularity_gamma == pytest.approx(1.0)
         assert summary.stationary_collision == pytest.approx(1.0 / 64)
         assert 0 < summary.spectral_gap < 1
+
+    def test_dense_gap_needs_no_certificate(self):
+        summary = spectral_summary(random_regular_graph(4, 64, rng=0))
+        assert summary.ritz_gap == summary.spectral_gap
+        assert summary.gap_residual == 0.0
+
+    def test_sparse_summary_prices_the_certified_gap(self):
+        graph = random_regular_graph(6, 2000, rng=3)
+        summary = spectral_summary(graph)
+        bracket = deflated_spectral_gap(graph)
+        assert summary.spectral_gap == bracket.gap < summary.ritz_gap
+        assert summary.ritz_gap == bracket.ritz_gap
+        assert summary.gap_residual == bracket.residual > 0.0
+        assert summary.mixing_time == mixing_time(graph, gap=bracket.gap)
 
     def test_sum_squared_bound_monotone(self):
         graph = random_regular_graph(4, 64, rng=0)
