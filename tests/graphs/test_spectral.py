@@ -110,8 +110,9 @@ class TestEigenvalues:
         graph = random_regular_graph(6, 2000, rng=0)
         with pytest.raises(ValidationError, match="spectral_gap"):
             normalized_adjacency_eigenvalues(graph)
-        assert spectral_gap(graph) == deflated_spectral_gap(graph).gap
-        _assert_brackets_dense_gap(deflated_spectral_gap(graph), graph)
+        bracket = deflated_spectral_gap(graph)
+        assert spectral_gap(graph) == bracket.gap
+        _assert_brackets_dense_gap(bracket, graph)
 
 
 class TestSpectralGap:
